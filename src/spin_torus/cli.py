@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -43,8 +44,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except ConfigInvalid as error:
         return _fail(f"invalid config: {error}", EXIT_CONFIG_ERROR)
     if args.gamma is not None:
-        if args.gamma <= 0:
-            return _fail("--gamma must be positive", EXIT_CONFIG_ERROR)
+        if not (math.isfinite(args.gamma) and args.gamma > 0):
+            return _fail("--gamma must be positive and finite", EXIT_CONFIG_ERROR)
         config = config.with_gamma(args.gamma)
 
     record = run_scenario(config, seed=args.seed)
@@ -78,13 +79,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_export(args: argparse.Namespace) -> int:
     try:
-        text = Path(args.record).read_text(encoding="utf-8")
+        # json.load drops the file's text once parsed, so the text of a
+        # dense record is not held through the export.
+        with open(args.record, encoding="utf-8") as handle:
+            data = json.load(handle)
     except OSError as error:
         return _fail(f"cannot read record: {error}", EXIT_IO_ERROR)
-    try:
-        record = record_from_dict(json.loads(text))
     except json.JSONDecodeError as error:
         return _fail(f"record is not valid JSON: {error}", EXIT_CONFIG_ERROR)
+    try:
+        record = record_from_dict(data)
     except ConfigInvalid as error:
         return _fail(f"invalid record: {error}", EXIT_CONFIG_ERROR)
     try:

@@ -74,15 +74,16 @@ class ConcurrenceProfile:
 
 
 def _clamp_unit(value: float) -> float:
-    """Clamp to [0, 1], refusing excursions too large to be rounding."""
-    if value > 1.0 + _RANGE_SLACK or value < -_RANGE_SLACK:
+    """Clamp to [0, 1], refusing excursions too large to be rounding and NaN."""
+    if not -_RANGE_SLACK <= value <= 1.0 + _RANGE_SLACK:
         raise ConcurrenceRangeError(f"concurrence {value!r} is outside [0, 1]")
     return min(max(value, 0.0), 1.0)
 
 
 def concurrence(state: PureState2Q) -> float:
     """Concurrence 2|ad - bc| of a pure two-qubit state."""
-    return _clamp_unit(2.0 * abs(state.a * state.d - state.b * state.c))
+    a, b, c, d = state.vector.tolist()
+    return _clamp_unit(2.0 * abs(a * d - b * c))
 
 
 def concurrence_wootters_oracle(state: PureState2Q) -> float:

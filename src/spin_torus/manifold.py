@@ -15,7 +15,9 @@ reusing the closed form's algebra.
 
 from __future__ import annotations
 
+import cmath
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +48,7 @@ class TorusPoint:
     __slots__ = ("theta", "phi")
 
     def __init__(self, theta: float, phi: float) -> None:
-        if not (np.isfinite(theta) and np.isfinite(phi)):
+        if not (math.isfinite(theta) and math.isfinite(phi)):
             raise ValueError("torus coordinates must be finite")
         self.theta = float(theta)
         self.phi = float(phi)
@@ -132,14 +134,14 @@ def evolve_family(initial: PureState2Q, point: TorusPoint) -> PureState2Q:
     e^{-i(phi + theta)} and e^{i(phi - theta)}, while the inner pair rotates
     by theta with an extra factor -i on the swapped parts.
     """
-    a, b, c, d = initial.a, initial.b, initial.c, initial.d
+    a, b, c, d = initial.vector.tolist()
     th, ph = point.theta, point.phi
-    cos_t, sin_t = np.cos(th), np.sin(th)
+    cos_t, sin_t = math.cos(th), math.sin(th)
     return PureState2Q.from_amplitudes(
-        a * np.exp(-1j * (ph + th)),
+        a * cmath.exp(-1j * (ph + th)),
         b * cos_t - 1j * c * sin_t,
         -1j * b * sin_t + c * cos_t,
-        d * np.exp(1j * (ph - th)),
+        d * cmath.exp(1j * (ph - th)),
     )
 
 

@@ -10,6 +10,8 @@ everything may be called concurrently without locking.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,9 +36,17 @@ class PureState2Q:
 
     def __post_init__(self) -> None:
         vec = np.asarray(self.vector, dtype=np.complex128).reshape(4).copy()
-        if not (np.all(np.isfinite(vec.real)) and np.all(np.isfinite(vec.imag))):
+        # Plain Python on the four amplitudes: numpy's per-call overhead
+        # dwarfs the arithmetic on a 4-vector, and this guard runs once per
+        # evolved grid point.  abs() is hypot, summed left to right.
+        amplitudes = vec.tolist()
+        if not all(map(cmath.isfinite, amplitudes)):
             raise ValueError("state amplitudes must be finite")
-        norm_sq = float(np.sum(np.abs(vec) ** 2))
+        try:
+            m0, m1, m2, m3 = map(abs, amplitudes)
+            norm_sq = m0 * m0 + m1 * m1 + m2 * m2 + m3 * m3
+        except OverflowError:  # a finite amplitude whose modulus overflows
+            norm_sq = math.inf
         if abs(norm_sq - 1.0) > NORM_TOL:
             raise ValueError(f"state is not normalized: |amplitudes|^2 sums to {norm_sq!r}")
         vec.setflags(write=False)

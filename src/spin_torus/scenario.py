@@ -15,10 +15,13 @@ for reproducibility comparisons.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
+import math
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
-from typing import Any, Mapping
+from typing import Any, Iterable, Iterator, Mapping
 
 import jsonschema
 import numpy as np
@@ -249,6 +252,16 @@ class ScenarioConfig:
         return replace(self, params=replace(self.params, gamma=gamma))
 
 
+@functools.cache
+def _scenario_validator() -> jsonschema.Draft202012Validator:
+    """The schema validator, built on first use rather than at import.
+
+    ``jsonschema.validate`` re-checks the schema itself on every call; the
+    embedded schema is a constant, so one validator serves every config.
+    """
+    return jsonschema.Draft202012Validator(SCENARIO_SCHEMA)
+
+
 def _schema_error_path(error: jsonschema.ValidationError) -> str:
     path = ".".join(str(part) for part in error.absolute_path)
     return path or "<root>"
@@ -257,6 +270,8 @@ def _schema_error_path(error: jsonschema.ValidationError) -> str:
 def _parse_initial(body: Mapping[str, Any]) -> AmplitudesInitial | ProductInitial:
     if "amplitudes" in body:
         pairs = body["amplitudes"]
+        if not all(math.isfinite(part) for pair in pairs for part in pair):
+            raise ConfigInvalid("initial.amplitudes: all values must be finite")
         raw = np.array([complex(re, im) for re, im in pairs])
         norm_sq = float(np.sum(np.abs(raw) ** 2))
         if abs(norm_sq - 1.0) > AMPLITUDE_NORM_TOL:
@@ -280,11 +295,13 @@ def _parse_initial(body: Mapping[str, Any]) -> AmplitudesInitial | ProductInitia
         raise ConfigInvalid(
             f"initial.product_state: kind {kind!r} requires chi"
         )
-    return ProductInitial(
-        kind=kind,
-        chi=float(block["chi"]),
-        gamma_az=float(block.get("gamma_az", 0.0)),
-    )
+    chi = float(block["chi"])
+    gamma_az = float(block.get("gamma_az", 0.0))
+    if not (math.isfinite(chi) and math.isfinite(gamma_az)):
+        raise ConfigInvalid(
+            "initial.product_state: chi and gamma_az must be finite"
+        )
+    return ProductInitial(kind=kind, chi=chi, gamma_az=gamma_az)
 
 
 def config_from_dict(data: Mapping[str, Any]) -> ScenarioConfig:
@@ -294,9 +311,8 @@ def config_from_dict(data: Mapping[str, Any]) -> ScenarioConfig:
     violations and for the semantic checks the schema cannot express
     (amplitude normalization, Bloch-angle applicability, finiteness).
     """
-    try:
-        jsonschema.validate(instance=data, schema=SCENARIO_SCHEMA)
-    except jsonschema.ValidationError as error:
+    error = jsonschema.exceptions.best_match(_scenario_validator().iter_errors(data))
+    if error is not None:
         raise ConfigInvalid(
             f"{_schema_error_path(error)}: {error.message}"
         ) from error
@@ -439,7 +455,7 @@ def _run_evolved(initial: PureState2Q, config: ScenarioConfig, seed: int) -> lis
             {
                 "theta": theta,
                 "phi": phi,
-                "amplitudes": [[float(z.real), float(z.imag)] for z in state.vector],
+                "amplitudes": [[z.real, z.imag] for z in state.vector.tolist()],
                 "concurrence": concurrence(state),
             }
         )
@@ -482,6 +498,12 @@ def run_scenario(config: ScenarioConfig, seed: int = 0) -> RunRecord:
 
 # --- serialization -----------------------------------------------------------
 
+_JSON_INDENT = "  "
+#: The keys of one evolved-states row.
+_ROW_KEYS = frozenset({"theta", "phi", "amplitudes", "concurrence"})
+_FLOAT_ONLY = frozenset({float})
+
+
 def record_to_dict(record: RunRecord) -> dict[str, Any]:
     return {
         "schema_version": record.schema_version,
@@ -491,24 +513,185 @@ def record_to_dict(record: RunRecord) -> dict[str, Any]:
     }
 
 
+def _finite_floats(values: list[Any]) -> list[float] | None:
+    """The values as floats, or None unless each is a finite real number.
+
+    A bool is not a number here.  Returns ``values`` itself when it already
+    holds only finite floats, which is every record this package writes.
+    """
+    if _FLOAT_ONLY.issuperset(map(type, values)) and all(map(math.isfinite, values)):
+        return values
+    if not all(
+        isinstance(value, (int, float)) and not isinstance(value, bool)
+        for value in values
+    ):
+        return None
+    try:
+        floats = [float(value) for value in values]
+    except OverflowError:  # an int beyond the float range
+        return None
+    return floats if all(map(math.isfinite, floats)) else None
+
+
+def _is_pair_list(value: Any) -> bool:
+    """Whether ``value`` is a list of two-element lists."""
+    return isinstance(value, list) and all(
+        isinstance(pair, list) and len(pair) == 2 for pair in value
+    )
+
+
+def _checked_rows(block: Any) -> list[dict[str, Any]]:
+    """A record's evolved-states block, checked row by row.
+
+    Each row must hold exactly theta, phi, four [re, im] amplitude pairs and
+    the concurrence, every value a finite real number; ints become floats.
+    These are the rows :func:`record_to_json` and the CSV writer format
+    without further checks.
+    """
+    where = "results.evolved_states"
+    if not isinstance(block, list):
+        raise ConfigInvalid(f"{where}: must be a list of rows")
+    rows = []
+    for index, row in enumerate(block):
+        if not isinstance(row, dict) or row.keys() != _ROW_KEYS:
+            raise ConfigInvalid(
+                f"{where}[{index}]: a row has exactly the keys "
+                "amplitudes, concurrence, phi and theta"
+            )
+        pairs = row["amplitudes"]
+        if not (_is_pair_list(pairs) and len(pairs) == 4):
+            raise ConfigInvalid(
+                f"{where}[{index}].amplitudes: must be 4 [re, im] pairs"
+            )
+        values = [row["theta"], row["phi"], row["concurrence"], *pairs[0],
+                  *pairs[1], *pairs[2], *pairs[3]]
+        floats = _finite_floats(values)
+        if floats is None:
+            raise ConfigInvalid(
+                f"{where}[{index}]: every value must be a finite real number"
+            )
+        if floats is not values:
+            row = {
+                "theta": floats[0],
+                "phi": floats[1],
+                "amplitudes": [floats[3:5], floats[5:7], floats[7:9], floats[9:11]],
+                "concurrence": floats[2],
+            }
+        rows.append(row)
+    return rows
+
+
+def _checked_samples(block: dict[str, Any]) -> dict[str, Any]:
+    """A concurrence-profile block whose samples are [theta, C] pairs of
+    finite reals, ints made floats; the CSV export evolves and writes them."""
+    samples = block["samples"]
+    where = "results.concurrence_profile.samples"
+    if not _is_pair_list(samples):
+        raise ConfigInvalid(f"{where}: must be a list of [theta, C] pairs")
+    values = [value for sample in samples for value in sample]
+    floats = _finite_floats(values)
+    if floats is None:
+        raise ConfigInvalid(f"{where}: every value must be a finite real number")
+    if floats is values:
+        return block
+    pairs = [floats[i : i + 2] for i in range(0, len(floats), 2)]
+    return {**block, "samples": pairs}
+
+
 def record_from_dict(data: Mapping[str, Any]) -> RunRecord:
+    """Rebuild a record read from outside, raising :class:`ConfigInvalid`
+    for anything malformed, including evolved rows or profile samples that
+    are not finite real numbers."""
     if not isinstance(data, Mapping):
         raise ConfigInvalid("record must be a JSON object")
     try:
-        return RunRecord(
-            schema_version=str(data["schema_version"]),
-            config=config_from_dict(data["config"]),
-            results=dict(data["results"]),
-            provenance=dict(data["provenance"]),
-        )
+        schema_version = str(data["schema_version"])
+        config = config_from_dict(data["config"])
+        results = data["results"]
+        provenance = data["provenance"]
     except KeyError as error:
         raise ConfigInvalid(f"record is missing field {error}") from error
+    if not isinstance(results, Mapping) or not isinstance(provenance, Mapping):
+        raise ConfigInvalid("record results and provenance must be JSON objects")
+    results = dict(results)
+    if "evolved_states" in results:
+        results["evolved_states"] = _checked_rows(results["evolved_states"])
+    profile = results.get("concurrence_profile")
+    if isinstance(profile, dict) and "samples" in profile:
+        results["concurrence_profile"] = _checked_samples(profile)
+    return RunRecord(
+        schema_version=schema_version,
+        config=config,
+        results=results,
+        provenance=dict(provenance),
+    )
+
+
+def _json_at(value: Any, depth: int) -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)`` as it reads when
+    nested ``depth`` levels deep."""
+    text = json.dumps(value, sort_keys=True, indent=2)
+    return text.replace("\n", "\n" + _JSON_INDENT * depth)
+
+
+def _container(brackets: str, items: Iterable[list[str]], depth: int) -> list[str]:
+    """A JSON array or object, as text chunks, laid out as ``_json_at``
+    lays it out ``depth`` levels deep, from items already in chunks."""
+    pad = "\n" + _JSON_INDENT * (depth + 1)
+    chunks = [brackets[0]]
+    for item in items:
+        chunks += (pad, *item, ",")
+    if len(chunks) == 1:
+        return [brackets]
+    chunks[-1] = "\n" + _JSON_INDENT * depth + brackets[1]
+    return chunks
+
+
+def _object(members: Mapping[str, list[str]], depth: int) -> list[str]:
+    items = ([json.dumps(key), ": ", *members[key]] for key in sorted(members))
+    return _container("{}", items, depth)
+
+
+#: One evolved-states row as it reads inside a record, three levels deep,
+#: with a %r slot for each float: a_re, a_im, ..., d_im, concurrence, phi,
+#: theta.  Derived from json.dumps so the layout cannot drift from it.
+_ROW_JSON = _json_at(
+    {"amplitudes": [["%r", "%r"]] * 4, "concurrence": "%r", "phi": "%r", "theta": "%r"},
+    3,
+).replace('"%r"', "%r")
+
+
+def _row_json(row: dict[str, Any]) -> list[str]:
+    a, b, c, d = row["amplitudes"]
+    return [_ROW_JSON % (*a, *b, *c, *d, row["concurrence"], row["phi"], row["theta"])]
 
 
 def record_to_json(record: RunRecord) -> str:
     """Serialize with sorted keys and shortest round-trip float format, so
-    equal records produce identical bytes."""
-    return json.dumps(record_to_dict(record), sort_keys=True, indent=2) + "\n"
+    equal records produce identical bytes.
+
+    The text equals ``json.dumps(record_to_dict(record), sort_keys=True,
+    indent=2) + "\\n"``.  json drops to its pure-Python encoder whenever
+    ``indent`` is set, which takes seconds over a dense grid's evolved rows,
+    so those rows are written from a %-template instead: they hold only
+    finite floats (:func:`run_scenario` makes them so and
+    :func:`record_from_dict` checks it), and json writes a finite float as
+    its repr.  json.dumps writes every other block.  The text is joined
+    once from its chunks, so the rows are not copied block by block.
+    """
+    results = {
+        kind: _container("[]", map(_row_json, block), 2)
+        if kind == "evolved_states"
+        else [_json_at(block, 2)]
+        for kind, block in record.results.items()
+    }
+    members = {
+        key: [_json_at(value, 1)]
+        for key, value in record_to_dict(record).items()
+        if key != "results"
+    }
+    members["results"] = _object(results, 1)
+    return "".join([*_object(members, 0), "\n"])
 
 
 def canonical_result_bytes(record: RunRecord) -> bytes:
@@ -537,38 +720,35 @@ CSV_COLUMNS = (
     "C",
 )
 
+#: One CSV row, a %r slot per column.
+_CSV_ROW = ",".join(["%r"] * len(CSV_COLUMNS)) + "\n"
+#: Export text goes to disk in pieces of about this many characters (CSV
+#: rows are joined in blocks of ``_CSV_BLOCK_ROWS``), so no copy of a whole
+#: dense record, joined or encoded, is ever held at once.
+_WRITE_CHARS = 1 << 20
+_CSV_BLOCK_ROWS = 4096
 
-def _csv_rows(record: RunRecord) -> list[list[float]]:
-    """One row per grid point: angles, amplitudes, concurrence.
+
+def _csv_lines(record: RunRecord) -> Iterator[str]:
+    """Header plus one row per grid point: angles, amplitudes, concurrence.
 
     Prefers the evolved-states block; a record holding only a concurrence
     profile still exports, with the states recomputed at phi = 0 from the
     config echo so the file is self-contained either way.
     """
+    yield ",".join(CSV_COLUMNS) + "\n"
     if "evolved_states" in record.results:
-        block = record.results["evolved_states"]
-        if isinstance(block, dict):  # warning annotation
-            return []
-        return [
-            [row["theta"], row["phi"]]
-            + [part for pair in row["amplitudes"] for part in pair]
-            + [row["concurrence"]]
-            for row in block
-        ]
-    if "concurrence_profile" in record.results:
+        for row in record.results["evolved_states"]:
+            a, b, c, d = row["amplitudes"]
+            yield _CSV_ROW % (row["theta"], row["phi"], *a, *b, *c, *d, row["concurrence"])
+    elif "concurrence_profile" in record.results:
         block = record.results["concurrence_profile"]
         if isinstance(block, dict) and "samples" in block:
             initial = record.config.initial.build()
-            rows = []
             for theta, value in block["samples"]:
                 state = evolve_family(initial, TorusPoint(theta, 0.0))
-                rows.append(
-                    [theta, 0.0]
-                    + [float(part) for z in state.vector for part in (z.real, z.imag)]
-                    + [value]
-                )
-            return rows
-    return []
+                parts = [part for z in state.vector.tolist() for part in (z.real, z.imag)]
+                yield _CSV_ROW % (theta, 0.0, *parts, value)
 
 
 def _flatten_for_meta(prefix: str, value: Any, into: list[tuple[str, Any]]) -> None:
@@ -595,21 +775,29 @@ def export_record(record: RunRecord, format: str, path: str) -> None:
     """Write a record to disk as JSON (the whole record) or CSV (grid data).
 
     CSV uses a dot decimal separator, comma delimiter, and LF line endings.
+    Each grid row is one %-template of float reprs rather than a join of
+    per-cell strings: the rows hold only finite floats, for the reason
+    :func:`record_to_json` gives, so the template writes what per-cell
+    formatting would, in a fraction of the time.  Both formats reach the
+    file in pieces of about a megabyte: a dense record written in one call
+    is first copied whole by the encoder, and that copy set the peak memory
+    of a run, by an amount that varied from one run to the next.
     Scalar blocks (metric, classification) do not fit a per-point table;
     they go to a key,value sidecar at ``<path>.meta.csv`` when present.
     """
     if format == "json":
+        text = record_to_json(record)
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(record_to_json(record))
+            for start in range(0, len(text), _WRITE_CHARS):
+                handle.write(text[start : start + _WRITE_CHARS])
         return
     if format != "csv":
         raise ValueError(f"unknown export format {format!r}")
 
-    lines = [",".join(CSV_COLUMNS)]
-    for row in _csv_rows(record):
-        lines.append(",".join(_format_cell(cell) for cell in row))
+    lines = _csv_lines(record)
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
+        while block := list(itertools.islice(lines, _CSV_BLOCK_ROWS)):
+            handle.write("".join(block))
 
     scalar_blocks = {
         kind: record.results[kind]

@@ -56,6 +56,37 @@ class TestRunCommand:
     def test_invalid_gamma_rejected(self, config_file):
         assert main(["run", str(config_file), "--gamma", "-1"]) == EXIT_CONFIG_ERROR
 
+    @pytest.mark.parametrize("gamma", ["nan", "inf", "-inf"])
+    def test_non_finite_gamma_rejected(self, config_file, gamma, capsys):
+        assert main(["run", str(config_file), f"--gamma={gamma}"]) == EXIT_CONFIG_ERROR
+        assert "--gamma" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "initial",
+        [
+            {"product_state": {"kind": "pm", "chi": float("nan")}},
+            {"product_state": {"kind": "pp", "chi": float("inf")}},
+            {"product_state": {"kind": "mm", "chi": 0.4, "gamma_az": float("nan")}},
+            {"product_state": {"kind": "pm", "chi": 0.4, "gamma_az": float("-inf")}},
+            {"amplitudes": [[float("nan"), 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]},
+            {"amplitudes": [[1.0, 0.0], [0.0, float("inf")], [0.0, 0.0], [0.0, 0.0]]},
+        ],
+    )
+    def test_non_finite_initial_state_rejected(self, tmp_path, initial, capsys):
+        bad = tmp_path / "nonfinite.json"
+        bad.write_text(
+            json.dumps(
+                {
+                    "initial": initial,
+                    "params": {"coupling": 1.0, "field": 0.5},
+                    "grid": {"theta_steps": 3, "phi_steps": 3},
+                    "outputs": ["metric"],
+                }
+            )
+        )
+        assert main(["run", str(bad)]) == EXIT_CONFIG_ERROR
+        assert "must be finite" in capsys.readouterr().err
+
     def test_missing_config_is_io_error(self, tmp_path):
         assert main(["run", str(tmp_path / "absent.json")]) == EXIT_IO_ERROR
 
@@ -144,6 +175,20 @@ class TestExportCommand:
             main(["export", str(bad), "--format", "csv", "--out", str(out)])
             == EXIT_CONFIG_ERROR
         )
+
+    def test_row_without_concurrence_is_config_error(self, config_file, tmp_path, capsys):
+        record = tmp_path / "r.json"
+        main(["run", str(config_file), "--out", str(record)])
+        body = json.loads(record.read_text())
+        del body["results"]["evolved_states"][0]["concurrence"]
+        record.write_text(json.dumps(body))
+        out = tmp_path / "never.csv"
+        assert (
+            main(["export", str(record), "--format", "csv", "--out", str(out)])
+            == EXIT_CONFIG_ERROR
+        )
+        assert "evolved_states[0]" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unwritable_target_is_io_error(self, config_file, tmp_path):
         record = tmp_path / "r.json"

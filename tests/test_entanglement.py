@@ -77,6 +77,10 @@ class TestConcurrence:
         with pytest.raises(ConcurrenceRangeError):
             _clamp_unit(1.0 + 1e-6)
 
+    def test_clamp_refuses_nan(self):
+        with pytest.raises(ConcurrenceRangeError):
+            _clamp_unit(float("nan"))
+
     def test_clamp_absorbs_rounding(self):
         assert _clamp_unit(1.0 + 1e-13) == 1.0
         assert _clamp_unit(-1e-13) == 0.0

@@ -55,6 +55,39 @@ class TestConstruction:
         with pytest.raises(ValueError):
             PureState2Q.from_amplitudes(np.nan, 0.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize(
+        "amplitudes",
+        [
+            (np.nan, 0.0, 0.0, 0.0),
+            (complex(0.6, np.nan), 0.8, 0.0, 0.0),
+            (0.6, 0.0, np.inf, 0.8),
+            (0.0, 0.0, 0.0, complex(0.6, -np.inf)),
+        ],
+    )
+    def test_non_finite_message(self, amplitudes):
+        with pytest.raises(ValueError, match="^state amplitudes must be finite$"):
+            PureState2Q.from_amplitudes(*amplitudes)
+
+    def test_norm_off_by_2e_12_rejected_with_its_sum(self):
+        big = np.sqrt(1.0 + 2e-12)
+        norm_sq = float(np.sum(np.abs(np.array([big, 0.0, 0.0, 0.0])) ** 2))
+        expected = f"state is not normalized: |amplitudes|^2 sums to {norm_sq!r}"
+        with pytest.raises(ValueError) as excinfo:
+            PureState2Q.from_amplitudes(big, 0.0, 0.0, 0.0)
+        assert str(excinfo.value) == expected
+
+    def test_norm_within_tolerance_accepted(self):
+        PureState2Q.from_amplitudes(np.sqrt(1.0 + 5e-13), 0.0, 0.0, 0.0)
+
+    def test_overflowing_modulus_is_not_normalized(self):
+        with pytest.raises(ValueError, match="sums to inf"):
+            PureState2Q.from_amplitudes(complex(1e308, 1e308), 0.0, 0.0, 0.0)
+
+    def test_accepts_2x2_array_like(self):
+        state = PureState2Q([[0.6, 0.0], [0.0, 0.8j]])
+        assert state.vector.shape == (4,)
+        assert state.d == 0.8j
+
     def test_normalized_constructor_rescales(self):
         state = PureState2Q.normalized(3.0, 0.0, 4.0, 0.0)
         assert state.a == pytest.approx(0.6)
