@@ -36,7 +36,7 @@ def _fail(message: str, code: int) -> int:
 def _cmd_run(args: argparse.Namespace) -> int:
     config_path = Path(args.config)
     try:
-        text = config_path.read_text(encoding="utf-8")
+        text = config_path.read_bytes()
     except OSError as error:
         return _fail(f"cannot read config: {error}", EXIT_IO_ERROR)
     try:
@@ -85,7 +85,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
             data = json.load(handle)
     except OSError as error:
         return _fail(f"cannot read record: {error}", EXIT_IO_ERROR)
-    except json.JSONDecodeError as error:
+    except ValueError as error:  # also undecodable text, or an overlong integer
         return _fail(f"record is not valid JSON: {error}", EXIT_CONFIG_ERROR)
     try:
         record = record_from_dict(data)

@@ -9,6 +9,8 @@ to vouch for itself.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -117,20 +119,23 @@ def concurrence_wootters_oracle(state: PureState2Q) -> float:
 
 def _w_and_derivatives(
     initial: PureState2Q, theta: float | np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[complex | np.ndarray, complex | np.ndarray, complex | np.ndarray]:
     """The complex amplitude w(theta) with C = 2|w|, plus its first two
     theta derivatives.
 
     w collects how the evolution mixes the outer product ad and the inner
     products: w = ad e^{-2i theta} - bc cos 2theta + (i/2)(b^2+c^2) sin 2theta.
+    A scalar theta takes ``cmath``/``math``: numpy's 0-d bits, minus its overhead.
     """
-    a, b, c, d = initial.a, initial.b, initial.c, initial.d
+    a, b, c, d = initial.vector.tolist()
     ad = a * d
     bc = b * c
     sq = b * b + c * c
-    phase = np.exp(-2j * np.asarray(theta, dtype=np.float64))
-    cos2 = np.cos(2.0 * np.asarray(theta))
-    sin2 = np.sin(2.0 * np.asarray(theta))
+    scalar = isinstance(theta, (int, float))
+    exp, cos, sin = (cmath.exp, math.cos, math.sin) if scalar else (np.exp, np.cos, np.sin)
+    phase = exp(-2j * theta)
+    cos2 = cos(2.0 * theta)
+    sin2 = sin(2.0 * theta)
     w = ad * phase - bc * cos2 + 0.5j * sq * sin2
     w1 = -2j * ad * phase + 2.0 * bc * sin2 + 1j * sq * cos2
     w2 = -4.0 * ad * phase + 4.0 * bc * cos2 - 2j * sq * sin2

@@ -32,6 +32,9 @@ _SIGMA_DOT_SIGMA = (
     np.kron(SIGMA_X, SIGMA_X) + np.kron(SIGMA_Y, SIGMA_Y) + np.kron(SIGMA_Z, SIGMA_Z)
 )
 
+#: sigma_z^1 + sigma_z^2, the total z spin doubled.
+_SZ_TOTAL = np.kron(SIGMA_Z, IDENTITY_2) + np.kron(IDENTITY_2, SIGMA_Z)
+
 #: Below this value of |2 J t| the sin(2Jt)/(2J) ratio switches to its
 #: Taylor series, which also covers J = 0 exactly.
 _SMALL_PHASE = 1e-6
@@ -77,8 +80,7 @@ def build_h_int(params: SystemParams) -> Operator4:
 
 def build_h_mf(params: SystemParams) -> Operator4:
     """Mean-field Hamiltonian h_z (sigma_z^1 + sigma_z^2)."""
-    sz_total = np.kron(SIGMA_Z, IDENTITY_2) + np.kron(IDENTITY_2, SIGMA_Z)
-    return Operator4(params.field * sz_total)
+    return Operator4(params.field * _SZ_TOTAL)
 
 
 def build_hamiltonian(params: SystemParams) -> Operator4:
@@ -154,13 +156,13 @@ def interaction_propagator(params: SystemParams, t: float) -> Operator4:
 
 
 def _z_rotation_first(h: float, t: float) -> np.ndarray:
-    """e^{-i h sigma_z^1 t} acting on the first spin."""
-    return np.kron(np.diag(np.exp([-1j * h * t, 1j * h * t])), IDENTITY_2)
+    """e^{-i h sigma_z^1 t} acting on the first spin, the slow index."""
+    return np.diag(np.exp([-1j * h * t] * 2 + [1j * h * t] * 2))
 
 
 def _z_rotation_second(h: float, t: float) -> np.ndarray:
-    """e^{-i h sigma_z^2 t} acting on the second spin."""
-    return np.kron(IDENTITY_2, np.diag(np.exp([-1j * h * t, 1j * h * t])))
+    """e^{-i h sigma_z^2 t} acting on the second spin, the fast index."""
+    return np.diag(np.exp([-1j * h * t, 1j * h * t] * 2))
 
 
 def propagator_factored(params: SystemParams, t: float) -> Operator4:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -20,6 +21,23 @@ import numpy as np
 NORM_TOL = 1e-12
 
 BASIS_LABELS = ("up_up", "up_down", "down_up", "down_down")
+
+
+def check_state_rows(rows: Iterable[Sequence[complex]]) -> None:
+    """The :class:`PureState2Q` guard: ``ValueError`` unless each row of
+    amplitudes is finite and normalized within ``NORM_TOL``."""
+    # Plain Python: numpy's per-call overhead dwarfs the arithmetic on a
+    # 4-vector, checked once per evolved point.  abs() is hypot, summed in order.
+    for amplitudes in rows:
+        if not all(map(cmath.isfinite, amplitudes)):
+            raise ValueError("state amplitudes must be finite")
+        try:
+            m0, m1, m2, m3 = map(abs, amplitudes)
+            norm_sq = m0 * m0 + m1 * m1 + m2 * m2 + m3 * m3
+        except OverflowError:  # a finite amplitude whose modulus overflows
+            norm_sq = math.inf
+        if abs(norm_sq - 1.0) > NORM_TOL:
+            raise ValueError(f"state is not normalized: |amplitudes|^2 sums to {norm_sq!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,19 +54,7 @@ class PureState2Q:
 
     def __post_init__(self) -> None:
         vec = np.asarray(self.vector, dtype=np.complex128).reshape(4).copy()
-        # Plain Python on the four amplitudes: numpy's per-call overhead
-        # dwarfs the arithmetic on a 4-vector, and this guard runs once per
-        # evolved grid point.  abs() is hypot, summed left to right.
-        amplitudes = vec.tolist()
-        if not all(map(cmath.isfinite, amplitudes)):
-            raise ValueError("state amplitudes must be finite")
-        try:
-            m0, m1, m2, m3 = map(abs, amplitudes)
-            norm_sq = m0 * m0 + m1 * m1 + m2 * m2 + m3 * m3
-        except OverflowError:  # a finite amplitude whose modulus overflows
-            norm_sq = math.inf
-        if abs(norm_sq - 1.0) > NORM_TOL:
-            raise ValueError(f"state is not normalized: |amplitudes|^2 sums to {norm_sq!r}")
+        check_state_rows((vec.tolist(),))
         vec.setflags(write=False)
         object.__setattr__(self, "vector", vec)
 
@@ -95,7 +101,7 @@ class Operator4:
 
     def __post_init__(self) -> None:
         mat = np.asarray(self.matrix, dtype=np.complex128).reshape(4, 4).copy()
-        if not (np.all(np.isfinite(mat.real)) and np.all(np.isfinite(mat.imag))):
+        if not np.isfinite(mat).all():
             raise ValueError("operator entries must be finite")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
@@ -151,9 +157,13 @@ def fs_distance_sq(x: PureState2Q, y: PureState2Q, gamma: float = 1.0) -> float:
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    overlap_sq = abs(inner(x, y)) ** 2
+    return overlap_distance_sq(inner(x, y), gamma)
+
+
+def overlap_distance_sq(overlap: complex, gamma: float) -> float:
+    """Squared Fubini-Study distance of two states from their overlap."""
     # Rounding can push |<x|y>|^2 a hair past 1 for identical rays.
-    return gamma * gamma * min(max(1.0 - overlap_sq, 0.0), 1.0)
+    return gamma * gamma * min(max(1.0 - abs(overlap) ** 2, 0.0), 1.0)
 
 
 def ray_equal(x: PureState2Q, y: PureState2Q, tol: float = 1e-12) -> bool:

@@ -51,6 +51,8 @@ OUTPUT_KINDS = ("metric", "classify", "concurrence_profile", "evolved_states")
 
 #: Largest tolerated deviation of |amplitudes|^2 from one before rejection.
 AMPLITUDE_NORM_TOL = 1e-9
+#: Most evaluation points one config may ask for, which bounds a run's memory.
+MAX_GRID_POINTS = 1_000_000
 
 SCENARIO_SCHEMA: dict[str, Any] = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -267,11 +269,20 @@ def _schema_error_path(error: jsonschema.ValidationError) -> str:
     return path or "<root>"
 
 
+def _finite_float(value: Any, where: str) -> float:
+    """A config number as a float, or :class:`ConfigInvalid` unless finite."""
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigInvalid(f"{where}: must be finite")
+    return number
+
+
 def _parse_initial(body: Mapping[str, Any]) -> AmplitudesInitial | ProductInitial:
     if "amplitudes" in body:
-        pairs = body["amplitudes"]
-        if not all(math.isfinite(part) for pair in pairs for part in pair):
-            raise ConfigInvalid("initial.amplitudes: all values must be finite")
+        pairs = [[_finite_float(x, "initial.amplitudes") for x in xs] for xs in body["amplitudes"]]
         raw = np.array([complex(re, im) for re, im in pairs])
         norm_sq = float(np.sum(np.abs(raw) ** 2))
         if abs(norm_sq - 1.0) > AMPLITUDE_NORM_TOL:
@@ -295,12 +306,8 @@ def _parse_initial(body: Mapping[str, Any]) -> AmplitudesInitial | ProductInitia
         raise ConfigInvalid(
             f"initial.product_state: kind {kind!r} requires chi"
         )
-    chi = float(block["chi"])
-    gamma_az = float(block.get("gamma_az", 0.0))
-    if not (math.isfinite(chi) and math.isfinite(gamma_az)):
-        raise ConfigInvalid(
-            "initial.product_state: chi and gamma_az must be finite"
-        )
+    chi = _finite_float(block["chi"], "initial.product_state.chi")
+    gamma_az = _finite_float(block.get("gamma_az", 0.0), "initial.product_state.gamma_az")
     return ProductInitial(kind=kind, chi=chi, gamma_az=gamma_az)
 
 
@@ -309,7 +316,8 @@ def config_from_dict(data: Mapping[str, Any]) -> ScenarioConfig:
 
     Raises :class:`ConfigInvalid` with the offending field path for schema
     violations and for the semantic checks the schema cannot express
-    (amplitude normalization, Bloch-angle applicability, finiteness).
+    (amplitude normalization, Bloch-angle applicability, finiteness, time
+    grids whose angles overflow, grids above ``MAX_GRID_POINTS``).
     """
     error = jsonschema.exceptions.best_match(_scenario_validator().iter_errors(data))
     if error is not None:
@@ -319,36 +327,38 @@ def config_from_dict(data: Mapping[str, Any]) -> ScenarioConfig:
 
     initial = _parse_initial(data["initial"])
     params_body = data["params"]
-    try:
-        params = SystemParams(
-            coupling=float(params_body["coupling"]),
-            field=float(params_body["field"]),
-            gamma=float(params_body.get("gamma", 1.0)),
-        )
-    except ValueError as error:
-        raise ConfigInvalid(f"params: {error}") from error
+    # Finite, and the schema keeps gamma positive: SystemParams accepts these.
+    params = SystemParams(
+        coupling=_finite_float(params_body["coupling"], "params.coupling"),
+        field=_finite_float(params_body["field"], "params.field"),
+        gamma=_finite_float(params_body.get("gamma", 1.0), "params.gamma"),
+    )
 
     grid_body = data["grid"]
     grid: TorusGrid | TimeGrid
     if "time" in grid_body:
         time_body = grid_body["time"]
-        values = [time_body["t0"], time_body["t1"]]
+        t0 = _finite_float(time_body["t0"], "grid.time.t0")
+        t1 = _finite_float(time_body["t1"], "grid.time.t1")
         override = grid_body.get("field_override")
         if override is not None:
-            values.append(override)
-        if not all(np.isfinite(v) for v in values):
-            raise ConfigInvalid("grid.time: all values must be finite")
-        grid = TimeGrid(
-            t0=float(time_body["t0"]),
-            t1=float(time_body["t1"]),
-            steps=int(time_body["steps"]),
-            field_override=None if override is None else float(override),
-        )
+            override = _finite_float(override, "grid.field_override")
+        field = params.field if override is None else override
+        # Times run monotonically from t0 to t1, so each angle, and the double
+        # of it that the evolution takes, is finite if the span and ends are.
+        ends = [2.0 * (2.0 * rate * t) for rate in (params.coupling, field) for t in (t0, t1)]
+        if not all(map(math.isfinite, [t1 - t0, *ends])):
+            raise ConfigInvalid("grid.time: the angles 2 J t and 2 h_z t overflow")
+        grid = TimeGrid(t0=t0, t1=t1, steps=int(time_body["steps"]), field_override=override)
+        points = grid.steps
     else:
         grid = TorusGrid(
             theta_steps=int(grid_body["theta_steps"]),
             phi_steps=int(grid_body["phi_steps"]),
         )
+        points = grid.theta_steps * grid.phi_steps
+    if points > MAX_GRID_POINTS:
+        raise ConfigInvalid(f"grid: {points} points, more than the limit {MAX_GRID_POINTS}")
 
     return ScenarioConfig(
         initial=initial,
@@ -358,10 +368,10 @@ def config_from_dict(data: Mapping[str, Any]) -> ScenarioConfig:
     )
 
 
-def config_from_json(text: str) -> ScenarioConfig:
+def config_from_json(text: str | bytes) -> ScenarioConfig:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as error:
+    except ValueError as error:  # also undecodable bytes, or an overlong integer
         raise ConfigInvalid(f"not valid JSON: {error}") from error
     if not isinstance(data, dict):
         raise ConfigInvalid("<root>: config must be a JSON object")
@@ -527,10 +537,9 @@ def _finite_floats(values: list[Any]) -> list[float] | None:
     ):
         return None
     try:
-        floats = [float(value) for value in values]
-    except OverflowError:  # an int beyond the float range
+        return [_finite_float(value, "") for value in values]
+    except ConfigInvalid:
         return None
-    return floats if all(map(math.isfinite, floats)) else None
 
 
 def _is_pair_list(value: Any) -> bool:

@@ -121,6 +121,79 @@ class TestRunCommand:
         assert body_a["config"] == body_b["config"]
 
 
+HUGE = 10**400  # an integer literal beyond the float range
+
+
+def overflow_configs():
+    def config(initial=None, params=None, grid=None):
+        return {
+            "initial": initial or {"product_state": {"kind": "pm", "chi": 0.9}},
+            "params": {"coupling": 1.0, "field": 0.5, **(params or {})},
+            "grid": grid or {"theta_steps": 3, "phi_steps": 3},
+            "outputs": ["metric", "concurrence_profile", "evolved_states"],
+        }
+
+    time_grid = {"time": {"t0": 0.0, "t1": 10.0, "steps": 3}}
+    return {
+        "coupling_int": config(params={"coupling": HUGE}),
+        "field_int": config(params={"field": -HUGE}),
+        "gamma_int": config(params={"gamma": HUGE}),
+        "chi_int": config(initial={"product_state": {"kind": "pm", "chi": HUGE}}),
+        "gamma_az_int": config(
+            initial={"product_state": {"kind": "pp", "chi": 0.4, "gamma_az": HUGE}}
+        ),
+        "amplitude_int": config(
+            initial={"amplitudes": [[HUGE, 0], [0, 0], [0, 0], [0, 0]]}
+        ),
+        "t1_int": config(grid={"time": {"t0": 0.0, "t1": HUGE, "steps": 3}}),
+        "field_override_int": config(grid={**time_grid, "field_override": HUGE}),
+        "coupling_angle": config(params={"coupling": 1e308}, grid=time_grid),
+        "doubled_angle": config(
+            params={"coupling": 4e307}, grid={"time": {"t0": 0.0, "t1": 2.0, "steps": 3}}
+        ),
+        "field_angle": config(params={"field": -1e308}, grid=time_grid),
+        "field_override_angle": config(grid={**time_grid, "field_override": 1e308}),
+        "time_span": config(grid={"time": {"t0": -1e308, "t1": 1e308, "steps": 3}}),
+        "grid_points": config(grid={"theta_steps": 10**6, "phi_steps": 10**6}),
+        "time_steps": config(grid={"time": {"t0": 0.0, "t1": 1.0, "steps": 10**12}}),
+    }
+
+
+OVERFLOW_CONFIGS = overflow_configs()
+
+
+@pytest.mark.parametrize("name", sorted(OVERFLOW_CONFIGS))
+def test_overflowing_config_exits_two_with_one_line(tmp_path, capsys, name):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(OVERFLOW_CONFIGS[name]))
+    assert main(["run", str(path)]) == EXIT_CONFIG_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: invalid config: ")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+    assert not path.with_name(f"{name}.record.json").exists()
+
+
+def test_undecodable_config_exits_two(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b"\xff\xfe{}")
+    assert main(["run", str(path)]) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid config: not valid JSON")
+    assert err.count("\n") == 1
+
+
+def test_integer_literal_too_long_to_parse_exits_two(tmp_path, capsys):
+    path = tmp_path / "digits.json"
+    text = json.dumps(OVERFLOW_CONFIGS["coupling_int"]).replace(str(HUGE), "7" * 5000)
+    path.write_text(text)
+    assert main(["run", str(path)]) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid config: not valid JSON")
+    assert err.count("\n") == 1
+
+
 class TestVerifyCommand:
     def test_passes_with_exit_zero(self, capsys):
         assert main(["verify"]) == EXIT_OK
@@ -188,6 +261,20 @@ class TestExportCommand:
             == EXIT_CONFIG_ERROR
         )
         assert "evolved_states[0]" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "content", [b"\xff\xfe{}", b'{"schema_version": ' + b"9" * 5000 + b"}"]
+    )
+    def test_unparsable_record_is_config_error(self, tmp_path, capsys, content):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        out = tmp_path / "never.csv"
+        assert (
+            main(["export", str(bad), "--format", "csv", "--out", str(out)])
+            == EXIT_CONFIG_ERROR
+        )
+        assert capsys.readouterr().err.startswith("error: record is not valid JSON")
         assert not out.exists()
 
     def test_unwritable_target_is_io_error(self, config_file, tmp_path):

@@ -8,6 +8,7 @@ from spin_torus.entanglement import (
     NotDisentangled,
     ZeroCoupling,
     _clamp_unit,
+    _w_and_derivatives,
     concurrence,
     concurrence_disentangled,
     concurrence_evolved,
@@ -45,6 +46,33 @@ def raw_amplitudes():
 def state_from_raw(raw):
     vec = np.array(raw[:4]) + 1j * np.array(raw[4:])
     return PureState2Q(vec / np.linalg.norm(vec))
+
+
+class TestScalarAmplitude:
+    def test_scalar_path_matches_numpy_element_by_element(self):
+        # A 0-d array takes numpy's route, which is how every scalar theta
+        # was evaluated before the cmath/math path: that route is the
+        # reference for the bits.  Over a whole array numpy's vectorized
+        # complex arithmetic may round differently, so the array path is
+        # held to a few ulps only.
+        rng = np.random.default_rng(101)
+        thetas = np.concatenate([[0.0, np.pi / 4, np.pi], rng.uniform(-20.0, 20.0, 300)])
+        for state in haar_states(10, 102) + [up_down(), singlet()]:
+            arrays = _w_and_derivatives(state, thetas)
+            for i, theta in enumerate(thetas.tolist()):
+                scalars = _w_and_derivatives(state, theta)
+                assert all(type(value) is complex for value in scalars)
+                zero_d = _w_and_derivatives(state, np.asarray(theta))
+                assert scalars == tuple(complex(value) for value in zero_d)
+                np.testing.assert_allclose(
+                    scalars, [values[i] for values in arrays], rtol=0, atol=1e-14
+                )
+
+    def test_integer_and_numpy_scalar_angles(self):
+        state = haar_states(1, 103)[0]
+        expected = tuple(complex(value) for value in _w_and_derivatives(state, np.asarray(2.0)))
+        assert _w_and_derivatives(state, 2) == expected
+        assert _w_and_derivatives(state, np.float64(2.0)) == expected
 
 
 class TestConcurrence:

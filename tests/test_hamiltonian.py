@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from spin_torus.hamiltonian import (
+    IDENTITY_2,
     SystemParams,
     build_h_int,
     build_h_mf,
@@ -104,7 +105,28 @@ class TestEigensystem:
         )
 
 
+def kron_factored(params, t):
+    """The factored propagator with its z rotations built by np.kron of the
+    single-spin phases, as before they became diagonals."""
+    phases = np.diag(np.exp([-1j * params.field * t, 1j * params.field * t]))
+    return (
+        interaction_propagator(params, t).matrix
+        @ np.kron(phases, IDENTITY_2)
+        @ np.kron(IDENTITY_2, phases)
+    )
+
+
 class TestPropagator:
+    def test_factored_bit_identical_to_kron_route(self):
+        rng = np.random.default_rng(91)
+        for i in range(100):
+            coupling, field = rng.uniform(-3.0, 3.0, size=2)
+            params = SystemParams(float(coupling) if i % 10 else 0.0, float(field))
+            t = float(rng.uniform(0.0, 10.0))
+            assert np.array_equal(
+                propagator_factored(params, t).matrix, kron_factored(params, t)
+            )
+
     @pytest.mark.parametrize("params", PARAM_GRID)
     @pytest.mark.parametrize("t", [0.0, 0.3, 2.0, 17.5])
     def test_routes_agree(self, params, t):

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
 
+from spin_torus import manifold
 from spin_torus.hamiltonian import SystemParams, propagator_analytic
 from spin_torus.manifold import (
+    DEFAULT_STEP,
+    MIN_STEP,
     DegenerateShear,
     ManifoldKind,
+    MetricTensor2,
     StepTooSmall,
     TorusPoint,
     classify,
@@ -19,6 +23,7 @@ from spin_torus.manifold import (
 from spin_torus.qstate import (
     PureState2Q,
     apply,
+    fs_distance_sq,
     plus_minus_state,
     plus_plus_state,
     random_state,
@@ -33,6 +38,41 @@ def near_polarized_state(eps: float) -> PureState2Q:
     return PureState2Q.from_amplitudes(
         np.sqrt(1.0 - 2.0 * eps), np.sqrt(eps), -np.sqrt(eps), 0.0
     )
+
+
+def reference_direction_form(initial, point, gamma, h, d_theta, d_phi):
+    """The per-direction estimator the stacked probes replaced: one
+    evolve_family state per probe, one fs_distance_sq per overlap."""
+    center = evolve_family(initial, point)
+
+    def estimate(step):
+        plus = evolve_family(
+            initial, TorusPoint(point.theta + step * d_theta, point.phi + step * d_phi)
+        )
+        minus = evolve_family(
+            initial, TorusPoint(point.theta - step * d_theta, point.phi - step * d_phi)
+        )
+        return (
+            fs_distance_sq(center, plus, gamma) + fs_distance_sq(center, minus, gamma)
+        ) / (2.0 * step * step)
+
+    return (4.0 * estimate(h / 2.0) - estimate(h)) / 3.0
+
+
+def reference_components(initial, point, gamma, h, k=0.0):
+    """(g_tt, g_tp, g_pp) from the three direction forms by polarization,
+    displacing phi by d_phi - k d_theta as the sheared estimator did."""
+    g_tt = reference_direction_form(initial, point, gamma, h, 1.0, 0.0 - k * 1.0)
+    g_pp = reference_direction_form(initial, point, gamma, h, 0.0, 1.0 - k * 0.0)
+    g_diag = reference_direction_form(initial, point, gamma, h, 1.0, 1.0 - k * 1.0)
+    return g_tt, (g_diag - g_tt - g_pp) / 2.0, g_pp
+
+
+def reference_metric_numeric(initial, point, gamma, h):
+    g_tt, g_tp, g_pp = reference_components(initial, point, gamma, h)
+    if g_pp / (gamma * gamma) <= 1e-8:
+        return MetricTensor2(g_tt, g_tp, g_pp, None, g_tt, g_pp)
+    return MetricTensor2(g_tt, g_tp, g_pp, g_tp / g_pp, g_tt - g_tp * g_tp / g_pp, g_pp)
 
 
 class TestTorusPoint:
@@ -212,7 +252,57 @@ class TestMetricNumeric:
         assert measured.g_theta_theta == pytest.approx(1.0, abs=1e-6)
 
 
+    @pytest.mark.parametrize("h", [DEFAULT_STEP, MIN_STEP, 2e-3])
+    def test_bit_identical_to_per_direction_estimator(self, h):
+        rng = np.random.default_rng(71)
+        for i in range(200):
+            state = random_state(rng)
+            gamma = (1.0, 0.6, 2.3)[i % 3]
+            point = TorusPoint(rng.uniform(-4.0, 4.0), rng.uniform(-7.0, 7.0))
+            measured = metric_numeric(state, point, gamma, h)
+            assert measured == reference_metric_numeric(state, point, gamma, h)
+
+    @pytest.mark.parametrize(
+        "corrupt", [lambda z: complex(np.nan, 0.0), lambda z: 2.0 * z]
+    )
+    def test_stacked_probes_pass_the_state_guard(self, monkeypatch, corrupt):
+        original = manifold._family_amplitudes
+        calls = []
+
+        def probe(vec, theta, phi):
+            amplitudes = original(vec, theta, phi)
+            calls.append(theta)
+            return (corrupt(amplitudes[0]), *amplitudes[1:]) if len(calls) == 7 else amplitudes
+
+        monkeypatch.setattr(manifold, "_family_amplitudes", probe)
+        with pytest.raises(ValueError, match="must be finite|not normalized"):
+            metric_numeric(plus_minus_state(0.8, 0.3), TorusPoint(0.4, 0.9))
+
+    def test_degenerate_branch_bit_identical(self):
+        point = TorusPoint(0.7, 1.3)
+        for gamma in (1.0, 1.7):
+            measured = metric_numeric(up_down(), point, gamma)
+            assert measured.shear is None
+            assert measured == reference_metric_numeric(up_down(), point, gamma, DEFAULT_STEP)
+
+
 class TestDiagonalizeCheck:
+    @pytest.mark.parametrize("gamma", [1.0, 0.6, 2.3])
+    def test_bit_identical_to_per_direction_estimator(self, gamma):
+        rng = np.random.default_rng(81)
+        sheared = 0
+        for _ in range(200):
+            state = random_state(rng)
+            analytic = metric_analytic(state, gamma)
+            k = analytic.shear if analytic.shear is not None else 0.0
+            sheared += k != 0.0
+            g_tt, g_tp, g_pp = reference_components(
+                state, TorusPoint(0.3, 1.1), gamma, 2e-3, k
+            )
+            expected = MetricTensor2(g_tt, g_tp, g_pp, analytic.shear, g_tt, g_pp)
+            assert diagonalize_check(state, gamma) == expected
+        assert sheared == 200
+
     def test_cross_term_vanishes_in_sheared_coordinates(self):
         rng = np.random.default_rng(61)
         for _ in range(15):

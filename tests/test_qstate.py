@@ -8,6 +8,7 @@ from spin_torus.qstate import (
     PureState2Q,
     apply,
     bloch_minus,
+    check_state_rows,
     bloch_plus,
     down_down,
     down_up,
@@ -121,6 +122,29 @@ class TestConstruction:
     def test_any_normalized_input_accepted(self, raw):
         state = state_from_raw(raw)
         assert abs(np.linalg.norm(state.vector) - 1.0) < 1e-12
+
+
+class TestStackedGuard:
+    def rows(self):
+        rng = np.random.default_rng(5)
+        return [random_state(rng).vector.tolist() for _ in range(13)]
+
+    def test_accepts_normalized_rows(self):
+        check_state_rows(self.rows())
+
+    @pytest.mark.parametrize("index", [0, 6, 12])
+    def test_rejects_a_row_holding_nan(self, index):
+        rows = self.rows()
+        rows[index][2] = complex(0.3, np.nan)
+        with pytest.raises(ValueError, match="^state amplitudes must be finite$"):
+            check_state_rows(rows)
+
+    @pytest.mark.parametrize("index", [0, 6, 12])
+    def test_rejects_an_unnormalized_row(self, index):
+        rows = self.rows()
+        rows[index] = [1.0, 1.0, 0.0, 0.0]
+        with pytest.raises(ValueError, match=r"not normalized: \|amplitudes\|\^2 sums to 2\.0$"):
+            check_state_rows(rows)
 
 
 class TestOperators:

@@ -7,6 +7,7 @@ import pytest
 from spin_torus.scenario import (
     AMPLITUDE_NORM_TOL,
     CSV_COLUMNS,
+    MAX_GRID_POINTS,
     SCENARIO_SCHEMA,
     ConfigInvalid,
     canonical_result_bytes,
@@ -111,6 +112,35 @@ class TestConfigValidation:
         data["params"]["field"] = float("inf")
         with pytest.raises(ConfigInvalid, match="params"):
             config_from_dict(data)
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            {"theta_steps": 1000, "phi_steps": MAX_GRID_POINTS // 1000},
+            {"time": {"t0": 0.0, "t1": 1.0, "steps": MAX_GRID_POINTS}},
+        ],
+    )
+    def test_grid_at_the_point_cap_accepted(self, grid):
+        config_from_dict(base_config_dict(grid=grid))
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            {"theta_steps": 10**6, "phi_steps": 10**6},
+            {"theta_steps": MAX_GRID_POINTS // 2 + 1, "phi_steps": 2},
+            {"time": {"t0": 0.0, "t1": 1.0, "steps": MAX_GRID_POINTS + 1}},
+        ],
+    )
+    def test_grid_above_the_point_cap_rejected(self, grid):
+        with pytest.raises(ConfigInvalid, match="limit"):
+            config_from_dict(base_config_dict(grid=grid))
+
+    def test_time_grid_with_angles_near_float_max_runs(self):
+        data = base_config_dict(grid={"time": {"t0": -2.0, "t1": 2.0, "steps": 3}})
+        data["params"]["coupling"] = 2e307
+        data["params"]["field"] = -2e307
+        record = run_scenario(config_from_dict(data))
+        assert record.results["evolved_states"][-1]["theta"] == 2.0 * 2e307 * 2.0
 
     def test_mixed_grid_fields_rejected(self):
         data = base_config_dict(
