@@ -35,7 +35,8 @@ _SPIN_FLIP = np.array(
     ]
 )
 
-_MAX_GRID = 4096
+#: The concurrence profile's period in theta.
+_QUARTER_TURN = 0.5 * math.pi
 
 
 class ConcurrenceRangeError(ArithmeticError):
@@ -62,10 +63,10 @@ class MaxEntanglement(NamedTuple):
 class ConcurrenceProfile:
     """Concurrence sampled along the exchange angle for one initial state.
 
-    theta_max is the location of the global maximum over [0, pi) -- found by
-    its own dense search, not read off the samples -- and is_constant records
-    whether the profile is flat (the orbit of a Hamiltonian eigenstate, where
-    the evolution only turns phases).
+    theta_max is the first location of the global maximum, in [0, pi/2) --
+    taken from the closed form, not read off the samples -- and is_constant
+    records whether the profile is flat (the orbit of a Hamiltonian
+    eigenstate, where the evolution only turns phases).
     """
 
     initial: PureState2Q
@@ -93,35 +94,32 @@ def concurrence_wootters_oracle(state: PureState2Q) -> float:
 
     Forms rho = |psi><psi| and the flipped rho-tilde, then takes
     C = max(0, r1 - r2 - r3 - r4) over the decreasing square roots of the
-    eigenvalues of rho rho-tilde.  Those eigenvalues are obtained from the
-    Hermitian product sqrt(rho) rho-tilde sqrt(rho), which is similar to
-    rho rho-tilde but safe to hand to a symmetric eigensolver.
+    eigenvalues of rho rho-tilde.  Those roots are the singular values of
+    sqrt(rho) sqrt(rho-tilde), and are taken that way: an eigenvalue route
+    yields r^2 with an absolute error of eps, so a concurrence below
+    sqrt(eps) ~ 1e-8 would drown in noise, while the singular values carry
+    an absolute error of eps themselves.  sqrt(rho-tilde) is the spin flip
+    of sqrt(rho), since the flip is a real orthogonal involution.
 
     Shares no algebra with :func:`concurrence`; exists purely to check it.
 
-    Eigenvalues at machine-noise scale (below 1e-13 for these trace-one
-    matrices) are restored to the exact zeros they represent before the
-    square roots are taken; without that, sqrt turns +eps noise into 1e-8
-    artifacts, two orders above the agreement tolerance with the closed
-    form.
+    Eigenvalues of rho at machine-noise scale (below 1e-14 for this
+    trace-one matrix) are restored to the exact zeros they represent before
+    the square roots are taken; without that, sqrt turns +eps noise into
+    1e-8 artifacts in sqrt(rho).
     """
     vec = state.vector
     rho = np.outer(vec, vec.conj())
-    rho_tilde = _SPIN_FLIP @ rho.conj() @ _SPIN_FLIP
     evals, evecs = np.linalg.eigh(rho)
     evals = np.where(evals < 1e-14, 0.0, evals)
     sqrt_rho = (evecs * np.sqrt(evals)) @ evecs.conj().T
-    product_evals = np.linalg.eigvalsh(sqrt_rho @ rho_tilde @ sqrt_rho)
-    product_evals = np.where(product_evals < 1e-13, 0.0, product_evals)
-    roots = np.sqrt(product_evals)[::-1]
+    sqrt_rho_tilde = _SPIN_FLIP @ sqrt_rho.conj() @ _SPIN_FLIP
+    roots = np.linalg.svd(sqrt_rho @ sqrt_rho_tilde, compute_uv=False)
     return max(0.0, float(roots[0] - roots[1] - roots[2] - roots[3]))
 
 
-def _w_and_derivatives(
-    initial: PureState2Q, theta: float | np.ndarray
-) -> tuple[complex | np.ndarray, complex | np.ndarray, complex | np.ndarray]:
-    """The complex amplitude w(theta) with C = 2|w|, plus its first two
-    theta derivatives.
+def _w(initial: PureState2Q, theta: float | np.ndarray) -> complex | np.ndarray:
+    """The complex amplitude w(theta) with C = 2|w|.
 
     w collects how the evolution mixes the outer product ad and the inner
     products: w = ad e^{-2i theta} - bc cos 2theta + (i/2)(b^2+c^2) sin 2theta.
@@ -133,13 +131,7 @@ def _w_and_derivatives(
     sq = b * b + c * c
     scalar = isinstance(theta, (int, float))
     exp, cos, sin = (cmath.exp, math.cos, math.sin) if scalar else (np.exp, np.cos, np.sin)
-    phase = exp(-2j * theta)
-    cos2 = cos(2.0 * theta)
-    sin2 = sin(2.0 * theta)
-    w = ad * phase - bc * cos2 + 0.5j * sq * sin2
-    w1 = -2j * ad * phase + 2.0 * bc * sin2 + 1j * sq * cos2
-    w2 = -4.0 * ad * phase + 4.0 * bc * cos2 - 2j * sq * sin2
-    return w, w1, w2
+    return ad * exp(-2j * theta) - bc * cos(2.0 * theta) + 0.5j * sq * sin(2.0 * theta)
 
 
 def concurrence_evolved(initial: PureState2Q, theta: float) -> float:
@@ -148,8 +140,7 @@ def concurrence_evolved(initial: PureState2Q, theta: float) -> float:
     Independent of the field angle phi, which only turns phases on the outer
     amplitudes.
     """
-    w, _, _ = _w_and_derivatives(initial, theta)
-    return _clamp_unit(2.0 * abs(complex(w)))
+    return _clamp_unit(2.0 * abs(complex(_w(initial, theta))))
 
 
 def concurrence_disentangled(initial: PureState2Q, theta: float) -> float:
@@ -179,103 +170,24 @@ def constant_entanglement_circle(
 
 # --- maximization ------------------------------------------------------------
 
-def _golden_shrink(
-    initial: PureState2Q, lo: float, hi: float, width: float
-) -> tuple[float, float]:
-    """Shrink [lo, hi] around a maximum of C^2 by golden-section search."""
-    ratio = (np.sqrt(5.0) - 1.0) / 2.0
+def _closed_form_maximum(initial: PureState2Q) -> tuple[float, float, bool]:
+    """Location in [0, pi/2) and value of the concurrence maximum, and
+    whether the profile is flat.
 
-    def value(theta: float) -> float:
-        w, _, _ = _w_and_derivatives(initial, theta)
-        return abs(complex(w)) ** 2
-
-    x1 = hi - ratio * (hi - lo)
-    x2 = lo + ratio * (hi - lo)
-    f1, f2 = value(x1), value(x2)
-    while hi - lo > width:
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + ratio * (hi - lo)
-            f2 = value(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - ratio * (hi - lo)
-            f1 = value(x1)
-    return lo, hi
-
-
-def _polish_maximum(initial: PureState2Q, lo: float, hi: float) -> float:
-    """Refine a bracketed maximum of C^2 to machine precision.
-
-    Golden-section comparisons alone stall around sqrt(eps) in theta because
-    the function is flat at a smooth peak, so after an initial shrink the
-    location is polished by Newton iteration on the analytic derivative.
-    Falls back to the golden-section midpoint if the peak is too degenerate
-    for Newton (vanishing curvature).
+    w(theta) = alpha e^{2i theta} + beta e^{-2i theta} with
+    alpha = (b - c)^2 / 4 and beta = ad - (b + c)^2 / 4, so C = 2|w| swings
+    between 2||alpha| - |beta|| and 2(|alpha| + |beta|), peaking where the
+    two terms align: theta* = -arg(alpha conj(beta)) / 4, with period pi/2.
     """
-    lo, hi = _golden_shrink(initial, lo, hi, 1e-6)
-    theta = 0.5 * (lo + hi)
-    span = hi - lo
-    for _ in range(40):
-        w, w1, w2 = _w_and_derivatives(initial, theta)
-        w, w1, w2 = complex(w), complex(w1), complex(w2)
-        slope = 2.0 * (w.conjugate() * w1).real
-        curvature = 2.0 * (abs(w1) ** 2 + (w.conjugate() * w2).real)
-        if curvature >= 0.0:
-            break
-        step = -slope / curvature
-        if abs(step) > 10.0 * span:
-            break
-        theta += step
-        if abs(step) < 1e-14:
-            return theta
-    # Degenerate peak: keep shrinking by comparisons and accept the floor.
-    lo, hi = _golden_shrink(initial, lo, hi, 1e-11)
-    return 0.5 * (lo + hi)
-
-
-def _argmax_concurrence(initial: PureState2Q) -> tuple[list[float], float, bool]:
-    """All global-maximum locations of the concurrence over [0, pi).
-
-    Returns (sorted theta values, the maximum, whether the profile is flat).
-    The profile is a degree-two trigonometric polynomial under the absolute
-    value, so a 4096-point grid brackets every peak with a huge margin; each
-    candidate bracket is then polished independently.
-    """
-    grid = np.linspace(0.0, np.pi, _MAX_GRID, endpoint=False)
-    w, _, _ = _w_and_derivatives(initial, grid)
-    values = 2.0 * np.abs(w)
-    top = float(values.max())
-    if top - float(values.min()) < 1e-13:
-        return [0.0], _clamp_unit(top), True
-
-    left = np.roll(values, 1)
-    right = np.roll(values, -1)
-    is_peak = (values >= left) & (values >= right) & (values > top - 1e-4)
-    peak_indices = np.flatnonzero(is_peak)
-
-    candidates: list[tuple[float, float]] = []
-    step = np.pi / _MAX_GRID
-    for idx in peak_indices:
-        # Skip the right half of a flat-top plateau; one polish per bracket.
-        if (idx - 1) % _MAX_GRID in peak_indices and idx != 0:
-            continue
-        theta = _polish_maximum(initial, grid[idx] - step, grid[idx] + step)
-        w_at, _, _ = _w_and_derivatives(initial, theta)
-        candidates.append((float(theta % np.pi), 2.0 * abs(complex(w_at))))
-
-    best = max(value for _, value in candidates)
-    winners = sorted(
-        theta for theta, value in candidates if value >= best - 1e-11
-    )
-    # Merge duplicates, treating theta ~ pi as the wrapped image of 0.
-    merged: list[float] = []
-    for theta in winners:
-        if theta > np.pi - 1e-9:
-            theta = 0.0
-        if all(abs(theta - seen) > 1e-9 for seen in merged):
-            merged.append(theta)
-    return sorted(merged), _clamp_unit(best), False
+    a, b, c, d = initial.vector.tolist()
+    alpha = 0.25 * (b - c) * (b - c)
+    beta = a * d - 0.25 * (b + c) * (b + c)
+    c_max = _clamp_unit(2.0 * (abs(alpha) + abs(beta)))
+    if 4.0 * min(abs(alpha), abs(beta)) < 1e-13:
+        return 0.0, c_max, True
+    theta = (-cmath.phase(alpha * beta.conjugate()) / 4.0) % _QUARTER_TURN
+    # A tiny negative angle rounds up to pi/2 itself, the image of 0.
+    return (theta if theta < _QUARTER_TURN else 0.0), c_max, False
 
 
 def concurrence_profile(
@@ -284,23 +196,22 @@ def concurrence_profile(
 ) -> ConcurrenceProfile:
     """Sample the concurrence along the exchange angle.
 
-    The maximum reported alongside the samples comes from a dense search of
-    its own, so coarse sampling grids do not degrade it.
+    The maximum reported alongside the samples is the closed form of
+    :func:`_closed_form_maximum`, so coarse sampling grids do not degrade it.
     """
     if thetas is None:
         thetas = np.linspace(0.0, np.pi, 256, endpoint=False)
     grid = np.asarray(thetas, dtype=np.float64)
-    w, _, _ = _w_and_derivatives(initial, grid)
-    values = 2.0 * np.abs(np.atleast_1d(w))
+    values = 2.0 * np.abs(np.atleast_1d(_w(initial, grid)))
     samples = tuple(
         (float(theta), _clamp_unit(float(value)))
         for theta, value in zip(np.atleast_1d(grid), values)
     )
-    winners, c_max, flat = _argmax_concurrence(initial)
+    theta_max, c_max, flat = _closed_form_maximum(initial)
     return ConcurrenceProfile(
         initial=initial,
         samples=samples,
-        theta_max=winners[0],
+        theta_max=theta_max,
         c_max=c_max,
         is_constant=flat,
     )
@@ -310,28 +221,27 @@ def max_entanglement_time(
     initial: PureState2Q, params: SystemParams
 ) -> MaxEntanglement:
     """Earliest positive time at which the evolution reaches its maximal
-    concurrence, together with the exchange angle and value there.
+    concurrence, together with the exchange angle (in [0, pi)) and value there.
 
-    The concurrence is pi-periodic in theta = 2 J t, so every maximizing
-    angle recurs; among all of them the smallest positive time is returned.
-    A flat profile attains its maximum at every time, reported as t = 0.
+    The concurrence is pi/2-periodic in theta = 2 J t, so the maximizing
+    angle recurs; the first recurrence after t = 0 is returned.  A flat
+    profile attains its maximum at every time, reported as t = 0.
     """
     coupling = params.coupling
     if coupling == 0.0:
         raise ZeroCoupling("J = 0 leaves the exchange angle frozen at zero")
-    winners, c_max, flat = _argmax_concurrence(initial)
+    theta_star, c_max, flat = _closed_form_maximum(initial)
     if flat:
         return MaxEntanglement(time=0.0, theta=0.0, concurrence=c_max)
-    best: tuple[float, float] | None = None
-    for theta in winners:
-        if coupling > 0:
-            t = theta / (2.0 * coupling) if theta > 1e-12 else np.pi / (2.0 * coupling)
-        else:
-            t = (theta - np.pi) / (2.0 * coupling)
-        if best is None or t < best[0]:
-            best = (t, theta)
-    assert best is not None
-    return MaxEntanglement(time=float(best[0]), theta=float(best[1]), concurrence=c_max)
+    # theta = 2 J t runs up from 0 for J > 0 and down from pi, its image, for
+    # J < 0; a peak within 1e-12 of the start is met at t = 0, not after it.
+    if coupling > 0:
+        theta = theta_star if theta_star > 1e-12 else theta_star + _QUARTER_TURN
+        time = theta / (2.0 * coupling)
+    else:
+        theta = theta_star + _QUARTER_TURN if theta_star < _QUARTER_TURN - 1e-12 else theta_star
+        time = (theta - np.pi) / (2.0 * coupling)
+    return MaxEntanglement(time=float(time), theta=theta, concurrence=c_max)
 
 
 def entanglement_along_orbit(

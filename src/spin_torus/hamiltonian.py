@@ -16,6 +16,7 @@ vouch for itself.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,7 +56,13 @@ class SystemParams:
     def __post_init__(self) -> None:
         for name in ("coupling", "field", "gamma"):
             value = getattr(self, name)
-            if not np.isfinite(value):
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:
+                raise ValueError(
+                    f"{name} must be finite, got an integer beyond the float range"
+                ) from None
+            if not finite:
                 raise ValueError(f"{name} must be finite, got {value!r}")
         if self.gamma <= 0:
             raise ValueError(f"gamma must be positive, got {self.gamma!r}")

@@ -206,26 +206,20 @@ def metric_analytic(initial: PureState2Q, gamma: float = 1.0) -> MetricTensor2:
                 "phi direction is degenerate but the cross term "
                 f"{g_tp!r} is not; no shear can diagonalize"
             )
-        return MetricTensor2(
-            g_theta_theta=g_tt,
-            g_theta_phi=g_tp,
-            g_phi_phi=g_pp,
-            shear=None,
-            g_theta_theta_diag=g_tt,
-            g_phi_phi_diag=g_pp,
+        shear, g_tt_diag = None, g_tt
+    else:
+        shear = mismatch * imbalance / phi_weight
+        g_tt_diag = (
+            g2
+            * mismatch
+            * (2.0 * aligned - 2.0 * imbalance ** 2 - aligned * mismatch)
+            / phi_weight
         )
-    k = mismatch * imbalance / phi_weight
-    g_tt_diag = (
-        g2
-        * mismatch
-        * (2.0 * aligned - 2.0 * imbalance ** 2 - aligned * mismatch)
-        / phi_weight
-    )
     return MetricTensor2(
         g_theta_theta=g_tt,
         g_theta_phi=g_tp,
         g_phi_phi=g_pp,
-        shear=k,
+        shear=shear,
         g_theta_theta_diag=g_tt_diag,
         g_phi_phi_diag=g_pp,
     )

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .entanglement import (
+    _closed_form_maximum,
+    _w,
     concurrence,
     concurrence_evolved,
     concurrence_wootters_oracle,
@@ -314,6 +316,23 @@ def verify_all(seed: int = 0, corrupt_propagator: bool = False) -> VerifyReport:
             worst, abs(peak.theta - np.pi / 4.0), abs(peak.concurrence - 1.0)
         )
     record("product_state_peak_at_quarter_turn", worst, 1e-10)
+
+    worst = 0.0
+    grid = np.linspace(0.0, np.pi, 256, endpoint=False)
+    for _ in range(10):
+        state = random_state(rng)
+        theta_max, c_max, _ = _closed_form_maximum(state)
+        peak = TorusPoint(theta_max, float(rng.uniform(0, 2 * np.pi)))
+        top = 2.0 * float(np.abs(_w(state, grid)).max())
+        worst = max(
+            worst, abs(concurrence(evolve_family(state, peak)) - c_max), top - c_max
+        )
+    record(
+        "concurrence_max_closed_form_vs_sampled",
+        worst,
+        1e-12,
+        "direct route at theta_max; no 256-point sample above c_max",
+    )
 
     # --- distance function ---------------------------------------------------
     worst_bound = 0.0

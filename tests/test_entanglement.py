@@ -1,3 +1,6 @@
+import cmath
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +11,8 @@ from spin_torus.entanglement import (
     NotDisentangled,
     ZeroCoupling,
     _clamp_unit,
-    _w_and_derivatives,
+    _closed_form_maximum,
+    _w,
     concurrence,
     concurrence_disentangled,
     concurrence_evolved,
@@ -22,10 +26,12 @@ from spin_torus.hamiltonian import SystemParams
 from spin_torus.manifold import TorusPoint, evolve_family
 from spin_torus.qstate import (
     PureState2Q,
+    down_down,
     plus_minus_state,
     plus_plus_state,
     random_state,
     singlet,
+    triplet_zero,
     up_down,
     up_up,
 )
@@ -48,6 +54,141 @@ def state_from_raw(raw):
     return PureState2Q(vec / np.linalg.norm(vec))
 
 
+# --- the dense search the closed form replaced, kept as a test oracle --------
+
+_MAX_GRID = 4096
+
+
+def _w_and_derivatives(
+    initial: PureState2Q, theta: float | np.ndarray
+) -> tuple[complex | np.ndarray, complex | np.ndarray, complex | np.ndarray]:
+    """The complex amplitude w(theta) with C = 2|w|, plus its first two
+    theta derivatives.
+
+    w collects how the evolution mixes the outer product ad and the inner
+    products: w = ad e^{-2i theta} - bc cos 2theta + (i/2)(b^2+c^2) sin 2theta.
+    A scalar theta takes ``cmath``/``math``: numpy's 0-d bits, minus its overhead.
+    """
+    a, b, c, d = initial.vector.tolist()
+    ad = a * d
+    bc = b * c
+    sq = b * b + c * c
+    scalar = isinstance(theta, (int, float))
+    exp, cos, sin = (cmath.exp, math.cos, math.sin) if scalar else (np.exp, np.cos, np.sin)
+    phase = exp(-2j * theta)
+    cos2 = cos(2.0 * theta)
+    sin2 = sin(2.0 * theta)
+    w = ad * phase - bc * cos2 + 0.5j * sq * sin2
+    w1 = -2j * ad * phase + 2.0 * bc * sin2 + 1j * sq * cos2
+    w2 = -4.0 * ad * phase + 4.0 * bc * cos2 - 2j * sq * sin2
+    return w, w1, w2
+
+
+def _golden_shrink(
+    initial: PureState2Q, lo: float, hi: float, width: float
+) -> tuple[float, float]:
+    """Shrink [lo, hi] around a maximum of C^2 by golden-section search."""
+    ratio = (np.sqrt(5.0) - 1.0) / 2.0
+
+    def value(theta: float) -> float:
+        w, _, _ = _w_and_derivatives(initial, theta)
+        return abs(complex(w)) ** 2
+
+    x1 = hi - ratio * (hi - lo)
+    x2 = lo + ratio * (hi - lo)
+    f1, f2 = value(x1), value(x2)
+    while hi - lo > width:
+        if f1 < f2:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + ratio * (hi - lo)
+            f2 = value(x2)
+        else:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - ratio * (hi - lo)
+            f1 = value(x1)
+    return lo, hi
+
+
+def _polish_maximum(initial: PureState2Q, lo: float, hi: float) -> float:
+    """Refine a bracketed maximum of C^2 to machine precision.
+
+    Golden-section comparisons alone stall around sqrt(eps) in theta because
+    the function is flat at a smooth peak, so after an initial shrink the
+    location is polished by Newton iteration on the analytic derivative.
+    Falls back to the golden-section midpoint if the peak is too degenerate
+    for Newton (vanishing curvature).
+    """
+    lo, hi = _golden_shrink(initial, lo, hi, 1e-6)
+    theta = 0.5 * (lo + hi)
+    span = hi - lo
+    for _ in range(40):
+        w, w1, w2 = _w_and_derivatives(initial, theta)
+        w, w1, w2 = complex(w), complex(w1), complex(w2)
+        slope = 2.0 * (w.conjugate() * w1).real
+        curvature = 2.0 * (abs(w1) ** 2 + (w.conjugate() * w2).real)
+        if curvature >= 0.0:
+            break
+        step = -slope / curvature
+        if abs(step) > 10.0 * span:
+            break
+        theta += step
+        if abs(step) < 1e-14:
+            return theta
+    # Degenerate peak: keep shrinking by comparisons and accept the floor.
+    lo, hi = _golden_shrink(initial, lo, hi, 1e-11)
+    return 0.5 * (lo + hi)
+
+
+def _argmax_concurrence(initial: PureState2Q) -> tuple[list[float], float, bool]:
+    """All global-maximum locations of the concurrence over [0, pi).
+
+    Returns (sorted theta values, the maximum, whether the profile is flat).
+    The profile is a degree-two trigonometric polynomial under the absolute
+    value, so a 4096-point grid brackets every peak with a huge margin; each
+    candidate bracket is then polished independently.
+    """
+    grid = np.linspace(0.0, np.pi, _MAX_GRID, endpoint=False)
+    w, _, _ = _w_and_derivatives(initial, grid)
+    values = 2.0 * np.abs(w)
+    top = float(values.max())
+    if top - float(values.min()) < 1e-13:
+        return [0.0], _clamp_unit(top), True
+
+    left = np.roll(values, 1)
+    right = np.roll(values, -1)
+    is_peak = (values >= left) & (values >= right) & (values > top - 1e-4)
+    peak_indices = np.flatnonzero(is_peak)
+
+    candidates: list[tuple[float, float]] = []
+    step = np.pi / _MAX_GRID
+    for idx in peak_indices:
+        # Skip the right half of a flat-top plateau; one polish per bracket.
+        if (idx - 1) % _MAX_GRID in peak_indices and idx != 0:
+            continue
+        theta = _polish_maximum(initial, grid[idx] - step, grid[idx] + step)
+        w_at, _, _ = _w_and_derivatives(initial, theta)
+        candidates.append((float(theta % np.pi), 2.0 * abs(complex(w_at))))
+
+    best = max(value for _, value in candidates)
+    winners = sorted(
+        theta for theta, value in candidates if value >= best - 1e-11
+    )
+    # Merge duplicates, treating theta ~ pi as the wrapped image of 0.
+    merged: list[float] = []
+    for theta in winners:
+        if theta > np.pi - 1e-9:
+            theta = 0.0
+        if all(abs(theta - seen) > 1e-9 for seen in merged):
+            merged.append(theta)
+    return sorted(merged), _clamp_unit(best), False
+
+
+def _quarter_turn_gap(x, y):
+    """Distance between two angles on the circle of circumference pi/2."""
+    gap = (x - y) % (np.pi / 2.0)
+    return min(gap, np.pi / 2.0 - gap)
+
+
 class TestScalarAmplitude:
     def test_scalar_path_matches_numpy_element_by_element(self):
         # A 0-d array takes numpy's route, which is how every scalar theta
@@ -58,21 +199,18 @@ class TestScalarAmplitude:
         rng = np.random.default_rng(101)
         thetas = np.concatenate([[0.0, np.pi / 4, np.pi], rng.uniform(-20.0, 20.0, 300)])
         for state in haar_states(10, 102) + [up_down(), singlet()]:
-            arrays = _w_and_derivatives(state, thetas)
+            array = _w(state, thetas)
             for i, theta in enumerate(thetas.tolist()):
-                scalars = _w_and_derivatives(state, theta)
-                assert all(type(value) is complex for value in scalars)
-                zero_d = _w_and_derivatives(state, np.asarray(theta))
-                assert scalars == tuple(complex(value) for value in zero_d)
-                np.testing.assert_allclose(
-                    scalars, [values[i] for values in arrays], rtol=0, atol=1e-14
-                )
+                scalar = _w(state, theta)
+                assert type(scalar) is complex
+                assert scalar == complex(_w(state, np.asarray(theta)))
+                assert abs(scalar - array[i]) <= 1e-14
 
     def test_integer_and_numpy_scalar_angles(self):
         state = haar_states(1, 103)[0]
-        expected = tuple(complex(value) for value in _w_and_derivatives(state, np.asarray(2.0)))
-        assert _w_and_derivatives(state, 2) == expected
-        assert _w_and_derivatives(state, np.float64(2.0)) == expected
+        expected = complex(_w(state, np.asarray(2.0)))
+        assert _w(state, 2) == expected
+        assert _w(state, np.float64(2.0)) == expected
 
 
 class TestConcurrence:
@@ -118,6 +256,15 @@ class TestWoottersOracle:
     def test_known_states(self):
         assert concurrence_wootters_oracle(up_up()) == 0.0
         assert concurrence_wootters_oracle(singlet()) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("tiny", [1e-6, 1e-8, 1e-10, 1e-12])
+    def test_resolves_near_product_states(self, tiny):
+        # C = 2 tiny / (1 + tiny^2): far below sqrt(eps), where an eigenvalue
+        # route would read C^2 through noise of size eps.
+        state = PureState2Q.normalized(0.0, 1j, tiny * 1j, 0.0)
+        assert concurrence_wootters_oracle(state) == pytest.approx(
+            concurrence(state), abs=1e-15
+        )
 
     def test_agreement_on_many_draws(self):
         for state in haar_states(100, seed=17):
@@ -254,6 +401,63 @@ class TestProfile:
         for state in haar_states(10, seed=43):
             profile = concurrence_profile(state)
             assert all(0.0 <= value <= 1.0 for _, value in profile.samples)
+
+
+class TestClosedFormMaximum:
+    def test_matches_the_dense_search(self):
+        specials = [
+            up_up(),
+            down_down(),
+            triplet_zero(),
+            singlet(),
+            plus_minus_state(0.9, 0.4),
+            plus_plus_state(0.8, 0.2),
+            up_down(),
+        ]
+        for state in haar_states(2000, seed=53) + specials:
+            winners, search_max, search_flat = _argmax_concurrence(state)
+            theta_max, c_max, flat = _closed_form_maximum(state)
+            assert abs(c_max - search_max) <= 1e-15
+            assert flat == search_flat
+            a, b, c, d = state.vector.tolist()
+            alpha, beta = (b - c) ** 2 / 4.0, a * d - (b + c) ** 2 / 4.0
+            # Near alpha beta = 0 the peak flattens and its location is
+            # ill-conditioned, for the search and the closed form alike.
+            if min(abs(alpha), abs(beta)) > 1e-6:
+                assert _quarter_turn_gap(theta_max, winners[0]) <= 1e-6
+
+    @pytest.mark.parametrize("tilt", [1e-17, -1e-17, 5e-16, -5e-16])
+    def test_peak_at_the_edge_of_the_period(self, tilt):
+        # b = -c gives alpha = 1/4 and beta = ad = (1 + i tilt)/4, so
+        # arg(alpha conj(beta)) = -tilt and theta* = tilt/4 mod pi/2.  A
+        # negative tilt puts theta* just below pi/2, where the mod can round
+        # to pi/2 itself (-1e-17) or to the float just below it (-5e-16).
+        state = PureState2Q.from_amplitudes(complex(0.5, 0.5 * tilt), 0.5, -0.5, 0.5)
+        profile = concurrence_profile(state)
+        assert 0.0 <= profile.theta_max < np.pi / 2
+        assert _quarter_turn_gap(profile.theta_max, 0.0) <= 1e-15
+        assert profile.c_max == 1.0
+        assert abs(concurrence_evolved(state, profile.theta_max) - profile.c_max) <= 1e-14
+        winners, search_max, _ = _argmax_concurrence(state)
+        assert abs(profile.c_max - search_max) <= 1e-15
+        assert _quarter_turn_gap(profile.theta_max, winners[0]) <= 1e-6
+        for coupling in (1.0, -1.0):
+            peak = max_entanglement_time(state, SystemParams(coupling, 0.0))
+            assert peak.time > 0.0
+            assert peak.time == pytest.approx(np.pi / 4, abs=1e-12)
+            assert peak.theta == pytest.approx(np.pi / 2, abs=1e-12)
+
+    @settings(derandomize=True, max_examples=200)
+    @given(raw_amplitudes())
+    def test_closed_form_bounds_and_attains_the_profile(self, raw):
+        state = state_from_raw(raw)
+        profile = concurrence_profile(state)
+        assert 0.0 <= profile.theta_max < np.pi / 2
+        assert all(value <= profile.c_max + 1e-12 for _, value in profile.samples)
+        # A flat profile reports its top, which theta = 0 may miss by up to
+        # the profile's range, below the 1e-13 flatness threshold.
+        tol = 1e-13 if profile.is_constant else 1e-14
+        assert abs(concurrence_evolved(state, profile.theta_max) - profile.c_max) <= tol
 
 
 class TestMaxEntanglementTime:

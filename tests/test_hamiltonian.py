@@ -33,6 +33,20 @@ class TestParams:
         with pytest.raises(ValueError, match="finite"):
             SystemParams(np.inf, 0.0)
 
+    @pytest.mark.parametrize("field_name", ["coupling", "field", "gamma"])
+    @pytest.mark.parametrize(
+        "value",
+        [float("nan"), float("inf"), float("-inf"), 10**400, -(10**400), 10**5000],
+        ids=["nan", "inf", "-inf", "int_1e400", "int_-1e400", "int_1e5000"],
+    )
+    def test_rejects_non_finite_on_every_field(self, field_name, value):
+        kwargs = {"coupling": 1.0, "field": 0.0, "gamma": 1.0, field_name: value}
+        with pytest.raises(ValueError, match=f"^{field_name} must be finite"):
+            SystemParams(**kwargs)
+
+    def test_accepts_integers_in_the_float_range(self):
+        assert SystemParams(2, -3, gamma=10**300).gamma == 10**300
+
     def test_rejects_non_positive_gamma(self):
         with pytest.raises(ValueError, match="gamma"):
             SystemParams(1.0, 0.0, gamma=-1.0)

@@ -27,6 +27,7 @@ CHECK_NAMES = [
     "concurrence_wootters_oracle",
     "concurrence_theta_period",
     "product_state_peak_at_quarter_turn",
+    "concurrence_max_closed_form_vs_sampled",
     "distance_bounds_and_symmetry",
     "distance_phase_invariance",
     "scenario_rerun_byte_identical",
@@ -58,7 +59,7 @@ class TestVerifyAll:
     def test_every_line_carries_a_verdict(self):
         lines = verify_all(seed=0).lines()
         assert all(line.startswith(("PASS ", "FAIL ")) for line in lines[:-1])
-        assert lines[-1].endswith("all 25 checks passed")
+        assert lines[-1].endswith("all 26 checks passed")
 
 
 class TestNegativeControl:
@@ -74,4 +75,4 @@ class TestNegativeControl:
             line.startswith("FAIL") and "propagator_unitarity" in line
             for line in report.lines()
         )
-        assert report.lines()[-1].endswith("1 of 25 checks FAILED")
+        assert report.lines()[-1].endswith("1 of 26 checks FAILED")
