@@ -203,10 +203,12 @@ def concurrence_profile(
         thetas = np.linspace(0.0, np.pi, 256, endpoint=False)
     grid = np.asarray(thetas, dtype=np.float64)
     values = 2.0 * np.abs(np.atleast_1d(_w(initial, grid)))
-    samples = tuple(
-        (float(theta), _clamp_unit(float(value)))
-        for theta, value in zip(np.atleast_1d(grid), values)
-    )
+    # _clamp_unit on the whole array: the first sample out of range, or NaN,
+    # raises as it would alone; the rest clip to the same bits.
+    outside = ~((values >= -_RANGE_SLACK) & (values <= 1.0 + _RANGE_SLACK))
+    if outside.any():
+        _clamp_unit(float(values[outside.argmax()]))
+    samples = tuple(zip(np.atleast_1d(grid).tolist(), np.clip(values, 0.0, 1.0).tolist()))
     theta_max, c_max, flat = _closed_form_maximum(initial)
     return ConcurrenceProfile(
         initial=initial,

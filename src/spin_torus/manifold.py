@@ -48,7 +48,11 @@ class TorusPoint:
     __slots__ = ("theta", "phi")
 
     def __init__(self, theta: float, phi: float) -> None:
-        if not (math.isfinite(theta) and math.isfinite(phi)):
+        try:
+            finite = math.isfinite(theta) and math.isfinite(phi)
+        except OverflowError:  # an integer beyond the float range
+            finite = False
+        if not finite:
             raise ValueError("torus coordinates must be finite")
         self.theta = float(theta)
         self.phi = float(phi)
@@ -354,8 +358,9 @@ def classify(
     theta_live = theta_weight > tol
     phi_live = phi_weight > tol
 
-    radius_phi = gamma * np.sqrt(max(inv.aligned - inv.imbalance ** 2, 0.0))
-    radius_theta = gamma * np.sqrt(max(inv.mismatch * (2.0 - inv.mismatch), 0.0))
+    # math.sqrt rounds as np.sqrt does, and keeps the radii plain floats.
+    radius_phi = gamma * math.sqrt(max(inv.aligned - inv.imbalance ** 2, 0.0))
+    radius_theta = gamma * math.sqrt(max(inv.mismatch * (2.0 - inv.mismatch), 0.0))
 
     if theta_live and phi_live:
         kind, dimension = ManifoldKind.FLAT_TORUS, 2
@@ -388,8 +393,8 @@ def classify(
         invariants=inv,
         metric=metric,
         circle_radius=circle_radius,
-        radius_phi_circle=float(radius_phi),
-        radius_theta_circle=float(radius_theta),
+        radius_phi_circle=radius_phi,
+        radius_theta_circle=radius_theta,
         radius_extrapolated=extrapolated,
         flatness_residual=flatness,
     )

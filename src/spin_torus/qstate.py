@@ -40,6 +40,24 @@ def check_state_rows(rows: Iterable[Sequence[complex]]) -> None:
             raise ValueError(f"state is not normalized: |amplitudes|^2 sums to {norm_sq!r}")
 
 
+def _amplitude_vector(values: object) -> np.ndarray:
+    """``values`` as a new complex 4-vector.  An integer beyond the float
+    range stands for a non-finite amplitude and is refused as one."""
+    try:
+        return np.array(values, dtype=np.complex128).reshape(4)
+    except OverflowError:
+        raise ValueError("state amplitudes must be finite") from None
+
+
+def _check_bloch_angles(chi: float, gamma_az: float) -> None:
+    try:
+        finite = math.isfinite(chi) and math.isfinite(gamma_az)
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    if not finite:
+        raise ValueError("Bloch angles must be finite")
+
+
 @dataclass(frozen=True, eq=False)
 class PureState2Q:
     """Normalized pure state of two spin-1/2 particles.
@@ -53,7 +71,7 @@ class PureState2Q:
     vector: np.ndarray
 
     def __post_init__(self) -> None:
-        vec = np.asarray(self.vector, dtype=np.complex128).reshape(4).copy()
+        vec = _amplitude_vector(self.vector)
         check_state_rows((vec.tolist(),))
         vec.setflags(write=False)
         object.__setattr__(self, "vector", vec)
@@ -61,12 +79,14 @@ class PureState2Q:
     @classmethod
     def from_amplitudes(cls, a: complex, b: complex, c: complex, d: complex) -> PureState2Q:
         """Assert-normalized constructor from the four basis amplitudes."""
-        return cls(np.array([a, b, c, d], dtype=np.complex128))
+        return cls([a, b, c, d])
 
     @classmethod
     def normalized(cls, a: complex, b: complex, c: complex, d: complex) -> PureState2Q:
         """Normalize-for-me constructor; rejects only the zero vector."""
-        vec = np.array([a, b, c, d], dtype=np.complex128)
+        vec = _amplitude_vector([a, b, c, d])
+        if not np.isfinite(vec).all():
+            raise ValueError("state amplitudes must be finite")
         norm = float(np.linalg.norm(vec))
         if norm < 1e-15:
             raise ValueError("cannot normalize the zero vector")
@@ -212,6 +232,7 @@ def bloch_plus(chi: float, gamma_az: float) -> np.ndarray:
     cos(chi/2)|up> + sin(chi/2) e^{i gamma_az}|down>, with the azimuthal
     phase carried by the |down> component.
     """
+    _check_bloch_angles(chi, gamma_az)
     return np.array(
         [np.cos(chi / 2), np.sin(chi / 2) * np.exp(1j * gamma_az)],
         dtype=np.complex128,
@@ -220,6 +241,7 @@ def bloch_plus(chi: float, gamma_az: float) -> np.ndarray:
 
 def bloch_minus(chi: float, gamma_az: float) -> np.ndarray:
     """Single-qubit state opposite to the Bloch direction (chi, gamma_az)."""
+    _check_bloch_angles(chi, gamma_az)
     return np.array(
         [-np.sin(chi / 2), np.cos(chi / 2) * np.exp(1j * gamma_az)],
         dtype=np.complex128,

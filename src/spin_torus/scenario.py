@@ -15,15 +15,16 @@ for reproducibility comparisons.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import math
+import numbers
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
-from typing import Any, Iterable, Iterator, Mapping
+from pathlib import Path
+from typing import Any, NamedTuple
 
-import jsonschema
 import numpy as np
 
 from . import __version__
@@ -47,108 +48,201 @@ from .qstate import (
 
 SCHEMA_VERSION = "1"
 
-OUTPUT_KINDS = ("metric", "classify", "concurrence_profile", "evolved_states")
-
 #: Largest tolerated deviation of |amplitudes|^2 from one before rejection.
 AMPLITUDE_NORM_TOL = 1e-9
 #: Most evaluation points one config may ask for, which bounds a run's memory.
 MAX_GRID_POINTS = 1_000_000
 
-SCENARIO_SCHEMA: dict[str, Any] = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "title": "spin-torus scenario config",
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["initial", "params", "grid", "outputs"],
-    "properties": {
-        "initial": {
-            "oneOf": [
-                {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "required": ["amplitudes"],
-                    "properties": {
-                        "amplitudes": {
-                            "type": "array",
-                            "minItems": 4,
-                            "maxItems": 4,
-                            "items": {
-                                "type": "array",
-                                "minItems": 2,
-                                "maxItems": 2,
-                                "items": {"type": "number"},
-                            },
-                        }
-                    },
-                },
-                {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "required": ["product_state"],
-                    "properties": {
-                        "product_state": {
-                            "type": "object",
-                            "additionalProperties": False,
-                            "required": ["kind"],
-                            "properties": {
-                                "kind": {"enum": ["pm", "pp", "mm", "updown"]},
-                                "chi": {"type": "number"},
-                                "gamma_az": {"type": "number"},
-                            },
-                        }
-                    },
-                },
-            ]
-        },
-        "params": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["coupling", "field"],
-            "properties": {
-                "coupling": {"type": "number"},
-                "field": {"type": "number"},
-                "gamma": {"type": "number", "exclusiveMinimum": 0},
-            },
-        },
-        "grid": {
-            "oneOf": [
-                {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "required": ["theta_steps", "phi_steps"],
-                    "properties": {
-                        "theta_steps": {"type": "integer", "minimum": 2},
-                        "phi_steps": {"type": "integer", "minimum": 2},
-                    },
-                },
-                {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "required": ["time"],
-                    "properties": {
-                        "time": {
-                            "type": "object",
-                            "additionalProperties": False,
-                            "required": ["t0", "t1", "steps"],
-                            "properties": {
-                                "t0": {"type": "number"},
-                                "t1": {"type": "number"},
-                                "steps": {"type": "integer", "minimum": 2},
-                            },
-                        },
-                        "field_override": {"type": "number"},
-                    },
-                },
-            ]
-        },
-        "outputs": {
-            "type": "array",
-            "minItems": 1,
-            "uniqueItems": True,
-            "items": {"enum": list(OUTPUT_KINDS)},
-        },
-    },
+
+# --- schema ------------------------------------------------------------------
+#
+# The config schema ships once, as package data, and a small interpreter of
+# the keywords it uses checks configs against it.  Errors come out as
+# jsonschema's Draft 2020-12 validator (4.26) yields them, in the schema's
+# key order with its paths and wording, and one is picked as its
+# ``best_match`` picks, so each message reads exactly as jsonschema's would.
+
+#: The keywords the interpreter knows; ``$schema`` and ``title`` annotate.
+_SCHEMA_KEYWORDS = frozenset({
+    "$schema", "title", "type", "enum", "required", "properties",
+    "additionalProperties", "items", "minItems", "maxItems", "minimum",
+    "exclusiveMinimum", "uniqueItems", "oneOf",
+})
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, numbers.Number) and not isinstance(value, bool)
+
+
+_IS_TYPE = {
+    "object": lambda value: isinstance(value, dict),
+    "array": lambda value: isinstance(value, list),
+    "number": _is_number,
+    # A bool is no integer, an integral float such as 4.0 is one.
+    "integer": lambda value: (isinstance(value, int) and not isinstance(value, bool))
+    or (isinstance(value, float) and value.is_integer()),
 }
+
+_TRUE, _FALSE = object(), object()
+
+
+def _unbool(value: Any) -> Any:
+    """True and False as tokens that equal neither 1 nor 0."""
+    return _TRUE if value is True else _FALSE if value is False else value
+
+
+def _equal(one: Any, two: Any) -> bool:
+    """JSON equality as jsonschema has it: 1 equals 1.0 but not True, and
+    containers compare item by item."""
+    if one is two:
+        return True
+    if isinstance(one, str) or isinstance(two, str):
+        return one == two
+    if isinstance(one, Sequence) and isinstance(two, Sequence):
+        return len(one) == len(two) and all(map(_equal, one, two))
+    if isinstance(one, Mapping) and isinstance(two, Mapping):
+        return len(one) == len(two) and all(
+            key in two and _equal(value, two[key]) for key, value in one.items()
+        )
+    return _unbool(one) == _unbool(two)
+
+
+def _unique(items: list[Any]) -> bool:
+    """Whether no two items are :func:`_equal`, checked as jsonschema checks
+    it: neighbours once sorted, or every pair when the items do not sort."""
+    try:
+        ordered = sorted(map(_unbool, items))
+        return not any(map(_equal, ordered, ordered[1:]))
+    except (NotImplementedError, TypeError):
+        seen: list[Any] = []
+        for item in map(_unbool, items):
+            if any(_equal(other, item) for other in seen):
+                return False
+            seen.append(item)
+        return True
+
+
+#: Per keyword that yields at most one error: the message for ``value``
+#: under the keyword's argument, or a false value if ``value`` passes.
+_MESSAGES = {
+    "type": lambda arg, value: not _IS_TYPE[arg](value)
+    and f"{value!r} is not of type {arg!r}",
+    "enum": lambda arg, value: not any(_equal(each, value) for each in arg)
+    and f"{value!r} is not one of {arg!r}",
+    "minItems": lambda arg, value: isinstance(value, list) and len(value) < arg
+    and f"{value!r} " + ("should be non-empty" if arg == 1 else "is too short"),
+    "maxItems": lambda arg, value: isinstance(value, list) and len(value) > arg
+    and f"{value!r} " + ("is expected to be empty" if arg == 0 else "is too long"),
+    "uniqueItems": lambda arg, value: arg and isinstance(value, list)
+    and not _unique(value) and f"{value!r} has non-unique elements",
+    "minimum": lambda arg, value: _is_number(value) and value < arg
+    and f"{value!r} is less than the minimum of {arg!r}",
+    "exclusiveMinimum": lambda arg, value: _is_number(value) and value <= arg
+    and f"{value!r} is less than or equal to the minimum of {arg!r}",
+}
+
+
+class _SchemaError(NamedTuple):
+    path: tuple[str | int, ...]  # from the parent error's value, else the root
+    keyword: str
+    message: str
+    typed: bool  # whether the value has its subschema's "type"
+    context: tuple[_SchemaError, ...] = ()  # a oneOf error's branch errors
+
+
+def _checked_schema(schema: dict[str, Any]) -> dict[str, Any]:
+    """``schema``, or ``ValueError`` if it or a subschema uses a keyword the
+    interpreter does not know, an unknown type, or additionalProperties
+    other than false."""
+    unknown = schema.keys() - _SCHEMA_KEYWORDS
+    if "type" in schema and schema["type"] not in list(_IS_TYPE):  # lists don't hash
+        unknown.add(f"type {schema['type']!r}")
+    if schema.get("additionalProperties", False) is not False:
+        unknown.add("additionalProperties other than false")
+    if unknown:
+        raise ValueError(f"schema uses what the validator does not know: {sorted(unknown)}")
+    subschemas = [*schema.get("properties", {}).values(), *schema.get("oneOf", [])]
+    if "items" in schema:
+        subschemas.append(schema["items"])
+    for subschema in subschemas:
+        _checked_schema(subschema)
+    return schema
+
+
+def _schema_errors(schema: Mapping[str, Any], value: Any, path: tuple = ()) -> Iterator[_SchemaError]:
+    """Every error of ``value`` under ``schema``: its keywords in order,
+    descending into properties and items where the value has them."""
+    typed = "type" in schema and _IS_TYPE[schema["type"]](value)
+    for keyword, arg in schema.items():
+        if keyword in _MESSAGES:
+            message = _MESSAGES[keyword](arg, value)
+            if message:
+                yield _SchemaError(path, keyword, message, typed)
+        elif keyword == "properties" and isinstance(value, dict):
+            for key, subschema in arg.items():
+                if key in value:
+                    yield from _schema_errors(subschema, value[key], (*path, key))
+        elif keyword == "items" and isinstance(value, list):
+            for index, item in enumerate(value):
+                yield from _schema_errors(arg, item, (*path, index))
+        elif keyword == "required" and isinstance(value, dict):
+            for key in arg:
+                if key not in value:
+                    yield _SchemaError(path, keyword, f"{key!r} is a required property", typed)
+        elif keyword == "additionalProperties" and isinstance(value, dict):
+            extras = sorted(value.keys() - schema.get("properties", {}).keys(), key=str)
+            if extras:
+                names = ", ".join(map(repr, extras))
+                verb = "was" if len(extras) == 1 else "were"
+                message = f"Additional properties are not allowed ({names} {verb} unexpected)"
+                yield _SchemaError(path, keyword, message, typed)
+        elif keyword == "oneOf":
+            # Branch errors are relative to this value, as in jsonschema.
+            branch_errors = [tuple(_schema_errors(branch, value)) for branch in arg]
+            valid = [branch for branch, errors in zip(arg, branch_errors) if not errors]
+            if not valid:
+                context = sum(branch_errors, ())
+                message = f"{value!r} is not valid under any of the given schemas"
+                yield _SchemaError(path, keyword, message, typed, context)
+            elif len(valid) > 1:
+                reprs = ", ".join(map(repr, valid[1:] + valid[:1]))
+                yield _SchemaError(path, keyword, f"{value!r} is valid under each of {reprs}", typed)
+
+
+def _relevance(error: _SchemaError) -> tuple:
+    """jsonschema's ``relevance`` key, which ranks higher: a shallower path,
+    then a later one, then a keyword other than oneOf, then a value that
+    does not have its subschema's type."""
+    return (-len(error.path), error.path, error.keyword != "oneOf", not error.typed)
+
+
+def _schema_error(schema: Mapping[str, Any], data: Any) -> str | None:
+    """``"<path>: <message>"`` for the error jsonschema's ``best_match``
+    picks, or None if ``data`` is valid under ``schema``.
+
+    The most relevant error wins, the first of a tie.  A oneOf error gives
+    way to the least relevant of its branch errors, the deepest, unless the
+    two least relevant tie.
+    """
+    best = max(_schema_errors(schema, data), key=_relevance, default=None)
+    if best is None:
+        return None
+    path = best.path
+    while best.context:
+        least = sorted(best.context, key=_relevance)[:2]
+        if len(least) == 2 and _relevance(least[0]) == _relevance(least[1]):
+            break
+        best = least[0]
+        path += best.path
+    return f"{'.'.join(map(str, path)) or '<root>'}: {best.message}"
+
+
+SCENARIO_SCHEMA: dict[str, Any] = _checked_schema(
+    json.loads(Path(__file__).with_name("scenario.schema.json").read_text(encoding="utf-8"))
+)
+
+#: The output blocks a config may ask for, as the schema lists them.
+OUTPUT_KINDS = tuple(SCENARIO_SCHEMA["properties"]["outputs"]["items"]["enum"])
 
 
 class ConfigInvalid(ValueError):
@@ -254,21 +348,6 @@ class ScenarioConfig:
         return replace(self, params=replace(self.params, gamma=gamma))
 
 
-@functools.cache
-def _scenario_validator() -> jsonschema.Draft202012Validator:
-    """The schema validator, built on first use rather than at import.
-
-    ``jsonschema.validate`` re-checks the schema itself on every call; the
-    embedded schema is a constant, so one validator serves every config.
-    """
-    return jsonschema.Draft202012Validator(SCENARIO_SCHEMA)
-
-
-def _schema_error_path(error: jsonschema.ValidationError) -> str:
-    path = ".".join(str(part) for part in error.absolute_path)
-    return path or "<root>"
-
-
 def _finite_float(value: Any, where: str) -> float:
     """A config number as a float, or :class:`ConfigInvalid` unless finite."""
     try:
@@ -319,11 +398,9 @@ def config_from_dict(data: Mapping[str, Any]) -> ScenarioConfig:
     (amplitude normalization, Bloch-angle applicability, finiteness, time
     grids whose angles overflow, grids above ``MAX_GRID_POINTS``).
     """
-    error = jsonschema.exceptions.best_match(_scenario_validator().iter_errors(data))
-    if error is not None:
-        raise ConfigInvalid(
-            f"{_schema_error_path(error)}: {error.message}"
-        ) from error
+    message = _schema_error(SCENARIO_SCHEMA, data)
+    if message is not None:
+        raise ConfigInvalid(message)
 
     initial = _parse_initial(data["initial"])
     params_body = data["params"]

@@ -1,4 +1,9 @@
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -291,3 +296,45 @@ def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as excinfo:
         main(["export", "only-a-record"])
     assert excinfo.value.code == 2
+
+
+class TestRuntimeWithoutJsonschema:
+    """jsonschema is a test-only dependency: the CLI must import and run
+    where it is not installed."""
+
+    REPO = Path(__file__).resolve().parent.parent
+
+    def run_python(self, code, cwd):
+        env = {**os.environ, "PYTHONPATH": str(self.REPO / "src")}
+        return subprocess.run(
+            [sys.executable, "-c", code], cwd=cwd, env=env, capture_output=True, text=True
+        )
+
+    def test_import_leaves_jsonschema_unloaded(self, tmp_path):
+        code = (
+            "import sys, spin_torus.cli\n"
+            "loaded = {'jsonschema', 'referencing', 'attrs', 'rpds'} & set(sys.modules)\n"
+            "sys.exit(sorted(loaded) or 0)\n"
+        )
+        result = self.run_python(code, tmp_path)
+        assert result.returncode == 0, result.stderr
+
+    def test_readme_demo_runs_exports_and_verifies(self, tmp_path):
+        readme = (self.REPO / "README.md").read_text(encoding="utf-8")
+        demo = re.search(r"```json\n(.*?)```", readme, re.DOTALL).group(1)
+        (tmp_path / "demo.json").write_text(demo)
+        code = (
+            "import sys\n"
+            "sys.modules['jsonschema'] = None  # any import of it now fails\n"
+            "from spin_torus.cli import main\n"
+            "for argv in (['run', 'demo.json'],\n"
+            "             ['export', 'demo.record.json', '--format', 'csv', '--out', 'demo.csv'],\n"
+            "             ['verify', '--seed', '0']):\n"
+            "    code = main(argv)\n"
+            "    if code:\n"
+            "        sys.exit(f'{argv[0]} exited {code}')\n"
+        )
+        result = self.run_python(code, tmp_path)
+        assert result.returncode == 0, result.stderr
+        assert (tmp_path / "demo.csv").read_text().startswith("theta,phi,")
+        assert "all 26 checks passed" in result.stdout

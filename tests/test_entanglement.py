@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spin_torus import entanglement
 from spin_torus.entanglement import (
     ConcurrenceRangeError,
     NotDisentangled,
@@ -52,6 +53,21 @@ def raw_amplitudes():
 def state_from_raw(raw):
     vec = np.array(raw[:4]) + 1j * np.array(raw[4:])
     return PureState2Q(vec / np.linalg.norm(vec))
+
+
+def loop_samples(grid, values):
+    """The per-sample loop concurrence_profile built its samples with,
+    kept as an oracle for the array route that replaced it."""
+    return tuple(
+        (float(theta), _clamp_unit(float(value)))
+        for theta, value in zip(np.atleast_1d(grid), values)
+    )
+
+
+def edge_state(tilt):
+    """A state whose concurrence peak sits at the edge of the pi/2 period:
+    theta* = tilt/4 mod pi/2 (see test_peak_at_the_edge_of_the_period)."""
+    return PureState2Q.from_amplitudes(complex(0.5, 0.5 * tilt), 0.5, -0.5, 0.5)
 
 
 # --- the dense search the closed form replaced, kept as a test oracle --------
@@ -397,6 +413,44 @@ class TestProfile:
         assert profile.c_max == pytest.approx(1.0)
         assert profile.theta_max == 0.0
 
+    @pytest.mark.parametrize(
+        "thetas",
+        [None, np.linspace(-4.0, 9.0, 301), [0.0, np.pi / 4, np.pi / 2, 3], 0.7, []],
+    )
+    def test_samples_equal_the_per_sample_loop(self, thetas):
+        specials = [up_up(), singlet(), triplet_zero(), up_down(), plus_minus_state(0.9, 0.4)]
+        edges = [edge_state(tilt) for tilt in (1e-17, -1e-17, 5e-16, -5e-16)]
+        for state in haar_states(200, seed=61) + specials + edges:
+            grid = np.linspace(0.0, np.pi, 256, endpoint=False) if thetas is None else thetas
+            grid = np.asarray(grid, dtype=np.float64)
+            expected = loop_samples(grid, 2.0 * np.abs(np.atleast_1d(_w(state, grid))))
+            samples = concurrence_profile(state, thetas).samples
+            # repr tells -0.0 from 0.0 and shows every bit of a float.
+            assert repr(samples) == repr(expected)
+            assert all(type(x) is float for sample in samples for x in sample)
+
+    @pytest.mark.parametrize(
+        "w",
+        [
+            [0.1, 0.6, float("nan"), 0.7],
+            [0.1, float("nan"), 0.6],
+            [-0.25, 0.5 + 2e-10, 0.5 + 6e-10],
+            [0.5 + 4e-10, 0.0, 0.25],
+        ],
+    )
+    def test_out_of_range_samples_raise_like_the_loop(self, monkeypatch, w):
+        values = 2.0 * np.abs(np.array(w))
+        grid = np.arange(len(w), dtype=np.float64)
+        monkeypatch.setattr(entanglement, "_w", lambda initial, theta: np.array(w))
+        try:
+            expected = loop_samples(grid, values)
+        except ConcurrenceRangeError as error:
+            with pytest.raises(ConcurrenceRangeError) as excinfo:
+                concurrence_profile(up_down(), grid)
+            assert str(excinfo.value) == str(error)
+        else:
+            assert concurrence_profile(up_down(), grid).samples == expected
+
     def test_values_stay_in_range(self):
         for state in haar_states(10, seed=43):
             profile = concurrence_profile(state)
@@ -432,7 +486,7 @@ class TestClosedFormMaximum:
         # arg(alpha conj(beta)) = -tilt and theta* = tilt/4 mod pi/2.  A
         # negative tilt puts theta* just below pi/2, where the mod can round
         # to pi/2 itself (-1e-17) or to the float just below it (-5e-16).
-        state = PureState2Q.from_amplitudes(complex(0.5, 0.5 * tilt), 0.5, -0.5, 0.5)
+        state = edge_state(tilt)
         profile = concurrence_profile(state)
         assert 0.0 <= profile.theta_max < np.pi / 2
         assert _quarter_turn_gap(profile.theta_max, 0.0) <= 1e-15

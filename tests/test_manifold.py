@@ -85,6 +85,16 @@ class TestTorusPoint:
         with pytest.raises(ValueError):
             TorusPoint(np.nan, 0.0)
 
+    @pytest.mark.parametrize(
+        "bad", [float("nan"), float("inf"), float("-inf"), 10**400, -(10**400)]
+    )
+    @pytest.mark.parametrize("argument", [0, 1])
+    def test_non_finite_and_huge_coordinates_on_every_argument(self, argument, bad):
+        coordinates = [0.3, 0.7]
+        coordinates[argument] = bad
+        with pytest.raises(ValueError, match="^torus coordinates must be finite$"):
+            TorusPoint(*coordinates)
+
     def test_params_to_point(self):
         point = params_to_point(coupling=1.5, field=-0.25, t=2.0)
         assert point.theta == pytest.approx(6.0)
@@ -335,6 +345,20 @@ class TestClassify:
         assert report.dimension == 1
         assert report.circle_radius == pytest.approx(1.0, abs=1e-12)
         assert report.radius_extrapolated is True
+
+    @pytest.mark.parametrize("chi", [0.4, 1.1, 2.3])
+    def test_radii_are_plain_floats_with_the_bits_of_np_sqrt(self, chi):
+        for state, gamma in [(up_down(), 1.0), (plus_plus_state(chi, 0.6), 0.7),
+                             (plus_minus_state(chi, 0.2), 2.3)]:
+            report = classify(state, gamma=gamma)
+            inv = family_invariants(state)
+            radii = [report.radius_phi_circle, report.radius_theta_circle]
+            assert all(type(radius) is float for radius in radii)
+            assert radii == [
+                float(gamma * np.sqrt(max(inv.aligned - inv.imbalance ** 2, 0.0))),
+                float(gamma * np.sqrt(max(inv.mismatch * (2.0 - inv.mismatch), 0.0))),
+            ]
+            assert report.circle_radius is None or type(report.circle_radius) is float
 
     @pytest.mark.parametrize("chi", [0.4, 1.1, 2.3])
     def test_plus_plus_is_phi_circle(self, chi):

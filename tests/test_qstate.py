@@ -27,6 +27,8 @@ from spin_torus.qstate import (
 )
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
+#: Inputs that are not finite floats, including integers beyond the float range.
+NON_FINITE = [float("nan"), float("inf"), float("-inf"), 10**400, -(10**400)]
 
 
 def amplitude_lists():
@@ -68,6 +70,19 @@ class TestConstruction:
     def test_non_finite_message(self, amplitudes):
         with pytest.raises(ValueError, match="^state amplitudes must be finite$"):
             PureState2Q.from_amplitudes(*amplitudes)
+
+    @pytest.mark.parametrize("position", range(4))
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize("constructor", ["from_amplitudes", "normalized", "vector"])
+    def test_non_finite_and_huge_amplitudes_on_every_argument(self, constructor, bad, position):
+        amplitudes = [0.0, 0.0, 0.0, 0.0]
+        amplitudes[position - 1] = 1.0
+        amplitudes[position] = bad
+        with pytest.raises(ValueError, match="^state amplitudes must be finite$"):
+            if constructor == "vector":
+                PureState2Q(amplitudes)
+            else:
+                getattr(PureState2Q, constructor)(*amplitudes)
 
     def test_norm_off_by_2e_12_rejected_with_its_sum(self):
         big = np.sqrt(1.0 + 2e-12)
@@ -219,6 +234,18 @@ class TestProductStates:
         assert np.vdot(plus, plus) == pytest.approx(1.0)
         assert np.vdot(minus, minus) == pytest.approx(1.0)
         assert abs(np.vdot(plus, minus)) < 1e-15
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize("argument", [0, 1])
+    @pytest.mark.parametrize(
+        "build",
+        [bloch_plus, bloch_minus, plus_minus_state, plus_plus_state, minus_minus_state],
+    )
+    def test_non_finite_and_huge_angles_on_every_argument(self, build, argument, bad):
+        angles = [0.4, 1.3]
+        angles[argument] = bad
+        with pytest.raises(ValueError, match="^Bloch angles must be finite$"):
+            build(*angles)
 
     def test_kron_ordering_first_spin_slowest(self):
         state = product_state(np.array([0.0, 1.0]), np.array([1.0, 0.0]))

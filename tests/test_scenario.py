@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import spin_torus.scenario
 from spin_torus.scenario import (
     AMPLITUDE_NORM_TOL,
     CSV_COLUMNS,
@@ -20,7 +21,7 @@ from spin_torus.scenario import (
     run_scenario,
 )
 
-SCHEMA_FILE = Path(__file__).resolve().parent.parent / "schemas" / "scenario.json"
+SCHEMA_FILE = Path(spin_torus.scenario.__file__).with_name("scenario.schema.json")
 
 
 def base_config_dict(**overrides):
@@ -365,6 +366,34 @@ class TestExport:
             export_record(record, "yaml", str(tmp_path / "x"))
 
 
+def leaves(value):
+    if isinstance(value, dict):
+        for child in value.values():
+            yield from leaves(child)
+    elif isinstance(value, list):
+        for child in value:
+            yield from leaves(child)
+    else:
+        yield value
+
+
+@pytest.mark.parametrize(
+    "initial",
+    [
+        {"product_state": {"kind": "updown"}},
+        {"product_state": {"kind": "pp", "chi": 0.7}},
+        {"product_state": {"kind": "pm", "chi": 0.9, "gamma_az": 0.3}},
+        {"amplitudes": [[0.5, 0.0], [0.0, 0.5], [0.5, 0.0], [0.0, -0.5]]},
+    ],
+)
+def test_results_hold_only_plain_json_types(initial):
+    """No numpy scalar reaches a record's results, whatever the state's
+    classification (a circle's radius once came out of np.sqrt)."""
+    record = run_scenario(config_from_dict(base_config_dict(initial=initial)))
+    kinds = {type(leaf) for leaf in leaves(record.results)}
+    assert kinds <= {float, int, bool, str, type(None)}
+
+
 class TestRecordSerialization:
     def test_schema_version_present(self):
         record = run_scenario(config_from_dict(base_config_dict()))
@@ -388,5 +417,13 @@ class TestRecordSerialization:
 
 
 def test_shipped_schema_file_matches_embedded_schema():
+    """The shipped file is the one schema: config_from_dict checks against
+    the dict loaded from it, in the file's key order, which sets the order
+    errors are found in."""
     on_disk = json.loads(SCHEMA_FILE.read_text(encoding="utf-8"))
     assert on_disk == SCENARIO_SCHEMA
+    assert json.dumps(on_disk) == json.dumps(SCENARIO_SCHEMA)
+    bogus = base_config_dict(bogus=1)
+    with pytest.raises(ConfigInvalid) as excinfo:
+        config_from_dict(bogus)
+    assert str(excinfo.value) == spin_torus.scenario._schema_error(on_disk, bogus)
