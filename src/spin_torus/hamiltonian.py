@@ -16,12 +16,11 @@ vouch for itself.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import Operator4
+from .qstate import Operator4, all_finite
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
@@ -56,14 +55,9 @@ class SystemParams:
     def __post_init__(self) -> None:
         for name in ("coupling", "field", "gamma"):
             value = getattr(self, name)
-            try:
-                finite = math.isfinite(value)
-            except OverflowError:
-                raise ValueError(
-                    f"{name} must be finite, got an integer beyond the float range"
-                ) from None
-            if not finite:
-                raise ValueError(f"{name} must be finite, got {value!r}")
+            if not all_finite(value):
+                got = "an integer beyond the float range" if isinstance(value, int) else repr(value)
+                raise ValueError(f"{name} must be finite, got {got}")
         if self.gamma <= 0:
             raise ValueError(f"gamma must be positive, got {self.gamma!r}")
 

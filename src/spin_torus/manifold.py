@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import PureState2Q, check_state_rows, overlap_distance_sq
+from .qstate import PureState2Q, all_finite, check_state_rows, overlap_distance_sq
 
 #: Steps below this make the quadratic finite-difference loss catastrophic.
 MIN_STEP = 1e-6
@@ -48,11 +48,7 @@ class TorusPoint:
     __slots__ = ("theta", "phi")
 
     def __init__(self, theta: float, phi: float) -> None:
-        try:
-            finite = math.isfinite(theta) and math.isfinite(phi)
-        except OverflowError:  # an integer beyond the float range
-            finite = False
-        if not finite:
+        if not all_finite(theta, phi):
             raise ValueError("torus coordinates must be finite")
         self.theta = float(theta)
         self.phi = float(phi)

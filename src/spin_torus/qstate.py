@@ -23,6 +23,18 @@ NORM_TOL = 1e-12
 BASIS_LABELS = ("up_up", "up_down", "down_up", "down_down")
 
 
+def all_finite(*values: float) -> bool:
+    """Whether every value is a finite number within the float range.  An
+    integer beyond that range counts as infinite rather than raising."""
+    try:
+        for value in values:  # a loop costs less than all(map(...)) on a few values
+            if not math.isfinite(value):
+                return False
+    except OverflowError:
+        return False
+    return True
+
+
 def check_state_rows(rows: Iterable[Sequence[complex]]) -> None:
     """The :class:`PureState2Q` guard: ``ValueError`` unless each row of
     amplitudes is finite and normalized within ``NORM_TOL``."""
@@ -50,11 +62,7 @@ def _amplitude_vector(values: object) -> np.ndarray:
 
 
 def _check_bloch_angles(chi: float, gamma_az: float) -> None:
-    try:
-        finite = math.isfinite(chi) and math.isfinite(gamma_az)
-    except OverflowError:  # an integer beyond the float range
-        finite = False
-    if not finite:
+    if not all_finite(chi, gamma_az):
         raise ValueError("Bloch angles must be finite")
 
 
@@ -87,7 +95,14 @@ class PureState2Q:
         vec = _amplitude_vector([a, b, c, d])
         if not np.isfinite(vec).all():
             raise ValueError("state amplitudes must be finite")
-        norm = float(np.linalg.norm(vec))
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(vec))
+        if norm == math.inf:
+            # The squares overflow: scale the parts by a power of two first,
+            # which is exact, so the largest lies in [0.5, 1).
+            parts = vec.view(np.float64)
+            vec = np.ldexp(parts, -math.frexp(np.abs(parts).max())[1]).view(np.complex128)
+            norm = float(np.linalg.norm(vec))
         if norm < 1e-15:
             raise ValueError("cannot normalize the zero vector")
         return cls(vec / norm)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 import numbers
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, replace
@@ -40,6 +39,7 @@ from .manifold import (
 )
 from .qstate import (
     PureState2Q,
+    all_finite,
     minus_minus_state,
     plus_minus_state,
     plus_plus_state,
@@ -350,13 +350,9 @@ class ScenarioConfig:
 
 def _finite_float(value: Any, where: str) -> float:
     """A config number as a float, or :class:`ConfigInvalid` unless finite."""
-    try:
-        number = float(value)
-    except OverflowError:  # an integer literal beyond the float range
-        number = math.inf
-    if not math.isfinite(number):
+    if not all_finite(value):
         raise ConfigInvalid(f"{where}: must be finite")
-    return number
+    return float(value)
 
 
 def _parse_initial(body: Mapping[str, Any]) -> AmplitudesInitial | ProductInitial:
@@ -424,7 +420,7 @@ def config_from_dict(data: Mapping[str, Any]) -> ScenarioConfig:
         # Times run monotonically from t0 to t1, so each angle, and the double
         # of it that the evolution takes, is finite if the span and ends are.
         ends = [2.0 * (2.0 * rate * t) for rate in (params.coupling, field) for t in (t0, t1)]
-        if not all(map(math.isfinite, [t1 - t0, *ends])):
+        if not all_finite(t1 - t0, *ends):
             raise ConfigInvalid("grid.time: the angles 2 J t and 2 h_z t overflow")
         grid = TimeGrid(t0=t0, t1=t1, steps=int(time_body["steps"]), field_override=override)
         points = grid.steps
@@ -467,27 +463,16 @@ class RunRecord:
     provenance: dict[str, Any]
 
 
-def _grid_points(config: ScenarioConfig) -> list[tuple[float, float]]:
-    """The (theta, phi) evaluation points, theta varying slowest."""
-    if isinstance(config.grid, TorusGrid):
-        thetas = np.linspace(0.0, np.pi, config.grid.theta_steps)
-        phis = np.linspace(0.0, 2.0 * np.pi, config.grid.phi_steps)
-        return [(float(th), float(ph)) for th in thetas for ph in phis]
-    times = np.linspace(config.grid.t0, config.grid.t1, config.grid.steps)
-    field = (
-        config.grid.field_override
-        if config.grid.field_override is not None
-        else config.params.field
-    )
-    j = config.params.coupling
-    return [(float(2.0 * j * t), float(2.0 * field * t)) for t in times]
-
-
-def _profile_thetas(config: ScenarioConfig) -> np.ndarray:
-    if isinstance(config.grid, TorusGrid):
-        return np.linspace(0.0, np.pi, config.grid.theta_steps)
-    times = np.linspace(config.grid.t0, config.grid.t1, config.grid.steps)
-    return 2.0 * config.params.coupling * times
+def _grid_angles(config: ScenarioConfig) -> tuple[list[float], list[float]]:
+    """The grid's theta and phi values: the two axes of a torus grid, or
+    theta = 2 J t and phi = 2 h_z t at each time of a time grid."""
+    grid = config.grid
+    if isinstance(grid, TorusGrid):
+        thetas = np.linspace(0.0, np.pi, grid.theta_steps)
+        return thetas.tolist(), np.linspace(0.0, 2.0 * np.pi, grid.phi_steps).tolist()
+    times = np.linspace(grid.t0, grid.t1, grid.steps)
+    field = config.params.field if grid.field_override is None else grid.field_override
+    return (2.0 * config.params.coupling * times).tolist(), (2.0 * field * times).tolist()
 
 
 def _metric_jsonable(metric: MetricTensor2) -> dict[str, Any]:
@@ -525,7 +510,7 @@ def _run_classify(initial: PureState2Q, config: ScenarioConfig, seed: int) -> di
 
 
 def _run_profile(initial: PureState2Q, config: ScenarioConfig, seed: int) -> dict:
-    profile = concurrence_profile(initial, _profile_thetas(config))
+    profile = concurrence_profile(initial, _grid_angles(config)[0])
     return {
         "samples": [[theta, value] for theta, value in profile.samples],
         "theta_max": profile.theta_max,
@@ -535,8 +520,10 @@ def _run_profile(initial: PureState2Q, config: ScenarioConfig, seed: int) -> dic
 
 
 def _run_evolved(initial: PureState2Q, config: ScenarioConfig, seed: int) -> list:
+    """One row per grid point, theta varying slowest on a torus grid."""
+    pair = itertools.product if isinstance(config.grid, TorusGrid) else zip
     rows = []
-    for theta, phi in _grid_points(config):
+    for theta, phi in pair(*_grid_angles(config)):
         state = evolve_family(initial, TorusPoint(theta, phi))
         rows.append(
             {
@@ -585,7 +572,6 @@ def run_scenario(config: ScenarioConfig, seed: int = 0) -> RunRecord:
 
 # --- serialization -----------------------------------------------------------
 
-_JSON_INDENT = "  "
 #: The keys of one evolved-states row.
 _ROW_KEYS = frozenset({"theta", "phi", "amplitudes", "concurrence"})
 _FLOAT_ONLY = frozenset({float})
@@ -606,17 +592,13 @@ def _finite_floats(values: list[Any]) -> list[float] | None:
     A bool is not a number here.  Returns ``values`` itself when it already
     holds only finite floats, which is every record this package writes.
     """
-    if _FLOAT_ONLY.issuperset(map(type, values)) and all(map(math.isfinite, values)):
-        return values
-    if not all(
-        isinstance(value, (int, float)) and not isinstance(value, bool)
-        for value in values
-    ):
+    floats = _FLOAT_ONLY.issuperset(map(type, values))
+    real = floats or all(
+        isinstance(value, (int, float)) and not isinstance(value, bool) for value in values
+    )
+    if not (real and all_finite(*values)):
         return None
-    try:
-        return [_finite_float(value, "") for value in values]
-    except ConfigInvalid:
-        return None
+    return values if floats else [float(value) for value in values]
 
 
 def _is_pair_list(value: Any) -> bool:
@@ -713,43 +695,60 @@ def record_from_dict(data: Mapping[str, Any]) -> RunRecord:
     )
 
 
-def _json_at(value: Any, depth: int) -> str:
-    """``json.dumps(value, sort_keys=True, indent=2)`` as it reads when
-    nested ``depth`` levels deep."""
-    text = json.dumps(value, sort_keys=True, indent=2)
-    return text.replace("\n", "\n" + _JSON_INDENT * depth)
+#: Where results.evolved_states opens in a record's json text.  Only json's
+#: indentation puts a raw newline in that text, so no key or string in the
+#: record can read as either marker.
+_RESULTS_OPEN = '\n  "results": {'
+_ROWS_OPEN = '\n    "evolved_states": ['
 
 
-def _container(brackets: str, items: Iterable[list[str]], depth: int) -> list[str]:
-    """A JSON array or object, as text chunks, laid out as ``_json_at``
-    lays it out ``depth`` levels deep, from items already in chunks."""
-    pad = "\n" + _JSON_INDENT * (depth + 1)
-    chunks = [brackets[0]]
-    for item in items:
-        chunks += (pad, *item, ",")
-    if len(chunks) == 1:
-        return [brackets]
-    chunks[-1] = "\n" + _JSON_INDENT * depth + brackets[1]
-    return chunks
+def _rows_at(text: str) -> int:
+    """Where the items of results.evolved_states begin in a record's json text."""
+    return text.index(_ROWS_OPEN, text.index(_RESULTS_OPEN)) + len(_ROWS_OPEN)
 
 
-def _object(members: Mapping[str, list[str]], depth: int) -> list[str]:
-    items = ([json.dumps(key), ": ", *members[key]] for key in sorted(members))
-    return _container("{}", items, depth)
+def _row_layout() -> tuple[str, str]:
+    """One evolved-states row as json lays it out in a record, and the text
+    between the last row and the list's closing bracket.  The row has a %s
+    slot for the separator before it, then a %r slot for each float: a_re,
+    a_im, ..., d_im, concurrence, phi, theta."""
+    row = {"amplitudes": [["%r", "%r"]] * 4, "concurrence": "%r", "phi": "%r", "theta": "%r"}
+    text = json.dumps({"results": {"evolved_states": [row]}}, sort_keys=True, indent=2)
+    start, end = _rows_at(text), text.rindex("]")
+    row_text = text[start:end].rstrip()
+    return "%s" + row_text.replace('"%r"', "%r"), text[start + len(row_text) : end]
 
 
-#: One evolved-states row as it reads inside a record, three levels deep,
-#: with a %r slot for each float: a_re, a_im, ..., d_im, concurrence, phi,
-#: theta.  Derived from json.dumps so the layout cannot drift from it.
-_ROW_JSON = _json_at(
-    {"amplitudes": [["%r", "%r"]] * 4, "concurrence": "%r", "phi": "%r", "theta": "%r"},
-    3,
-).replace('"%r"', "%r")
+_ROW_JSON, _ROWS_CLOSE = _row_layout()
 
 
-def _row_json(row: dict[str, Any]) -> list[str]:
-    a, b, c, d = row["amplitudes"]
-    return [_ROW_JSON % (*a, *b, *c, *d, row["concurrence"], row["phi"], row["theta"])]
+def _record_pieces(record: RunRecord) -> Iterator[str]:
+    """The text of :func:`record_to_json` in pieces: json's text before
+    the evolved rows, one piece per row, and json's text after them.
+
+    json lays out the record with its evolved rows replaced by an empty
+    list, and the rows are spliced into that list from ``_ROW_JSON``.
+    json drops to its pure-Python encoder whenever ``indent`` is set, which
+    takes seconds over a dense grid's rows; the template writes the same
+    text, because the rows hold only finite floats (:func:`run_scenario`
+    makes them so and :func:`record_from_dict` checks it), and json writes a
+    finite float as its repr.
+    """
+    body = record_to_dict(record)
+    rows = body["results"].get("evolved_states")
+    if not rows:
+        yield json.dumps(body, sort_keys=True, indent=2) + "\n"
+        return
+    body["results"] = {**body["results"], "evolved_states": []}
+    text = json.dumps(body, sort_keys=True, indent=2)
+    at = _rows_at(text)
+    yield text[:at]
+    separator = ""
+    for row in rows:
+        a, b, c, d = row["amplitudes"]
+        yield _ROW_JSON % (separator, *a, *b, *c, *d, row["concurrence"], row["phi"], row["theta"])
+        separator = ","
+    yield _ROWS_CLOSE + text[at:] + "\n"
 
 
 def record_to_json(record: RunRecord) -> str:
@@ -757,27 +756,10 @@ def record_to_json(record: RunRecord) -> str:
     equal records produce identical bytes.
 
     The text equals ``json.dumps(record_to_dict(record), sort_keys=True,
-    indent=2) + "\\n"``.  json drops to its pure-Python encoder whenever
-    ``indent`` is set, which takes seconds over a dense grid's evolved rows,
-    so those rows are written from a %-template instead: they hold only
-    finite floats (:func:`run_scenario` makes them so and
-    :func:`record_from_dict` checks it), and json writes a finite float as
-    its repr.  json.dumps writes every other block.  The text is joined
-    once from its chunks, so the rows are not copied block by block.
+    indent=2) + "\\n"``.  It is joined from the pieces that
+    :func:`export_record` writes to a file without joining them whole.
     """
-    results = {
-        kind: _container("[]", map(_row_json, block), 2)
-        if kind == "evolved_states"
-        else [_json_at(block, 2)]
-        for kind, block in record.results.items()
-    }
-    members = {
-        key: [_json_at(value, 1)]
-        for key, value in record_to_dict(record).items()
-        if key != "results"
-    }
-    members["results"] = _object(results, 1)
-    return "".join([*_object(members, 0), "\n"])
+    return "".join(_record_pieces(record))
 
 
 def canonical_result_bytes(record: RunRecord) -> bytes:
@@ -808,11 +790,18 @@ CSV_COLUMNS = (
 
 #: One CSV row, a %r slot per column.
 _CSV_ROW = ",".join(["%r"] * len(CSV_COLUMNS)) + "\n"
-#: Export text goes to disk in pieces of about this many characters (CSV
-#: rows are joined in blocks of ``_CSV_BLOCK_ROWS``), so no copy of a whole
-#: dense record, joined or encoded, is ever held at once.
-_WRITE_CHARS = 1 << 20
-_CSV_BLOCK_ROWS = 4096
+#: Export text reaches the file in blocks joined from this many pieces (a
+#: piece holds one grid row, or the JSON text around the rows), so no copy
+#: of a whole dense record, joined or encoded, is ever held at once.
+_BLOCK_PIECES = 4096
+
+
+def _write_pieces(pieces: Iterable[str], path: str) -> None:
+    """Write the pieces to ``path`` as UTF-8 with LF line endings, in blocks."""
+    pieces = iter(pieces)
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        while block := list(itertools.islice(pieces, _BLOCK_PIECES)):
+            handle.write("".join(block))
 
 
 def _csv_lines(record: RunRecord) -> Iterator[str]:
@@ -849,12 +838,8 @@ def _flatten_for_meta(prefix: str, value: Any, into: list[tuple[str, Any]]) -> N
 
 
 def _format_cell(value: Any) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        # Cast guards against numpy scalars, whose repr is not a bare number.
-        return repr(float(value))
-    return str(value)
+    """A meta cell: empty for None, else ``str``, which is a float's repr."""
+    return "" if value is None else str(value)
 
 
 def export_record(record: RunRecord, format: str, path: str) -> None:
@@ -864,26 +849,19 @@ def export_record(record: RunRecord, format: str, path: str) -> None:
     Each grid row is one %-template of float reprs rather than a join of
     per-cell strings: the rows hold only finite floats, for the reason
     :func:`record_to_json` gives, so the template writes what per-cell
-    formatting would, in a fraction of the time.  Both formats reach the
-    file in pieces of about a megabyte: a dense record written in one call
-    is first copied whole by the encoder, and that copy set the peak memory
-    of a run, by an amount that varied from one run to the next.
+    formatting would, in a fraction of the time.  Both formats go through
+    one writer in blocks of pieces, the JSON from the pieces that
+    :func:`record_to_json` joins, so no whole-record string is ever held
+    and the text of a dense record does not set the peak memory of a run.
     Scalar blocks (metric, classification) do not fit a per-point table;
     they go to a key,value sidecar at ``<path>.meta.csv`` when present.
     """
     if format == "json":
-        text = record_to_json(record)
-        with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            for start in range(0, len(text), _WRITE_CHARS):
-                handle.write(text[start : start + _WRITE_CHARS])
+        _write_pieces(_record_pieces(record), path)
         return
     if format != "csv":
         raise ValueError(f"unknown export format {format!r}")
-
-    lines = _csv_lines(record)
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        while block := list(itertools.islice(lines, _CSV_BLOCK_ROWS)):
-            handle.write("".join(block))
+    _write_pieces(_csv_lines(record), path)
 
     scalar_blocks = {
         kind: record.results[kind]
@@ -893,7 +871,5 @@ def export_record(record: RunRecord, format: str, path: str) -> None:
     if scalar_blocks:
         flat: list[tuple[str, Any]] = []
         _flatten_for_meta("", scalar_blocks, flat)
-        meta_lines = ["key,value"]
-        meta_lines += [f"{key},{_format_cell(value)}" for key, value in flat]
-        with open(f"{path}.meta.csv", "w", encoding="utf-8", newline="\n") as handle:
-            handle.write("\n".join(meta_lines) + "\n")
+        meta_lines = ["key,value\n", *(f"{key},{_format_cell(value)}\n" for key, value in flat)]
+        _write_pieces(meta_lines, f"{path}.meta.csv")

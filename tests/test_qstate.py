@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from spin_torus.qstate import (
     Operator4,
     PureState2Q,
+    all_finite,
     apply,
     bloch_minus,
     check_state_rows,
@@ -113,6 +116,41 @@ class TestConstruction:
         with pytest.raises(ValueError, match="zero vector"):
             PureState2Q.normalized(0.0, 0.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("big", [1e154, 1e308, -1e308])
+    def test_normalized_takes_amplitudes_whose_squares_overflow(self, big):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            state = PureState2Q.normalized(big, big, 0.0, 0.0)
+        assert state.vector.tolist() == [INV_SQRT2 * np.sign(big)] * 2 + [0.0, 0.0]
+
+    def test_normalized_scales_huge_complex_parts_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            state = PureState2Q.normalized(complex(1e308, -1e308), 0.0, 0.0, 1e308j)
+        third = 1.0 / np.sqrt(3.0)
+        assert state.vector == pytest.approx([third - third * 1j, 0.0, 0.0, third * 1j])
+
+    @staticmethod
+    def plainly_normalized(raw):
+        """The rescaling as it reads with no overflow guard."""
+        vec = np.array(raw, dtype=np.complex128)
+        return vec / float(np.linalg.norm(vec))
+
+    def test_normalized_keeps_bits_of_haar_draws(self):
+        rng = np.random.default_rng(11)
+        for scale in [1.0, 1e-10, 1e100, 3e150] * 50:
+            raw = scale * (rng.standard_normal(4) + 1j * rng.standard_normal(4))
+            state = PureState2Q.normalized(*raw)
+            assert state.vector.tobytes() == self.plainly_normalized(raw).tobytes()
+
+    @pytest.mark.parametrize(
+        "raw",
+        [(1.0, 5e-324, 0.0, 0.0), (3.0, 4e-320j, -2.5e-310, 4.0), (1e150, 0.0, 0.0, 3e-320)],
+    )
+    def test_normalized_keeps_bits_with_subnormal_parts(self, raw):
+        state = PureState2Q.normalized(*raw)
+        assert state.vector.tobytes() == self.plainly_normalized(raw).tobytes()
+
     def test_vector_is_read_only(self):
         state = up_up()
         with pytest.raises(ValueError):
@@ -137,6 +175,17 @@ class TestConstruction:
     def test_any_normalized_input_accepted(self, raw):
         state = state_from_raw(raw)
         assert abs(np.linalg.norm(state.vector) - 1.0) < 1e-12
+
+
+class TestAllFinite:
+    def test_finite_numbers(self):
+        assert all_finite(0.0, -1e308, 10**300, 5e-324, 3)
+        assert all_finite()
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_non_finite_and_beyond_the_float_range(self, value):
+        assert not all_finite(1.0, value)
+        assert not all_finite(value, 1.0)
 
 
 class TestStackedGuard:

@@ -1,13 +1,16 @@
 """Record JSON and CSV writers against the plain json/csv reference routes,
 and the checks on records read back from outside."""
 
+import dataclasses
 import json
 import math
+import tracemalloc
 
 import jsonschema
 import numpy as np
 import pytest
 
+from spin_torus import cli
 from spin_torus.manifold import TorusPoint, evolve_family
 from spin_torus.scenario import (
     CSV_COLUMNS,
@@ -69,12 +72,16 @@ def written_csv(record, tmp_path):
     return path.read_bytes()
 
 
-@pytest.fixture(scope="module")
-def dense_record():
+def dense_config():
     amplitudes = np.array([0.5 + 0.1j, 0.3 - 0.4j, 0.2 + 0.5j, -0.3 + 0.3j])
     amplitudes /= np.linalg.norm(amplitudes)
     initial = {"amplitudes": [[z.real, z.imag] for z in amplitudes.tolist()]}
-    return make_record(initial=initial, grid={"theta_steps": 300, "phi_steps": 300})
+    return make_config(initial=initial, grid={"theta_steps": 300, "phi_steps": 300})
+
+
+@pytest.fixture(scope="module")
+def dense_record():
+    return run_scenario(config_from_dict(dense_config()), seed=4)
 
 
 def degenerate_record():
@@ -123,6 +130,87 @@ class TestJsonWriter:
     def test_empty_results(self):
         record = record_from_dict({**record_to_dict(make_record()), "results": {}})
         assert record_to_json(record) == reference_json(record)
+
+
+#: Text that reads like the markers of results.evolved_states, were json to
+#: write a raw newline inside a string or key.
+MIMIC = '\n  "results": {\n    "evolved_states": ['
+
+
+def with_results(record, **results):
+    return dataclasses.replace(record, results={**record.results, **results})
+
+
+def spliced_records():
+    """Records where splicing the evolved rows into json's layout could go
+    wrong, by name."""
+    record = make_record()
+    rows = record.results["evolved_states"]
+    decoy = {"evolved_states": [], "note": MIMIC, MIMIC: [MIMIC]}
+    yield "decoys", dataclasses.replace(
+        with_results(record, evolved_states_after=decoy, aa_before=decoy),
+        provenance={**record.provenance, **decoy},
+    )
+    yield "one_row", with_results(record, evolved_states=rows[:1])
+    yield "two_rows", with_results(record, evolved_states=rows[:2])
+    yield "empty_rows", with_results(record, evolved_states=[])
+    yield "no_rows", dataclasses.replace(
+        record, results={k: v for k, v in record.results.items() if k != "evolved_states"}
+    )
+    yield "only_rows", dataclasses.replace(record, results={"evolved_states": rows})
+
+
+SPLICED = dict(spliced_records())
+
+
+class TestStreamedWriter:
+    @pytest.mark.parametrize("name", list(SPLICED))
+    def test_record_to_json(self, name):
+        record = SPLICED[name]
+        assert record_to_json(record) == reference_json(record)
+
+    @pytest.mark.parametrize("name", list(SPLICED))
+    def test_export_json(self, name, tmp_path):
+        record = SPLICED[name]
+        path = tmp_path / "record.json"
+        export_record(record, "json", str(path))
+        assert path.read_bytes() == reference_json(record).encode()
+
+    def test_decoys_survive(self):
+        body = json.loads(record_to_json(SPLICED["decoys"]))
+        assert body["provenance"]["note"] == MIMIC
+        assert body["results"]["evolved_states_after"]["evolved_states"] == []
+        assert len(body["results"]["evolved_states"]) == 45
+
+    def test_dense_export_holds_no_whole_text(self, dense_record, tmp_path):
+        path = tmp_path / "record.json"
+        tracemalloc.start()
+        try:
+            export_record(dense_record, "json", str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.stat().st_size > 40 * 2**20
+        assert peak < path.stat().st_size // 4
+
+    def test_dense_run_holds_no_whole_text(self, tmp_path, monkeypatch):
+        """Memory traced from the moment the record exists to the end of
+        ``spin-torus run``: the write must not hold the record's text."""
+        def run_then_trace(*args, **kwargs):
+            record = run_scenario(*args, **kwargs)
+            tracemalloc.start()
+            return record
+
+        config, out = tmp_path / "dense.json", tmp_path / "dense.record.json"
+        config.write_text(json.dumps(dense_config()), encoding="utf-8")
+        monkeypatch.setattr(cli, "run_scenario", run_then_trace)
+        try:
+            assert cli.main(["run", str(config), "--out", str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.stat().st_size > 40 * 2**20
+        assert peak < out.stat().st_size // 4
 
 
 class TestCsvWriter:

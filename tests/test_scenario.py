@@ -248,6 +248,26 @@ class TestRunScenario:
         assert [row["theta"] for row in rows] == pytest.approx([0.0, 1.0, 2.0])
         assert [row["phi"] for row in rows] == pytest.approx([0.0, 0.5, 1.0])
 
+    def test_time_grid_angles_are_the_per_point_products(self):
+        """theta = 2 J t and phi = 2 h t taken on the whole time array give
+        the bits of the products taken one time at a time."""
+        t0, t1, steps, coupling, override = -0.3, 7.1, 999, 0.37, -1.7
+        config = config_from_dict(
+            base_config_dict(
+                params={"coupling": coupling, "field": 0.5},
+                grid={"time": {"t0": t0, "t1": t1, "steps": steps}, "field_override": override},
+                outputs=["concurrence_profile", "evolved_states"],
+            )
+        )
+        results = run_scenario(config).results
+        times = np.linspace(t0, t1, steps)
+        thetas = [repr(float(2.0 * coupling * t)) for t in times]
+        phis = [repr(float(2.0 * override * t)) for t in times]
+        rows = results["evolved_states"]
+        assert [repr(row["theta"]) for row in rows] == thetas
+        assert [repr(row["phi"]) for row in rows] == phis
+        assert [repr(theta) for theta, _ in results["concurrence_profile"]["samples"]] == thetas
+
     def test_output_order_respected(self):
         config = config_from_dict(
             base_config_dict(outputs=["concurrence_profile", "metric"])
