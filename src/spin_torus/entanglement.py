@@ -17,7 +17,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .hamiltonian import SystemParams
-from .manifold import TorusPoint, evolve_family, family_invariants
+from .manifold import TorusPoint, _phi_circle_radius, evolve_family, family_invariants
 from .qstate import PureState2Q
 
 #: Excursions beyond [0, 1] larger than this are treated as bugs, not noise.
@@ -163,8 +163,7 @@ def constant_entanglement_circle(
     gamma sqrt(aligned - imbalance^2))."""
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    inv = family_invariants(initial)
-    radius = gamma * np.sqrt(max(inv.aligned - inv.imbalance ** 2, 0.0))
+    radius = _phi_circle_radius(family_invariants(initial), gamma)
     return concurrence_evolved(initial, theta), float(radius)
 
 

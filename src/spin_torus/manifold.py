@@ -31,6 +31,8 @@ MAX_STEP = 1e-2
 #: Default finite-difference step; about the sweet spot between truncation
 #: O(h^4) after Richardson and rounding noise O(eps / h^2).
 DEFAULT_STEP = 1e-4
+#: Unit steps along theta and phi, the directions of the plain metric.
+_AXES = ((1.0, 0.0), (0.0, 1.0))
 
 
 class DegenerateShear(ValueError):
@@ -285,7 +287,7 @@ def metric_numeric(
         raise StepTooSmall(f"step {h!r} is below the noise floor {MIN_STEP!r}")
     if h > MAX_STEP:
         raise ValueError(f"step {h!r} is too coarse; maximum is {MAX_STEP!r}")
-    g_tt, g_tp, g_pp = _direction_forms(initial, point, gamma, h, ((1.0, 0.0), (0.0, 1.0)))
+    g_tt, g_tp, g_pp = _direction_forms(initial, point, gamma, h, _AXES)
     degenerate = g_pp / (gamma * gamma) <= 1e-8
     if degenerate and abs(g_tp) / (gamma * gamma) > 1e-8:
         raise DegenerateShear(
@@ -330,67 +332,60 @@ def diagonalize_check(
 
 # --- classification ----------------------------------------------------------
 
-def classify(
-    initial: PureState2Q,
-    gamma: float = 1.0,
-    tol: float = 1e-10,
-    samples: int = 5,
-    seed: int = 0,
-) -> ManifoldReport:
+#: Diagonalized metric weight above which a direction counts as live.
+_LIVE_TOL = 1e-10
+#: Random torus points at which :func:`classify` measures flatness.
+_FLATNESS_SAMPLES = 5
+
+
+def _phi_circle_radius(inv: FamilyInvariants, gamma: float) -> float:
+    """Radius gamma sqrt(aligned - imbalance^2) of the phi circle."""
+    # math.sqrt rounds as np.sqrt does, and keeps the radius a plain float.
+    return gamma * math.sqrt(max(inv.aligned - inv.imbalance ** 2, 0.0))
+
+
+def classify(initial: PureState2Q, gamma: float = 1.0, seed: int = 0) -> ManifoldReport:
     """Decide whether the evolution surface is a flat torus, a circle, or a
     point, and report both candidate circle radii.
 
-    The decision is made on the *diagonalized* metric components, so a
-    sheared rank-one metric (nonzero in both raw diagonal entries but with
-    vanishing determinant) is correctly recognized as one-dimensional.
+    The decision is made by the closed-form metric alone, on its
+    *diagonalized* components, so a sheared rank-one metric (nonzero in both
+    raw diagonal entries but with vanishing determinant) is correctly
+    recognized as one-dimensional, and a fully polarized state is a point.
     ``flatness_residual`` is the worst spread of any finite-difference
     metric component across a handful of random torus points -- direct
-    evidence that the metric really is constant.
+    evidence that the metric really is constant; it never overrides the
+    decision.  Only :func:`metric_analytic` can raise
+    :class:`DegenerateShear` here.
     """
     metric = metric_analytic(initial, gamma)
     inv = family_invariants(initial)
-    theta_weight = metric.g_theta_theta_diag
-    phi_weight = metric.g_phi_phi_diag
-    theta_live = theta_weight > tol
-    phi_live = phi_weight > tol
-
-    # math.sqrt rounds as np.sqrt does, and keeps the radii plain floats.
-    radius_phi = gamma * math.sqrt(max(inv.aligned - inv.imbalance ** 2, 0.0))
+    theta_live = metric.g_theta_theta_diag > _LIVE_TOL
+    phi_live = metric.g_phi_phi_diag > _LIVE_TOL
+    dimension = theta_live + phi_live
+    radius_phi = _phi_circle_radius(inv, gamma)
     radius_theta = gamma * math.sqrt(max(inv.mismatch * (2.0 - inv.mismatch), 0.0))
 
-    if theta_live and phi_live:
-        kind, dimension = ManifoldKind.FLAT_TORUS, 2
-        circle_radius = None
-        extrapolated = False
-    elif theta_live or phi_live:
-        kind, dimension = ManifoldKind.CIRCLE, 1
-        extrapolated = theta_live
-        circle_radius = radius_theta if theta_live else radius_phi
-    else:
-        kind, dimension = ManifoldKind.POINT, 0
-        circle_radius = None
-        extrapolated = False
-
     rng = np.random.default_rng(seed)
-    components = np.empty((samples, 3))
-    for i in range(samples):
-        pt = TorusPoint(rng.uniform(0.0, np.pi), rng.uniform(0.0, 2.0 * np.pi))
-        sampled = metric_numeric(initial, pt, gamma)
-        components[i] = (
-            sampled.g_theta_theta,
-            sampled.g_theta_phi,
-            sampled.g_phi_phi,
+    components = np.array([
+        _direction_forms(
+            initial,
+            TorusPoint(rng.uniform(0.0, np.pi), rng.uniform(0.0, 2.0 * np.pi)),
+            gamma,
+            DEFAULT_STEP,
+            _AXES,
         )
-    flatness = float(np.max(np.abs(components - components.mean(axis=0))))
+        for _ in range(_FLATNESS_SAMPLES)
+    ])
 
     return ManifoldReport(
-        kind=kind,
+        kind=(ManifoldKind.POINT, ManifoldKind.CIRCLE, ManifoldKind.FLAT_TORUS)[dimension],
         dimension=dimension,
         invariants=inv,
         metric=metric,
-        circle_radius=circle_radius,
+        circle_radius=(radius_theta if theta_live else radius_phi) if dimension == 1 else None,
         radius_phi_circle=radius_phi,
         radius_theta_circle=radius_theta,
-        radius_extrapolated=extrapolated,
-        flatness_residual=flatness,
+        radius_extrapolated=theta_live and not phi_live,
+        flatness_residual=float(np.max(np.abs(components - components.mean(axis=0)))),
     )

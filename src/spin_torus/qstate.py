@@ -20,8 +20,6 @@ import numpy as np
 #: Absolute tolerance on the squared norm for assert-normalized constructors.
 NORM_TOL = 1e-12
 
-BASIS_LABELS = ("up_up", "up_down", "down_up", "down_down")
-
 
 def all_finite(*values: float) -> bool:
     """Whether every value is a finite number within the float range.  An
@@ -97,14 +95,16 @@ class PureState2Q:
             raise ValueError("state amplitudes must be finite")
         with np.errstate(over="ignore"):
             norm = float(np.linalg.norm(vec))
-        if norm == math.inf:
-            # The squares overflow: scale the parts by a power of two first,
-            # which is exact, so the largest lies in [0.5, 1).
+        if not 1e-15 <= norm < math.inf:
+            # The squares overflow or lose their bits to underflow: scale the
+            # parts by a power of two first, which is exact, so the largest
+            # lies in [0.5, 1).
             parts = vec.view(np.float64)
-            vec = np.ldexp(parts, -math.frexp(np.abs(parts).max())[1]).view(np.complex128)
+            largest = float(np.abs(parts).max())
+            if largest == 0.0:
+                raise ValueError("cannot normalize the zero vector")
+            vec = np.ldexp(parts, -math.frexp(largest)[1]).view(np.complex128)
             norm = float(np.linalg.norm(vec))
-        if norm < 1e-15:
-            raise ValueError("cannot normalize the zero vector")
         return cls(vec / norm)
 
     @property

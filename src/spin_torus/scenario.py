@@ -31,7 +31,6 @@ from .entanglement import concurrence, concurrence_profile
 from .hamiltonian import SystemParams
 from .manifold import (
     DegenerateShear,
-    MetricTensor2,
     TorusPoint,
     classify,
     evolve_family,
@@ -241,9 +240,6 @@ SCENARIO_SCHEMA: dict[str, Any] = _checked_schema(
     json.loads(Path(__file__).with_name("scenario.schema.json").read_text(encoding="utf-8"))
 )
 
-#: The output blocks a config may ask for, as the schema lists them.
-OUTPUT_KINDS = tuple(SCENARIO_SCHEMA["properties"]["outputs"]["items"]["enum"])
-
 
 class ConfigInvalid(ValueError):
     """A scenario config failed schema or semantic validation."""
@@ -301,7 +297,7 @@ class TorusGrid:
     phi_steps: int
 
     def to_jsonable(self) -> dict[str, Any]:
-        return {"theta_steps": self.theta_steps, "phi_steps": self.phi_steps}
+        return dict(vars(self))
 
 
 @dataclass(frozen=True)
@@ -335,11 +331,7 @@ class ScenarioConfig:
     def to_jsonable(self) -> dict[str, Any]:
         return {
             "initial": self.initial.to_jsonable(),
-            "params": {
-                "coupling": self.params.coupling,
-                "field": self.params.field,
-                "gamma": self.params.gamma,
-            },
+            "params": dict(vars(self.params)),
             "grid": self.grid.to_jsonable(),
             "outputs": list(self.outputs),
         }
@@ -475,37 +467,19 @@ def _grid_angles(config: ScenarioConfig) -> tuple[list[float], list[float]]:
     return (2.0 * config.params.coupling * times).tolist(), (2.0 * field * times).tolist()
 
 
-def _metric_jsonable(metric: MetricTensor2) -> dict[str, Any]:
-    return {
-        "g_theta_theta": metric.g_theta_theta,
-        "g_theta_phi": metric.g_theta_phi,
-        "g_phi_phi": metric.g_phi_phi,
-        "shear": metric.shear,
-        "g_theta_theta_diag": metric.g_theta_theta_diag,
-        "g_phi_phi_diag": metric.g_phi_phi_diag,
-    }
-
-
 def _run_metric(initial: PureState2Q, config: ScenarioConfig, seed: int) -> dict:
-    return _metric_jsonable(metric_analytic(initial, config.params.gamma))
+    return dict(vars(metric_analytic(initial, config.params.gamma)))
 
 
 def _run_classify(initial: PureState2Q, config: ScenarioConfig, seed: int) -> dict:
+    # vars, not dataclasses.asdict: the fields are flat, and asdict's deep
+    # copy costs ~20 times as much.
     report = classify(initial, gamma=config.params.gamma, seed=seed)
     return {
+        **vars(report),
         "kind": report.kind.value,
-        "dimension": report.dimension,
-        "invariants": {
-            "aligned": report.invariants.aligned,
-            "mismatch": report.invariants.mismatch,
-            "imbalance": report.invariants.imbalance,
-        },
-        "metric": _metric_jsonable(report.metric),
-        "circle_radius": report.circle_radius,
-        "radius_phi_circle": report.radius_phi_circle,
-        "radius_theta_circle": report.radius_theta_circle,
-        "radius_extrapolated": report.radius_extrapolated,
-        "flatness_residual": report.flatness_residual,
+        "invariants": dict(vars(report.invariants)),
+        "metric": dict(vars(report.metric)),
     }
 
 
@@ -547,9 +521,11 @@ _RUNNERS = {
 def run_scenario(config: ScenarioConfig, seed: int = 0) -> RunRecord:
     """Execute the requested outputs in their declared order.
 
-    A :class:`DegenerateShear` raised by the geometry (possible for initial
-    states numerically indistinguishable from a fully polarized one) turns
-    that output block into a warning annotation instead of failing the run.
+    A :class:`DegenerateShear` raised by the closed-form metric turns the
+    ``metric`` or ``classify`` block into a warning annotation instead of
+    failing the run.  That happens only near a fully polarized state with an
+    antisymmetric admixture, where the phi direction is frozen but the
+    cross term is not; a fully polarized state itself classifies as a point.
     """
     initial = config.initial.build()
     results: dict[str, Any] = {}

@@ -40,6 +40,7 @@ from .manifold import (
     family_invariants,
     metric_analytic,
     metric_numeric,
+    params_to_point,
 )
 from .qstate import PureState2Q, apply, fs_distance_sq, inner, plus_minus_state, random_state
 from .scenario import canonical_result_bytes, config_from_dict, run_scenario
@@ -190,9 +191,7 @@ def verify_all(seed: int = 0, corrupt_propagator: bool = False) -> VerifyReport:
         p = _random_params(rng)
         t = float(rng.uniform(0.0, 5.0))
         via_u = apply(propagator_analytic(p, t), state).vector
-        via_family = evolve_family(
-            state, TorusPoint(2.0 * p.coupling * t, 2.0 * p.field * t)
-        ).vector
+        via_family = evolve_family(state, params_to_point(p.coupling, p.field, t)).vector
         worst = max(worst, float(np.max(np.abs(via_u - via_family))))
     record("family_matches_propagator", worst, 1e-12)
 

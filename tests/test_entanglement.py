@@ -24,10 +24,11 @@ from spin_torus.entanglement import (
     max_entanglement_time,
 )
 from spin_torus.hamiltonian import SystemParams
-from spin_torus.manifold import TorusPoint, evolve_family
+from spin_torus.manifold import TorusPoint, classify, evolve_family, family_invariants
 from spin_torus.qstate import (
     PureState2Q,
     down_down,
+    minus_minus_state,
     plus_minus_state,
     plus_plus_state,
     random_state,
@@ -389,6 +390,18 @@ class TestConstantEntanglementCircle:
     def test_rejects_bad_gamma(self):
         with pytest.raises(ValueError, match="gamma"):
             constant_entanglement_circle(up_down(), 0.0, gamma=0.0)
+
+    @pytest.mark.parametrize("gamma", [1.0, 0.6, 2.3])
+    def test_radius_keeps_its_bits_and_matches_classify(self, gamma):
+        rng = np.random.default_rng(5)
+        states = [random_state(rng) for _ in range(50)]
+        states += [up_up(), up_down(), plus_plus_state(0.7, 0.3), minus_minus_state(2.2)]
+        for state in states:
+            inv = family_invariants(state)
+            _, radius = constant_entanglement_circle(state, 0.4, gamma=gamma)
+            assert type(radius) is float
+            assert radius == float(gamma * np.sqrt(max(inv.aligned - inv.imbalance ** 2, 0.0)))
+            assert radius == classify(state, gamma=gamma).radius_phi_circle
 
 
 class TestProfile:

@@ -23,7 +23,9 @@ from spin_torus.manifold import (
 from spin_torus.qstate import (
     PureState2Q,
     apply,
+    down_down,
     fs_distance_sq,
+    minus_minus_state,
     plus_minus_state,
     plus_plus_state,
     random_state,
@@ -73,6 +75,18 @@ def reference_metric_numeric(initial, point, gamma, h):
     if g_pp / (gamma * gamma) <= 1e-8:
         return MetricTensor2(g_tt, g_tp, g_pp, None, g_tt, g_pp)
     return MetricTensor2(g_tt, g_tp, g_pp, g_tp / g_pp, g_tt - g_tp * g_tp / g_pp, g_pp)
+
+
+def reference_flatness(initial, gamma, seed):
+    """``flatness_residual`` as classify measured it through
+    metric_numeric, whose shear rule could raise at a polarized state."""
+    rng = np.random.default_rng(seed)
+    components = np.empty((5, 3))
+    for i in range(5):
+        pt = TorusPoint(rng.uniform(0.0, np.pi), rng.uniform(0.0, 2.0 * np.pi))
+        sampled = metric_numeric(initial, pt, gamma)
+        components[i] = (sampled.g_theta_theta, sampled.g_theta_phi, sampled.g_phi_phi)
+    return float(np.max(np.abs(components - components.mean(axis=0))))
 
 
 class TestTorusPoint:
@@ -376,6 +390,51 @@ class TestClassify:
         assert report.dimension == 0
         assert report.radius_phi_circle == pytest.approx(0.0, abs=1e-12)
         assert report.radius_theta_circle == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("gamma", [1.0, 0.6, 2.3])
+    @pytest.mark.parametrize(
+        "state",
+        [up_up(), down_down(), plus_plus_state(0.0, 0.4), minus_minus_state(0.0, 1.7)],
+        ids=["up_up", "down_down", "plus_plus_chi0", "minus_minus_chi0"],
+    )
+    def test_polarized_state_is_a_point_at_every_seed(self, state, gamma):
+        # The finite-difference cross term at these states is rounding
+        # noise, which once vetoed the closed-form decision.
+        for seed in range(200):
+            report = classify(state, gamma=gamma, seed=seed)
+            assert report.kind is ManifoldKind.POINT
+            assert report.dimension == 0
+            assert report.circle_radius is None
+            assert report.radius_extrapolated is False
+
+    def test_only_the_closed_form_raises_degenerate_shear(self):
+        with pytest.raises(DegenerateShear, match="phi direction is degenerate but the cross"):
+            classify(near_polarized_state(4e-13))
+
+    @pytest.mark.parametrize("gamma", [1.0, 0.6, 2.3])
+    def test_flatness_residual_keeps_the_bits_of_metric_numeric(self, gamma):
+        rng = np.random.default_rng(23)
+        for seed in range(200):
+            state = random_state(rng)
+            report = classify(state, gamma=gamma, seed=seed)
+            assert report.flatness_residual == reference_flatness(state, gamma, seed)
+
+    @pytest.mark.parametrize(
+        "state, kind, extrapolated",
+        [
+            (PureState2Q.normalized(0.5, 0.6, -0.3j, 0.2), ManifoldKind.FLAT_TORUS, False),
+            (up_down(), ManifoldKind.CIRCLE, True),
+            (plus_plus_state(1.1, 0.6), ManifoldKind.CIRCLE, False),
+            (up_up(), ManifoldKind.POINT, False),
+        ],
+    )
+    def test_dimension_is_an_int_and_the_flag_a_bool(self, state, kind, extrapolated):
+        report = classify(state)
+        assert report.kind is kind
+        assert type(report.dimension) is int
+        assert report.dimension == {"point": 0, "circle": 1, "flat_torus": 2}[kind.value]
+        assert type(report.radius_extrapolated) is bool
+        assert report.radius_extrapolated is extrapolated
 
     def test_sheared_rank_one_metric_is_still_a_circle(self):
         # Both raw diagonal entries are positive here, but the determinant

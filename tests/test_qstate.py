@@ -112,9 +112,25 @@ class TestConstruction:
         assert state.a == pytest.approx(0.6)
         assert state.c == pytest.approx(0.8)
 
-    def test_normalized_rejects_zero_vector(self):
+    @pytest.mark.parametrize("zero", [(0.0, 0.0, 0.0, 0.0), (-0.0, 0j, complex(0.0, -0.0), 0)])
+    def test_normalized_rejects_zero_vector(self, zero):
         with pytest.raises(ValueError, match="zero vector"):
-            PureState2Q.normalized(0.0, 0.0, 0.0, 0.0)
+            PureState2Q.normalized(*zero)
+
+    @pytest.mark.parametrize(
+        "tiny, expected",
+        [
+            ((1e-300, 1e-300, 0.0, 0.0), [INV_SQRT2, INV_SQRT2, 0.0, 0.0]),
+            ((5e-324, 0.0, 0.0, 0.0), [1.0, 0.0, 0.0, 0.0]),
+            ((1e-16j, 0.0, 0.0, 0.0), [1j, 0.0, 0.0, 0.0]),
+            ((0.0, -5e-324, 0.0, 5e-324j), [0.0, -INV_SQRT2, 0.0, INV_SQRT2 * 1j]),
+        ],
+    )
+    def test_normalized_takes_tiny_non_zero_vectors(self, tiny, expected):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            state = PureState2Q.normalized(*tiny)
+        assert state.vector == pytest.approx(expected, abs=1e-15)
 
     @pytest.mark.parametrize("big", [1e154, 1e308, -1e308])
     def test_normalized_takes_amplitudes_whose_squares_overflow(self, big):
@@ -138,10 +154,13 @@ class TestConstruction:
 
     def test_normalized_keeps_bits_of_haar_draws(self):
         rng = np.random.default_rng(11)
-        for scale in [1.0, 1e-10, 1e100, 3e150] * 50:
+        for scale in [1.0, 1e-10, 1e100, 3e150] * 50 + [1e-20, 1e-300] * 50:
             raw = scale * (rng.standard_normal(4) + 1j * rng.standard_normal(4))
             state = PureState2Q.normalized(*raw)
-            assert state.vector.tobytes() == self.plainly_normalized(raw).tobytes()
+            # A power of two is exact and cancels in the quotient; here it
+            # lifts squares of ~1e-300 back out of the underflow range.
+            lift = 2.0 ** 1000 if scale < 1e-200 else 1.0
+            assert state.vector.tobytes() == self.plainly_normalized(raw * lift).tobytes()
 
     @pytest.mark.parametrize(
         "raw",

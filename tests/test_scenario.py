@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 import spin_torus.scenario
+from spin_torus.manifold import classify, metric_analytic
+from spin_torus.qstate import down_down, plus_plus_state, random_state, up_down, up_up
 from spin_torus.scenario import (
     AMPLITUDE_NORM_TOL,
     CSV_COLUMNS,
@@ -286,10 +288,31 @@ class TestRunScenario:
                     [0.0, 0.0],
                 ]
             },
-            outputs=["metric"],
+            outputs=["metric", "classify"],
         )
         record = run_scenario(config_from_dict(data))
         assert "warning" in record.results["metric"]
+        assert "warning" in record.results["classify"]
+
+    @pytest.mark.parametrize(
+        "initial",
+        [
+            {"amplitudes": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]},
+            {"amplitudes": [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 1.0]]},
+            {"product_state": {"kind": "pp", "chi": 0.0, "gamma_az": 0.5}},
+            {"product_state": {"kind": "mm", "chi": 0.0, "gamma_az": 2.0}},
+        ],
+    )
+    def test_polarized_state_classifies_as_a_point(self, initial):
+        config = config_from_dict(
+            base_config_dict(initial=initial, outputs=["metric", "classify"])
+        )
+        for seed in range(10):
+            results = run_scenario(config, seed=seed).results
+            assert "warning" not in results["metric"]
+            assert "warning" not in results["classify"]
+            assert results["classify"]["kind"] == "point"
+            assert results["classify"]["dimension"] == 0
 
     def test_rerun_is_byte_identical(self):
         config = config_from_dict(base_config_dict())
@@ -412,6 +435,59 @@ def test_results_hold_only_plain_json_types(initial):
     record = run_scenario(config_from_dict(base_config_dict(initial=initial)))
     kinds = {type(leaf) for leaf in leaves(record.results)}
     assert kinds <= {float, int, bool, str, type(None)}
+
+
+def literal_metric_block(metric):
+    """A result block's metric, as the field-by-field builder wrote it."""
+    return {
+        "g_theta_theta": metric.g_theta_theta,
+        "g_theta_phi": metric.g_theta_phi,
+        "g_phi_phi": metric.g_phi_phi,
+        "shear": metric.shear,
+        "g_theta_theta_diag": metric.g_theta_theta_diag,
+        "g_phi_phi_diag": metric.g_phi_phi_diag,
+    }
+
+
+def literal_classify_block(report):
+    """The classify result block, as the field-by-field builder wrote it."""
+    return {
+        "kind": report.kind.value,
+        "dimension": report.dimension,
+        "invariants": {
+            "aligned": report.invariants.aligned,
+            "mismatch": report.invariants.mismatch,
+            "imbalance": report.invariants.imbalance,
+        },
+        "metric": literal_metric_block(report.metric),
+        "circle_radius": report.circle_radius,
+        "radius_phi_circle": report.radius_phi_circle,
+        "radius_theta_circle": report.radius_theta_circle,
+        "radius_extrapolated": report.radius_extrapolated,
+        "flatness_residual": report.flatness_residual,
+    }
+
+
+def test_metric_and_classify_blocks_match_the_literal_builders():
+    # json.dumps without sort_keys keeps key order, and writes each float's repr.
+    rng = np.random.default_rng(17)
+    states = [random_state(rng) for _ in range(20)]
+    states += [up_down(), plus_plus_state(1.1), up_up(), down_down(), plus_plus_state(0.0)]
+    config = config_from_dict(base_config_dict(params={"coupling": 1.0, "field": 0.5, "gamma": 0.7}))
+    for seed, state in enumerate(states):
+        metric_block = spin_torus.scenario._run_metric(state, config, seed)
+        expected = literal_metric_block(metric_analytic(state, 0.7))
+        assert json.dumps(metric_block) == json.dumps(expected)
+        classify_block = spin_torus.scenario._run_classify(state, config, seed)
+        expected = literal_classify_block(classify(state, gamma=0.7, seed=seed))
+        assert json.dumps(classify_block) == json.dumps(expected)
+
+
+def test_config_echo_keeps_its_key_order():
+    config = config_from_dict(base_config_dict())
+    echoed = config.to_jsonable()
+    assert list(echoed["params"].items()) == [("coupling", 1.0), ("field", 0.5), ("gamma", 1.0)]
+    assert list(echoed["grid"].items()) == [("theta_steps", 9), ("phi_steps", 5)]
 
 
 class TestRecordSerialization:

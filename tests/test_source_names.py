@@ -1,6 +1,6 @@
-"""No leftovers in the package source: a module-level private name or an
-import that nothing reads is dead code, usually what a refactor left
-behind."""
+"""No leftovers in the package source: a module-level private name, an
+UPPER_CASE constant or an import that nothing reads is dead code, usually
+what a refactor left behind."""
 
 import ast
 from pathlib import Path
@@ -18,8 +18,9 @@ def is_private(name):
 
 
 def bound_names(tree):
-    """The module-level private names a module defines and every name its
-    imports bind, other than those of ``__future__``, with their lines."""
+    """The module-level private names and UPPER_CASE constants a module
+    defines and every name its imports bind, other than those of
+    ``__future__``, with their lines."""
     for node in tree.body:
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             if isinstance(node, ast.ImportFrom) and node.module == "__future__":
@@ -33,7 +34,7 @@ def bound_names(tree):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for target in targets:
                 for name in ast.walk(target):
-                    if isinstance(name, ast.Name) and is_private(name.id):
+                    if isinstance(name, ast.Name) and (is_private(name.id) or name.id.isupper()):
                         yield name.id, node.lineno
 
 
@@ -77,19 +78,26 @@ _INDENT = "  "
 _A, (_B, _C) = 1, (2, 3)
 _SHARED = 4
 def _helper(pieces: Iterator[str]) -> None:
-    return _A + _B
+    return _A + _B + LIMIT
 def _unused():
     pass
 class _Kept:
     pass
 __all__ = ["_Kept"]
+LIMIT = 5
+LABELS: tuple = ("up", "down")
+TOL, SCALE = 1e-9, 2.0
+EXPORTED = 1
+Public = 2
 """
     trees = {
         "mod": ast.parse(module),
-        "other": ast.parse("from .mod import _helper\nimport mod\nprint(_helper, mod._SHARED)\n"),
+        "other": ast.parse(
+            "from .mod import _helper, EXPORTED\nimport mod\nprint(_helper, EXPORTED, mod._SHARED, mod.TOL)\n"
+        ),
     }
     assert unread_names("mod", trees) == [
         "json (line 3)", "m (line 3)", "Iterable (line 4)", "_INDENT (line 5)",
-        "_C (line 6)", "_unused (line 10)",
+        "_C (line 6)", "_unused (line 10)", "LABELS (line 16)", "SCALE (line 17)",
     ]
     assert unread_names("other", trees) == []
