@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import PureState2Q, all_finite, check_state_rows, overlap_distance_sq
+from .qstate import PureState2Q, all_finite, check_state_rows
 
 #: Steps below this make the quadratic finite-difference loss catastrophic.
 MIN_STEP = 1e-6
@@ -146,6 +146,61 @@ def _family_amplitudes(vec: list[complex], theta: float, phi: float) -> tuple[co
     )
 
 
+def _complex_product(xr, xi, yr, yi):
+    """CPython's complex product (xr + i xi)(yr + i yi), part by part."""
+    return xr * yr - xi * yi, xr * yi + xi * yr
+
+
+#: Columns of (cos down, cos theta, cos up, sin down, sin theta, sin up, 0.0)
+#: that make the real and the imaginary parts of the right factors of the
+#: six products in :func:`evolve_grid`.
+_RIGHT_FACTORS = [[0, 1, 1, 2, 4, 4], [3, 6, 6, 5, 6, 6]]
+
+
+def evolve_grid(amplitudes: np.ndarray, thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
+    """The family map of :func:`_family_amplitudes` over arrays of angles,
+    with the same bits.
+
+    ``thetas`` and ``phis`` share one shape.  ``amplitudes`` is one initial
+    state, shape (4,), or one per row, shape (..., 4), broadcasting against
+    the angles; the evolved amplitudes come back with a trailing axis of 4.
+    The arithmetic repeats CPython's complex operations term by term in
+    real numpy arithmetic: a float is promoted to complex(f, 0.0), which
+    keeps signed zeros, and cmath.exp(+-1j s) is cos and sin of the
+    imaginary part of +-1j s.  The bits then rest on numpy's cos and sin
+    matching the platform's math.cos and math.sin, which ``verify`` checks.
+    """
+    amps = np.asarray(amplitudes, dtype=np.complex128)
+    theta = np.asarray(thetas, dtype=np.float64)
+    phi = np.asarray(phis, dtype=np.float64)
+    # The left factors a, b, c, d, 1j * c, -1j * b of six complex products,
+    # each state's own made by CPython itself ...
+    left = np.array(
+        [(a, b, c, d, 1j * c, -1j * b) for a, b, c, d in amps.reshape(-1, 4).tolist()]
+    ).reshape(amps.shape[:-1] + (6,))
+    # ... and the right ones e^{-i(phi + theta)}, cos_t, cos_t, e^{i(phi - theta)},
+    # sin_t, sin_t.  -1j * s has imaginary part -0.0 + -s, that is -s, and
+    # 1j * s has 0.0 + s.
+    angles = np.empty(theta.shape + (3,))
+    np.negative(phi + theta, out=angles[..., 0])
+    angles[..., 1] = theta
+    np.add(0.0, phi - theta, out=angles[..., 2])
+    trig = np.empty(theta.shape + (7,))
+    np.cos(angles, out=trig[..., :3])
+    np.sin(angles, out=trig[..., 3:6])
+    trig[..., 6] = 0.0
+    right = trig[..., _RIGHT_FACTORS]
+    re, im = _complex_product(left.real, left.imag, right[..., 0, :], right[..., 1, :])
+    # b * cos_t - 1j * c * sin_t and -1j * b * sin_t + c * cos_t
+    re[..., 1] -= re[..., 4]
+    im[..., 1] -= im[..., 4]
+    re[..., 2] += re[..., 5]
+    im[..., 2] += im[..., 5]
+    out = np.empty(re.shape[:-1] + (4,), dtype=np.complex128)
+    out.real, out.imag = re[..., :4], im[..., :4]
+    return out
+
+
 def evolve_family(initial: PureState2Q, point: TorusPoint) -> PureState2Q:
     """The evolved state at torus coordinates (theta, phi)."""
     return PureState2Q.from_amplitudes(
@@ -168,7 +223,7 @@ def params_to_point(coupling: float, field: float, t: float) -> TorusPoint:
 
 def family_invariants(initial: PureState2Q) -> FamilyInvariants:
     """The three amplitude combinations that determine the whole geometry."""
-    a, b, c, d = initial.a, initial.b, initial.c, initial.d
+    a, b, c, d = initial.vector.tolist()
     return FamilyInvariants(
         aligned=abs(a) ** 2 + abs(d) ** 2,
         mismatch=abs(b - c) ** 2,
@@ -230,42 +285,57 @@ def metric_analytic(initial: PureState2Q, gamma: float = 1.0) -> MetricTensor2:
 # --- metric: finite differences ----------------------------------------------
 
 def _direction_forms(
-    initial: PureState2Q,
-    point: TorusPoint,
+    amplitudes: np.ndarray,
+    thetas: np.ndarray,
+    phis: np.ndarray,
     gamma: float,
     h: float,
-    directions: tuple[tuple[float, float], tuple[float, float]],
-) -> tuple[float, float, float]:
-    """Metric components g(u, u), g(u, v), g(v, v) for the directions
-    ``(u, v)``, each (d_theta, d_phi), by polarization of the quadratic forms
-    along u, v and u + v.
+    directions: np.ndarray,
+) -> np.ndarray:
+    """Metric components g(u, u), g(u, v), g(v, v) at each centre
+    (thetas[m], phis[m]), one row per centre, for the directions ``(u, v)``,
+    each (d_theta, d_phi), by polarization of the quadratic forms along u,
+    v and u + v.
 
-    Each form is a symmetric finite difference with one Richardson step:
-    the squared Fubini-Study distance is even in the displacement, so the
-    truncation error O(h^2) becomes O(h^4).  The centre and the twelve
-    probes are evolved as one stack under one guard, because numpy's
-    per-call overhead, not the arithmetic, is the cost of a 4-vector.
+    ``amplitudes`` is one initial state, shape (4,), or one per centre,
+    shape (m, 4); ``directions`` is one pair (u, v), or one per centre,
+    shape (m, 2, 2).  Each form is a symmetric finite difference with one
+    Richardson step: the squared Fubini-Study distance is even in the
+    displacement, so the truncation error O(h^2) becomes O(h^4).
+
+    Every centre and its twelve probes are one stacked evaluation: one
+    :func:`evolve_grid` call under one state guard, then one ``np.vecdot``,
+    which conjugates its first argument as ``np.vdot`` does and reaches the
+    same BLAS zdotc, so each overlap has the bits of a per-probe
+    ``np.vdot``.  The squared moduli are taken in Python, because numpy
+    squares with x * x where Python's ``** 2`` calls the C library's pow,
+    and the two round apart on some inputs; the rest of
+    ``qstate.overlap_distance_sq`` and the Richardson and polarization
+    arithmetic run elementwise in the scalar order.  So the estimate keeps
+    the bits of the per-probe scalar route wherever numpy's sin and cos and
+    BLAS zdotc agree with the scalar ones, which ``verify`` checks.
     """
-    (u_theta, u_phi), (v_theta, v_phi) = directions
-    vec = initial.vector.tolist()
-    rows = [_family_amplitudes(vec, point.theta, point.phi)]
-    for d_theta, d_phi in (*directions, (u_theta + v_theta, u_phi + v_phi)):
-        for step in (h, -h, h / 2.0, -h / 2.0):
-            probe = TorusPoint(point.theta + step * d_theta, point.phi + step * d_phi)
-            rows.append(_family_amplitudes(vec, probe.theta, probe.phi))
-    check_state_rows(rows)
-    center, *probes = np.array(rows, dtype=np.complex128)
-    # One vdot per probe: a single matrix-vector product sums in another
-    # order and changes the last bits of the estimate.
-    dist = [overlap_distance_sq(complex(np.vdot(center, row)), gamma) for row in probes]
+    d = np.asarray(directions, dtype=np.float64).reshape(-1, 2, 2)
+    d = np.concatenate((d, d[:, :1] + d[:, 1:]), axis=1)[:, :, None]  # u, v, u + v
+    centres = np.array((thetas, phis), dtype=np.float64).T[:, None]
+    # An overflow gives inf or NaN, which the two guards below refuse.
+    with np.errstate(over="ignore", invalid="ignore"):
+        # Each centre, then its probes centre + step * d for d in u, v and u + v.
+        probes = centres[:, None] + np.array((h, -h, h / 2.0, -h / 2.0))[:, None] * d
+        if not np.isfinite(probes).all():
+            raise ValueError("torus coordinates must be finite")
+        points = np.concatenate((centres, probes.reshape(len(centres), 12, 2)), axis=1)
+        rows = evolve_grid(np.asarray(amplitudes)[..., None, :], points[..., 0], points[..., 1])
+    check_state_rows(rows.reshape(-1, 4).tolist())
+    overlaps = np.vecdot(rows[:, :1], rows[:, 1:]).ravel().tolist()
+    mod_sq = np.array([abs(z) ** 2 for z in overlaps]).reshape(-1, 3, 2, 2)
+    dist = gamma * gamma * np.minimum(np.maximum(1.0 - mod_sq, 0.0), 1.0)
     half = h / 2.0
-    forms = []
-    for i in range(0, len(dist), 4):
-        coarse = (dist[i] + dist[i + 1]) / (2.0 * h * h)
-        fine = (dist[i + 2] + dist[i + 3]) / (2.0 * half * half)
-        forms.append((4.0 * fine - coarse) / 3.0)
-    g_u, g_v, g_sum = forms
-    return g_u, (g_sum - g_u - g_v) / 2.0, g_v
+    coarse_fine = (dist[..., 0] + dist[..., 1]) / np.array((2.0 * h * h, 2.0 * half * half))
+    forms = (4.0 * coarse_fine[..., 1] - coarse_fine[..., 0]) / 3.0  # along u, v, u + v
+    components = forms[:, [0, 2, 1]]
+    components[:, 1] = (forms[:, 2] - forms[:, 0] - forms[:, 1]) / 2.0
+    return components
 
 
 def metric_numeric(
@@ -279,7 +349,12 @@ def metric_numeric(
     Probes the theta direction, the phi direction, and the diagonal; the
     cross term follows by polarization.  Shares no algebra with
     :func:`metric_analytic` beyond the family map itself, which is what
-    makes the agreement between the two a meaningful check.
+    makes the agreement between the two a meaningful check.  This is the
+    one-centre form of :func:`_direction_forms`: the centre and its twelve
+    probes are one stacked evaluation, whose overlaps ``np.vecdot`` takes
+    with the bits of BLAS zdotc, as per-probe ``np.vdot`` did.  The result's
+    last bits thus rest on numpy's sin and cos and on BLAS, which
+    ``verify`` compares with the scalar routes.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
@@ -287,7 +362,9 @@ def metric_numeric(
         raise StepTooSmall(f"step {h!r} is below the noise floor {MIN_STEP!r}")
     if h > MAX_STEP:
         raise ValueError(f"step {h!r} is too coarse; maximum is {MAX_STEP!r}")
-    g_tt, g_tp, g_pp = _direction_forms(initial, point, gamma, h, _AXES)
+    g_tt, g_tp, g_pp = _direction_forms(
+        initial.vector, [point.theta], [point.phi], gamma, h, _AXES
+    )[0].tolist()
     degenerate = g_pp / (gamma * gamma) <= 1e-8
     if degenerate and abs(g_tp) / (gamma * gamma) > 1e-8:
         raise DegenerateShear(
@@ -304,8 +381,25 @@ def metric_numeric(
     )
 
 
+#: Step of the sheared estimate; see :func:`diagonalize_check`.
+_SHEAR_STEP = 2e-3
+
+
+def _sheared_forms(
+    amplitudes: np.ndarray, shears: list[float | None], gamma: float, h: float
+) -> np.ndarray:
+    """Metric components in the sheared coordinates (theta', phi'), with
+    phi = phi' - k theta', at the probe point (0.3, 1.1): one row per state
+    of ``amplitudes`` and its closed-form shear k, None standing for 0."""
+    k = np.array([0.0 if shear is None else shear for shear in shears])
+    sheared = np.empty(k.shape + (2, 2))  # unit steps in theta', phi' = phi + k theta'
+    sheared[:, 0, 0], sheared[:, 0, 1], sheared[:, 1] = 1.0, -k, (0.0, 1.0)
+    thetas, phis = np.full(k.shape, 0.3), np.full(k.shape, 1.1)
+    return _direction_forms(amplitudes, thetas, phis, gamma, h, sheared)
+
+
 def diagonalize_check(
-    initial: PureState2Q, gamma: float = 1.0, h: float = 2e-3
+    initial: PureState2Q, gamma: float = 1.0, h: float = _SHEAR_STEP
 ) -> MetricTensor2:
     """Measure the metric in the sheared coordinates and confirm the cross
     term vanishes there.
@@ -314,12 +408,11 @@ def diagonalize_check(
     finite differences, at a probe point away from any symmetry.  The step
     defaults coarser than :data:`DEFAULT_STEP` because the interesting
     signal here is a cancellation near zero, where the 1/h^2 rounding noise
-    of a fine step would drown the answer.
+    of a fine step would drown the answer.  This is the one-state form of
+    the stacked estimate ``verify`` runs over many states at once.
     """
     analytic = metric_analytic(initial, gamma)
-    k = analytic.shear if analytic.shear is not None else 0.0
-    sheared = ((1.0, -k), (0.0, 1.0))  # unit steps in theta', phi' = phi + k theta'
-    g_tt, g_tp, g_pp = _direction_forms(initial, TorusPoint(0.3, 1.1), gamma, h, sheared)
+    g_tt, g_tp, g_pp = _sheared_forms(initial.vector, [analytic.shear], gamma, h)[0].tolist()
     return MetricTensor2(
         g_theta_theta=g_tt,
         g_theta_phi=g_tp,
@@ -332,10 +425,13 @@ def diagonalize_check(
 
 # --- classification ----------------------------------------------------------
 
-#: Diagonalized metric weight above which a direction counts as live.
+#: Diagonalized metric weight at gamma = 1 above which a direction counts
+#: as live; the length scale gamma does not enter the decision.
 _LIVE_TOL = 1e-10
-#: Random torus points at which :func:`classify` measures flatness.
+#: Random torus points at which :func:`classify` measures flatness ...
 _FLATNESS_SAMPLES = 5
+#: ... drawn uniformly from [0, pi) x [0, 2 pi).
+_FLATNESS_SPAN = np.array([np.pi, 2.0 * np.pi] * _FLATNESS_SAMPLES)
 
 
 def _phi_circle_radius(inv: FamilyInvariants, gamma: float) -> float:
@@ -349,34 +445,33 @@ def classify(initial: PureState2Q, gamma: float = 1.0, seed: int = 0) -> Manifol
     point, and report both candidate circle radii.
 
     The decision is made by the closed-form metric alone, on its
-    *diagonalized* components, so a sheared rank-one metric (nonzero in both
-    raw diagonal entries but with vanishing determinant) is correctly
-    recognized as one-dimensional, and a fully polarized state is a point.
+    *diagonalized* components at gamma = 1, so a sheared rank-one metric
+    (nonzero in both raw diagonal entries but with vanishing determinant) is
+    correctly recognized as one-dimensional, a fully polarized state is a
+    point, and the kind does not depend on the length scale gamma.
     ``flatness_residual`` is the worst spread of any finite-difference
     metric component across a handful of random torus points -- direct
     evidence that the metric really is constant; it never overrides the
-    decision.  Only :func:`metric_analytic` can raise
-    :class:`DegenerateShear` here.
+    decision.  The samples are one stacked :func:`_direction_forms` call, so
+    the residual's bits rest on numpy's sin and cos and on BLAS zdotc,
+    which ``verify`` compares with the scalar routes.  Only
+    :func:`metric_analytic` can raise :class:`DegenerateShear` here.
     """
     metric = metric_analytic(initial, gamma)
+    unscaled = metric_analytic(initial)
     inv = family_invariants(initial)
-    theta_live = metric.g_theta_theta_diag > _LIVE_TOL
-    phi_live = metric.g_phi_phi_diag > _LIVE_TOL
+    theta_live = unscaled.g_theta_theta_diag > _LIVE_TOL
+    phi_live = unscaled.g_phi_phi_diag > _LIVE_TOL
     dimension = theta_live + phi_live
     radius_phi = _phi_circle_radius(inv, gamma)
     radius_theta = gamma * math.sqrt(max(inv.mismatch * (2.0 - inv.mismatch), 0.0))
 
-    rng = np.random.default_rng(seed)
-    components = np.array([
-        _direction_forms(
-            initial,
-            TorusPoint(rng.uniform(0.0, np.pi), rng.uniform(0.0, 2.0 * np.pi)),
-            gamma,
-            DEFAULT_STEP,
-            _AXES,
-        )
-        for _ in range(_FLATNESS_SAMPLES)
-    ])
+    # uniform(0.0, high) is 0.0 + high * random(), and the sum is exact, so
+    # this is the stream and the bits of n scalar (theta, phi) draw pairs.
+    drawn = np.random.default_rng(seed).random(2 * _FLATNESS_SAMPLES) * _FLATNESS_SPAN
+    thetas, phis = drawn.reshape(-1, 2).T
+    components = _direction_forms(initial.vector, thetas, phis, gamma, DEFAULT_STEP, _AXES)
+    spread = components - components.sum(axis=0) / _FLATNESS_SAMPLES  # the mean's bits
 
     return ManifoldReport(
         kind=(ManifoldKind.POINT, ManifoldKind.CIRCLE, ManifoldKind.FLAT_TORUS)[dimension],
@@ -387,5 +482,5 @@ def classify(initial: PureState2Q, gamma: float = 1.0, seed: int = 0) -> Manifol
         radius_phi_circle=radius_phi,
         radius_theta_circle=radius_theta,
         radius_extrapolated=theta_live and not phi_live,
-        flatness_residual=float(np.max(np.abs(components - components.mean(axis=0)))),
+        flatness_residual=float(np.abs(spread).max()),
     )

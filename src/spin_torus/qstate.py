@@ -38,15 +38,17 @@ def check_state_rows(rows: Iterable[Sequence[complex]]) -> None:
     amplitudes is finite and normalized within ``NORM_TOL``."""
     # Plain Python: numpy's per-call overhead dwarfs the arithmetic on a
     # 4-vector, checked once per evolved point.  abs() is hypot, summed in order.
+    # A non-finite amplitude makes the sum NaN or inf, so finiteness is asked
+    # only of a row that fails the norm.
     for amplitudes in rows:
-        if not all(map(cmath.isfinite, amplitudes)):
-            raise ValueError("state amplitudes must be finite")
         try:
             m0, m1, m2, m3 = map(abs, amplitudes)
             norm_sq = m0 * m0 + m1 * m1 + m2 * m2 + m3 * m3
         except OverflowError:  # a finite amplitude whose modulus overflows
             norm_sq = math.inf
-        if abs(norm_sq - 1.0) > NORM_TOL:
+        if not abs(norm_sq - 1.0) <= NORM_TOL:
+            if not all(map(cmath.isfinite, amplitudes)):
+                raise ValueError("state amplitudes must be finite")
             raise ValueError(f"state is not normalized: |amplitudes|^2 sums to {norm_sq!r}")
 
 

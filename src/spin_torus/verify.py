@@ -20,6 +20,7 @@ from .entanglement import (
     concurrence,
     concurrence_evolved,
     concurrence_wootters_oracle,
+    entanglement_along_orbit,
     max_entanglement_time,
 )
 from .hamiltonian import (
@@ -33,13 +34,18 @@ from .hamiltonian import (
     propagator_spectral,
 )
 from .manifold import (
+    _AXES,
+    _SHEAR_STEP,
+    DEFAULT_STEP,
     TorusPoint,
-    diagonalize_check,
+    _direction_forms,
+    _family_amplitudes,
+    _sheared_forms,
     evolve_family,
     evolve_family_sheared,
+    evolve_grid,
     family_invariants,
     metric_analytic,
-    metric_numeric,
     params_to_point,
 )
 from .qstate import PureState2Q, apply, fs_distance_sq, inner, plus_minus_state, random_state
@@ -208,6 +214,36 @@ def verify_all(seed: int = 0, corrupt_propagator: bool = False) -> VerifyReport:
     record("family_theta_antiperiod", worst_theta, 1e-12, "psi(theta+pi) = -psi")
     record("family_phi_period", worst_phi, 1e-12, "psi(phi+2pi) = psi")
 
+    # The finite-difference metric evolves its probes through evolve_grid and
+    # takes their overlaps with np.vecdot; its bits rest on both matching the
+    # scalar routes.  A child stream keeps the draws of later checks as they are.
+    grid_rng = rng.spawn(1)[0]
+    vectors = [random_state(grid_rng).vector.tolist() for _ in range(2)]
+    # |down up> with a signed zero in every part
+    vectors.append([complex(-0.0, 0.0), complex(0.0, -0.0), complex(-1.0, -0.0), -0.0j])
+    angles = np.concatenate(
+        ([0.0, -0.0], grid_rng.uniform(-7.0, 7.0, 3), grid_rng.uniform(-1e6, 1e6, 1))
+    )
+    theta, phi = np.meshgrid(angles, angles, indexing="ij")
+    stacked = evolve_grid(np.array(vectors)[:, None, None, :], theta, phi)
+    scalar = np.array([
+        [[_family_amplitudes(vec, th, ph) for ph in angles.tolist()] for th in angles.tolist()]
+        for vec in vectors
+    ])
+    rows = stacked.reshape(-1, len(angles), 4)
+    overlaps = np.vecdot(rows[:, :1], rows)
+    looped = np.array([[np.vdot(row[0], probe) for probe in row] for row in rows])
+    flipped = sum(
+        int(np.bitwise_count(x.view(np.uint64) ^ y.view(np.uint64)).sum())
+        for x, y in ((stacked, scalar), (overlaps, looped))
+    )
+    record(
+        "evolve_grid_matches_scalar_family",
+        flipped,
+        0.0,
+        "differing bits: evolve_grid vs scalar family map, np.vecdot vs np.vdot",
+    )
+
     worst = 0.0
     for _ in range(50):
         state = random_state(rng)
@@ -223,30 +259,19 @@ def verify_all(seed: int = 0, corrupt_propagator: bool = False) -> VerifyReport:
     record("family_sheared_antiperiod", worst, 1e-10)
 
     # --- metric --------------------------------------------------------------
-    worst_fd = 0.0
-    worst_flat = 0.0
+    states, centres = [], []
     for _ in range(50):
-        state = random_state(rng)
-        analytic = metric_analytic(state)
-        sampled = []
-        for _ in range(3):
-            pt = TorusPoint(
-                float(rng.uniform(0, np.pi)), float(rng.uniform(0, 2 * np.pi))
-            )
-            numeric = metric_numeric(state, pt)
-            sampled.append(
-                (numeric.g_theta_theta, numeric.g_theta_phi, numeric.g_phi_phi)
-            )
-            worst_fd = max(
-                worst_fd,
-                abs(numeric.g_theta_theta - analytic.g_theta_theta),
-                abs(numeric.g_theta_phi - analytic.g_theta_phi),
-                abs(numeric.g_phi_phi - analytic.g_phi_phi),
-            )
-        spread = np.array(sampled)
-        worst_flat = max(
-            worst_flat, float(np.max(np.abs(spread - spread.mean(axis=0))))
-        )
+        states.append(random_state(rng))
+        centres.append(rng.uniform(0, [np.pi, 2 * np.pi] * 3).reshape(3, 2))
+    thetas, phis = np.concatenate(centres).T
+    amplitudes = np.repeat([state.vector for state in states], 3, axis=0)
+    numeric = _direction_forms(amplitudes, thetas, phis, 1.0, DEFAULT_STEP, _AXES)
+    numeric = numeric.reshape(50, 3, 3)
+    analytic = np.array([
+        [m.g_theta_theta, m.g_theta_phi, m.g_phi_phi] for m in map(metric_analytic, states)
+    ])
+    worst_fd = np.max(np.abs(numeric - analytic[:, None]))
+    worst_flat = np.max(np.abs(numeric - numeric.mean(axis=1, keepdims=True)))
     record("metric_closed_form_vs_finite_difference", worst_fd, 1e-6)
     record("metric_constant_over_torus", worst_flat, 1e-6)
 
@@ -268,11 +293,10 @@ def verify_all(seed: int = 0, corrupt_propagator: bool = False) -> VerifyReport:
     record("metric_positivity_identity_theta", worst1, 1e-10)
     record("metric_positivity_identity_phi", worst2, 1e-10)
 
-    worst = 0.0
-    for _ in range(50):
-        state = random_state(rng)
-        worst = max(worst, abs(diagonalize_check(state).g_theta_phi))
-    record("metric_shear_kills_cross_term", worst, 1e-8)
+    states = [random_state(rng) for _ in range(50)]
+    shears = [metric_analytic(state).shear for state in states]
+    sheared = _sheared_forms([state.vector for state in states], shears, 1.0, _SHEAR_STEP)
+    record("metric_shear_kills_cross_term", np.max(np.abs(sheared[:, 1])), 1e-8)
 
     # --- concurrence ---------------------------------------------------------
     worst_closed = 0.0
@@ -282,10 +306,7 @@ def verify_all(seed: int = 0, corrupt_propagator: bool = False) -> VerifyReport:
         state = random_state(rng)
         th = float(rng.uniform(0, np.pi))
         closed = concurrence_evolved(state, th)
-        direct = [
-            concurrence(evolve_family(state, TorusPoint(th, float(ph))))
-            for ph in rng.uniform(0, 2 * np.pi, size=5)
-        ]
+        direct = entanglement_along_orbit(state, th, rng.uniform(0, 2 * np.pi, size=5))
         worst_closed = max(worst_closed, abs(closed - direct[0]))
         worst_phi_ind = max(worst_phi_ind, max(direct) - min(direct))
         worst_oracle = max(

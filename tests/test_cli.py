@@ -337,4 +337,4 @@ class TestRuntimeWithoutJsonschema:
         result = self.run_python(code, tmp_path)
         assert result.returncode == 0, result.stderr
         assert (tmp_path / "demo.csv").read_text().startswith("theta,phi,")
-        assert "all 26 checks passed" in result.stdout
+        assert "all 27 checks passed" in result.stdout

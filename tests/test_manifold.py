@@ -77,6 +77,23 @@ def reference_metric_numeric(initial, point, gamma, h):
     return MetricTensor2(g_tt, g_tp, g_pp, g_tp / g_pp, g_tt - g_tp * g_tp / g_pp, g_pp)
 
 
+def bits(values):
+    """The 64-bit patterns of complex or float values, so that == tells
+    0.0 from -0.0."""
+    return np.asarray(values).view(np.uint64)
+
+
+def reference_flatness_per_direction(initial, gamma, seed):
+    """``flatness_residual`` from the per-direction estimator, at the five
+    points classify draws for ``seed``."""
+    rng = np.random.default_rng(seed)
+    components = np.empty((5, 3))
+    for i in range(5):
+        pt = TorusPoint(rng.uniform(0.0, np.pi), rng.uniform(0.0, 2.0 * np.pi))
+        components[i] = reference_components(initial, pt, gamma, DEFAULT_STEP)
+    return float(np.max(np.abs(components - components.mean(axis=0))))
+
+
 def reference_flatness(initial, gamma, seed):
     """``flatness_residual`` as classify measured it through
     metric_numeric, whose shear rule could raise at a polarized state."""
@@ -158,6 +175,65 @@ class TestEvolveFamily:
         sheared = evolve_family_sheared(state, point, k)
         plain = evolve_family(state, TorusPoint(0.8, 1.9 - k * 0.8))
         np.testing.assert_allclose(sheared.vector, plain.vector, atol=1e-15)
+
+
+class TestEvolveGrid:
+    """The stacked family map against the scalar one, bit for bit."""
+
+    @staticmethod
+    def scalar(vectors, thetas, phis):
+        return np.array([
+            [manifold._family_amplitudes(vec, th, ph) for th, ph in zip(row_t, row_p)]
+            for vec, row_t, row_p in zip(vectors, thetas.tolist(), phis.tolist())
+        ])
+
+    def test_haar_states_at_small_and_large_angles(self):
+        rng = np.random.default_rng(91)
+        vectors = np.array([random_state(rng).vector for _ in range(200)])
+        small, large = rng.uniform(-7.0, 7.0, (200, 6)), rng.uniform(-1e6, 1e6, (200, 4))
+        thetas = np.concatenate((small, large), axis=1)
+        phis = np.concatenate((large[:, ::-1], small[:, ::-1]), axis=1)
+        grid = manifold.evolve_grid(vectors[:, None, :], thetas, phis)
+        assert grid.shape == (200, 10, 4)
+        assert np.array_equal(bits(grid), bits(self.scalar(vectors.tolist(), thetas, phis)))
+
+    def test_basis_states_with_signed_zero_parts_at_signed_zero_angles(self):
+        rng = np.random.default_rng(92)
+        vectors = []
+        for index in range(4):
+            for unit in (1.0, -1.0, 1j, -1j, complex(-1.0, -0.0), complex(-0.0, 1.0)):
+                for _ in range(4):
+                    # complex parts throughout, as state.vector.tolist() gives
+                    signs = rng.choice([0.0, -0.0], size=8)
+                    vec = [complex(signs[2 * k], signs[2 * k + 1]) for k in range(4)]
+                    vec[index] = complex(unit)
+                    vectors.append(vec)
+        angles = np.array([0.0, -0.0, 0.0, -0.0, 1e-300, -0.7, 3.1, 1e6, -1e6])
+        thetas = np.tile(angles, (len(vectors), 1))
+        phis = np.tile(np.roll(angles, 1), (len(vectors), 1))
+        grid = manifold.evolve_grid(np.array(vectors)[:, None, :], thetas, phis)
+        assert np.array_equal(bits(grid), bits(self.scalar(vectors, thetas, phis)))
+
+    def test_one_state_broadcasts_over_every_angle(self):
+        rng = np.random.default_rng(94)
+        state = random_state(rng)
+        thetas, phis = rng.uniform(-7.0, 7.0, (2, 3, 5))
+        grid = manifold.evolve_grid(state.vector, thetas, phis)
+        assert grid.shape == (3, 5, 4)
+        expected = self.scalar([state.vector.tolist()] * 3, thetas, phis)
+        assert np.array_equal(bits(grid), bits(expected))
+
+    def test_vecdot_matches_per_row_vdot(self):
+        # The kernel's shape, one centre against its probes, and plain pairs.
+        rng = np.random.default_rng(95)
+        vectors = np.array([random_state(rng).vector for _ in range(300)])
+        rows = manifold.evolve_grid(vectors[:, None, :], *rng.uniform(-7.0, 7.0, (2, 300, 13)))
+        stacked = np.vecdot(rows[:, :1], rows[:, 1:])
+        looped = [[np.vdot(row[0], probe) for probe in row[1:]] for row in rows]
+        assert np.array_equal(bits(stacked), bits(looped))
+        others = np.array([random_state(rng).vector for _ in range(300)])
+        pairs = [np.vdot(x, y) for x, y in zip(vectors, others)]
+        assert np.array_equal(bits(np.vecdot(vectors, others)), bits(pairs))
 
 
 class TestInvariants:
@@ -287,20 +363,51 @@ class TestMetricNumeric:
             assert measured == reference_metric_numeric(state, point, gamma, h)
 
     @pytest.mark.parametrize(
-        "corrupt", [lambda z: complex(np.nan, 0.0), lambda z: 2.0 * z]
+        "corrupt, message",
+        [
+            (lambda z: complex(np.nan, 0.0), "^state amplitudes must be finite$"),
+            (lambda z: 2.0 * z, "^state is not normalized"),
+        ],
     )
-    def test_stacked_probes_pass_the_state_guard(self, monkeypatch, corrupt):
-        original = manifold._family_amplitudes
-        calls = []
+    @pytest.mark.parametrize(
+        "estimate, row",
+        [
+            (lambda state: metric_numeric(state, TorusPoint(0.4, 0.9)), (0, 7)),
+            (lambda state: classify(state, gamma=1.3, seed=5), (4, 12)),
+        ],
+        ids=["metric_numeric", "classify"],
+    )
+    def test_stacked_probes_pass_the_state_guard(
+        self, monkeypatch, corrupt, message, estimate, row
+    ):
+        # One probe row of one centre is spoiled after the kernel; the guard
+        # must still see it.
+        original = manifold.evolve_grid
 
-        def probe(vec, theta, phi):
-            amplitudes = original(vec, theta, phi)
-            calls.append(theta)
-            return (corrupt(amplitudes[0]), *amplitudes[1:]) if len(calls) == 7 else amplitudes
+        def kernel(amplitudes, thetas, phis):
+            rows = original(amplitudes, thetas, phis)
+            rows[row][0] = corrupt(rows[row][0])
+            return rows
 
-        monkeypatch.setattr(manifold, "_family_amplitudes", probe)
-        with pytest.raises(ValueError, match="must be finite|not normalized"):
-            metric_numeric(plus_minus_state(0.8, 0.3), TorusPoint(0.4, 0.9))
+        monkeypatch.setattr(manifold, "evolve_grid", kernel)
+        with pytest.raises(ValueError, match=message):
+            estimate(plus_minus_state(0.8, 0.3))
+
+    @pytest.mark.filterwarnings("error")
+    def test_probe_coordinates_must_be_finite(self):
+        # The centre is finite, but a probe one step away overflows.
+        top = np.finfo(np.float64).max
+        with pytest.raises(ValueError, match="^torus coordinates must be finite$"):
+            manifold._direction_forms(
+                up_down().vector, [top], [0.0], 1.0, DEFAULT_STEP, ((1e308, 0.0), (0.0, 1.0))
+            )
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("coordinate", [1e308, -1.7e308])
+    def test_overflowing_phase_is_refused_by_the_state_guard(self, coordinate):
+        # theta + phi overflows inside the family map, as it did in cmath.exp.
+        with pytest.raises(ValueError, match="^state amplitudes must be finite$"):
+            metric_numeric(plus_minus_state(0.8, 0.3), TorusPoint(coordinate, coordinate))
 
     def test_degenerate_branch_bit_identical(self):
         point = TorusPoint(0.7, 1.3)
@@ -418,6 +525,27 @@ class TestClassify:
             state = random_state(rng)
             report = classify(state, gamma=gamma, seed=seed)
             assert report.flatness_residual == reference_flatness(state, gamma, seed)
+
+    @pytest.mark.parametrize("gamma", [1.0, 0.6, 2.3])
+    def test_flatness_residual_keeps_the_bits_of_the_per_direction_estimator(self, gamma):
+        rng = np.random.default_rng(29)
+        for seed in range(60):
+            state = random_state(rng)
+            report = classify(state, gamma=gamma, seed=seed)
+            expected = reference_flatness_per_direction(state, gamma, seed)
+            assert bits(report.flatness_residual) == bits(expected)
+
+    @pytest.mark.parametrize(
+        "state, kind",
+        [(plus_plus_state(0.01), ManifoldKind.CIRCLE), (up_down(), ManifoldKind.CIRCLE)],
+        ids=["plus_plus_chi_0.01", "up_down"],
+    )
+    def test_kind_does_not_depend_on_gamma(self, state, kind):
+        # At gamma = 1e-3 the scaled phi weight of |++> at chi = 0.01 is
+        # 5e-11, under the liveness tolerance, though the orbit is a circle.
+        for gamma in (1e-3, 1.0, 1e3):
+            report = classify(state, gamma=gamma)
+            assert (report.kind, report.dimension) == (kind, 1)
 
     @pytest.mark.parametrize(
         "state, kind, extrapolated",

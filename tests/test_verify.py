@@ -16,6 +16,7 @@ CHECK_NAMES = [
     "family_matches_propagator",
     "family_theta_antiperiod",
     "family_phi_period",
+    "evolve_grid_matches_scalar_family",
     "family_sheared_antiperiod",
     "metric_closed_form_vs_finite_difference",
     "metric_constant_over_torus",
@@ -59,7 +60,7 @@ class TestVerifyAll:
     def test_every_line_carries_a_verdict(self):
         lines = verify_all(seed=0).lines()
         assert all(line.startswith(("PASS ", "FAIL ")) for line in lines[:-1])
-        assert lines[-1].endswith("all 26 checks passed")
+        assert lines[-1].endswith("all 27 checks passed")
 
 
 class TestNegativeControl:
@@ -75,4 +76,4 @@ class TestNegativeControl:
             line.startswith("FAIL") and "propagator_unitarity" in line
             for line in report.lines()
         )
-        assert report.lines()[-1].endswith("1 of 26 checks FAILED")
+        assert report.lines()[-1].endswith("1 of 27 checks FAILED")
