@@ -43,6 +43,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         config = config_from_json(text)
     except ConfigInvalid as error:
         return _fail(f"invalid config: {error}", EXIT_CONFIG_ERROR)
+    if args.seed < 0:
+        return _fail("--seed must be non-negative", EXIT_CONFIG_ERROR)
     if args.gamma is not None:
         if not (math.isfinite(args.gamma) and args.gamma > 0):
             return _fail("--gamma must be positive and finite", EXIT_CONFIG_ERROR)
@@ -71,6 +73,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if args.seed < 0:
+        return _fail("--seed must be non-negative", EXIT_CONFIG_ERROR)
     report = verify_all(seed=args.seed, corrupt_propagator=args.negative_control)
     for line in report.lines():
         print(line)
@@ -85,7 +89,9 @@ def _cmd_export(args: argparse.Namespace) -> int:
             data = json.load(handle)
     except OSError as error:
         return _fail(f"cannot read record: {error}", EXIT_IO_ERROR)
-    except ValueError as error:  # also undecodable text, or an overlong integer
+    # ValueError also covers undecodable text and an overlong integer, and
+    # RecursionError over-deep nesting.
+    except (ValueError, RecursionError) as error:
         return _fail(f"record is not valid JSON: {error}", EXIT_CONFIG_ERROR)
     try:
         record = record_from_dict(data)
@@ -95,6 +101,10 @@ def _cmd_export(args: argparse.Namespace) -> int:
         export_record(record, args.format, args.out)
     except OSError as error:
         return _fail(f"cannot write export: {error}", EXIT_IO_ERROR)
+    # json's encoder starts from a deeper stack than json.load, so a record
+    # json.load accepted can still be too deep to write; none is written.
+    except RecursionError:
+        return _fail("invalid record: results nested too deeply to export", EXIT_CONFIG_ERROR)
     print(f"wrote {args.out}")
     return EXIT_OK
 

@@ -191,15 +191,13 @@ def _closed_form_maximum(initial: PureState2Q) -> tuple[float, float, bool]:
 
 def concurrence_profile(
     initial: PureState2Q,
-    thetas: Sequence[float] | np.ndarray | None = None,
+    thetas: Sequence[float] | np.ndarray,
 ) -> ConcurrenceProfile:
-    """Sample the concurrence along the exchange angle.
+    """Sample the concurrence at the exchange angles ``thetas``.
 
     The maximum reported alongside the samples is the closed form of
     :func:`_closed_form_maximum`, so coarse sampling grids do not degrade it.
     """
-    if thetas is None:
-        thetas = np.linspace(0.0, np.pi, 256, endpoint=False)
     grid = np.asarray(thetas, dtype=np.float64)
     values = 2.0 * np.abs(np.atleast_1d(_w(initial, grid)))
     # _clamp_unit on the whole array: the first sample out of range, or NaN,

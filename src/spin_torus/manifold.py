@@ -24,24 +24,19 @@ import numpy as np
 
 from .qstate import PureState2Q, all_finite, check_state_rows
 
-#: Steps below this make the quadratic finite-difference loss catastrophic.
-MIN_STEP = 1e-6
-#: Steps above this leave the small-displacement regime.
-MAX_STEP = 1e-2
-#: Default finite-difference step; about the sweet spot between truncation
-#: O(h^4) after Richardson and rounding noise O(eps / h^2).
+#: Finite-difference step; about the sweet spot between truncation O(h^4)
+#: after Richardson and rounding noise O(eps / h^2).
 DEFAULT_STEP = 1e-4
 #: Unit steps along theta and phi, the directions of the plain metric.
 _AXES = ((1.0, 0.0), (0.0, 1.0))
+#: Metric weight at gamma = 1 at or below which a direction is degenerate:
+#: :func:`metric_analytic` gives it no shear, and :func:`classify` no extent.
+_DEGENERATE_TOL = 1e-12
 
 
 class DegenerateShear(ValueError):
     """The phi direction is metrically null but the cross term is not,
     so no shear substitution can diagonalize the metric."""
-
-
-class StepTooSmall(ValueError):
-    """Finite-difference step so small the estimate would be pure noise."""
 
 
 class TorusPoint:
@@ -54,10 +49,6 @@ class TorusPoint:
             raise ValueError("torus coordinates must be finite")
         self.theta = float(theta)
         self.phi = float(phi)
-
-    def canonical(self) -> TorusPoint:
-        """Wrap into the fundamental cell [0, pi) x [0, 2 pi)."""
-        return TorusPoint(self.theta % np.pi, self.phi % (2.0 * np.pi))
 
     def __repr__(self) -> str:
         return f"TorusPoint(theta={self.theta!r}, phi={self.phi!r})"
@@ -93,9 +84,6 @@ class MetricTensor2:
     shear: float | None
     g_theta_theta_diag: float
     g_phi_phi_diag: float
-
-    def determinant(self) -> float:
-        return self.g_theta_theta * self.g_phi_phi - self.g_theta_phi ** 2
 
 
 class ManifoldKind(enum.Enum):
@@ -257,8 +245,8 @@ def metric_analytic(initial: PureState2Q, gamma: float = 1.0) -> MetricTensor2:
     g_pp = g2 * (aligned - imbalance ** 2)
     g_tp = g2 * mismatch * imbalance
     phi_weight = aligned - imbalance ** 2
-    if phi_weight <= 1e-12:
-        if abs(mismatch * imbalance) > 1e-12:
+    if phi_weight <= _DEGENERATE_TOL:
+        if abs(mismatch * imbalance) > _DEGENERATE_TOL:
             raise DegenerateShear(
                 "phi direction is degenerate but the cross term "
                 f"{g_tp!r} is not; no shear can diagonalize"
@@ -310,7 +298,7 @@ def _direction_forms(
     ``np.vdot``.  The squared moduli are taken in Python, because numpy
     squares with x * x where Python's ``** 2`` calls the C library's pow,
     and the two round apart on some inputs; the rest of
-    ``qstate.overlap_distance_sq`` and the Richardson and polarization
+    ``qstate.fs_distance_sq`` and the Richardson and polarization
     arithmetic run elementwise in the scalar order.  So the estimate keeps
     the bits of the per-probe scalar route wherever numpy's sin and cos and
     BLAS zdotc agree with the scalar ones, which ``verify`` checks.
@@ -342,35 +330,28 @@ def metric_numeric(
     initial: PureState2Q,
     point: TorusPoint,
     gamma: float = 1.0,
-    h: float = DEFAULT_STEP,
 ) -> MetricTensor2:
     """Fubini-Study metric estimated purely from squared distances.
 
-    Probes the theta direction, the phi direction, and the diagonal; the
-    cross term follows by polarization.  Shares no algebra with
-    :func:`metric_analytic` beyond the family map itself, which is what
-    makes the agreement between the two a meaningful check.  This is the
-    one-centre form of :func:`_direction_forms`: the centre and its twelve
-    probes are one stacked evaluation, whose overlaps ``np.vecdot`` takes
-    with the bits of BLAS zdotc, as per-probe ``np.vdot`` did.  The result's
-    last bits thus rest on numpy's sin and cos and on BLAS, which
-    ``verify`` compares with the scalar routes.
+    Probes the theta direction, the phi direction, and the diagonal, with
+    step :data:`DEFAULT_STEP`; the cross term follows by polarization.
+    Shares no algebra with :func:`metric_analytic` beyond the family map
+    itself, which is what makes the agreement between the two a meaningful
+    check.  This is the one-centre form of :func:`_direction_forms`: the
+    centre and its twelve probes are one stacked evaluation, whose overlaps
+    ``np.vecdot`` takes with the bits of BLAS zdotc, as per-probe
+    ``np.vdot`` did.  The result's last bits thus rest on numpy's sin and
+    cos and on BLAS, which ``verify`` compares with the scalar routes.
+    The shear is None when g_phi_phi / gamma^2 is at most 1e-8, the
+    finite-difference noise floor; the cross term is then reported as
+    measured.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    if h < MIN_STEP:
-        raise StepTooSmall(f"step {h!r} is below the noise floor {MIN_STEP!r}")
-    if h > MAX_STEP:
-        raise ValueError(f"step {h!r} is too coarse; maximum is {MAX_STEP!r}")
     g_tt, g_tp, g_pp = _direction_forms(
-        initial.vector, [point.theta], [point.phi], gamma, h, _AXES
+        initial.vector, [point.theta], [point.phi], gamma, DEFAULT_STEP, _AXES
     )[0].tolist()
     degenerate = g_pp / (gamma * gamma) <= 1e-8
-    if degenerate and abs(g_tp) / (gamma * gamma) > 1e-8:
-        raise DegenerateShear(
-            "phi direction is numerically degenerate but the measured "
-            f"cross term {g_tp!r} is not"
-        )
     return MetricTensor2(
         g_theta_theta=g_tt,
         g_theta_phi=g_tp,
@@ -386,7 +367,7 @@ _SHEAR_STEP = 2e-3
 
 
 def _sheared_forms(
-    amplitudes: np.ndarray, shears: list[float | None], gamma: float, h: float
+    amplitudes: np.ndarray, shears: list[float | None], gamma: float
 ) -> np.ndarray:
     """Metric components in the sheared coordinates (theta', phi'), with
     phi = phi' - k theta', at the probe point (0.3, 1.1): one row per state
@@ -395,24 +376,25 @@ def _sheared_forms(
     sheared = np.empty(k.shape + (2, 2))  # unit steps in theta', phi' = phi + k theta'
     sheared[:, 0, 0], sheared[:, 0, 1], sheared[:, 1] = 1.0, -k, (0.0, 1.0)
     thetas, phis = np.full(k.shape, 0.3), np.full(k.shape, 1.1)
-    return _direction_forms(amplitudes, thetas, phis, gamma, h, sheared)
+    return _direction_forms(amplitudes, thetas, phis, gamma, _SHEAR_STEP, sheared)
 
 
 def diagonalize_check(
-    initial: PureState2Q, gamma: float = 1.0, h: float = _SHEAR_STEP
+    initial: PureState2Q, gamma: float = 1.0
 ) -> MetricTensor2:
     """Measure the metric in the sheared coordinates and confirm the cross
     term vanishes there.
 
     Uses the closed-form shear coefficient but measures every component by
     finite differences, at a probe point away from any symmetry.  The step
-    defaults coarser than :data:`DEFAULT_STEP` because the interesting
-    signal here is a cancellation near zero, where the 1/h^2 rounding noise
-    of a fine step would drown the answer.  This is the one-state form of
-    the stacked estimate ``verify`` runs over many states at once.
+    :data:`_SHEAR_STEP` is coarser than :data:`DEFAULT_STEP` because the
+    interesting signal here is a cancellation near zero, where the 1/h^2
+    rounding noise of a fine step would drown the answer.  This is the
+    one-state form of the stacked estimate ``verify`` runs over many states
+    at once.
     """
     analytic = metric_analytic(initial, gamma)
-    g_tt, g_tp, g_pp = _sheared_forms(initial.vector, [analytic.shear], gamma, h)[0].tolist()
+    g_tt, g_tp, g_pp = _sheared_forms(initial.vector, [analytic.shear], gamma)[0].tolist()
     return MetricTensor2(
         g_theta_theta=g_tt,
         g_theta_phi=g_tp,
@@ -425,9 +407,6 @@ def diagonalize_check(
 
 # --- classification ----------------------------------------------------------
 
-#: Diagonalized metric weight at gamma = 1 above which a direction counts
-#: as live; the length scale gamma does not enter the decision.
-_LIVE_TOL = 1e-10
 #: Random torus points at which :func:`classify` measures flatness ...
 _FLATNESS_SAMPLES = 5
 #: ... drawn uniformly from [0, pi) x [0, 2 pi).
@@ -460,8 +439,8 @@ def classify(initial: PureState2Q, gamma: float = 1.0, seed: int = 0) -> Manifol
     metric = metric_analytic(initial, gamma)
     unscaled = metric_analytic(initial)
     inv = family_invariants(initial)
-    theta_live = unscaled.g_theta_theta_diag > _LIVE_TOL
-    phi_live = unscaled.g_phi_phi_diag > _LIVE_TOL
+    theta_live = unscaled.g_theta_theta_diag > _DEGENERATE_TOL
+    phi_live = unscaled.g_phi_phi_diag > _DEGENERATE_TOL
     dimension = theta_live + phi_live
     radius_phi = _phi_circle_radius(inv, gamma)
     radius_theta = gamma * math.sqrt(max(inv.mismatch * (2.0 - inv.mismatch), 0.0))

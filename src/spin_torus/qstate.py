@@ -143,16 +143,6 @@ class Operator4:
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
-    @classmethod
-    def identity(cls) -> Operator4:
-        return cls(np.eye(4, dtype=np.complex128))
-
-    def adjoint(self) -> Operator4:
-        return Operator4(self.matrix.conj().T)
-
-    def __matmul__(self, other: Operator4) -> Operator4:
-        return Operator4(self.matrix @ other.matrix)
-
     def __add__(self, other: Operator4) -> Operator4:
         return Operator4(self.matrix + other.matrix)
 
@@ -160,12 +150,6 @@ class Operator4:
         """Entrywise max-abs deviation of U^dagger U from the identity."""
         delta = self.matrix.conj().T @ self.matrix - np.eye(4)
         return float(np.max(np.abs(delta)))
-
-    def is_unitary(self, tol: float = 1e-12) -> bool:
-        return self.unitarity_residual() <= tol
-
-    def is_hermitian(self, tol: float = 1e-12) -> bool:
-        return float(np.max(np.abs(self.matrix - self.matrix.conj().T))) <= tol
 
 
 # --- operations --------------------------------------------------------------
@@ -194,13 +178,8 @@ def fs_distance_sq(x: PureState2Q, y: PureState2Q, gamma: float = 1.0) -> float:
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    return overlap_distance_sq(inner(x, y), gamma)
-
-
-def overlap_distance_sq(overlap: complex, gamma: float) -> float:
-    """Squared Fubini-Study distance of two states from their overlap."""
     # Rounding can push |<x|y>|^2 a hair past 1 for identical rays.
-    return gamma * gamma * min(max(1.0 - abs(overlap) ** 2, 0.0), 1.0)
+    return gamma * gamma * min(max(1.0 - abs(inner(x, y)) ** 2, 0.0), 1.0)
 
 
 def ray_equal(x: PureState2Q, y: PureState2Q, tol: float = 1e-12) -> bool:
@@ -217,30 +196,8 @@ def basis_state(index: int) -> PureState2Q:
     return PureState2Q(vec)
 
 
-def up_up() -> PureState2Q:
-    return basis_state(0)
-
-
 def up_down() -> PureState2Q:
     return basis_state(1)
-
-
-def down_up() -> PureState2Q:
-    return basis_state(2)
-
-
-def down_down() -> PureState2Q:
-    return basis_state(3)
-
-
-def triplet_zero() -> PureState2Q:
-    """The symmetric combination (|up down> + |down up>)/sqrt(2)."""
-    return PureState2Q.normalized(0.0, 1.0, 1.0, 0.0)
-
-
-def singlet() -> PureState2Q:
-    """The antisymmetric combination (|up down> - |down up>)/sqrt(2)."""
-    return PureState2Q.normalized(0.0, 1.0, -1.0, 0.0)
 
 
 def bloch_plus(chi: float, gamma_az: float) -> np.ndarray:

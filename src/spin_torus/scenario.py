@@ -384,9 +384,13 @@ def config_from_dict(data: Mapping[str, Any]) -> ScenarioConfig:
     Raises :class:`ConfigInvalid` with the offending field path for schema
     violations and for the semantic checks the schema cannot express
     (amplitude normalization, Bloch-angle applicability, finiteness, time
-    grids whose angles overflow, grids above ``MAX_GRID_POINTS``).
+    grids whose angles overflow, grids above ``MAX_GRID_POINTS``), and for
+    a document nested too deeply to check.
     """
-    message = _schema_error(SCENARIO_SCHEMA, data)
+    try:
+        message = _schema_error(SCENARIO_SCHEMA, data)
+    except RecursionError:
+        message = "<root>: nested too deeply to check"
     if message is not None:
         raise ConfigInvalid(message)
 
@@ -436,7 +440,9 @@ def config_from_dict(data: Mapping[str, Any]) -> ScenarioConfig:
 def config_from_json(text: str | bytes) -> ScenarioConfig:
     try:
         data = json.loads(text)
-    except ValueError as error:  # also undecodable bytes, or an overlong integer
+    # ValueError also covers undecodable bytes and an overlong integer, and
+    # RecursionError over-deep nesting.
+    except (ValueError, RecursionError) as error:
         raise ConfigInvalid(f"not valid JSON: {error}") from error
     if not isinstance(data, dict):
         raise ConfigInvalid("<root>: config must be a JSON object")
@@ -773,8 +779,11 @@ _BLOCK_PIECES = 4096
 
 
 def _write_pieces(pieces: Iterable[str], path: str) -> None:
-    """Write the pieces to ``path`` as UTF-8 with LF line endings, in blocks."""
+    """Write the pieces to ``path`` as UTF-8 with LF line endings, in blocks.
+    The first piece is made before the file opens, so an error in making it
+    (json's RecursionError on an over-deep record) leaves no file."""
     pieces = iter(pieces)
+    pieces = itertools.chain([next(pieces, "")], pieces)
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         while block := list(itertools.islice(pieces, _BLOCK_PIECES)):
             handle.write("".join(block))
@@ -831,21 +840,22 @@ def export_record(record: RunRecord, format: str, path: str) -> None:
     and the text of a dense record does not set the peak memory of a run.
     Scalar blocks (metric, classification) do not fit a per-point table;
     they go to a key,value sidecar at ``<path>.meta.csv`` when present.
+    They are flattened first, so one too deep to flatten leaves no file.
     """
     if format == "json":
         _write_pieces(_record_pieces(record), path)
         return
     if format != "csv":
         raise ValueError(f"unknown export format {format!r}")
-    _write_pieces(_csv_lines(record), path)
-
     scalar_blocks = {
         kind: record.results[kind]
         for kind in ("metric", "classify")
         if kind in record.results
     }
+    flat: list[tuple[str, Any]] = []
+    _flatten_for_meta("", scalar_blocks, flat)
+    _write_pieces(_csv_lines(record), path)
+
     if scalar_blocks:
-        flat: list[tuple[str, Any]] = []
-        _flatten_for_meta("", scalar_blocks, flat)
         meta_lines = ["key,value\n", *(f"{key},{_format_cell(value)}\n" for key, value in flat)]
         _write_pieces(meta_lines, f"{path}.meta.csv")

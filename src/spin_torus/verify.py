@@ -35,7 +35,6 @@ from .hamiltonian import (
 )
 from .manifold import (
     _AXES,
-    _SHEAR_STEP,
     DEFAULT_STEP,
     TorusPoint,
     _direction_forms,
@@ -80,10 +79,6 @@ class VerifyReport:
     @property
     def passed(self) -> bool:
         return all(check.passed for check in self.checks)
-
-    @property
-    def max_residual(self) -> float:
-        return max((check.residual for check in self.checks), default=0.0)
 
     def lines(self) -> list[str]:
         body = [check.line() for check in self.checks]
@@ -295,7 +290,7 @@ def verify_all(seed: int = 0, corrupt_propagator: bool = False) -> VerifyReport:
 
     states = [random_state(rng) for _ in range(50)]
     shears = [metric_analytic(state).shear for state in states]
-    sheared = _sheared_forms([state.vector for state in states], shears, 1.0, _SHEAR_STEP)
+    sheared = _sheared_forms([state.vector for state in states], shears, 1.0)
     record("metric_shear_kills_cross_term", np.max(np.abs(sheared[:, 1])), 1e-8)
 
     # --- concurrence ---------------------------------------------------------

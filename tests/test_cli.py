@@ -199,6 +199,114 @@ def test_integer_literal_too_long_to_parse_exits_two(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+#: JSON nested far deeper than the interpreter's recursion limit.
+DEEP_ARRAY = "[" * 100_000 + "]" * 100_000
+
+
+def deep_outputs_config():
+    """A config valid but for its outputs, two lists nested 950 deep."""
+    nest = "[" * 950 + "1" + "]" * 950
+    body = {
+        "initial": {"product_state": {"kind": "pm", "chi": 0.9}},
+        "params": {"coupling": 1.0, "field": 0.5},
+        "grid": {"theta_steps": 3, "phi_steps": 3},
+        "outputs": None,
+    }
+    return json.dumps(body).replace("null", f"[{nest}, {nest}]")
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [("run", DEEP_ARRAY), ("export", DEEP_ARRAY), ("run", deep_outputs_config())],
+    ids=["run_deep_array", "export_deep_array", "run_deep_outputs"],
+)
+def test_over_deep_json_exits_two_with_one_line(tmp_path, capsys, command, text):
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    out = tmp_path / "out.csv"
+    if command == "run":
+        argv = ["run", str(path), "--out", str(out)]
+    else:
+        argv = ["export", str(path), "--format", "csv", "--out", str(out)]
+    assert main(argv) == EXIT_CONFIG_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert sorted(tmp_path.iterdir()) == [path]
+
+
+def test_record_too_deep_to_export_exits_two_and_writes_nothing(tmp_path, capsys):
+    """json.load accepts a results block nested a few levels short of the
+    recursion limit, which json's encoder, called from a deeper stack,
+    cannot write.  From the limit down to the first depth json exports,
+    each export either writes its file or exits 2 with one error line and
+    writes nothing."""
+    config = tmp_path / "scenario.json"
+    config.write_text(
+        json.dumps(
+            {
+                "initial": {"product_state": {"kind": "pm", "chi": 0.9}},
+                "params": {"coupling": 1.0, "field": 0.5},
+                "grid": {"theta_steps": 3, "phi_steps": 3},
+                "outputs": ["metric"],
+            }
+        )
+    )
+    record = tmp_path / "record.json"
+    assert main(["run", str(config), "--out", str(record)]) == EXIT_OK
+    data = json.loads(record.read_text())
+    data["results"]["metric"]["x"] = "deep"
+    template = json.dumps(data, indent=2)
+    deep = tmp_path / "deep.json"
+    capsys.readouterr()
+    refused = set()
+    exported = False
+    limit = sys.getrecursionlimit()
+    for depth in range(limit, limit - 200, -1):
+        deep.write_text(template.replace('"deep"', "[" * depth + "1" + "]" * depth))
+        for fmt in ("csv", "json"):
+            out = tmp_path / f"out.{fmt}"
+            code = main(["export", str(deep), "--format", fmt, "--out", str(out)])
+            captured = capsys.readouterr()
+            exported = code == EXIT_OK
+            if exported:
+                out.unlink()
+                (tmp_path / "out.csv.meta.csv").unlink(missing_ok=True)
+                continue
+            assert code == EXIT_CONFIG_ERROR
+            assert captured.out == ""
+            assert captured.err.startswith("error: ")
+            assert captured.err.count("\n") == 1
+            assert sorted(tmp_path.iterdir()) == sorted([config, deep, record])
+            refused.add((fmt, captured.err.split(":")[1]))
+        if exported:
+            break
+    assert exported
+    assert ("json", " invalid record") in refused
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_negative_seed_exits_two_with_one_line(tmp_path, capsys, command):
+    config = tmp_path / "scenario.json"
+    config.write_text(
+        json.dumps(
+            {
+                "initial": {"product_state": {"kind": "pm", "chi": 0.9}},
+                "params": {"coupling": 1.0, "field": 0.5},
+                "grid": {"theta_steps": 3, "phi_steps": 3},
+                "outputs": ["metric", "classify"],
+            }
+        )
+    )
+    argv = ["run", str(config)] if command == "run" else ["verify"]
+    assert main([*argv, "--seed", "-1"]) == EXIT_CONFIG_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --seed must be non-negative\n"
+    assert sorted(tmp_path.iterdir()) == [config]
+
+
 class TestVerifyCommand:
     def test_passes_with_exit_zero(self, capsys):
         assert main(["verify"]) == EXIT_OK

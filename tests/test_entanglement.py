@@ -27,16 +27,19 @@ from spin_torus.hamiltonian import SystemParams
 from spin_torus.manifold import TorusPoint, classify, evolve_family, family_invariants
 from spin_torus.qstate import (
     PureState2Q,
-    down_down,
+    basis_state,
     minus_minus_state,
     plus_minus_state,
     plus_plus_state,
     random_state,
-    singlet,
-    triplet_zero,
     up_down,
-    up_up,
 )
+
+UP_UP, DOWN_DOWN = basis_state(0), basis_state(3)
+SINGLET = PureState2Q.normalized(0.0, 1.0, -1.0, 0.0)
+TRIPLET_ZERO = PureState2Q.normalized(0.0, 1.0, 1.0, 0.0)
+#: 256 exchange angles spanning [0, pi).
+GRID = np.linspace(0.0, np.pi, 256, endpoint=False)
 
 
 def haar_states(count, seed):
@@ -215,7 +218,7 @@ class TestScalarAmplitude:
         # held to a few ulps only.
         rng = np.random.default_rng(101)
         thetas = np.concatenate([[0.0, np.pi / 4, np.pi], rng.uniform(-20.0, 20.0, 300)])
-        for state in haar_states(10, 102) + [up_down(), singlet()]:
+        for state in haar_states(10, 102) + [up_down(), SINGLET]:
             array = _w(state, thetas)
             for i, theta in enumerate(thetas.tolist()):
                 scalar = _w(state, theta)
@@ -232,11 +235,11 @@ class TestScalarAmplitude:
 
 class TestConcurrence:
     def test_product_states_have_zero(self):
-        assert concurrence(up_up()) == 0.0
+        assert concurrence(UP_UP) == 0.0
         assert concurrence(plus_minus_state(1.234, 0.77)) < 1e-15
 
     def test_singlet_is_maximal(self):
-        assert concurrence(singlet()) == pytest.approx(1.0)
+        assert concurrence(SINGLET) == pytest.approx(1.0)
 
     def test_swapped_mix_is_maximal(self):
         state = PureState2Q.normalized(0.0, 1.0, -1.0j, 0.0)
@@ -271,8 +274,8 @@ class TestConcurrence:
 
 class TestWoottersOracle:
     def test_known_states(self):
-        assert concurrence_wootters_oracle(up_up()) == 0.0
-        assert concurrence_wootters_oracle(singlet()) == pytest.approx(1.0)
+        assert concurrence_wootters_oracle(UP_UP) == 0.0
+        assert concurrence_wootters_oracle(SINGLET) == pytest.approx(1.0)
 
     @pytest.mark.parametrize("tiny", [1e-6, 1e-8, 1e-10, 1e-12])
     def test_resolves_near_product_states(self, tiny):
@@ -363,7 +366,7 @@ class TestDisentangledFormula:
 
     def test_rejects_entangled_input(self):
         with pytest.raises(NotDisentangled):
-            concurrence_disentangled(singlet(), 0.3)
+            concurrence_disentangled(SINGLET, 0.3)
 
 
 class TestConstantEntanglementCircle:
@@ -395,7 +398,7 @@ class TestConstantEntanglementCircle:
     def test_radius_keeps_its_bits_and_matches_classify(self, gamma):
         rng = np.random.default_rng(5)
         states = [random_state(rng) for _ in range(50)]
-        states += [up_up(), up_down(), plus_plus_state(0.7, 0.3), minus_minus_state(2.2)]
+        states += [UP_UP, up_down(), plus_plus_state(0.7, 0.3), minus_minus_state(2.2)]
         for state in states:
             inv = family_invariants(state)
             _, radius = constant_entanglement_circle(state, 0.4, gamma=gamma)
@@ -421,21 +424,20 @@ class TestProfile:
         assert not coarse.is_constant
 
     def test_constant_profile_flagged(self):
-        profile = concurrence_profile(singlet())
+        profile = concurrence_profile(SINGLET, GRID)
         assert profile.is_constant
         assert profile.c_max == pytest.approx(1.0)
         assert profile.theta_max == 0.0
 
     @pytest.mark.parametrize(
         "thetas",
-        [None, np.linspace(-4.0, 9.0, 301), [0.0, np.pi / 4, np.pi / 2, 3], 0.7, []],
+        [GRID, np.linspace(-4.0, 9.0, 301), [0.0, np.pi / 4, np.pi / 2, 3], 0.7, []],
     )
     def test_samples_equal_the_per_sample_loop(self, thetas):
-        specials = [up_up(), singlet(), triplet_zero(), up_down(), plus_minus_state(0.9, 0.4)]
+        specials = [UP_UP, SINGLET, TRIPLET_ZERO, up_down(), plus_minus_state(0.9, 0.4)]
         edges = [edge_state(tilt) for tilt in (1e-17, -1e-17, 5e-16, -5e-16)]
         for state in haar_states(200, seed=61) + specials + edges:
-            grid = np.linspace(0.0, np.pi, 256, endpoint=False) if thetas is None else thetas
-            grid = np.asarray(grid, dtype=np.float64)
+            grid = np.asarray(thetas, dtype=np.float64)
             expected = loop_samples(grid, 2.0 * np.abs(np.atleast_1d(_w(state, grid))))
             samples = concurrence_profile(state, thetas).samples
             # repr tells -0.0 from 0.0 and shows every bit of a float.
@@ -466,17 +468,21 @@ class TestProfile:
 
     def test_values_stay_in_range(self):
         for state in haar_states(10, seed=43):
-            profile = concurrence_profile(state)
+            profile = concurrence_profile(state, GRID)
             assert all(0.0 <= value <= 1.0 for _, value in profile.samples)
+
+    def test_the_grid_is_required(self):
+        with pytest.raises(TypeError):
+            concurrence_profile(up_down())
 
 
 class TestClosedFormMaximum:
     def test_matches_the_dense_search(self):
         specials = [
-            up_up(),
-            down_down(),
-            triplet_zero(),
-            singlet(),
+            UP_UP,
+            DOWN_DOWN,
+            TRIPLET_ZERO,
+            SINGLET,
             plus_minus_state(0.9, 0.4),
             plus_plus_state(0.8, 0.2),
             up_down(),
@@ -500,7 +506,7 @@ class TestClosedFormMaximum:
         # negative tilt puts theta* just below pi/2, where the mod can round
         # to pi/2 itself (-1e-17) or to the float just below it (-5e-16).
         state = edge_state(tilt)
-        profile = concurrence_profile(state)
+        profile = concurrence_profile(state, GRID)
         assert 0.0 <= profile.theta_max < np.pi / 2
         assert _quarter_turn_gap(profile.theta_max, 0.0) <= 1e-15
         assert profile.c_max == 1.0
@@ -518,7 +524,7 @@ class TestClosedFormMaximum:
     @given(raw_amplitudes())
     def test_closed_form_bounds_and_attains_the_profile(self, raw):
         state = state_from_raw(raw)
-        profile = concurrence_profile(state)
+        profile = concurrence_profile(state, GRID)
         assert 0.0 <= profile.theta_max < np.pi / 2
         assert all(value <= profile.c_max + 1e-12 for _, value in profile.samples)
         # A flat profile reports its top, which theta = 0 may miss by up to
@@ -559,7 +565,7 @@ class TestMaxEntanglementTime:
         assert peak.concurrence == pytest.approx(1.0, abs=1e-12)
 
     def test_constant_profile_peaks_immediately(self):
-        peak = max_entanglement_time(singlet(), SystemParams(1.0, 0.7))
+        peak = max_entanglement_time(SINGLET, SystemParams(1.0, 0.7))
         assert peak.time == 0.0
         assert peak.concurrence == pytest.approx(1.0)
 

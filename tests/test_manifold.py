@@ -5,11 +5,9 @@ from spin_torus import manifold
 from spin_torus.hamiltonian import SystemParams, propagator_analytic
 from spin_torus.manifold import (
     DEFAULT_STEP,
-    MIN_STEP,
     DegenerateShear,
     ManifoldKind,
     MetricTensor2,
-    StepTooSmall,
     TorusPoint,
     classify,
     diagonalize_check,
@@ -23,14 +21,13 @@ from spin_torus.manifold import (
 from spin_torus.qstate import (
     PureState2Q,
     apply,
-    down_down,
+    basis_state,
     fs_distance_sq,
     minus_minus_state,
     plus_minus_state,
     plus_plus_state,
     random_state,
     up_down,
-    up_up,
 )
 
 
@@ -96,7 +93,7 @@ def reference_flatness_per_direction(initial, gamma, seed):
 
 def reference_flatness(initial, gamma, seed):
     """``flatness_residual`` as classify measured it through
-    metric_numeric, whose shear rule could raise at a polarized state."""
+    metric_numeric."""
     rng = np.random.default_rng(seed)
     components = np.empty((5, 3))
     for i in range(5):
@@ -107,11 +104,6 @@ def reference_flatness(initial, gamma, seed):
 
 
 class TestTorusPoint:
-    def test_canonical_wraps_both_angles(self):
-        point = TorusPoint(np.pi + 0.3, -0.5).canonical()
-        assert point.theta == pytest.approx(0.3)
-        assert point.phi == pytest.approx(2.0 * np.pi - 0.5)
-
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             TorusPoint(np.nan, 0.0)
@@ -284,7 +276,7 @@ class TestMetricAnalytic:
             metric = metric_analytic(random_state(rng))
             assert metric.shear is not None
             # Diagonalized determinant must match the raw determinant.
-            raw_det = metric.determinant()
+            raw_det = metric.g_theta_theta * metric.g_phi_phi - metric.g_theta_phi ** 2
             diag_det = metric.g_theta_theta_diag * metric.g_phi_phi_diag
             assert diag_det == pytest.approx(raw_det, abs=1e-13)
 
@@ -337,13 +329,12 @@ class TestMetricNumeric:
             9.0 * unit.g_theta_theta, abs=1e-5
         )
 
-    def test_step_bounds(self):
+    def test_the_step_is_not_a_parameter(self):
         state = plus_minus_state(1.0, 0.0)
-        point = TorusPoint(0.1, 0.1)
-        with pytest.raises(StepTooSmall):
-            metric_numeric(state, point, h=1e-7)
-        with pytest.raises(ValueError, match="coarse"):
-            metric_numeric(state, point, h=0.5)
+        with pytest.raises(TypeError):
+            metric_numeric(state, TorusPoint(0.1, 0.1), 1.0, DEFAULT_STEP)
+        with pytest.raises(TypeError):
+            diagonalize_check(state, 1.0, manifold._SHEAR_STEP)
 
     def test_degenerate_phi_direction_measured(self):
         measured = metric_numeric(up_down(), TorusPoint(0.7, 1.3))
@@ -351,16 +342,40 @@ class TestMetricNumeric:
         assert measured.g_phi_phi == pytest.approx(0.0, abs=1e-10)
         assert measured.g_theta_theta == pytest.approx(1.0, abs=1e-6)
 
+    @pytest.mark.parametrize("point", [(0.7, 1.3), (0.3, 1.1), (2.0, 4.0)])
+    def test_degenerate_phi_direction_reports_the_measured_cross_term(self, point):
+        # At 4e-13 the closed form raises DegenerateShear; the estimate
+        # does not, and reports its cross term, noise, as measured.
+        state = near_polarized_state(4e-13)
+        measured = metric_numeric(state, TorusPoint(*point))
+        assert measured.shear is None
+        assert measured.g_theta_phi != 0.0
+        assert abs(measured.g_theta_phi) < 1e-7
+        assert measured.g_theta_theta_diag == measured.g_theta_theta
+        assert measured == reference_metric_numeric(
+            state, TorusPoint(*point), 1.0, DEFAULT_STEP
+        )
 
-    @pytest.mark.parametrize("h", [DEFAULT_STEP, MIN_STEP, 2e-3])
-    def test_bit_identical_to_per_direction_estimator(self, h):
+    def test_bit_identical_to_per_direction_estimator(self):
         rng = np.random.default_rng(71)
         for i in range(200):
             state = random_state(rng)
             gamma = (1.0, 0.6, 2.3)[i % 3]
             point = TorusPoint(rng.uniform(-4.0, 4.0), rng.uniform(-7.0, 7.0))
-            measured = metric_numeric(state, point, gamma, h)
-            assert measured == reference_metric_numeric(state, point, gamma, h)
+            measured = metric_numeric(state, point, gamma)
+            assert measured == reference_metric_numeric(state, point, gamma, DEFAULT_STEP)
+
+    @pytest.mark.parametrize("h", [1e-6, manifold._SHEAR_STEP])
+    def test_direction_forms_bit_identical_to_per_direction_estimator(self, h):
+        rng = np.random.default_rng(71)
+        for i in range(200):
+            state = random_state(rng)
+            gamma = (1.0, 0.6, 2.3)[i % 3]
+            point = TorusPoint(rng.uniform(-4.0, 4.0), rng.uniform(-7.0, 7.0))
+            measured = manifold._direction_forms(
+                state.vector, [point.theta], [point.phi], gamma, h, manifold._AXES
+            )
+            assert measured[0].tolist() == list(reference_components(state, point, gamma, h))
 
     @pytest.mark.parametrize(
         "corrupt, message",
@@ -492,7 +507,7 @@ class TestClassify:
         assert report.radius_extrapolated is False
 
     def test_polarized_state_is_point(self):
-        report = classify(up_up())
+        report = classify(basis_state(0))
         assert report.kind is ManifoldKind.POINT
         assert report.dimension == 0
         assert report.radius_phi_circle == pytest.approx(0.0, abs=1e-12)
@@ -501,7 +516,7 @@ class TestClassify:
     @pytest.mark.parametrize("gamma", [1.0, 0.6, 2.3])
     @pytest.mark.parametrize(
         "state",
-        [up_up(), down_down(), plus_plus_state(0.0, 0.4), minus_minus_state(0.0, 1.7)],
+        [basis_state(0), basis_state(3), plus_plus_state(0.0, 0.4), minus_minus_state(0.0, 1.7)],
         ids=["up_up", "down_down", "plus_plus_chi0", "minus_minus_chi0"],
     )
     def test_polarized_state_is_a_point_at_every_seed(self, state, gamma):
@@ -513,6 +528,17 @@ class TestClassify:
             assert report.dimension == 0
             assert report.circle_radius is None
             assert report.radius_extrapolated is False
+
+    @pytest.mark.parametrize("chi", [1e-7, 1e-6, 2e-6, 3e-6, 1e-5, 3e-5])
+    def test_phi_is_live_exactly_when_the_closed_form_has_a_shear(self, chi):
+        # The phi weight of |++> is sin(chi)^2 / 2: from 5e-15 to 4.5e-10
+        # here, on both sides of the degeneracy tolerance.
+        state = plus_plus_state(chi)
+        has_shear = metric_analytic(state).shear is not None
+        for gamma in (1e-3, 1.0, 1e3):
+            report = classify(state, gamma=gamma)
+            assert report.kind is (ManifoldKind.CIRCLE if has_shear else ManifoldKind.POINT)
+        assert has_shear is (chi >= 2e-6)
 
     def test_only_the_closed_form_raises_degenerate_shear(self):
         with pytest.raises(DegenerateShear, match="phi direction is degenerate but the cross"):
@@ -553,7 +579,7 @@ class TestClassify:
             (PureState2Q.normalized(0.5, 0.6, -0.3j, 0.2), ManifoldKind.FLAT_TORUS, False),
             (up_down(), ManifoldKind.CIRCLE, True),
             (plus_plus_state(1.1, 0.6), ManifoldKind.CIRCLE, False),
-            (up_up(), ManifoldKind.POINT, False),
+            (basis_state(0), ManifoldKind.POINT, False),
         ],
     )
     def test_dimension_is_an_int_and_the_flag_a_bool(self, state, kind, extrapolated):

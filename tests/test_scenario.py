@@ -6,7 +6,7 @@ import pytest
 
 import spin_torus.scenario
 from spin_torus.manifold import classify, metric_analytic
-from spin_torus.qstate import down_down, plus_plus_state, random_state, up_down, up_up
+from spin_torus.qstate import basis_state, plus_plus_state, random_state, up_down
 from spin_torus.scenario import (
     AMPLITUDE_NORM_TOL,
     CSV_COLUMNS,
@@ -162,6 +162,18 @@ class TestConfigValidation:
     def test_malformed_json_text(self):
         with pytest.raises(ConfigInvalid, match="JSON"):
             config_from_json("{not json")
+
+    def test_over_deep_json_text(self):
+        with pytest.raises(ConfigInvalid, match="^not valid JSON: maximum recursion depth"):
+            config_from_json("[" * 100_000 + "]" * 100_000)
+
+    @pytest.mark.parametrize("field", ["outputs", "params", "grid"])
+    def test_over_deep_document(self, field):
+        deep = []
+        for _ in range(5000):
+            deep = [deep]
+        with pytest.raises(ConfigInvalid, match="^<root>: nested too deeply to check$"):
+            config_from_dict(base_config_dict(**{field: [deep, deep]}))
 
     def test_error_message_carries_field_path(self):
         data = base_config_dict()
@@ -403,6 +415,18 @@ class TestExport:
         export_record(record, "csv", str(out))
         assert not (tmp_path / "plain.csv.meta.csv").exists()
 
+    @pytest.mark.parametrize("format", ["json", "csv"])
+    def test_results_too_deep_to_write_leave_no_file(self, tmp_path, format):
+        deep = 1.0
+        for _ in range(5000):
+            deep = [deep]
+        data = record_to_dict(self.make_record(outputs=["metric", "evolved_states"]))
+        data["results"]["metric"]["x"] = deep
+        record = record_from_dict(data)
+        with pytest.raises(RecursionError):
+            export_record(record, format, str(tmp_path / "deep.out"))
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_format_rejected(self, tmp_path):
         record = self.make_record(outputs=["metric"])
         with pytest.raises(ValueError, match="format"):
@@ -472,7 +496,7 @@ def test_metric_and_classify_blocks_match_the_literal_builders():
     # json.dumps without sort_keys keeps key order, and writes each float's repr.
     rng = np.random.default_rng(17)
     states = [random_state(rng) for _ in range(20)]
-    states += [up_down(), plus_plus_state(1.1), up_up(), down_down(), plus_plus_state(0.0)]
+    states += [up_down(), plus_plus_state(1.1), basis_state(0), basis_state(3), plus_plus_state(0.0)]
     config = config_from_dict(base_config_dict(params={"coupling": 1.0, "field": 0.5, "gamma": 0.7}))
     for seed, state in enumerate(states):
         metric_block = spin_torus.scenario._run_metric(state, config, seed)
