@@ -8,7 +8,6 @@ status and check lines, never results.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from pathlib import Path
@@ -17,7 +16,7 @@ from .scenario import (
     ConfigInvalid,
     config_from_json,
     export_record,
-    record_from_dict,
+    read_record,
     run_scenario,
 )
 from .verify import verify_all
@@ -83,26 +82,21 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_export(args: argparse.Namespace) -> int:
     try:
-        # json.load drops the file's text once parsed, so the text of a
-        # dense record is not held through the export.
-        with open(args.record, encoding="utf-8") as handle:
-            data = json.load(handle)
+        record = read_record(args.record)
     except OSError as error:
         return _fail(f"cannot read record: {error}", EXIT_IO_ERROR)
+    except ConfigInvalid as error:
+        return _fail(f"invalid record: {error}", EXIT_CONFIG_ERROR)
     # ValueError also covers undecodable text and an overlong integer, and
     # RecursionError over-deep nesting.
     except (ValueError, RecursionError) as error:
         return _fail(f"record is not valid JSON: {error}", EXIT_CONFIG_ERROR)
     try:
-        record = record_from_dict(data)
-    except ConfigInvalid as error:
-        return _fail(f"invalid record: {error}", EXIT_CONFIG_ERROR)
-    try:
         export_record(record, args.format, args.out)
     except OSError as error:
         return _fail(f"cannot write export: {error}", EXIT_IO_ERROR)
-    # json's encoder starts from a deeper stack than json.load, so a record
-    # json.load accepted can still be too deep to write; none is written.
+    # json's encoder starts from a deeper stack than the parse, so a record
+    # that parsed can still be too deep to write; none is written.
     except RecursionError:
         return _fail("invalid record: results nested too deeply to export", EXIT_CONFIG_ERROR)
     print(f"wrote {args.out}")

@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import numbers
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+import operator
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -451,9 +453,31 @@ def config_from_json(text: str | bytes) -> ScenarioConfig:
 
 # --- running -----------------------------------------------------------------
 
+CSV_COLUMNS = (
+    "theta",
+    "phi",
+    "a_re",
+    "a_im",
+    "b_re",
+    "b_im",
+    "c_re",
+    "c_im",
+    "d_re",
+    "d_im",
+    "C",
+)
+
+
 @dataclass(frozen=True)
 class RunRecord:
-    """Results of one scenario run plus enough context to reproduce it."""
+    """Results of one scenario run plus enough context to reproduce it.
+
+    ``results["evolved_states"]``, when present, holds one row per grid
+    point, each a tuple of 11 floats in ``CSV_COLUMNS`` order: theta, phi,
+    the real and imaginary parts of the four amplitudes, and the
+    concurrence C.  The record's JSON writes each row as an object with
+    theta, phi, four [re, im] amplitude pairs and concurrence.
+    """
 
     schema_version: str
     config: ScenarioConfig
@@ -500,18 +524,16 @@ def _run_profile(initial: PureState2Q, config: ScenarioConfig, seed: int) -> dic
 
 
 def _run_evolved(initial: PureState2Q, config: ScenarioConfig, seed: int) -> list:
-    """One row per grid point, theta varying slowest on a torus grid."""
+    """One row per grid point, theta varying slowest on a torus grid: the
+    tuple of its ``CSV_COLUMNS`` values."""
     pair = itertools.product if isinstance(config.grid, TorusGrid) else zip
     rows = []
     for theta, phi in pair(*_grid_angles(config)):
         state = evolve_family(initial, TorusPoint(theta, phi))
+        a, b, c, d = state.vector.tolist()
         rows.append(
-            {
-                "theta": theta,
-                "phi": phi,
-                "amplitudes": [[z.real, z.imag] for z in state.vector.tolist()],
-                "concurrence": concurrence(state),
-            }
+            (theta, phi, a.real, a.imag, b.real, b.imag, c.real, c.imag, d.real, d.imag,
+             concurrence(state))
         )
     return rows
 
@@ -554,21 +576,40 @@ def run_scenario(config: ScenarioConfig, seed: int = 0) -> RunRecord:
 
 # --- serialization -----------------------------------------------------------
 
-#: The keys of one evolved-states row.
+#: The keys of one evolved-states row in a record's JSON.
 _ROW_KEYS = frozenset({"theta", "phi", "amplitudes", "concurrence"})
 _FLOAT_ONLY = frozenset({float})
 
 
-def record_to_dict(record: RunRecord) -> dict[str, Any]:
+def _record_body(record: RunRecord, results: dict[str, Any]) -> dict[str, Any]:
     return {
         "schema_version": record.schema_version,
         "config": record.config.to_jsonable(),
-        "results": record.results,
+        "results": results,
         "provenance": record.provenance,
     }
 
 
-def _finite_floats(values: list[Any]) -> list[float] | None:
+def _row_object(row: tuple[float, ...]) -> dict[str, Any]:
+    """A row as the record's JSON writes it."""
+    theta, phi, a_re, a_im, b_re, b_im, c_re, c_im, d_re, d_im, value = row
+    return {
+        "theta": theta,
+        "phi": phi,
+        "amplitudes": [[a_re, a_im], [b_re, b_im], [c_re, c_im], [d_re, d_im]],
+        "concurrence": value,
+    }
+
+
+def record_to_dict(record: RunRecord) -> dict[str, Any]:
+    """The record as plain JSON values, each evolved row an object."""
+    results = record.results
+    if "evolved_states" in results:
+        results = {**results, "evolved_states": list(map(_row_object, results["evolved_states"]))}
+    return _record_body(record, results)
+
+
+def _finite_floats(values: Sequence[Any]) -> Sequence[float] | None:
     """The values as floats, or None unless each is a finite real number.
 
     A bool is not a number here.  Returns ``values`` itself when it already
@@ -590,44 +631,46 @@ def _is_pair_list(value: Any) -> bool:
     )
 
 
-def _checked_rows(block: Any) -> list[dict[str, Any]]:
-    """A record's evolved-states block, checked row by row.
+def _packed_row(row: Any) -> Any:
+    """``row`` as a tuple of its values in ``CSV_COLUMNS`` order if it is an
+    object with exactly a row's keys and four [re, im] amplitude pairs, else
+    ``row`` itself.  The values are not checked here."""
+    if isinstance(row, dict) and row.keys() == _ROW_KEYS:
+        pairs = row["amplitudes"]
+        if isinstance(pairs, list) and len(pairs) == 4 and _is_pair_list(pairs):
+            (a_re, a_im), (b_re, b_im), (c_re, c_im), (d_re, d_im) = pairs
+            return (row["theta"], row["phi"], a_re, a_im, b_re, b_im, c_re, c_im,
+                    d_re, d_im, row["concurrence"])
+    return row
 
-    Each row must hold exactly theta, phi, four [re, im] amplitude pairs and
-    the concurrence, every value a finite real number; ints become floats.
-    These are the rows :func:`record_to_json` and the CSV writer format
-    without further checks.
+
+def _checked_rows(block: Any) -> list[tuple[float, ...]]:
+    """A record's evolved-states block as checked rows.
+
+    Each row is an object that :func:`_packed_row` packs, or a tuple it
+    packed already, and every value must be a finite real number; ints
+    become floats.  These are the rows :func:`record_to_json` and the CSV
+    writer format without further checks.
     """
     where = "results.evolved_states"
     if not isinstance(block, list):
         raise ConfigInvalid(f"{where}: must be a list of rows")
     rows = []
     for index, row in enumerate(block):
-        if not isinstance(row, dict) or row.keys() != _ROW_KEYS:
+        row = _packed_row(row)
+        if type(row) is not tuple or len(row) != len(CSV_COLUMNS):
+            if isinstance(row, dict) and row.keys() == _ROW_KEYS:
+                raise ConfigInvalid(f"{where}[{index}].amplitudes: must be 4 [re, im] pairs")
             raise ConfigInvalid(
                 f"{where}[{index}]: a row has exactly the keys "
                 "amplitudes, concurrence, phi and theta"
             )
-        pairs = row["amplitudes"]
-        if not (_is_pair_list(pairs) and len(pairs) == 4):
-            raise ConfigInvalid(
-                f"{where}[{index}].amplitudes: must be 4 [re, im] pairs"
-            )
-        values = [row["theta"], row["phi"], row["concurrence"], *pairs[0],
-                  *pairs[1], *pairs[2], *pairs[3]]
-        floats = _finite_floats(values)
+        floats = _finite_floats(row)
         if floats is None:
             raise ConfigInvalid(
                 f"{where}[{index}]: every value must be a finite real number"
             )
-        if floats is not values:
-            row = {
-                "theta": floats[0],
-                "phi": floats[1],
-                "amplitudes": [floats[3:5], floats[5:7], floats[7:9], floats[9:11]],
-                "concurrence": floats[2],
-            }
-        rows.append(row)
+        rows.append(floats if floats is row else tuple(floats))
     return rows
 
 
@@ -648,10 +691,36 @@ def _checked_samples(block: dict[str, Any]) -> dict[str, Any]:
     return {**block, "samples": pairs}
 
 
+def _check_finite(blocks: dict[str, Any]) -> None:
+    """:class:`ConfigInvalid` naming the first float in ``blocks``, in
+    document order, that is not finite.  The walk keeps its own stack, one
+    iterator per open object or list, so no nesting that json parses
+    exhausts Python's."""
+    open_items = [iter(blocks.items())]
+    path: list[Any] = []
+    while open_items:
+        for key, value in open_items[-1]:
+            if isinstance(value, float) and not math.isfinite(value):
+                path.append(key)
+                where = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)
+                raise ConfigInvalid(f"{where[1:]}: must be finite")
+            if isinstance(value, (dict, list)):
+                items = value.items() if isinstance(value, dict) else enumerate(value)
+                open_items.append(iter(items))
+                path.append(key)
+                break
+        else:
+            open_items.pop()
+            if path:
+                path.pop()
+
+
 def record_from_dict(data: Mapping[str, Any]) -> RunRecord:
     """Rebuild a record read from outside, raising :class:`ConfigInvalid`
-    for anything malformed, including evolved rows or profile samples that
-    are not finite real numbers."""
+    for anything malformed: evolved rows or profile samples that are not
+    finite real numbers, and any float elsewhere in the results or the
+    provenance that is not finite.  Evolved rows may be objects, as the
+    record's JSON writes them, or the tuples they pack into."""
     if not isinstance(data, Mapping):
         raise ConfigInvalid("record must be a JSON object")
     try:
@@ -664,17 +733,56 @@ def record_from_dict(data: Mapping[str, Any]) -> RunRecord:
     if not isinstance(results, Mapping) or not isinstance(provenance, Mapping):
         raise ConfigInvalid("record results and provenance must be JSON objects")
     results = dict(results)
+    provenance = dict(provenance)
     if "evolved_states" in results:
         results["evolved_states"] = _checked_rows(results["evolved_states"])
     profile = results.get("concurrence_profile")
     if isinstance(profile, dict) and "samples" in profile:
         results["concurrence_profile"] = _checked_samples(profile)
+    # The checked rows are tuples, which the walk does not enter.
+    _check_finite({"results": results, "provenance": provenance})
     return RunRecord(
         schema_version=schema_version,
         config=config,
         results=results,
-        provenance=dict(provenance),
+        provenance=provenance,
     )
+
+
+def read_record(path: str) -> RunRecord:
+    """Read a record file and check it as :func:`record_from_dict` does.
+
+    The text is UTF-8, after a BOM if one leads it.  Each row-shaped object
+    is packed by :func:`_packed_row` as json's scanner finishes it, so no
+    tree of row objects ever sits beside the text.  If anything packed is
+    not an item of results.evolved_states, such as a row-shaped object
+    elsewhere, the text is parsed again without packing and reads exactly
+    as plain json reads it.
+
+    Raises ``OSError`` if the file cannot be read, ``ValueError`` or
+    ``RecursionError`` if its text is not JSON, and :class:`ConfigInvalid`
+    if the record is malformed.
+    """
+    text = Path(path).read_text(encoding="utf-8-sig")
+    packed = 0
+
+    def pack(obj: dict[str, Any]) -> Any:
+        nonlocal packed
+        row = _packed_row(obj)
+        packed += row is not obj
+        return row
+
+    try:
+        data = json.loads(text, object_hook=pack)
+    # The hook's own frames may be what overflowed; plain json decides.
+    except RecursionError:
+        data, packed = None, -1
+    results = data.get("results") if isinstance(data, dict) else None
+    rows = results.get("evolved_states") if isinstance(results, dict) else None
+    if packed != (sum(type(row) is tuple for row in rows) if isinstance(rows, list) else 0):
+        data = json.loads(text)
+    del text  # not held while the rows are checked
+    return record_from_dict(data)
 
 
 #: Where results.evolved_states opens in a record's json text.  Only json's
@@ -689,19 +797,24 @@ def _rows_at(text: str) -> int:
     return text.index(_ROWS_OPEN, text.index(_RESULTS_OPEN)) + len(_ROWS_OPEN)
 
 
-def _row_layout() -> tuple[str, str]:
-    """One evolved-states row as json lays it out in a record, and the text
-    between the last row and the list's closing bracket.  The row has a %s
-    slot for the separator before it, then a %r slot for each float: a_re,
-    a_im, ..., d_im, concurrence, phi, theta."""
-    row = {"amplitudes": [["%r", "%r"]] * 4, "concurrence": "%r", "phi": "%r", "theta": "%r"}
+def _row_layout() -> tuple[str, Callable[[Sequence[float]], tuple[float, ...]], str]:
+    """One evolved-states row as json lays it out in a record, the getter
+    of a row's values in the order they appear there, and the text between
+    the last row and the list's closing bracket.  The row has a %s slot for
+    the separator before it, then a %r slot for each value."""
+    slots = tuple(f"@{i}@" for i in range(len(CSV_COLUMNS)))
+    row = _row_object(slots)
     text = json.dumps({"results": {"evolved_states": [row]}}, sort_keys=True, indent=2)
     start, end = _rows_at(text), text.rindex("]")
     row_text = text[start:end].rstrip()
-    return "%s" + row_text.replace('"%r"', "%r"), text[start + len(row_text) : end]
+    close = text[start + len(row_text) : end]
+    order = sorted(range(len(slots)), key=lambda i: row_text.index(f'"{slots[i]}"'))
+    for slot in slots:
+        row_text = row_text.replace(f'"{slot}"', "%r")
+    return "%s" + row_text, operator.itemgetter(*order), close
 
 
-_ROW_JSON, _ROWS_CLOSE = _row_layout()
+_ROW_JSON, _JSON_ORDER, _ROWS_CLOSE = _row_layout()
 
 
 def _record_pieces(record: RunRecord) -> Iterator[str]:
@@ -716,19 +829,17 @@ def _record_pieces(record: RunRecord) -> Iterator[str]:
     makes them so and :func:`record_from_dict` checks it), and json writes a
     finite float as its repr.
     """
-    body = record_to_dict(record)
-    rows = body["results"].get("evolved_states")
+    rows = record.results.get("evolved_states")
+    results = {**record.results, "evolved_states": []} if rows else record.results
+    text = json.dumps(_record_body(record, results), sort_keys=True, indent=2)
     if not rows:
-        yield json.dumps(body, sort_keys=True, indent=2) + "\n"
+        yield text + "\n"
         return
-    body["results"] = {**body["results"], "evolved_states": []}
-    text = json.dumps(body, sort_keys=True, indent=2)
     at = _rows_at(text)
     yield text[:at]
     separator = ""
     for row in rows:
-        a, b, c, d = row["amplitudes"]
-        yield _ROW_JSON % (separator, *a, *b, *c, *d, row["concurrence"], row["phi"], row["theta"])
+        yield _ROW_JSON % (separator, *_JSON_ORDER(row))
         separator = ","
     yield _ROWS_CLOSE + text[at:] + "\n"
 
@@ -755,20 +866,6 @@ def canonical_result_bytes(record: RunRecord) -> bytes:
 
 
 # --- export ------------------------------------------------------------------
-
-CSV_COLUMNS = (
-    "theta",
-    "phi",
-    "a_re",
-    "a_im",
-    "b_re",
-    "b_im",
-    "c_re",
-    "c_im",
-    "d_re",
-    "d_im",
-    "C",
-)
 
 #: One CSV row, a %r slot per column.
 _CSV_ROW = ",".join(["%r"] * len(CSV_COLUMNS)) + "\n"
@@ -799,8 +896,7 @@ def _csv_lines(record: RunRecord) -> Iterator[str]:
     yield ",".join(CSV_COLUMNS) + "\n"
     if "evolved_states" in record.results:
         for row in record.results["evolved_states"]:
-            a, b, c, d = row["amplitudes"]
-            yield _CSV_ROW % (row["theta"], row["phi"], *a, *b, *c, *d, row["concurrence"])
+            yield _CSV_ROW % row
     elif "concurrence_profile" in record.results:
         block = record.results["concurrence_profile"]
         if isinstance(block, dict) and "samples" in block:

@@ -446,3 +446,62 @@ class TestRuntimeWithoutJsonschema:
         assert result.returncode == 0, result.stderr
         assert (tmp_path / "demo.csv").read_text().startswith("theta,phi,")
         assert "all 27 checks passed" in result.stdout
+
+
+NON_FINITE_PLACES = {
+    "results.metric.g_phi_phi": ("results", "metric", "g_phi_phi"),
+    "results.concurrence_profile.c_max": ("results", "concurrence_profile", "c_max"),
+    "provenance.seed": ("provenance", "seed"),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("place", sorted(NON_FINITE_PLACES))
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_non_finite_record_value_exits_two_and_writes_nothing(
+    config_file, tmp_path, capsys, literal, place, fmt
+):
+    """json reads these literals as floats that are not finite, outside the
+    evolved rows and profile samples too; neither format writes them."""
+    record = tmp_path / "r.json"
+    assert main(["run", str(config_file), "--out", str(record)]) == EXIT_OK
+    body = json.loads(record.read_text())
+    *parents, key = NON_FINITE_PLACES[place]
+    block = body
+    for name in parents:
+        block = block[name]
+    block[key] = "@@"
+    record.write_text(json.dumps(body, indent=2).replace('"@@"', literal))
+    before = sorted(tmp_path.iterdir())
+    capsys.readouterr()
+    out = tmp_path / f"never.{fmt}"
+    assert main(["export", str(record), "--format", fmt, "--out", str(out)]) == EXIT_CONFIG_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: invalid record: {place}: must be finite\n"
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_config_with_a_bom_runs(config_file, tmp_path):
+    plain = tmp_path / "plain.record.json"
+    assert main(["run", str(config_file), "--out", str(plain)]) == EXIT_OK
+    config_file.write_bytes(b"\xef\xbb\xbf" + config_file.read_bytes())
+    marked = tmp_path / "marked.record.json"
+    assert main(["run", str(config_file), "--out", str(marked)]) == EXIT_OK
+    assert json.loads(marked.read_text())["results"] == json.loads(plain.read_text())["results"]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_record_with_a_bom_exports_as_without(config_file, tmp_path, fmt):
+    record = tmp_path / "r.json"
+    assert main(["run", str(config_file), "--out", str(record)]) == EXIT_OK
+    marked = tmp_path / "marked.json"
+    marked.write_bytes(b"\xef\xbb\xbf" + record.read_bytes())
+    outputs = []
+    for source in (record, marked):
+        out = tmp_path / f"{source.stem}.{fmt}"
+        assert main(["export", str(source), "--format", fmt, "--out", str(out)]) == EXIT_OK
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    if fmt == "json":
+        assert outputs[0] == record.read_bytes()

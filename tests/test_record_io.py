@@ -4,13 +4,15 @@ and the checks on records read back from outside."""
 import dataclasses
 import json
 import math
+import sys
 import tracemalloc
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
-from spin_torus import cli
+from spin_torus import cli, scenario
 from spin_torus.manifold import TorusPoint, evolve_family
 from spin_torus.scenario import (
     CSV_COLUMNS,
@@ -19,6 +21,7 @@ from spin_torus.scenario import (
     _format_cell,
     config_from_dict,
     export_record,
+    read_record,
     record_from_dict,
     record_to_dict,
     record_to_json,
@@ -48,8 +51,9 @@ def reference_json(record):
 
 
 def reference_csv(record):
-    """The CSV as a list of cells per row, each cell through _format_cell."""
-    results = record.results
+    """The CSV as a list of cells per row, each cell through _format_cell,
+    the evolved rows read from the objects of the record's JSON form."""
+    results = record_to_dict(record)["results"]
     rows = []
     if "evolved_states" in results:
         for row in results["evolved_states"]:
@@ -162,6 +166,29 @@ def spliced_records():
 
 SPLICED = dict(spliced_records())
 
+#: An object with exactly the shape of an evolved-states row.
+ROW = {
+    "theta": 0.5,
+    "phi": 0.25,
+    "amplitudes": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+    "concurrence": 0.0,
+}
+
+
+def row_decoy_records():
+    """Records that hold row-shaped objects outside results.evolved_states,
+    which the packing parse must leave as objects."""
+    record = make_record()
+    metric = {**record.results["metric"], "decoy": ROW, "decoys": [ROW, [ROW]]}
+    yield "row_in_metric", with_results(record, metric=metric)
+    yield "row_in_provenance", dataclasses.replace(
+        record, provenance={**record.provenance, "decoy": ROW}
+    )
+    yield "row_beside_rows", with_results(record, aa_before=[ROW], evolved_states_after=ROW)
+
+
+SPLICED.update(row_decoy_records())
+
 
 class TestStreamedWriter:
     @pytest.mark.parametrize("name", list(SPLICED))
@@ -175,6 +202,13 @@ class TestStreamedWriter:
         path = tmp_path / "record.json"
         export_record(record, "json", str(path))
         assert path.read_bytes() == reference_json(record).encode()
+
+    @pytest.mark.parametrize("name", list(SPLICED))
+    def test_read_back(self, name, tmp_path):
+        record = SPLICED[name]
+        path = tmp_path / "record.json"
+        export_record(record, "json", str(path))
+        assert record_to_json(read_record(str(path))) == path.read_text()
 
     def test_decoys_survive(self):
         body = json.loads(record_to_json(SPLICED["decoys"]))
@@ -275,15 +309,16 @@ class TestRecordChecks:
             row["amplitudes"][0] = [1, 0]
         record = record_from_dict(with_row_change(integral))
         row = record.results["evolved_states"][3]
-        assert type(row["theta"]) is float and row["theta"] == 0.0
-        assert row["amplitudes"][0] == [1.0, 0.0]
-        assert all(type(part) is float for pair in row["amplitudes"] for part in pair)
+        assert type(row[0]) is float and row[0] == 0.0
+        assert row[2:4] == (1.0, 0.0)
+        assert all(type(value) is float for value in row)
         assert record_to_json(record) == reference_json(record)
 
     def test_valid_rows_pass_unchanged(self):
         body = record_body()
         record = record_from_dict(body)
-        assert record.results["evolved_states"] == body["results"]["evolved_states"]
+        rows = record_to_dict(record)["results"]["evolved_states"]
+        assert rows == body["results"]["evolved_states"]
 
     @pytest.mark.parametrize(
         "samples", [[[0.1, float("nan")]], [[0.1]], [[None, 0.2]], "none"]
@@ -300,6 +335,160 @@ class TestRecordChecks:
         body[field] = [["a", 1]]
         with pytest.raises(ConfigInvalid, match="objects"):
             record_from_dict(body)
+
+
+def edited_body(edit):
+    body = json.loads(record_to_json(make_record()))
+    edit(body, body["results"]["evolved_states"])
+    return json.dumps(body, indent=2)
+
+
+def duplicate_results():
+    text = record_to_json(make_record())
+    results = json.dumps(json.loads(text)["results"])
+    return text.rstrip()[:-1] + f', "results": {results}}}'
+
+
+def deep_in_metric(opening, closing):
+    """A record whose metric block nests a row ``DEEP`` containers deep."""
+    text = edited_body(lambda body, rows: body["results"]["metric"].update(x="@@"))
+    return text.replace('"@@"', opening * DEEP + json.dumps(ROW) + closing * DEEP)
+
+
+#: Deep, but short of where json's encoder, called under pytest, overflows.
+DEEP = sys.getrecursionlimit() - 200
+
+
+#: Record texts on which the packing parse must read as plain json does.
+PACKING_CASES = {
+    "row_in_initial": lambda: edited_body(lambda body, rows: body["config"].update(initial=ROW)),
+    "row_in_metric": lambda: edited_body(
+        lambda body, rows: body["results"]["metric"].update(x=ROW)
+    ),
+    "row_in_provenance": lambda: edited_body(lambda body, rows: body["provenance"].update(x=ROW)),
+    "row_as_theta": lambda: edited_body(lambda body, rows: rows[3].update(theta=ROW)),
+    "row_as_amplitude": lambda: edited_body(
+        lambda body, rows: rows[3]["amplitudes"].__setitem__(0, [ROW, 0.0])
+    ),
+    "row_in_a_list": lambda: edited_body(lambda body, rows: rows.__setitem__(3, [ROW])),
+    "int_values": lambda: edited_body(
+        lambda body, rows: rows[3].update(theta=0, amplitudes=[[1, 0], [0, 0], [0, 0], [0, 0]])
+    ),
+    "bool_value": lambda: edited_body(lambda body, rows: rows[3].update(concurrence=True)),
+    "bool_amplitude": lambda: edited_body(
+        lambda body, rows: rows[3]["amplitudes"][1].__setitem__(0, False)
+    ),
+    "three_pairs": lambda: edited_body(lambda body, rows: rows[3]["amplitudes"].pop()),
+    "long_pair": lambda: edited_body(lambda body, rows: rows[3]["amplitudes"][1].append(0.0)),
+    "string_pairs": lambda: edited_body(
+        lambda body, rows: rows[3].update(amplitudes=["ab", "cd", "ef", "gh"])
+    ),
+    "extra_key": lambda: edited_body(lambda body, rows: rows[3].update(extra=1.0)),
+    "duplicate_results": duplicate_results,
+    "deep_lists": lambda: deep_in_metric("[", "]"),
+    "deep_objects": lambda: deep_in_metric('{"x": ', "}"),
+}
+
+
+def written_files(out):
+    meta = Path(f"{out}.meta.csv")
+    return [path.read_bytes() for path in (out, meta) if path.exists()]
+
+
+class TestPackingParse:
+    """``spin-torus export`` reads a record by packing rows as json parses
+    it; what it exits with, says and writes must be what it gives when
+    plain json reads the record."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("name", sorted(PACKING_CASES))
+    def test_export_reads_as_plain_json(self, name, fmt, tmp_path, capsys):
+        text = PACKING_CASES[name]()
+        path = tmp_path / "record.json"
+        path.write_text(text, encoding="utf-8")
+        expected_out = tmp_path / "expected" / f"out.{fmt}"
+        expected_out.parent.mkdir()
+        try:
+            export_record(record_from_dict(json.loads(text)), fmt, str(expected_out))
+            expected = (0, "")
+        except ConfigInvalid as error:
+            expected = (2, f"error: invalid record: {error}\n")
+        out = tmp_path / f"out.{fmt}"
+        code = cli.main(["export", str(path), "--format", fmt, "--out", str(out)])
+        assert (code, capsys.readouterr().err) == expected
+        assert written_files(out) == written_files(expected_out)
+
+    def test_rows_are_packed_while_parsing(self, tmp_path, monkeypatch):
+        path = tmp_path / "record.json"
+        export_record(make_record(), "json", str(path))
+        packed = []
+        real = scenario._packed_row
+
+        def counting(row):
+            packed.append(row)
+            return real(row)
+
+        monkeypatch.setattr(scenario, "_packed_row", counting)
+        record = read_record(str(path))
+        rows = record.results["evolved_states"]
+        assert len(rows) == 45 and all(type(row) is tuple for row in rows)
+        # Each row object met the hook as json finished it, then was checked
+        # as the tuple it became; nothing was parsed twice.
+        assert sum(type(row) is dict and row.keys() == ROW.keys() for row in packed) == 45
+
+    def test_recursion_in_the_packing_parse_falls_back_to_plain_json(self, tmp_path, monkeypatch):
+        path = tmp_path / "record.json"
+        export_record(make_record(), "json", str(path))
+        real = scenario._packed_row
+        overflowed = []
+
+        def overflow_once(row):
+            if not overflowed:
+                overflowed.append(row)
+                raise RecursionError("maximum recursion depth exceeded")
+            return real(row)
+
+        monkeypatch.setattr(scenario, "_packed_row", overflow_once)
+        assert record_to_json(read_record(str(path))) == path.read_text()
+        assert len(overflowed) == 1
+
+
+class TestHeldMemory:
+    """Memory a dense grid's rows hold, traced by tracemalloc, which counts
+    every Python allocation and so gives the same figure on every run."""
+
+    def grid_config(self):
+        return {**dense_config(), "grid": {"theta_steps": 100, "phi_steps": 100}}
+
+    def test_run_holds_few_bytes_per_point(self):
+        config = config_from_dict({**self.grid_config(), "outputs": ["evolved_states"]})
+        tracemalloc.start()
+        try:
+            record = run_scenario(config, seed=4)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(record.results["evolved_states"]) == 100 * 100
+        assert held / (100 * 100) <= 450
+
+    def test_export_read_holds_less_than_the_file(self, tmp_path, monkeypatch):
+        """What ``spin-torus export`` holds once it has read the record, at
+        the moment it starts to write: no text, no tree of row objects."""
+        config, record = tmp_path / "grid.json", tmp_path / "grid.record.json"
+        config.write_text(json.dumps(self.grid_config()), encoding="utf-8")
+        assert cli.main(["run", str(config), "--out", str(record)]) == 0
+        held = []
+        monkeypatch.setattr(
+            cli, "export_record", lambda *args: held.append(tracemalloc.get_traced_memory()[0])
+        )
+        tracemalloc.start()
+        try:
+            argv = ["export", str(record), "--format", "csv", "--out", str(tmp_path / "grid.csv")]
+            assert cli.main(argv) == 0
+        finally:
+            tracemalloc.stop()
+        assert len(held) == 1
+        assert held[0] <= record.stat().st_size
 
 
 def reference_schema_message(data):
