@@ -8,7 +8,6 @@ status and check lines, never results.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
@@ -45,9 +44,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.seed < 0:
         return _fail("--seed must be non-negative", EXIT_CONFIG_ERROR)
     if args.gamma is not None:
-        if not (math.isfinite(args.gamma) and args.gamma > 0):
-            return _fail("--gamma must be positive and finite", EXIT_CONFIG_ERROR)
-        config = config.with_gamma(args.gamma)
+        try:
+            config = config.with_gamma(args.gamma)
+        except ValueError as error:
+            return _fail(f"--gamma: {error}", EXIT_CONFIG_ERROR)
 
     record = run_scenario(config, seed=args.seed)
 
@@ -95,10 +95,6 @@ def _cmd_export(args: argparse.Namespace) -> int:
         export_record(record, args.format, args.out)
     except OSError as error:
         return _fail(f"cannot write export: {error}", EXIT_IO_ERROR)
-    # json's encoder starts from a deeper stack than the parse, so a record
-    # that parsed can still be too deep to write; none is written.
-    except RecursionError:
-        return _fail("invalid record: results nested too deeply to export", EXIT_CONFIG_ERROR)
     print(f"wrote {args.out}")
     return EXIT_OK
 

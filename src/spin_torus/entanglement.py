@@ -18,7 +18,7 @@ import numpy as np
 
 from .hamiltonian import SystemParams
 from .manifold import TorusPoint, _phi_circle_radius, evolve_family, family_invariants
-from .qstate import PureState2Q
+from .qstate import PureState2Q, check_gamma
 
 #: Excursions beyond [0, 1] larger than this are treated as bugs, not noise.
 _RANGE_SLACK = 1e-9
@@ -161,8 +161,7 @@ def constant_entanglement_circle(
     """The phi circle through exchange angle theta: every state on it has
     the same concurrence.  Returns (that concurrence, the circle's radius
     gamma sqrt(aligned - imbalance^2))."""
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    check_gamma(gamma)
     radius = _phi_circle_radius(family_invariants(initial), gamma)
     return concurrence_evolved(initial, theta), float(radius)
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import Operator4, all_finite
+from .qstate import Operator4, all_finite, check_gamma
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
@@ -53,13 +53,12 @@ class SystemParams:
     gamma: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("coupling", "field", "gamma"):
+        for name in ("coupling", "field"):
             value = getattr(self, name)
             if not all_finite(value):
                 got = "an integer beyond the float range" if isinstance(value, int) else repr(value)
                 raise ValueError(f"{name} must be finite, got {got}")
-        if self.gamma <= 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma!r}")
+        check_gamma(self.gamma)
 
 
 @dataclass(frozen=True)

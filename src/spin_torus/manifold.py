@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import PureState2Q, all_finite, check_state_rows
+from .qstate import PureState2Q, all_finite, check_gamma, check_state_rows
 
 #: Finite-difference step; about the sweet spot between truncation O(h^4)
 #: after Richardson and rounding noise O(eps / h^2).
@@ -236,8 +236,7 @@ def metric_analytic(initial: PureState2Q, gamma: float = 1.0) -> MetricTensor2:
     direction is degenerate (A = D^2, which forces B D = 0 for normalized
     amplitudes) there is nothing to diagonalize and shear is None.
     """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    check_gamma(gamma)
     inv = family_invariants(initial)
     aligned, mismatch, imbalance = inv.aligned, inv.mismatch, inv.imbalance
     g2 = gamma * gamma
@@ -342,22 +341,23 @@ def metric_numeric(
     ``np.vecdot`` takes with the bits of BLAS zdotc, as per-probe
     ``np.vdot`` did.  The result's last bits thus rest on numpy's sin and
     cos and on BLAS, which ``verify`` compares with the scalar routes.
-    The shear is None when g_phi_phi / gamma^2 is at most 1e-8, the
+    The shear is None when g_phi_phi is at most 1e-8 gamma^2, the
     finite-difference noise floor; the cross term is then reported as
-    measured.
+    measured.  A tiny gamma underflows the metric to 0, which is degenerate.
     """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    check_gamma(gamma)
     g_tt, g_tp, g_pp = _direction_forms(
         initial.vector, [point.theta], [point.phi], gamma, DEFAULT_STEP, _AXES
     )[0].tolist()
-    degenerate = g_pp / (gamma * gamma) <= 1e-8
+    degenerate = g_pp <= 1e-8 * (gamma * gamma)
+    # An exact power-of-two scale keeps g_tp^2 / g_pp finite at large gamma.
+    s = 2.0 ** -512 if abs(g_tp) > 2.0 ** 511 else 1.0
     return MetricTensor2(
         g_theta_theta=g_tt,
         g_theta_phi=g_tp,
         g_phi_phi=g_pp,
         shear=None if degenerate else g_tp / g_pp,
-        g_theta_theta_diag=g_tt if degenerate else g_tt - g_tp * g_tp / g_pp,
+        g_theta_theta_diag=g_tt if degenerate else g_tt - (g_tp * s) * (g_tp * s) / (g_pp * s) / s,
         g_phi_phi_diag=g_pp,
     )
 

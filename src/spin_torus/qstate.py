@@ -19,6 +19,8 @@ import numpy as np
 
 #: Absolute tolerance on the squared norm for assert-normalized constructors.
 NORM_TOL = 1e-12
+#: Largest length scale gamma; gamma^2 and every metric form it scales stay finite.
+MAX_GAMMA = 1e150
 
 
 def all_finite(*values: float) -> bool:
@@ -31,6 +33,14 @@ def all_finite(*values: float) -> bool:
     except OverflowError:
         return False
     return True
+
+
+def check_gamma(gamma: float) -> None:
+    """The one rule for the length scale gamma, wherever it enters:
+    ``ValueError`` unless it is a finite real with 0 < gamma <= ``MAX_GAMMA``.
+    A tiny gamma is allowed; the metric it scales may underflow to 0."""
+    if not 0 < gamma <= MAX_GAMMA:  # NaN fails both comparisons
+        raise ValueError(f"gamma must be finite and in (0, {MAX_GAMMA!r}]")
 
 
 def check_state_rows(rows: Iterable[Sequence[complex]]) -> None:
@@ -176,8 +186,7 @@ def fs_distance_sq(x: PureState2Q, y: PureState2Q, gamma: float = 1.0) -> float:
     Symmetric, invariant under independent global phases on either argument,
     and bounded by [0, gamma^2].
     """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    check_gamma(gamma)
     # Rounding can push |<x|y>|^2 a hair past 1 for identical rays.
     return gamma * gamma * min(max(1.0 - abs(inner(x, y)) ** 2, 0.0), 1.0)
 

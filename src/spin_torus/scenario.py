@@ -15,6 +15,7 @@ for reproducibility comparisons.
 
 from __future__ import annotations
 
+import csv
 import itertools
 import json
 import math
@@ -53,6 +54,9 @@ SCHEMA_VERSION = "1"
 AMPLITUDE_NORM_TOL = 1e-9
 #: Most evaluation points one config may ask for, which bounds a run's memory.
 MAX_GRID_POINTS = 1_000_000
+#: Most lists and objects a config or record may nest, counted from its
+#: root; the records this package writes nest 6 deep.
+MAX_NESTING = 32
 
 
 # --- schema ------------------------------------------------------------------
@@ -349,11 +353,45 @@ def _finite_float(value: Any, where: str) -> float:
     return float(value)
 
 
+def _leaves(root: Any, sort: bool = False) -> Iterator[tuple[list[Any], Any]]:
+    """(path, value) for each value in ``root`` that is no list or object,
+    in document order or, if ``sort``, by sorted keys; the path of keys and
+    indices is live.  :class:`ConfigInvalid` at a list or object more than
+    ``MAX_NESTING`` deep, ``root`` counting as one.  The walk keeps its own
+    stack, so how deep a document may nest does not rest on Python's."""
+    def items(value: Any) -> Iterator[tuple[Any, Any]]:
+        pairs = value.items() if isinstance(value, dict) else enumerate(value)
+        return iter(sorted(pairs) if sort and isinstance(value, dict) else pairs)
+
+    open_items = [items(root)] if isinstance(root, (dict, list)) else []
+    path: list[Any] = []
+    while open_items:
+        for key, value in open_items[-1]:
+            path.append(key)
+            if not isinstance(value, (dict, list)):
+                yield path, value
+                path.pop()
+            elif len(open_items) >= MAX_NESTING:
+                raise ConfigInvalid(f"{_where(path)}: nested more than {MAX_NESTING} levels deep")
+            else:
+                open_items.append(items(value))
+                break
+        else:
+            open_items.pop()
+            del path[-1:]
+
+
+def _where(path: list[Any]) -> str:
+    """A path of keys and indices as ``a.b[0].c``."""
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path).removeprefix(".")
+
+
 def _parse_initial(body: Mapping[str, Any]) -> AmplitudesInitial | ProductInitial:
     if "amplitudes" in body:
         pairs = [[_finite_float(x, "initial.amplitudes") for x in xs] for xs in body["amplitudes"]]
         raw = np.array([complex(re, im) for re, im in pairs])
-        norm_sq = float(np.sum(np.abs(raw) ** 2))
+        with np.errstate(over="ignore"):  # an overflowing norm is refused below
+            norm_sq = float(np.sum(np.abs(raw) ** 2))
         if abs(norm_sq - 1.0) > AMPLITUDE_NORM_TOL:
             raise ConfigInvalid(
                 f"initial.amplitudes: |amplitudes|^2 sums to {norm_sq!r}, "
@@ -383,27 +421,27 @@ def _parse_initial(body: Mapping[str, Any]) -> AmplitudesInitial | ProductInitia
 def config_from_dict(data: Mapping[str, Any]) -> ScenarioConfig:
     """Validate a parsed JSON document and build the canonical config.
 
-    Raises :class:`ConfigInvalid` with the offending field path for schema
-    violations and for the semantic checks the schema cannot express
-    (amplitude normalization, Bloch-angle applicability, finiteness, time
-    grids whose angles overflow, grids above ``MAX_GRID_POINTS``), and for
-    a document nested too deeply to check.
+    Raises :class:`ConfigInvalid` with the offending field path for nesting
+    beyond ``MAX_NESTING``, checked first, for schema violations and for the
+    semantic checks the schema cannot express (amplitude normalization,
+    Bloch-angle applicability, finiteness, ``qstate.check_gamma``, time grids
+    whose angles overflow, grids above ``MAX_GRID_POINTS``).
     """
-    try:
-        message = _schema_error(SCENARIO_SCHEMA, data)
-    except RecursionError:
-        message = "<root>: nested too deeply to check"
+    for _ in _leaves(data):  # refuses nesting beyond MAX_NESTING
+        pass
+    message = _schema_error(SCENARIO_SCHEMA, data)
     if message is not None:
         raise ConfigInvalid(message)
 
     initial = _parse_initial(data["initial"])
     params_body = data["params"]
-    # Finite, and the schema keeps gamma positive: SystemParams accepts these.
-    params = SystemParams(
-        coupling=_finite_float(params_body["coupling"], "params.coupling"),
-        field=_finite_float(params_body["field"], "params.field"),
-        gamma=_finite_float(params_body.get("gamma", 1.0), "params.gamma"),
-    )
+    coupling = _finite_float(params_body["coupling"], "params.coupling")
+    field = _finite_float(params_body["field"], "params.field")
+    gamma = _finite_float(params_body.get("gamma", 1.0), "params.gamma")
+    try:
+        params = SystemParams(coupling=coupling, field=field, gamma=gamma)
+    except ValueError as error:  # coupling and field are finite: gamma broke its rule
+        raise ConfigInvalid(f"params.gamma: {error}") from None
 
     grid_body = data["grid"]
     grid: TorusGrid | TimeGrid
@@ -446,9 +484,7 @@ def config_from_json(text: str | bytes) -> ScenarioConfig:
     # RecursionError over-deep nesting.
     except (ValueError, RecursionError) as error:
         raise ConfigInvalid(f"not valid JSON: {error}") from error
-    if not isinstance(data, dict):
-        raise ConfigInvalid("<root>: config must be a JSON object")
-    return config_from_dict(data)
+    return config_from_dict(data)  # the schema refuses a root that is no object
 
 
 # --- running -----------------------------------------------------------------
@@ -691,40 +727,18 @@ def _checked_samples(block: dict[str, Any]) -> dict[str, Any]:
     return {**block, "samples": pairs}
 
 
-def _check_finite(blocks: dict[str, Any]) -> None:
-    """:class:`ConfigInvalid` naming the first float in ``blocks``, in
-    document order, that is not finite.  The walk keeps its own stack, one
-    iterator per open object or list, so no nesting that json parses
-    exhausts Python's."""
-    open_items = [iter(blocks.items())]
-    path: list[Any] = []
-    while open_items:
-        for key, value in open_items[-1]:
-            if isinstance(value, float) and not math.isfinite(value):
-                path.append(key)
-                where = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)
-                raise ConfigInvalid(f"{where[1:]}: must be finite")
-            if isinstance(value, (dict, list)):
-                items = value.items() if isinstance(value, dict) else enumerate(value)
-                open_items.append(iter(items))
-                path.append(key)
-                break
-        else:
-            open_items.pop()
-            if path:
-                path.pop()
-
-
 def record_from_dict(data: Mapping[str, Any]) -> RunRecord:
     """Rebuild a record read from outside, raising :class:`ConfigInvalid`
-    for anything malformed: evolved rows or profile samples that are not
-    finite real numbers, and any float elsewhere in the results or the
-    provenance that is not finite.  Evolved rows may be objects, as the
-    record's JSON writes them, or the tuples they pack into."""
+    for anything malformed: a ``schema_version`` but ``SCHEMA_VERSION``,
+    evolved rows or profile samples that are not finite real numbers, and
+    in the results or the provenance any float that is not finite or nesting
+    beyond ``MAX_NESTING``.  Evolved rows may be objects, as the record's
+    JSON writes them, or the tuples they pack into."""
     if not isinstance(data, Mapping):
         raise ConfigInvalid("record must be a JSON object")
     try:
-        schema_version = str(data["schema_version"])
+        if data["schema_version"] != SCHEMA_VERSION:  # no repr: the value may nest deep
+            raise ConfigInvalid(f"schema_version: must be the string {SCHEMA_VERSION!r}")
         config = config_from_dict(data["config"])
         results = data["results"]
         provenance = data["provenance"]
@@ -739,10 +753,12 @@ def record_from_dict(data: Mapping[str, Any]) -> RunRecord:
     profile = results.get("concurrence_profile")
     if isinstance(profile, dict) and "samples" in profile:
         results["concurrence_profile"] = _checked_samples(profile)
-    # The checked rows are tuples, which the walk does not enter.
-    _check_finite({"results": results, "provenance": provenance})
+    # The record's root, its checked rows tuples that the walk does not enter.
+    for path, value in _leaves({"results": results, "provenance": provenance}):
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigInvalid(f"{_where(path)}: must be finite")
     return RunRecord(
-        schema_version=schema_version,
+        schema_version=SCHEMA_VERSION,
         config=config,
         results=results,
         provenance=provenance,
@@ -772,11 +788,7 @@ def read_record(path: str) -> RunRecord:
         packed += row is not obj
         return row
 
-    try:
-        data = json.loads(text, object_hook=pack)
-    # The hook's own frames may be what overflowed; plain json decides.
-    except RecursionError:
-        data, packed = None, -1
+    data = json.loads(text, object_hook=pack)
     results = data.get("results") if isinstance(data, dict) else None
     rows = results.get("evolved_states") if isinstance(results, dict) else None
     if packed != (sum(type(row) is tuple for row in rows) if isinstance(rows, list) else 0):
@@ -878,7 +890,7 @@ _BLOCK_PIECES = 4096
 def _write_pieces(pieces: Iterable[str], path: str) -> None:
     """Write the pieces to ``path`` as UTF-8 with LF line endings, in blocks.
     The first piece is made before the file opens, so an error in making it
-    (json's RecursionError on an over-deep record) leaves no file."""
+    (json's RecursionError on a hand-built record too deep) leaves no file."""
     pieces = iter(pieces)
     pieces = itertools.chain([next(pieces, "")], pieces)
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
@@ -907,22 +919,6 @@ def _csv_lines(record: RunRecord) -> Iterator[str]:
                 yield _CSV_ROW % (theta, 0.0, *parts, value)
 
 
-def _flatten_for_meta(prefix: str, value: Any, into: list[tuple[str, Any]]) -> None:
-    if isinstance(value, dict):
-        for key in sorted(value):
-            _flatten_for_meta(f"{prefix}.{key}" if prefix else key, value[key], into)
-    elif isinstance(value, list):
-        for i, item in enumerate(value):
-            _flatten_for_meta(f"{prefix}[{i}]", item, into)
-    else:
-        into.append((prefix, value))
-
-
-def _format_cell(value: Any) -> str:
-    """A meta cell: empty for None, else ``str``, which is a float's repr."""
-    return "" if value is None else str(value)
-
-
 def export_record(record: RunRecord, format: str, path: str) -> None:
     """Write a record to disk as JSON (the whole record) or CSV (grid data).
 
@@ -935,8 +931,9 @@ def export_record(record: RunRecord, format: str, path: str) -> None:
     :func:`record_to_json` joins, so no whole-record string is ever held
     and the text of a dense record does not set the peak memory of a run.
     Scalar blocks (metric, classification) do not fit a per-point table;
-    they go to a key,value sidecar at ``<path>.meta.csv`` when present.
-    They are flattened first, so one too deep to flatten leaves no file.
+    they go to a key,value sidecar at ``<path>.meta.csv`` when present,
+    which csv writes, quoting a cell that holds a comma, a quote or a
+    newline.  They are flattened first, so one too deep leaves no file.
     """
     if format == "json":
         _write_pieces(_record_pieces(record), path)
@@ -948,10 +945,9 @@ def export_record(record: RunRecord, format: str, path: str) -> None:
         for kind in ("metric", "classify")
         if kind in record.results
     }
-    flat: list[tuple[str, Any]] = []
-    _flatten_for_meta("", scalar_blocks, flat)
+    flat = [(_where(keys), value) for keys, value in _leaves(scalar_blocks, sort=True)]
     _write_pieces(_csv_lines(record), path)
 
     if scalar_blocks:
-        meta_lines = ["key,value\n", *(f"{key},{_format_cell(value)}\n" for key, value in flat)]
-        _write_pieces(meta_lines, f"{path}.meta.csv")
+        with open(f"{path}.meta.csv", "w", encoding="utf-8", newline="") as handle:
+            csv.writer(handle, lineterminator="\n").writerows([("key", "value"), *flat])

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -91,6 +92,28 @@ class TestRunCommand:
         )
         assert main(["run", str(bad)]) == EXIT_CONFIG_ERROR
         assert "must be finite" in capsys.readouterr().err
+
+    def test_overflowing_amplitude_norm_prints_one_line(self, tmp_path, capsys):
+        config = tmp_path / "huge.json"
+        config.write_text(
+            json.dumps(
+                {
+                    "initial": {"amplitudes": [[1e308, 1e308], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]},
+                    "params": {"coupling": 1.0, "field": 0.5},
+                    "grid": {"theta_steps": 3, "phi_steps": 3},
+                    "outputs": ["metric"],
+                }
+            )
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", str(config)]) == EXIT_CONFIG_ERROR
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            "error: invalid config: initial.amplitudes: |amplitudes|^2 sums to inf, "
+        )
+        assert captured.err.count("\n") == 1
+        assert sorted(tmp_path.iterdir()) == [config]
 
     def test_missing_config_is_io_error(self, tmp_path):
         assert main(["run", str(tmp_path / "absent.json")]) == EXIT_IO_ERROR
@@ -236,56 +259,6 @@ def test_over_deep_json_exits_two_with_one_line(tmp_path, capsys, command, text)
     assert sorted(tmp_path.iterdir()) == [path]
 
 
-def test_record_too_deep_to_export_exits_two_and_writes_nothing(tmp_path, capsys):
-    """json.load accepts a results block nested a few levels short of the
-    recursion limit, which json's encoder, called from a deeper stack,
-    cannot write.  From the limit down to the first depth json exports,
-    each export either writes its file or exits 2 with one error line and
-    writes nothing."""
-    config = tmp_path / "scenario.json"
-    config.write_text(
-        json.dumps(
-            {
-                "initial": {"product_state": {"kind": "pm", "chi": 0.9}},
-                "params": {"coupling": 1.0, "field": 0.5},
-                "grid": {"theta_steps": 3, "phi_steps": 3},
-                "outputs": ["metric"],
-            }
-        )
-    )
-    record = tmp_path / "record.json"
-    assert main(["run", str(config), "--out", str(record)]) == EXIT_OK
-    data = json.loads(record.read_text())
-    data["results"]["metric"]["x"] = "deep"
-    template = json.dumps(data, indent=2)
-    deep = tmp_path / "deep.json"
-    capsys.readouterr()
-    refused = set()
-    exported = False
-    limit = sys.getrecursionlimit()
-    for depth in range(limit, limit - 200, -1):
-        deep.write_text(template.replace('"deep"', "[" * depth + "1" + "]" * depth))
-        for fmt in ("csv", "json"):
-            out = tmp_path / f"out.{fmt}"
-            code = main(["export", str(deep), "--format", fmt, "--out", str(out)])
-            captured = capsys.readouterr()
-            exported = code == EXIT_OK
-            if exported:
-                out.unlink()
-                (tmp_path / "out.csv.meta.csv").unlink(missing_ok=True)
-                continue
-            assert code == EXIT_CONFIG_ERROR
-            assert captured.out == ""
-            assert captured.err.startswith("error: ")
-            assert captured.err.count("\n") == 1
-            assert sorted(tmp_path.iterdir()) == sorted([config, deep, record])
-            refused.add((fmt, captured.err.split(":")[1]))
-        if exported:
-            break
-    assert exported
-    assert ("json", " invalid record") in refused
-
-
 @pytest.mark.parametrize("command", ["run", "verify"])
 def test_negative_seed_exits_two_with_one_line(tmp_path, capsys, command):
     config = tmp_path / "scenario.json"
@@ -375,6 +348,28 @@ class TestExportCommand:
         )
         assert "evolved_states[0]" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "version", [[1, 2], "2", 2, None], ids=["list", "string_2", "int_2", "null"]
+    )
+    def test_schema_version_other_than_one_is_config_error(
+        self, config_file, tmp_path, capsys, version, fmt
+    ):
+        record = tmp_path / "r.json"
+        assert main(["run", str(config_file), "--out", str(record)]) == EXIT_OK
+        body = json.loads(record.read_text())
+        body["schema_version"] = version
+        record.write_text(json.dumps(body))
+        capsys.readouterr()
+        out = tmp_path / f"never.{fmt}"
+        assert main(["export", str(record), "--format", fmt, "--out", str(out)]) == (
+            EXIT_CONFIG_ERROR
+        )
+        assert capsys.readouterr().err == (
+            "error: invalid record: schema_version: must be the string '1'\n"
+        )
+        assert sorted(tmp_path.iterdir()) == sorted([config_file, record])
 
     @pytest.mark.parametrize(
         "content", [b"\xff\xfe{}", b'{"schema_version": ' + b"9" * 5000 + b"}"]

@@ -48,7 +48,8 @@ class TestParams:
             SystemParams(**kwargs)
 
     def test_accepts_integers_in_the_float_range(self):
-        assert SystemParams(2, -3, gamma=10**300).gamma == 10**300
+        params = SystemParams(10**300, -(10**300), gamma=2)
+        assert (params.coupling, params.field, params.gamma) == (10**300, -(10**300), 2)
 
     def test_rejects_non_positive_gamma(self):
         with pytest.raises(ValueError, match="gamma"):

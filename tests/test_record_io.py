@@ -1,6 +1,7 @@
 """Record JSON and CSV writers against the plain json/csv reference routes,
 and the checks on records read back from outside."""
 
+import csv
 import dataclasses
 import json
 import math
@@ -18,7 +19,6 @@ from spin_torus.scenario import (
     CSV_COLUMNS,
     SCENARIO_SCHEMA,
     ConfigInvalid,
-    _format_cell,
     config_from_dict,
     export_record,
     read_record,
@@ -51,8 +51,8 @@ def reference_json(record):
 
 
 def reference_csv(record):
-    """The CSV as a list of cells per row, each cell through _format_cell,
-    the evolved rows read from the objects of the record's JSON form."""
+    """The CSV as a list of cells per row, each cell a float's repr, the
+    evolved rows read from the objects of the record's JSON form."""
     results = record_to_dict(record)["results"]
     rows = []
     if "evolved_states" in results:
@@ -66,7 +66,7 @@ def reference_csv(record):
             parts = [float(part) for z in state.vector for part in (z.real, z.imag)]
             rows.append([theta, 0.0, *parts, value])
     lines = [",".join(CSV_COLUMNS)]
-    lines += [",".join(_format_cell(cell) for cell in row) for row in rows]
+    lines += [",".join(map(repr, row)) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -247,6 +247,44 @@ class TestStreamedWriter:
         assert peak < out.stat().st_size // 4
 
 
+def reference_meta(record):
+    """The sidecar as plain ``key,value`` lines: the scalar blocks flattened
+    in sorted key order, None as an empty cell."""
+    lines = ["key,value\n"]
+
+    def walk(prefix, value):
+        if isinstance(value, dict):
+            for key in sorted(value):
+                walk(f"{prefix}.{key}" if prefix else key, value[key])
+        else:
+            lines.append(f"{prefix},{'' if value is None else value}\n")
+
+    walk("", {kind: record.results[kind] for kind in ("metric", "classify")})
+    return "".join(lines).encode()
+
+
+class TestMetaSidecar:
+    @pytest.mark.parametrize("make", [make_record, degenerate_record], ids=["plain", "warning"])
+    def test_run_records_give_plain_key_value_lines(self, make, tmp_path):
+        record = make()
+        out = tmp_path / "out.csv"
+        export_record(record, "csv", str(out))
+        assert Path(f"{out}.meta.csv").read_bytes() == reference_meta(record)
+
+    def test_commas_quotes_and_newlines_round_trip(self, tmp_path):
+        data = record_to_dict(make_record())
+        added = {"a,b": 'say "hi"', 'quo"te': "x,y", "line\nbreak": "two\nlines", "plain": "z"}
+        data["results"]["metric"] = {**data["results"]["metric"], **added}
+        out = tmp_path / "out.csv"
+        export_record(record_from_dict(data), "csv", str(out))
+        with open(f"{out}.meta.csv", encoding="utf-8", newline="") as handle:
+            rows = list(csv.reader(handle))
+        assert all(len(row) == 2 for row in rows)
+        read = dict(rows[1:])
+        for key, value in added.items():
+            assert read[f"metric.{key}"] == value
+
+
 class TestCsvWriter:
     def test_dense_evolved_rows(self, dense_record, tmp_path):
         expected = reference_csv(dense_record).encode()
@@ -355,7 +393,7 @@ def deep_in_metric(opening, closing):
     return text.replace('"@@"', opening * DEEP + json.dumps(ROW) + closing * DEEP)
 
 
-#: Deep, but short of where json's encoder, called under pytest, overflows.
+#: Far beyond MAX_NESTING, but short of where json's parser, called under pytest, overflows.
 DEEP = sys.getrecursionlimit() - 200
 
 
@@ -435,22 +473,6 @@ class TestPackingParse:
         # Each row object met the hook as json finished it, then was checked
         # as the tuple it became; nothing was parsed twice.
         assert sum(type(row) is dict and row.keys() == ROW.keys() for row in packed) == 45
-
-    def test_recursion_in_the_packing_parse_falls_back_to_plain_json(self, tmp_path, monkeypatch):
-        path = tmp_path / "record.json"
-        export_record(make_record(), "json", str(path))
-        real = scenario._packed_row
-        overflowed = []
-
-        def overflow_once(row):
-            if not overflowed:
-                overflowed.append(row)
-                raise RecursionError("maximum recursion depth exceeded")
-            return real(row)
-
-        monkeypatch.setattr(scenario, "_packed_row", overflow_once)
-        assert record_to_json(read_record(str(path))) == path.read_text()
-        assert len(overflowed) == 1
 
 
 class TestHeldMemory:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -11,6 +12,7 @@ from spin_torus.scenario import (
     AMPLITUDE_NORM_TOL,
     CSV_COLUMNS,
     MAX_GRID_POINTS,
+    MAX_NESTING,
     SCENARIO_SCHEMA,
     ConfigInvalid,
     canonical_result_bytes,
@@ -172,7 +174,8 @@ class TestConfigValidation:
         deep = []
         for _ in range(5000):
             deep = [deep]
-        with pytest.raises(ConfigInvalid, match="^<root>: nested too deeply to check$"):
+        message = rf"^{field}(\[0\])+: nested more than {MAX_NESTING} levels deep$"
+        with pytest.raises(ConfigInvalid, match=message):
             config_from_dict(base_config_dict(**{field: [deep, deep]}))
 
     def test_error_message_carries_field_path(self):
@@ -413,15 +416,24 @@ class TestExport:
         export_record(record, "csv", str(out))
         assert not (tmp_path / "plain.csv.meta.csv").exists()
 
-    @pytest.mark.parametrize("format", ["json", "csv"])
-    def test_results_too_deep_to_write_leave_no_file(self, tmp_path, format):
+    @pytest.mark.parametrize(
+        "format, error", [("json", RecursionError), ("csv", ConfigInvalid)]
+    )
+    def test_results_too_deep_to_write_leave_no_file(self, tmp_path, format, error):
+        """record_from_dict refuses such a record; one built by hand fails
+        to write before its file opens: json's encoder overflows the stack,
+        and the sidecar's flattening refuses nesting beyond MAX_NESTING."""
         deep = 1.0
         for _ in range(5000):
             deep = [deep]
-        data = record_to_dict(self.make_record(outputs=["metric", "evolved_states"]))
+        record = self.make_record(outputs=["metric", "evolved_states"])
+        data = record_to_dict(record)
         data["results"]["metric"]["x"] = deep
-        record = record_from_dict(data)
-        with pytest.raises(RecursionError):
+        with pytest.raises(ConfigInvalid, match="^results.metric.x"):
+            record_from_dict(data)
+        metric = {**record.results["metric"], "x": deep}
+        record = dataclasses.replace(record, results={**record.results, "metric": metric})
+        with pytest.raises(error):
             export_record(record, format, str(tmp_path / "deep.out"))
         assert list(tmp_path.iterdir()) == []
 
