@@ -17,8 +17,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .hamiltonian import SystemParams
-from .manifold import TorusPoint, _phi_circle_radius, evolve_family, family_invariants
-from .qstate import PureState2Q, check_gamma
+from .manifold import _phi_circle_radius, evolve_grid, family_invariants
+from .qstate import PureState2Q, check_gamma, check_state_rows
 
 #: Excursions beyond [0, 1] larger than this are treated as bugs, not noise.
 _RANGE_SLACK = 1e-9
@@ -83,14 +83,25 @@ def _clamp_unit(value: float) -> float:
     return min(max(value, 0.0), 1.0)
 
 
-def concurrence(state: PureState2Q) -> float:
-    """Concurrence 2|ad - bc| of a pure two-qubit state."""
-    a, b, c, d = state.vector.tolist()
+def _concurrence_of(amplitudes: Sequence[complex]) -> float:
+    """Concurrence 2|ad - bc| of the amplitudes, in CPython complex arithmetic."""
+    a, b, c, d = amplitudes
     return _clamp_unit(2.0 * abs(a * d - b * c))
 
 
+def concurrence(state: PureState2Q) -> float:
+    """Concurrence 2|ad - bc| of a pure two-qubit state."""
+    return _concurrence_of(state.vector.tolist())
+
+
 def concurrence_wootters_oracle(state: PureState2Q) -> float:
-    """Concurrence via the spin-flip density-matrix route.
+    """The one-state call of :func:`concurrence_wootters_oracle_stack`."""
+    return float(concurrence_wootters_oracle_stack(state.vector))
+
+
+def concurrence_wootters_oracle_stack(vectors: np.ndarray) -> np.ndarray:
+    """Concurrence via the spin-flip density-matrix route, one value per
+    state vector of a stack (..., 4).
 
     Forms rho = |psi><psi| and the flipped rho-tilde, then takes
     C = max(0, r1 - r2 - r3 - r4) over the decreasing square roots of the
@@ -106,16 +117,18 @@ def concurrence_wootters_oracle(state: PureState2Q) -> float:
     Eigenvalues of rho at machine-noise scale (below 1e-14 for this
     trace-one matrix) are restored to the exact zeros they represent before
     the square roots are taken; without that, sqrt turns +eps noise into
-    1e-8 artifacts in sqrt(rho).
+    1e-8 artifacts in sqrt(rho).  numpy runs LAPACK and BLAS once per
+    matrix of a stack, so each value has the bits of a one-state call.
     """
-    vec = state.vector
-    rho = np.outer(vec, vec.conj())
+    vecs = np.asarray(vectors, dtype=np.complex128)
+    rho = vecs[..., :, None] * vecs.conj()[..., None, :]
     evals, evecs = np.linalg.eigh(rho)
     evals = np.where(evals < 1e-14, 0.0, evals)
-    sqrt_rho = (evecs * np.sqrt(evals)) @ evecs.conj().T
+    sqrt_rho = (evecs * np.sqrt(evals)[..., None, :]) @ np.swapaxes(evecs.conj(), -1, -2)
     sqrt_rho_tilde = _SPIN_FLIP @ sqrt_rho.conj() @ _SPIN_FLIP
     roots = np.linalg.svd(sqrt_rho @ sqrt_rho_tilde, compute_uv=False)
-    return max(0.0, float(roots[0] - roots[1] - roots[2] - roots[3]))
+    value = roots[..., 0] - roots[..., 1] - roots[..., 2] - roots[..., 3]
+    return np.where(value > 0.0, value, 0.0)
 
 
 def _w(initial: PureState2Q, theta: float | np.ndarray) -> complex | np.ndarray:
@@ -243,14 +256,21 @@ def max_entanglement_time(
 
 
 def entanglement_along_orbit(
-    initial: PureState2Q, theta: float, phis: Sequence[float]
-) -> list[float]:
-    """Concurrence at several field angles with the exchange angle fixed.
+    initials: Sequence[PureState2Q], thetas: Sequence[float], phis: np.ndarray
+) -> np.ndarray:
+    """Concurrence of initial state n at (thetas[n], phis[n, k]) for every
+    k, shaped like ``phis``: the exchange angle fixed, the field angle moved.
 
-    The values are all equal -- the field only turns phases -- and this
-    helper exists so that claim can be tested against the actual evolution
-    rather than against the closed form that already assumes it.
+    The values along a row are all equal -- the field only turns phases --
+    and this helper exists so that claim can be tested against the actual
+    evolution, one :func:`evolve_grid` call under one state guard, rather
+    than against the closed form that already assumes it.
     """
-    return [
-        concurrence(evolve_family(initial, TorusPoint(theta, phi))) for phi in phis
-    ]
+    phi = np.asarray(phis, dtype=np.float64)
+    theta = np.broadcast_to(np.asarray(thetas, dtype=np.float64)[:, None], phi.shape)
+    if not (np.isfinite(theta).all() and np.isfinite(phi).all()):  # as TorusPoint refuses them
+        raise ValueError("torus coordinates must be finite")
+    amplitudes = np.array([state.vector for state in initials]).reshape(-1, 1, 4)
+    rows = evolve_grid(amplitudes, theta, phi).reshape(-1, 4).tolist()
+    check_state_rows(rows)
+    return np.array(list(map(_concurrence_of, rows))).reshape(phi.shape)

@@ -20,20 +20,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import Operator4, all_finite, check_gamma
+from .qstate import Operator4, all_finite, check_gamma, check_operator_stack
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 IDENTITY_2 = np.eye(2, dtype=np.complex128)
 
-#: sigma^1 . sigma^2, the isotropic exchange operator (first spin slowest).
-_SIGMA_DOT_SIGMA = (
+#: sigma^1 . sigma^2 + 1, the interaction Hamiltonian per unit J, from the
+#: isotropic exchange operator sigma^1 . sigma^2 (first spin slowest).
+_EXCHANGE = (
     np.kron(SIGMA_X, SIGMA_X) + np.kron(SIGMA_Y, SIGMA_Y) + np.kron(SIGMA_Z, SIGMA_Z)
-)
+) + np.eye(4)
 
 #: sigma_z^1 + sigma_z^2, the total z spin doubled.
 _SZ_TOTAL = np.kron(SIGMA_Z, IDENTITY_2) + np.kron(IDENTITY_2, SIGMA_Z)
+
+#: The eigenvectors of every (J, h_z), as columns in the fixed order
+#: |up up>, |down down>, triplet-zero, singlet.
+_R = 1.0 / np.sqrt(2.0)
+_EIGENVECTORS = np.array(
+    [[1, 0, 0, 0], [0, 0, _R, _R], [0, 0, _R, -_R], [0, 1, 0, 0]], dtype=np.complex128
+)
 
 #: Below this value of |2 J t| the sin(2Jt)/(2J) ratio switches to its
 #: Taylor series, which also covers J = 0 exactly.
@@ -75,7 +83,7 @@ class EigenSystem:
 
 def build_h_int(params: SystemParams) -> Operator4:
     """Interaction Hamiltonian J (sigma^1 . sigma^2 + 1)."""
-    return Operator4(params.coupling * (_SIGMA_DOT_SIGMA + np.eye(4)))
+    return Operator4(params.coupling * _EXCHANGE)
 
 
 def build_h_mf(params: SystemParams) -> Operator4:
@@ -88,6 +96,12 @@ def build_hamiltonian(params: SystemParams) -> Operator4:
     return build_h_int(params) + build_h_mf(params)
 
 
+def _eigenvalues(j, h) -> np.ndarray:
+    """The closed-form eigenvalues in the order of ``_EIGENVECTORS``, over a
+    trailing axis of 4."""
+    return np.stack((2.0 * (j + h), 2.0 * (j - h), 2.0 * j, -2.0 * j), axis=-1)
+
+
 def eigensystem(params: SystemParams) -> EigenSystem:
     """Closed-form spectrum in the fixed order |up up>, |down down>,
     triplet-zero, singlet.
@@ -95,100 +109,93 @@ def eigensystem(params: SystemParams) -> EigenSystem:
     No numerical diagonalization is involved: the eigenvectors are the same
     for every (J, h_z) and only the eigenvalues move.
     """
-    j, h = params.coupling, params.field
-    values = np.array(
-        [2.0 * (j + h), 2.0 * (j - h), 2.0 * j, -2.0 * j], dtype=np.float64
-    )
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    vectors = np.zeros((4, 4), dtype=np.complex128)
-    vectors[0, 0] = 1.0
-    vectors[3, 1] = 1.0
-    vectors[1, 2] = inv_sqrt2
-    vectors[2, 2] = inv_sqrt2
-    vectors[1, 3] = inv_sqrt2
-    vectors[2, 3] = -inv_sqrt2
+    values, vectors = _eigenvalues(params.coupling, params.field), _EIGENVECTORS.copy()
     vectors.setflags(write=False)
     values.setflags(write=False)
     return EigenSystem(values=values, vectors=vectors)
 
 
-def propagator_analytic(params: SystemParams, t: float) -> Operator4:
-    """Exact propagator e^{-i H t} written out entry by entry.
+# --- propagators -------------------------------------------------------------
+#
+# Each route is a kernel over arrays (J, h_z, t) of one shape, returning the
+# stack (..., 4, 4) under one Operator4 guard; the public (params, t)
+# function is its call on one element, as 0-d arrays.  Its arithmetic is
+# elementwise and BLAS runs once per matrix, so each matrix has the bits of
+# its own call wherever numpy's sin, cos and exp do, as the tests check.
+
+def propagator_analytic_stack(coupling, field, t) -> np.ndarray:
+    """Exact propagators e^{-i H t} written out entry by entry.
 
     The outer corners pick up pure phases from the fully polarized states;
     the central block mixes |up down> and |down up> through a rotation by
     the accumulated exchange angle 2 J t.
     """
-    j, h = params.coupling, params.field
+    j, h, t = np.asarray((coupling, field, t), dtype=np.float64)
     theta = 2.0 * j * t
     cos_t, sin_t = np.cos(theta), np.sin(theta)
-    mat = np.zeros((4, 4), dtype=np.complex128)
-    mat[0, 0] = np.exp(-2j * (h + j) * t)
-    mat[3, 3] = np.exp(2j * (h - j) * t)
-    mat[1, 1] = cos_t
-    mat[2, 2] = cos_t
-    mat[1, 2] = -1j * sin_t
-    mat[2, 1] = -1j * sin_t
-    return Operator4(mat)
+    mat = np.zeros(theta.shape + (4, 4), dtype=np.complex128)
+    mat[..., 0, 0] = np.exp(-2j * (h + j) * t)
+    mat[..., 3, 3] = np.exp(2j * (h - j) * t)
+    mat[..., 1, 1] = cos_t
+    mat[..., 2, 2] = cos_t
+    mat[..., 1, 2] = -1j * sin_t
+    mat[..., 2, 1] = -1j * sin_t
+    return check_operator_stack(mat)
 
 
-def _phase_ratio(j: float, t: float) -> float:
-    """sin(2 J t) / (2 J), continued through J = 0 by its Taylor series."""
-    x = 2.0 * j * t
-    if abs(x) < _SMALL_PHASE:
-        # sin(x)/x expanded; the x^4 term is already below double rounding
-        # at the switchover but costs nothing.
-        return t * (1.0 - x * x / 6.0 + x ** 4 / 120.0)
-    return np.sin(x) / (2.0 * j)
-
-
-def interaction_propagator(params: SystemParams, t: float) -> Operator4:
-    """e^{-i H_int t} via the algebraic identity H_int^2 = (2J)^2 I.
-
-    Because the square of the interaction Hamiltonian is a multiple of the
-    identity, the exponential truncates to cos(2Jt) I - i sin(2Jt)/(2J) H_int.
-    """
-    h_int = build_h_int(params).matrix
-    x = 2.0 * params.coupling * t
-    return Operator4(
-        np.cos(x) * np.eye(4) - 1j * _phase_ratio(params.coupling, t) * h_int
-    )
-
-
-def _z_rotation_first(h: float, t: float) -> np.ndarray:
-    """e^{-i h sigma_z^1 t} acting on the first spin, the slow index."""
-    return np.diag(np.exp([-1j * h * t] * 2 + [1j * h * t] * 2))
-
-
-def _z_rotation_second(h: float, t: float) -> np.ndarray:
-    """e^{-i h sigma_z^2 t} acting on the second spin, the fast index."""
-    return np.diag(np.exp([-1j * h * t, 1j * h * t] * 2))
-
-
-def propagator_factored(params: SystemParams, t: float) -> Operator4:
-    """Propagator as e^{-i H_int t} times the two single-spin z rotations.
+def propagator_factored_stack(coupling, field, t) -> np.ndarray:
+    """Propagators as e^{-i H_int t} times the two single-spin z rotations.
 
     Valid because the interaction and mean-field parts commute; the factors
     themselves also commute with each other so the order is irrelevant.
+    H_int^2 = (2J)^2 I truncates the first to cos(2Jt) I - i sin(2Jt)/(2J)
+    H_int; the rotations e^{-i h sigma_z^1 t} (first spin, the slow index)
+    and e^{-i h sigma_z^2 t} are diagonal.
     """
-    h = params.field
-    product = (
-        interaction_propagator(params, t).matrix
-        @ _z_rotation_first(h, t)
-        @ _z_rotation_second(h, t)
-    )
-    return Operator4(product)
+    j, h, t = np.asarray((coupling, field, t), dtype=np.float64)
+    x = 2.0 * j * t
+    # sin(x)/(2J) by the Taylor series of sin(x)/x near x = 0, which covers
+    # J = 0; its x^4 term is below double rounding but costs nothing.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # the branch not taken
+        ratio = np.where(
+            np.abs(x) < _SMALL_PHASE,
+            t * (1.0 - x * x / 6.0 + x ** 4 / 120.0),
+            np.sin(x) / (2.0 * j),
+        )
+    h_int = j[..., None, None] * _EXCHANGE
+    interaction = np.cos(x)[..., None, None] * np.eye(4) - (1j * ratio)[..., None, None] * h_int
+    down, up = np.exp(-1j * h * t), np.exp(1j * h * t)
+    phases = np.moveaxis(np.array([[down, down, up, up], [down, up, down, up]]), 1, -1)
+    rotations = np.zeros(phases.shape + (4,), dtype=np.complex128)
+    rotations[..., range(4), range(4)] = phases
+    return check_operator_stack(interaction @ rotations[0] @ rotations[1])
+
+
+def propagator_spectral_stack(coupling, field, t) -> np.ndarray:
+    """Propagators assembled from the spectral resolution sum_k
+    e^{-i lambda_k t} |v_k><v_k|, with the spectrum of :func:`eigensystem`.
+
+    This is the reference route used to cross-check the closed forms; it
+    touches none of their trigonometry.
+    """
+    j, h, t = np.asarray((coupling, field, t), dtype=np.float64)
+    phases = np.exp(-1j * _eigenvalues(j, h) * t[..., None])
+    mat = np.zeros(t.shape + (4, 4), dtype=np.complex128)
+    for k, vec in enumerate(_EIGENVECTORS.T):
+        mat += phases[..., k, None, None] * np.outer(vec, vec.conj())
+    return check_operator_stack(mat)
+
+
+def propagator_analytic(params: SystemParams, t: float) -> Operator4:
+    """e^{-i H t} in closed form: the one-element call of :func:`propagator_analytic_stack`."""
+    return Operator4(propagator_analytic_stack(params.coupling, params.field, t))
+
+
+def propagator_factored(params: SystemParams, t: float) -> Operator4:
+    """e^{-i H_int t} times z rotations: the one-element call of :func:`propagator_factored_stack`."""
+    return Operator4(propagator_factored_stack(params.coupling, params.field, t))
 
 
 def propagator_spectral(params: SystemParams, t: float) -> Operator4:
-    """Propagator assembled from the spectral resolution sum_k
-    e^{-i lambda_k t} |v_k><v_k|.
-
-    This is the reference implementation used to cross-check the closed
-    forms; it touches none of their trigonometry.
-    """
-    eig = eigensystem(params)
-    mat = np.zeros((4, 4), dtype=np.complex128)
-    for value, vec in zip(eig.values, eig.vectors.T):
-        mat += np.exp(-1j * value * t) * np.outer(vec, vec.conj())
-    return Operator4(mat)
+    """e^{-i H t} from the spectrum: the one-element call of :func:`propagator_spectral_stack`."""
+    return Operator4(propagator_spectral_stack(params.coupling, params.field, t))

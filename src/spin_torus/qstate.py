@@ -62,6 +62,21 @@ def check_state_rows(rows: Iterable[Sequence[complex]]) -> None:
             raise ValueError(f"state is not normalized: |amplitudes|^2 sums to {norm_sq!r}")
 
 
+def check_operator_stack(matrices: np.ndarray) -> np.ndarray:
+    """The :class:`Operator4` guard on a stack of operators (..., 4, 4):
+    ``matrices``, or ``ValueError`` unless every entry is finite."""
+    if not np.isfinite(matrices).all():
+        raise ValueError("operator entries must be finite")
+    return matrices
+
+
+def unitarity_residuals(matrices: np.ndarray) -> np.ndarray:
+    """Entrywise max-abs deviation of U^dagger U from the identity for each
+    matrix of a stack (..., 4, 4), with the bits of a one-matrix call."""
+    delta = np.swapaxes(matrices.conj(), -1, -2) @ matrices - np.eye(4)
+    return np.abs(delta).max(axis=(-2, -1))
+
+
 def _amplitude_vector(values: object) -> np.ndarray:
     """``values`` as a new complex 4-vector.  An integer beyond the float
     range stands for a non-finite amplitude and is refused as one."""
@@ -142,14 +157,14 @@ class PureState2Q:
 
 @dataclass(frozen=True, eq=False)
 class Operator4:
-    """Dense 4x4 complex operator on the two-spin Hilbert space."""
+    """Dense 4x4 complex operator on the two-spin Hilbert space;
+    :meth:`unitarity_residual` measures how far it is from unitary."""
 
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
         mat = np.asarray(self.matrix, dtype=np.complex128).reshape(4, 4).copy()
-        if not np.isfinite(mat).all():
-            raise ValueError("operator entries must be finite")
+        check_operator_stack(mat)
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
@@ -157,9 +172,9 @@ class Operator4:
         return Operator4(self.matrix + other.matrix)
 
     def unitarity_residual(self) -> float:
-        """Entrywise max-abs deviation of U^dagger U from the identity."""
-        delta = self.matrix.conj().T @ self.matrix - np.eye(4)
-        return float(np.max(np.abs(delta)))
+        """Entrywise max-abs deviation of U^dagger U from the identity: the
+        one-matrix call of :func:`unitarity_residuals`."""
+        return float(unitarity_residuals(self.matrix))
 
 
 # --- operations --------------------------------------------------------------

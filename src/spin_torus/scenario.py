@@ -65,7 +65,8 @@ MAX_NESTING = 32
 # the keywords it uses checks configs against it.  Errors come out as
 # jsonschema's Draft 2020-12 validator (4.26) yields them, in the schema's
 # key order with its paths and wording, and one is picked as its
-# ``best_match`` picks, so each message reads exactly as jsonschema's would.
+# ``best_match`` picks, so each message reads exactly as jsonschema's would,
+# up to the cut of a long quoted value.
 
 #: The keywords the interpreter knows; ``$schema`` and ``title`` annotate.
 _SCHEMA_KEYWORDS = frozenset({
@@ -127,23 +128,32 @@ def _unique(items: list[Any]) -> bool:
         return True
 
 
+#: Most characters of the input a schema error quotes; a longer repr is cut
+#: there and ends in "…", so a message stays short however large the input.
+_QUOTE_CHARS = 200
+
+
+def _cut(text: str) -> str:
+    return text if len(text) <= _QUOTE_CHARS else text[:_QUOTE_CHARS] + "…"
+
+
 #: Per keyword that yields at most one error: the message for ``value``
 #: under the keyword's argument, or a false value if ``value`` passes.
 _MESSAGES = {
     "type": lambda arg, value: not _IS_TYPE[arg](value)
-    and f"{value!r} is not of type {arg!r}",
+    and f"{_cut(repr(value))} is not of type {arg!r}",
     "enum": lambda arg, value: not any(_equal(each, value) for each in arg)
-    and f"{value!r} is not one of {arg!r}",
+    and f"{_cut(repr(value))} is not one of {arg!r}",
     "minItems": lambda arg, value: isinstance(value, list) and len(value) < arg
-    and f"{value!r} " + ("should be non-empty" if arg == 1 else "is too short"),
+    and f"{_cut(repr(value))} " + ("should be non-empty" if arg == 1 else "is too short"),
     "maxItems": lambda arg, value: isinstance(value, list) and len(value) > arg
-    and f"{value!r} " + ("is expected to be empty" if arg == 0 else "is too long"),
+    and f"{_cut(repr(value))} " + ("is expected to be empty" if arg == 0 else "is too long"),
     "uniqueItems": lambda arg, value: arg and isinstance(value, list)
-    and not _unique(value) and f"{value!r} has non-unique elements",
+    and not _unique(value) and f"{_cut(repr(value))} has non-unique elements",
     "minimum": lambda arg, value: _is_number(value) and value < arg
-    and f"{value!r} is less than the minimum of {arg!r}",
+    and f"{_cut(repr(value))} is less than the minimum of {arg!r}",
     "exclusiveMinimum": lambda arg, value: _is_number(value) and value <= arg
-    and f"{value!r} is less than or equal to the minimum of {arg!r}",
+    and f"{_cut(repr(value))} is less than or equal to the minimum of {arg!r}",
 }
 
 
@@ -197,7 +207,7 @@ def _schema_errors(schema: Mapping[str, Any], value: Any, path: tuple = ()) -> I
         elif keyword == "additionalProperties" and isinstance(value, dict):
             extras = sorted(value.keys() - schema.get("properties", {}).keys(), key=str)
             if extras:
-                names = ", ".join(map(repr, extras))
+                names = _cut(", ".join(map(repr, extras)))
                 verb = "was" if len(extras) == 1 else "were"
                 message = f"Additional properties are not allowed ({names} {verb} unexpected)"
                 yield _SchemaError(path, keyword, message, typed)
@@ -207,11 +217,12 @@ def _schema_errors(schema: Mapping[str, Any], value: Any, path: tuple = ()) -> I
             valid = [branch for branch, errors in zip(arg, branch_errors) if not errors]
             if not valid:
                 context = sum(branch_errors, ())
-                message = f"{value!r} is not valid under any of the given schemas"
+                message = f"{_cut(repr(value))} is not valid under any of the given schemas"
                 yield _SchemaError(path, keyword, message, typed, context)
             elif len(valid) > 1:
                 reprs = ", ".join(map(repr, valid[1:] + valid[:1]))
-                yield _SchemaError(path, keyword, f"{value!r} is valid under each of {reprs}", typed)
+                message = f"{_cut(repr(value))} is valid under each of {reprs}"
+                yield _SchemaError(path, keyword, message, typed)
 
 
 def _relevance(error: _SchemaError) -> tuple:

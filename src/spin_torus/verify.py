@@ -19,7 +19,7 @@ from .entanglement import (
     _w,
     concurrence,
     concurrence_evolved,
-    concurrence_wootters_oracle,
+    concurrence_wootters_oracle_stack,
     entanglement_along_orbit,
     max_entanglement_time,
 )
@@ -30,8 +30,9 @@ from .hamiltonian import (
     build_hamiltonian,
     eigensystem,
     propagator_analytic,
-    propagator_factored,
-    propagator_spectral,
+    propagator_analytic_stack,
+    propagator_factored_stack,
+    propagator_spectral_stack,
 )
 from .manifold import (
     _AXES,
@@ -48,6 +49,7 @@ from .manifold import (
     params_to_point,
 )
 from .qstate import PureState2Q, apply, fs_distance_sq, inner, plus_minus_state, random_state
+from .qstate import unitarity_residuals
 from .scenario import canonical_result_bytes, config_from_dict, run_scenario
 
 
@@ -154,19 +156,16 @@ def verify_all(seed: int = 0, corrupt_propagator: bool = False) -> VerifyReport:
         else:
             draws.append((_random_params(rng), float(rng.uniform(0.0, 10.0))))
 
-    worst = worst_spec = worst_fact = 0.0
-    for p, t in draws:
-        u = propagator_analytic(p, t)
-        ua, uf = u.matrix, propagator_factored(p, t)
-        if corrupt_propagator:
-            broken = ua.copy()
-            broken[1, 2] = -broken[1, 2]
-            u = type(u)(broken)
-        worst = max(worst, u.unitarity_residual(), uf.unitarity_residual())
-        worst_spec = max(
-            worst_spec, float(np.max(np.abs(ua - propagator_spectral(p, t).matrix)))
-        )
-        worst_fact = max(worst_fact, float(np.max(np.abs(ua - uf.matrix))))
+    args = np.array([(p.coupling, p.field, t) for p, t in draws]).T
+    analytic = propagator_analytic_stack(*args)
+    factored = propagator_factored_stack(*args)
+    spectral = propagator_spectral_stack(*args)
+    checked = analytic.copy()
+    if corrupt_propagator:
+        checked[:, 1, 2] = -checked[:, 1, 2]
+    worst = np.max(unitarity_residuals(np.concatenate((checked, factored))))
+    worst_spec = np.max(np.abs(analytic - spectral))
+    worst_fact = np.max(np.abs(analytic - factored))
     record(
         "propagator_unitarity",
         worst,
@@ -294,19 +293,16 @@ def verify_all(seed: int = 0, corrupt_propagator: bool = False) -> VerifyReport:
     record("metric_shear_kills_cross_term", np.max(np.abs(sheared[:, 1])), 1e-8)
 
     # --- concurrence ---------------------------------------------------------
-    worst_closed = 0.0
-    worst_phi_ind = 0.0
-    worst_oracle = 0.0
-    for _ in range(100):
-        state = random_state(rng)
-        th = float(rng.uniform(0, np.pi))
-        closed = concurrence_evolved(state, th)
-        direct = entanglement_along_orbit(state, th, rng.uniform(0, 2 * np.pi, size=5))
-        worst_closed = max(worst_closed, abs(closed - direct[0]))
-        worst_phi_ind = max(worst_phi_ind, max(direct) - min(direct))
-        worst_oracle = max(
-            worst_oracle, abs(concurrence(state) - concurrence_wootters_oracle(state))
-        )
+    states, thetas, phis = zip(*[
+        (random_state(rng), float(rng.uniform(0, np.pi)), rng.uniform(0, 2 * np.pi, size=5))
+        for _ in range(100)
+    ])
+    closed = [concurrence_evolved(state, th) for state, th in zip(states, thetas)]
+    direct = entanglement_along_orbit(states, thetas, phis)
+    worst_closed = np.max(np.abs(closed - direct[:, 0]))
+    worst_phi_ind = np.max(direct.max(axis=1) - direct.min(axis=1))
+    oracle = concurrence_wootters_oracle_stack([state.vector for state in states])
+    worst_oracle = np.max(np.abs([concurrence(state) for state in states] - oracle))
     record("concurrence_closed_form_vs_direct", worst_closed, 1e-12)
     record("concurrence_field_independence", worst_phi_ind, 1e-12)
     record("concurrence_wootters_oracle", worst_oracle, 1e-10)

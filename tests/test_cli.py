@@ -203,6 +203,36 @@ def test_overflowing_config_exits_two_with_one_line(tmp_path, capsys, name):
     assert not path.with_name(f"{name}.record.json").exists()
 
 
+def large_configs():
+    """Configs whose schema errors quote a value of about a megabyte."""
+    base = {
+        "initial": {"product_state": {"kind": "pm", "chi": 0.9}},
+        "params": {"coupling": 1.0, "field": 0.5},
+        "grid": {"theta_steps": 3, "phi_steps": 3},
+        "outputs": ["metric"],
+    }
+    extras = {f"key{i}": 0 for i in range(100_000)}
+    return {
+        "repeated_output": {**base, "outputs": ["metric"] * 100_000},
+        "extra_keys": {**base, **extras},
+        "mixed_initial": {**base, "initial": {"amplitudes": [[1, 0]] * 4, "product_state": extras}},
+    }
+
+
+@pytest.mark.parametrize("name, data", sorted(large_configs().items()))
+def test_large_config_error_is_one_short_line(tmp_path, capsys, name, data):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(data))
+    assert main(["run", str(path)]) == EXIT_CONFIG_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: invalid config: ")
+    assert captured.err.count("\n") == 1
+    assert "…" in captured.err
+    assert len(captured.err) < 500
+    assert not path.with_name(f"{name}.record.json").exists()
+
+
 def test_undecodable_config_exits_two(tmp_path, capsys):
     path = tmp_path / "latin1.json"
     path.write_bytes(b"\xff\xfe{}")

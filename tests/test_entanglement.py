@@ -19,6 +19,7 @@ from spin_torus.entanglement import (
     concurrence_evolved,
     concurrence_profile,
     concurrence_wootters_oracle,
+    concurrence_wootters_oracle_stack,
     constant_entanglement_circle,
     entanglement_along_orbit,
     max_entanglement_time,
@@ -293,6 +294,70 @@ class TestWoottersOracle:
             )
 
 
+# --- the scalar routes the stacked kernels replaced, kept as references ------
+
+def scalar_oracle(state):
+    vec = state.vector
+    rho = np.outer(vec, vec.conj())
+    evals, evecs = np.linalg.eigh(rho)
+    evals = np.where(evals < 1e-14, 0.0, evals)
+    sqrt_rho = (evecs * np.sqrt(evals)) @ evecs.conj().T
+    sqrt_rho_tilde = entanglement._SPIN_FLIP @ sqrt_rho.conj() @ entanglement._SPIN_FLIP
+    roots = np.linalg.svd(sqrt_rho @ sqrt_rho_tilde, compute_uv=False)
+    return max(0.0, float(roots[0] - roots[1] - roots[2] - roots[3]))
+
+
+def scalar_orbit(initial, theta, phis):
+    return [concurrence(evolve_family(initial, TorusPoint(theta, phi))) for phi in phis]
+
+
+def same_bits(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def stack_states():
+    """1000 Haar states, the named states and product states, some a hair
+    away from a product state."""
+    rng = np.random.default_rng(53)
+    named = [UP_UP, DOWN_DOWN, SINGLET, TRIPLET_ZERO, up_down()]
+    angles = rng.uniform(0.0, np.pi, size=(60, 2)).tolist()
+    products = [make(chi, gaz) for chi, gaz in angles for make in
+                (plus_minus_state, plus_plus_state, minus_minus_state)]
+    near = [PureState2Q.normalized(0.0, 1j, tiny * 1j, 0.0) for tiny in (1e-6, 1e-8, 1e-10, 1e-12)]
+    return haar_states(1000, seed=53) + named + products + near
+
+
+class TestStackedRoutes:
+    def test_oracle_bit_identical_to_scalar_route(self):
+        states = stack_states()
+        reference = np.array([scalar_oracle(state) for state in states])
+        stack = concurrence_wootters_oracle_stack([state.vector for state in states])
+        assert same_bits(stack, reference)
+        one = np.array([concurrence_wootters_oracle(state) for state in states])
+        assert same_bits(one, reference)
+
+    def test_orbit_bit_identical_to_scalar_route(self):
+        states = stack_states()
+        rng = np.random.default_rng(59)
+        thetas = rng.uniform(-7.0, 7.0, len(states))
+        phis = rng.uniform(-7.0, 7.0, (len(states), 5))
+        thetas[:3], phis[:3, 0] = [0.0, -0.0, np.pi], -0.0
+        reference = [scalar_orbit(*args) for args in zip(states, thetas.tolist(), phis.tolist())]
+        assert same_bits(entanglement_along_orbit(states, thetas, phis), np.array(reference))
+
+    @pytest.mark.parametrize("theta, phi", [(np.inf, 0.0), (0.3, np.nan)])
+    def test_orbit_refuses_non_finite_angles_as_torus_point_does(self, theta, phi):
+        with pytest.raises(ValueError, match="^torus coordinates must be finite$"):
+            TorusPoint(theta, phi)
+        with pytest.raises(ValueError, match="^torus coordinates must be finite$"):
+            entanglement_along_orbit([up_down()], [theta], [[phi, 1.0]])
+
+    def test_zero_length_stacks(self):
+        assert concurrence_wootters_oracle_stack(np.zeros((0, 4))).shape == (0,)
+        assert entanglement_along_orbit([], [], np.zeros((0, 5))).shape == (0, 5)
+
+
 class TestEvolvedConcurrence:
     def test_theta_zero_recovers_initial(self):
         for state in haar_states(20, seed=23):
@@ -312,12 +377,12 @@ class TestEvolvedConcurrence:
 
     def test_field_angle_never_matters(self):
         rng = np.random.default_rng(31)
-        for state in haar_states(25, seed=31):
-            theta = float(rng.uniform(0, np.pi))
-            values = entanglement_along_orbit(
-                state, theta, rng.uniform(0, 2 * np.pi, size=6)
-            )
-            assert max(values) - min(values) < 1e-12
+        states = haar_states(25, seed=31)
+        values = entanglement_along_orbit(
+            states, rng.uniform(0, np.pi, 25), rng.uniform(0, 2 * np.pi, size=(25, 6))
+        )
+        assert values.shape == (25, 6)
+        assert np.all(values.max(axis=1) - values.min(axis=1) < 1e-12)
 
     def test_pi_periodic(self):
         rng = np.random.default_rng(37)

@@ -8,12 +8,21 @@ from spin_torus.hamiltonian import (
     build_h_mf,
     build_hamiltonian,
     eigensystem,
-    interaction_propagator,
     propagator_analytic,
+    propagator_analytic_stack,
     propagator_factored,
+    propagator_factored_stack,
     propagator_spectral,
+    propagator_spectral_stack,
 )
-from spin_torus.qstate import PureState2Q, apply, random_state, up_down
+from spin_torus.qstate import (
+    Operator4,
+    PureState2Q,
+    apply,
+    random_state,
+    unitarity_residuals,
+    up_down,
+)
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 SINGLET = PureState2Q.normalized(0.0, 1.0, -1.0, 0.0)
@@ -124,27 +133,153 @@ class TestEigensystem:
         )
 
 
+# --- the scalar routes the stacked kernels replaced, kept as references ------
+
+def scalar_analytic(params, t):
+    j, h = params.coupling, params.field
+    theta = 2.0 * j * t
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
+    mat = np.zeros((4, 4), dtype=np.complex128)
+    mat[0, 0] = np.exp(-2j * (h + j) * t)
+    mat[3, 3] = np.exp(2j * (h - j) * t)
+    mat[1, 1] = cos_t
+    mat[2, 2] = cos_t
+    mat[1, 2] = -1j * sin_t
+    mat[2, 1] = -1j * sin_t
+    return mat
+
+
+def scalar_interaction(params, t):
+    """e^{-i H_int t} = cos(2Jt) I - i sin(2Jt)/(2J) H_int, the ratio by its
+    Taylor series below |2Jt| = 1e-6."""
+    x = 2.0 * params.coupling * t
+    if abs(x) < 1e-6:
+        ratio = t * (1.0 - x * x / 6.0 + x ** 4 / 120.0)
+    else:
+        ratio = np.sin(x) / (2.0 * params.coupling)
+    return np.cos(x) * np.eye(4) - 1j * ratio * build_h_int(params).matrix
+
+
+def scalar_factored(params, t):
+    h = params.field
+    first = np.diag(np.exp([-1j * h * t] * 2 + [1j * h * t] * 2))
+    second = np.diag(np.exp([-1j * h * t, 1j * h * t] * 2))
+    return scalar_interaction(params, t) @ first @ second
+
+
+def scalar_spectral(params, t):
+    j, h = params.coupling, params.field
+    values = np.array([2.0 * (j + h), 2.0 * (j - h), 2.0 * j, -2.0 * j])
+    vectors = np.zeros((4, 4), dtype=np.complex128)
+    vectors[0, 0] = vectors[3, 1] = 1.0
+    vectors[1, 2] = vectors[2, 2] = vectors[1, 3] = 1.0 / np.sqrt(2.0)
+    vectors[2, 3] = -1.0 / np.sqrt(2.0)
+    mat = np.zeros((4, 4), dtype=np.complex128)
+    for value, vec in zip(values, vectors.T):
+        mat += np.exp(-1j * value * t) * np.outer(vec, vec.conj())
+    return mat
+
+
+def scalar_unitarity_residual(matrix):
+    return float(np.max(np.abs(matrix.conj().T @ matrix - np.eye(4))))
+
+
 def kron_factored(params, t):
     """The factored propagator with its z rotations built by np.kron of the
     single-spin phases, as before they became diagonals."""
     phases = np.diag(np.exp([-1j * params.field * t, 1j * params.field * t]))
     return (
-        interaction_propagator(params, t).matrix
+        scalar_interaction(params, t)
         @ np.kron(phases, IDENTITY_2)
         @ np.kron(IDENTITY_2, phases)
     )
 
 
+def same_bits(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def stack_draws():
+    """1200 (J, h_z, t): random ones with t up to 10, and J = 0, t = 0 and
+    |2Jt| on both sides of the Taylor switch at 1e-6, at it and just below."""
+    rng = np.random.default_rng(16)
+    j, h = rng.uniform(-3.0, 3.0, size=(2, 1200))
+    t = rng.uniform(0.0, 10.0, 1200)
+    j[:100] = 0.0
+    t[100:200] = 0.0
+    j[200:400] = rng.uniform(-2e-6, 2e-6, 200)
+    t[200:400] = 0.5
+    j[400:404] = [1e-6, -1e-6, np.nextafter(1e-6, 0.0), -np.nextafter(1e-6, 0.0)]
+    t[400:404] = 0.5
+    h[404:504] = 0.0
+    h[504:604] = j[504:604]
+    return j, h, t
+
+
+ROUTES = {
+    "analytic": (propagator_analytic_stack, propagator_analytic, scalar_analytic),
+    "factored": (propagator_factored_stack, propagator_factored, scalar_factored),
+    "spectral": (propagator_spectral_stack, propagator_spectral, scalar_spectral),
+}
+
+
+class TestStackedPropagators:
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    def test_bit_identical_to_scalar_route(self, route):
+        stack_route, public, scalar = ROUTES[route]
+        j, h, t = stack_draws()
+        stack = stack_route(j, h, t)
+        assert stack.shape == (1200, 4, 4)
+        for k, (coupling, field, time) in enumerate(zip(j.tolist(), h.tolist(), t.tolist())):
+            params = SystemParams(coupling, field)
+            reference = scalar(params, time)
+            assert same_bits(stack[k], reference), (coupling, field, time)
+            assert same_bits(public(params, time).matrix, reference), (coupling, field, time)
+
+    def test_switch_is_exercised(self):
+        j, _, t = stack_draws()
+        x = np.abs(2.0 * j * t)
+        assert (x[200:404] < 1e-6).sum() > 50 and (x[200:404] >= 1e-6).sum() > 50
+        assert x[400] == 1e-6
+
+    def test_unitarity_residuals_bit_identical_to_scalar(self):
+        j, h, t = stack_draws()
+        stack = np.concatenate(
+            (propagator_analytic_stack(j, h, t), propagator_factored_stack(j, h, t))
+        )
+        stack[::7, 1, 2] *= -1.0  # some far from unitary
+        reference = np.array([scalar_unitarity_residual(matrix) for matrix in stack])
+        assert same_bits(unitarity_residuals(stack), reference)
+        one = np.array([Operator4(matrix).unitarity_residual() for matrix in stack])
+        assert same_bits(one, reference)
+
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    def test_zero_length_stack(self, route):
+        stack = ROUTES[route][0]([], [], [])
+        assert stack.shape == (0, 4, 4) and stack.dtype == np.complex128
+        assert unitarity_residuals(stack).shape == (0,)
+
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    def test_non_finite_time_refused_by_the_operator_guard(self, route):
+        with pytest.raises(ValueError, match="^operator entries must be finite$"):
+            ROUTES[route][0]([1.0, 1.0], [0.5, 0.5], [0.3, np.nan])
+
+
 class TestPropagator:
     def test_factored_bit_identical_to_kron_route(self):
         rng = np.random.default_rng(91)
+        draws = []
         for i in range(100):
             coupling, field = rng.uniform(-3.0, 3.0, size=2)
-            params = SystemParams(float(coupling) if i % 10 else 0.0, float(field))
             t = float(rng.uniform(0.0, 10.0))
-            assert np.array_equal(
-                propagator_factored(params, t).matrix, kron_factored(params, t)
-            )
+            draws.append((float(coupling) if i % 10 else 0.0, float(field), t))
+        stack = propagator_factored_stack(*np.transpose(draws))
+        for (coupling, field, t), row in zip(draws, stack):
+            expected = kron_factored(SystemParams(coupling, field), t)
+            assert np.array_equal(row, expected)
+            one = propagator_factored(SystemParams(coupling, field), t).matrix
+            assert np.array_equal(one, expected)
 
     @pytest.mark.parametrize("params", PARAM_GRID)
     @pytest.mark.parametrize("t", [0.0, 0.3, 2.0, 17.5])
@@ -178,9 +313,9 @@ class TestPropagator:
     def test_small_coupling_series_branch(self, coupling):
         # The sin(2Jt)/(2J) ratio must hand over smoothly between the series
         # and the direct quotient; the spectral route knows nothing of either.
-        params = SystemParams(coupling, 0.3)
+        # At h_z = 0 the factored stack is e^{-i H_int t} alone.
         for t in (0.5, 3.0):
-            series = interaction_propagator(params, t).matrix
+            series = propagator_factored_stack([coupling], [0.0], [t])[0]
             spectral = propagator_spectral(SystemParams(coupling, 0.0), t).matrix
             np.testing.assert_allclose(series, spectral, atol=1e-12)
 

@@ -12,6 +12,7 @@ are chosen so that a mutant the schema accepts is also sound physics, so
 import copy
 import functools
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -45,10 +46,21 @@ RANGED_KEYS = {"gamma", "theta_steps", "phi_steps", "steps"}
 
 
 def oracle_message(data, schema=SCENARIO_SCHEMA):
+    """jsonschema's message, with the value it quotes cut as the package
+    cuts it: the repr of the failing value that opens the message, or the
+    list of unexpected properties."""
     error = best_match(Draft202012Validator(schema).iter_errors(data))
     if error is None:
         return None
-    return f"{'.'.join(map(str, error.absolute_path)) or '<root>'}: {error.message}"
+    message, quoted = error.message, repr(error.instance)
+    extras = re.fullmatch(
+        r"(Additional properties are not allowed \()(.*)( were? unexpected\))", message, re.S
+    )
+    if message.startswith(quoted):
+        message = scenario._cut(quoted) + message[len(quoted):]
+    elif extras:
+        message = extras[1] + scenario._cut(extras[2]) + extras[3]
+    return f"{'.'.join(map(str, error.absolute_path)) or '<root>'}: {message}"
 
 
 small = st.floats(-3.0, 3.0, allow_nan=False) | st.integers(-3, 3)
@@ -209,6 +221,26 @@ class TestParityWithJsonschema:
     )
     def test_other_schemas(self, schema, data):
         assert scenario._schema_error(schema, data) == oracle_message(data, schema)
+
+    @pytest.mark.parametrize(
+        "schema, data",
+        [
+            ({"type": "array", "maxItems": 2}, list(range(1000))),
+            ({"type": "array", "uniqueItems": True}, ["metric"] * 1000),
+            ({"type": "array"}, {f"k{i}": i for i in range(1000)}),
+            ({"enum": ["metric"]}, "x" * 1000),
+            ({"type": "object", "additionalProperties": False}, {f"k{i}": i for i in range(1000)}),
+            ({"oneOf": [{"type": "number"}, {"type": "object"}]}, list(range(1000))),
+            ({"oneOf": [{"type": "array"}, {"type": "array"}]}, list(range(1000))),
+            # At the cut and one past it.
+            ({"type": "object"}, "x" * 198),
+            ({"type": "object"}, "x" * 199),
+        ],
+    )
+    def test_long_values_cut_as_the_oracle_is_cut(self, schema, data):
+        message = scenario._schema_error(schema, data)
+        assert message == oracle_message(data, schema)
+        assert len(message) < 300
 
 
 @functools.cache

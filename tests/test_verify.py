@@ -1,7 +1,13 @@
 """Tests for the self-check battery."""
 
+import sys
+
+import numpy as np
 import pytest
 
+from spin_torus import entanglement, hamiltonian
+from spin_torus.cli import EXIT_CHECK_FAILURE, main
+from spin_torus.qstate import Operator4, check_state_rows
 from spin_torus.verify import verify_all
 
 CHECK_NAMES = [
@@ -53,7 +59,7 @@ class TestVerifyAll:
     def test_same_seed_gives_identical_lines(self):
         assert verify_all(seed=7).lines() == verify_all(seed=7).lines()
 
-    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    @pytest.mark.parametrize("seed", range(20))
     def test_verdict_robust_across_seeds(self, seed):
         assert verify_all(seed=seed).passed
 
@@ -77,3 +83,46 @@ class TestNegativeControl:
             for line in report.lines()
         )
         assert report.lines()[-1].endswith("1 of 27 checks FAILED")
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_cli_negative_control_fails_only_unitarity(self, seed, capsys):
+        # The benchmark's check of a negative-control verify call.
+        assert main(["verify", "--seed", str(seed), "--negative-control"]) == EXIT_CHECK_FAILURE
+        lines = capsys.readouterr().out.splitlines()
+        failed = [line[6:].split(":", 1)[0] for line in lines if line.startswith("FAIL  ")]
+        assert failed == ["propagator_unitarity"]
+
+
+class TestStackGuards:
+    """A NaN inside a stack meets the guard its scalar route met, with the
+    same message."""
+
+    @pytest.mark.parametrize("route", ["analytic", "factored", "spectral"])
+    def test_nan_in_a_stacked_propagator(self, monkeypatch, route):
+        guard = hamiltonian.check_operator_stack
+
+        def poisoned(matrices):
+            if sys._getframe(1).f_code.co_name == f"propagator_{route}_stack" and len(matrices) > 1:
+                matrices = matrices.copy()
+                matrices[37, 2, 1] = complex(0.0, np.nan)
+            return guard(matrices)
+
+        monkeypatch.setattr(hamiltonian, "check_operator_stack", poisoned)
+        with pytest.raises(ValueError, match="^operator entries must be finite$"):
+            Operator4(np.full((4, 4), np.nan))
+        with pytest.raises(ValueError, match="^operator entries must be finite$"):
+            verify_all(seed=0)
+
+    def test_nan_in_an_evolved_orbit_row(self, monkeypatch):
+        evolve_grid = entanglement.evolve_grid
+
+        def poisoned(amplitudes, thetas, phis):
+            rows = evolve_grid(amplitudes, thetas, phis)
+            rows[41, 3, 2] = complex(np.nan, 0.0)
+            return rows
+
+        monkeypatch.setattr(entanglement, "evolve_grid", poisoned)
+        with pytest.raises(ValueError, match="^state amplitudes must be finite$"):
+            check_state_rows([[complex(np.nan, 0.0), 0.0, 0.0, 0.0]])
+        with pytest.raises(ValueError, match="^state amplitudes must be finite$"):
+            verify_all(seed=0)
