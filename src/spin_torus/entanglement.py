@@ -18,7 +18,7 @@ import numpy as np
 
 from .hamiltonian import SystemParams
 from .manifold import _phi_circle_radius, evolve_grid, family_invariants
-from .qstate import PureState2Q, check_gamma, check_state_rows
+from .qstate import PureState2Q, check_gamma, check_state_array
 
 #: Excursions beyond [0, 1] larger than this are treated as bugs, not noise.
 _RANGE_SLACK = 1e-9
@@ -271,6 +271,5 @@ def entanglement_along_orbit(
     if not (np.isfinite(theta).all() and np.isfinite(phi).all()):  # as TorusPoint refuses them
         raise ValueError("torus coordinates must be finite")
     amplitudes = np.array([state.vector for state in initials]).reshape(-1, 1, 4)
-    rows = evolve_grid(amplitudes, theta, phi).reshape(-1, 4).tolist()
-    check_state_rows(rows)
-    return np.array(list(map(_concurrence_of, rows))).reshape(phi.shape)
+    rows = check_state_array(evolve_grid(amplitudes, theta, phi))
+    return np.array(list(map(_concurrence_of, rows.reshape(-1, 4).tolist()))).reshape(phi.shape)

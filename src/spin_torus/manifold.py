@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import PureState2Q, all_finite, check_gamma, check_state_rows
+from .qstate import PureState2Q, all_finite, check_gamma, check_state_array
 
 #: Finite-difference step; about the sweet spot between truncation O(h^4)
 #: after Richardson and rounding noise O(eps / h^2).
@@ -199,8 +199,12 @@ def evolve_family(initial: PureState2Q, point: TorusPoint) -> PureState2Q:
 def evolve_family_sheared(initial: PureState2Q, point: TorusPoint, k: float) -> PureState2Q:
     """Evolved family in sheared coordinates (theta', phi') with
     phi = phi' - k theta'."""
-    plain = TorusPoint(point.theta, point.phi - k * point.theta)
-    return evolve_family(initial, plain)
+    return evolve_family(initial, TorusPoint(point.theta, _plain_phi(point.theta, point.phi, k)))
+
+
+def _plain_phi(theta, phi, k):
+    """The plain field angle phi' - k theta' of sheared coordinates (theta', phi')."""
+    return phi - k * theta
 
 
 def params_to_point(coupling: float, field: float, t: float) -> TorusPoint:
@@ -313,7 +317,7 @@ def _direction_forms(
             raise ValueError("torus coordinates must be finite")
         points = np.concatenate((centres, probes.reshape(len(centres), 12, 2)), axis=1)
         rows = evolve_grid(np.asarray(amplitudes)[..., None, :], points[..., 0], points[..., 1])
-    check_state_rows(rows.reshape(-1, 4).tolist())
+    check_state_array(rows)
     overlaps = np.vecdot(rows[:, :1], rows[:, 1:]).ravel().tolist()
     mod_sq = np.array([abs(z) ** 2 for z in overlaps]).reshape(-1, 3, 2, 2)
     dist = gamma * gamma * np.minimum(np.maximum(1.0 - mod_sq, 0.0), 1.0)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NoReturn, Sequence
 
 import numpy as np
 
@@ -57,9 +57,36 @@ def check_state_rows(rows: Iterable[Sequence[complex]]) -> None:
         except OverflowError:  # a finite amplitude whose modulus overflows
             norm_sq = math.inf
         if not abs(norm_sq - 1.0) <= NORM_TOL:
-            if not all(map(cmath.isfinite, amplitudes)):
-                raise ValueError("state amplitudes must be finite")
-            raise ValueError(f"state is not normalized: |amplitudes|^2 sums to {norm_sq!r}")
+            _refuse_row(amplitudes, norm_sq)
+
+
+def _refuse_row(amplitudes: Sequence[complex], norm_sq: float) -> NoReturn:
+    """The guard's error for a row whose squared norm ``norm_sq`` failed."""
+    if not all(map(cmath.isfinite, amplitudes)):
+        raise ValueError("state amplitudes must be finite")
+    raise ValueError(f"state is not normalized: |amplitudes|^2 sums to {norm_sq!r}")
+
+
+def _norms_sq(rows: np.ndarray) -> np.ndarray:
+    """The squared norm of each row of an array (..., 4), with the bits of
+    :func:`check_state_rows`: np.hypot is the C library's hypot, as abs()
+    of a Python complex is, and the squares are summed in the same order.
+    A modulus or a square that overflows is inf, as there."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = np.hypot(rows.real, rows.imag)
+        m *= m
+        return m[..., 0] + m[..., 1] + m[..., 2] + m[..., 3]
+
+
+def check_state_array(rows: np.ndarray) -> np.ndarray:
+    """:func:`check_state_rows` on an array (..., 4) of amplitudes at once:
+    ``rows``, or its ``ValueError`` for the first row that fails."""
+    norms_sq = _norms_sq(rows)
+    bad = ~(np.abs(norms_sq - 1.0) <= NORM_TOL)
+    if bad.any():
+        first = np.unravel_index(bad.argmax(), bad.shape)
+        _refuse_row(rows[first].tolist(), float(norms_sq[first]))
+    return rows
 
 
 def check_operator_stack(matrices: np.ndarray) -> np.ndarray:
@@ -95,10 +122,12 @@ def _check_bloch_angles(chi: float, gamma_az: float) -> None:
 class PureState2Q:
     """Normalized pure state of two spin-1/2 particles.
 
-    Wraps a read-only complex 4-vector.  The plain constructor asserts
-    normalization within ``NORM_TOL``; use :meth:`normalized` to rescale
-    arbitrary amplitudes instead.  Explicit failure is preferred over
-    silent rescaling so unnormalized input never slips through a test.
+    Wraps a read-only complex 4-vector, whose amplitudes :meth:`a`,
+    :meth:`b`, :meth:`c` and :meth:`d` give one by one.  The plain
+    constructor asserts normalization within ``NORM_TOL``; use
+    :meth:`normalized` to rescale arbitrary amplitudes instead.  Explicit
+    failure is preferred over silent rescaling so unnormalized input never
+    slips through a test.
     """
 
     vector: np.ndarray
@@ -266,7 +295,23 @@ def minus_minus_state(chi: float, gamma_az: float = 0.0) -> PureState2Q:
     return product_state(bloch_minus(chi, gamma_az), bloch_minus(chi, gamma_az))
 
 
+def random_states(rng: np.random.Generator, n: int) -> np.ndarray:
+    """``n`` Haar-random pure states drawn from the given generator, as the
+    rows of an (n, 4) array under the state guard.
+
+    Each state takes 8 normals in turn, the real parts of its amplitudes
+    and then the imaginary ones.  The norm is np.linalg.norm's, two dot
+    products of the strided real and imaginary parts, so a row has the
+    bits of that state drawn alone.
+    """
+    raw = rng.standard_normal((n, 2, 4))
+    vectors = raw[:, 0] + 1j * raw[:, 1]
+    norms = np.sqrt(np.vecdot(vectors.real, vectors.real) + np.vecdot(vectors.imag, vectors.imag))
+    vectors /= norms[:, None]
+    return check_state_array(vectors)
+
+
 def random_state(rng: np.random.Generator) -> PureState2Q:
-    """Haar-random pure state drawn from the given generator."""
-    raw = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    return PureState2Q(raw / np.linalg.norm(raw))
+    """Haar-random pure state drawn from the given generator: the one-state
+    call of :func:`random_states`."""
+    return PureState2Q(random_states(rng, 1)[0])

@@ -29,7 +29,6 @@ from .hamiltonian import (
     build_h_mf,
     build_hamiltonian,
     eigensystem,
-    propagator_analytic,
     propagator_analytic_stack,
     propagator_factored_stack,
     propagator_spectral_stack,
@@ -37,19 +36,16 @@ from .hamiltonian import (
 from .manifold import (
     _AXES,
     DEFAULT_STEP,
-    TorusPoint,
     _direction_forms,
     _family_amplitudes,
+    _plain_phi,
     _sheared_forms,
-    evolve_family,
-    evolve_family_sheared,
     evolve_grid,
     family_invariants,
     metric_analytic,
-    params_to_point,
 )
-from .qstate import PureState2Q, apply, fs_distance_sq, inner, plus_minus_state, random_state
-from .qstate import unitarity_residuals
+from .qstate import PureState2Q, check_state_array, fs_distance_sq, inner, plus_minus_state
+from .qstate import random_states, unitarity_residuals
 from .scenario import canonical_result_bytes, config_from_dict, run_scenario
 
 
@@ -92,127 +88,101 @@ class VerifyReport:
         return body
 
 
-def _random_params(rng: np.random.Generator) -> SystemParams:
-    return SystemParams(
-        coupling=float(rng.uniform(-3.0, 3.0)), field=float(rng.uniform(-3.0, 3.0))
-    )
+def _draw_states(rng: np.random.Generator, n: int) -> tuple[np.ndarray, list[PureState2Q]]:
+    """``n`` Haar states as an (n, 4) array and as states, for the scalar
+    functions a check audits."""
+    vectors = random_states(rng, n)
+    return vectors, [PureState2Q(vector) for vector in vectors]
 
 
 def verify_all(seed: int = 0, corrupt_propagator: bool = False) -> VerifyReport:
     """Run the whole battery.  ``corrupt_propagator`` is a negative-control
     hook: it flips the sign of one propagator entry before the unitarity
-    check, which must then fail -- proving the checks can fail at all."""
-    rng = np.random.default_rng(seed)
+    check, which must then fail -- proving the checks can fail at all.
+
+    Each battery draws its inputs as arrays from its own child stream of
+    ``seed``, and reduces its residuals with np.max, so a NaN residual
+    fails its check rather than being dropped, as max() would drop it."""
+    root = np.random.default_rng(seed)
     report = VerifyReport(seed=seed)
 
+    def stream() -> np.random.Generator:
+        return root.spawn(1)[0]
+
     def record(name: str, residual: float, bound: float, detail: str = "") -> None:
-        report.checks.append(
-            CheckResult(
-                name=name,
-                passed=bool(residual <= bound),
-                residual=float(residual),
-                bound=bound,
-                detail=detail,
-            )
-        )
+        passed = bool(residual <= bound)  # False for NaN
+        report.checks.append(CheckResult(name, passed, float(residual), bound, detail))
 
     # --- Hamiltonian algebra -------------------------------------------------
-    worst = 0.0
-    for _ in range(5):
-        p = _random_params(rng)
-        h_int, h_mf = build_h_int(p).matrix, build_h_mf(p).matrix
-        worst = max(worst, float(np.max(np.abs(h_int @ h_mf - h_mf @ h_int))))
-    record("interaction_commutes_with_field", worst, 1e-12)
+    def random_params(n: int) -> list[SystemParams]:
+        return [SystemParams(j, h) for j, h in stream().uniform(-3.0, 3.0, (n, 2)).tolist()]
 
-    worst = 0.0
-    for _ in range(5):
-        p = _random_params(rng)
-        h_int = build_h_int(p).matrix
-        target = (2.0 * p.coupling) ** 2 * np.eye(4)
-        worst = max(worst, float(np.max(np.abs(h_int @ h_int - target))))
-    record("interaction_square_is_scalar", worst, 1e-12)
+    params = random_params(5)
+    h_int = np.array([build_h_int(p).matrix for p in params])
+    h_mf = np.array([build_h_mf(p).matrix for p in params])
+    record("interaction_commutes_with_field", np.abs(h_int @ h_mf - h_mf @ h_int).max(), 1e-12)
 
-    worst = 0.0
-    for _ in range(5):
-        p = _random_params(rng)
-        h_full = build_hamiltonian(p).matrix
-        eig = eigensystem(p)
-        for value, vec in zip(eig.values, eig.vectors.T):
-            worst = max(worst, float(np.max(np.abs(h_full @ vec - value * vec))))
-    record("eigensystem_residuals", worst, 1e-12)
+    params = random_params(5)
+    h_int = np.array([build_h_int(p).matrix for p in params])
+    target = np.array([(2.0 * p.coupling) ** 2 * np.eye(4) for p in params])
+    record("interaction_square_is_scalar", np.abs(h_int @ h_int - target).max(), 1e-12)
+
+    params = random_params(5)
+    h_full = np.array([build_hamiltonian(p).matrix for p in params])
+    values, vectors = map(np.array, zip(*map(eigensystem, params)))
+    residuals = h_full @ vectors - vectors * values[:, None]  # column by column
+    record("eigensystem_residuals", np.abs(residuals).max(), 1e-12)
 
     reference = eigensystem(SystemParams(1.0, 0.5))
-    worst = float(np.max(np.abs(reference.values - np.array([3.0, 1.0, 2.0, -2.0]))))
+    worst = np.abs(reference.values - np.array([3.0, 1.0, 2.0, -2.0])).max()
     record("eigenvalues_reference_point", worst, 1e-12, "(J, h_z) = (1, 1/2)")
 
     # --- propagator routes ---------------------------------------------------
-    draws = []
-    for i in range(100):
-        if i == 0:
-            draws.append((SystemParams(0.0, float(rng.uniform(-2, 2))), 1.3))
-        elif i == 1:
-            p = SystemParams(1e-9, float(rng.uniform(-2, 2)))
-            draws.append((p, 0.7))
-        else:
-            draws.append((_random_params(rng), float(rng.uniform(0.0, 10.0))))
-
-    args = np.array([(p.coupling, p.field, t) for p, t in draws]).T
-    analytic = propagator_analytic_stack(*args)
-    factored = propagator_factored_stack(*args)
-    spectral = propagator_spectral_stack(*args)
+    rng = stream()
+    j, h = rng.uniform(-3.0, 3.0, (2, 100))
+    t = rng.uniform(0.0, 10.0, 100)
+    j[:2], h[:2], t[:2] = (0.0, 1e-9), rng.uniform(-2.0, 2.0, 2), (1.3, 0.7)
+    analytic = propagator_analytic_stack(j, h, t)
+    factored = propagator_factored_stack(j, h, t)
+    spectral = propagator_spectral_stack(j, h, t)
     checked = analytic.copy()
     if corrupt_propagator:
         checked[:, 1, 2] = -checked[:, 1, 2]
     worst = np.max(unitarity_residuals(np.concatenate((checked, factored))))
-    worst_spec = np.max(np.abs(analytic - spectral))
-    worst_fact = np.max(np.abs(analytic - factored))
-    record(
-        "propagator_unitarity",
-        worst,
-        1e-12,
-        "negative control active" if corrupt_propagator else "",
-    )
-    record("propagator_analytic_vs_spectral", worst_spec, 1e-10)
-    record("propagator_analytic_vs_factored", worst_fact, 1e-10)
+    detail = "negative control active" if corrupt_propagator else ""
+    record("propagator_unitarity", worst, 1e-12, detail)
+    record("propagator_analytic_vs_spectral", np.abs(analytic - spectral).max(), 1e-10)
+    record("propagator_analytic_vs_factored", np.abs(analytic - factored).max(), 1e-10)
 
-    worst = 0.0
-    for _ in range(20):
-        p = _random_params(rng)
-        t1, t2 = rng.uniform(0.0, 5.0, size=2)
-        lhs = propagator_analytic(p, float(t1 + t2)).matrix
-        rhs = propagator_analytic(p, float(t1)).matrix @ propagator_analytic(p, float(t2)).matrix
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    record("propagator_group_property", worst, 1e-12)
+    rng = stream()
+    j, h = rng.uniform(-3.0, 3.0, (2, 20))
+    t1, t2 = rng.uniform(0.0, 5.0, (2, 20))
+    times = np.array((t1 + t2, t1, t2))
+    whole, first, second = propagator_analytic_stack(*np.broadcast_arrays(j, h, times))
+    record("propagator_group_property", np.abs(whole - first @ second).max(), 1e-12)
 
     # --- evolved family ------------------------------------------------------
-    worst = 0.0
-    for _ in range(50):
-        state = random_state(rng)
-        p = _random_params(rng)
-        t = float(rng.uniform(0.0, 5.0))
-        via_u = apply(propagator_analytic(p, t), state).vector
-        via_family = evolve_family(state, params_to_point(p.coupling, p.field, t)).vector
-        worst = max(worst, float(np.max(np.abs(via_u - via_family))))
-    record("family_matches_propagator", worst, 1e-12)
+    rng = stream()
+    vectors = random_states(rng, 50)
+    j, h = rng.uniform(-3.0, 3.0, (2, 50))
+    t = rng.uniform(0.0, 5.0, 50)
+    # apply() and evolve_family guard each state; params_to_point gives (2 J t, 2 h_z t).
+    via_u = check_state_array((propagator_analytic_stack(j, h, t) @ vectors[:, :, None])[..., 0])
+    via_family = check_state_array(evolve_grid(vectors, 2.0 * j * t, 2.0 * h * t))
+    record("family_matches_propagator", np.abs(via_u - via_family).max(), 1e-12)
 
-    worst_theta = 0.0
-    worst_phi = 0.0
-    for _ in range(50):
-        state = random_state(rng)
-        th, ph = float(rng.uniform(0, np.pi)), float(rng.uniform(0, 2 * np.pi))
-        base = evolve_family(state, TorusPoint(th, ph)).vector
-        shifted = evolve_family(state, TorusPoint(th + np.pi, ph)).vector
-        worst_theta = max(worst_theta, float(np.max(np.abs(shifted + base))))
-        wrapped = evolve_family(state, TorusPoint(th, ph + 2.0 * np.pi)).vector
-        worst_phi = max(worst_phi, float(np.max(np.abs(wrapped - base))))
-    record("family_theta_antiperiod", worst_theta, 1e-12, "psi(theta+pi) = -psi")
-    record("family_phi_period", worst_phi, 1e-12, "psi(phi+2pi) = psi")
+    rng = stream()
+    vectors = random_states(rng, 50)
+    th, ph = rng.uniform(0.0, [[np.pi], [2.0 * np.pi]], (2, 50))
+    thetas, phis = (th, th + np.pi, th), (ph, ph, ph + 2.0 * np.pi)
+    base, shifted, wrapped = check_state_array(evolve_grid(vectors, thetas, phis))
+    record("family_theta_antiperiod", np.abs(shifted + base).max(), 1e-12, "psi(theta+pi) = -psi")
+    record("family_phi_period", np.abs(wrapped - base).max(), 1e-12, "psi(phi+2pi) = psi")
 
     # The finite-difference metric evolves its probes through evolve_grid and
     # takes their overlaps with np.vecdot; its bits rest on both matching the
-    # scalar routes.  A child stream keeps the draws of later checks as they are.
-    grid_rng = rng.spawn(1)[0]
-    vectors = [random_state(grid_rng).vector.tolist() for _ in range(2)]
+    # scalar routes.
+    vectors = random_states(grid_rng := stream(), 2).tolist()
     # |down up> with a signed zero in every part
     vectors.append([complex(-0.0, 0.0), complex(0.0, -0.0), complex(-1.0, -0.0), -0.0j])
     angles = np.concatenate(
@@ -231,134 +201,114 @@ def verify_all(seed: int = 0, corrupt_propagator: bool = False) -> VerifyReport:
         int(np.bitwise_count(x.view(np.uint64) ^ y.view(np.uint64)).sum())
         for x, y in ((stacked, scalar), (overlaps, looped))
     )
-    record(
-        "evolve_grid_matches_scalar_family",
-        flipped,
-        0.0,
-        "differing bits: evolve_grid vs scalar family map, np.vecdot vs np.vdot",
-    )
+    detail = "differing bits: evolve_grid vs scalar family map, np.vecdot vs np.vdot"
+    record("evolve_grid_matches_scalar_family", flipped, 0.0, detail)
 
-    worst = 0.0
-    for _ in range(50):
-        state = random_state(rng)
-        shear = metric_analytic(state).shear
-        if shear is None:
-            continue
-        th, ph = float(rng.uniform(0, np.pi)), float(rng.uniform(0, 2 * np.pi))
-        base = evolve_family_sheared(state, TorusPoint(th, ph), shear).vector
-        shifted = evolve_family_sheared(
-            state, TorusPoint(th + np.pi, ph + shear * np.pi), shear
-        ).vector
-        worst = max(worst, float(np.max(np.abs(shifted + base))))
-    record("family_sheared_antiperiod", worst, 1e-10)
+    rng = stream()
+    vectors, states = _draw_states(rng, 50)
+    th, ph = rng.uniform(0.0, [[np.pi], [2.0 * np.pi]], (2, 50))
+    shears = [metric_analytic(state).shear for state in states]
+    live = np.array([shear is not None for shear in shears])
+    k = np.array([shear for shear in shears if shear is not None])
+    th, ph = th[live], ph[live]
+    phis = (_plain_phi(th, ph, k), _plain_phi(th + np.pi, ph + k * np.pi, k))
+    base, shifted = check_state_array(evolve_grid(vectors[live], (th, th + np.pi), phis))
+    record("family_sheared_antiperiod", np.abs(shifted + base).max(initial=0.0), 1e-10)
 
     # --- metric --------------------------------------------------------------
-    states, centres = [], []
-    for _ in range(50):
-        states.append(random_state(rng))
-        centres.append(rng.uniform(0, [np.pi, 2 * np.pi] * 3).reshape(3, 2))
-    thetas, phis = np.concatenate(centres).T
-    amplitudes = np.repeat([state.vector for state in states], 3, axis=0)
-    numeric = _direction_forms(amplitudes, thetas, phis, 1.0, DEFAULT_STEP, _AXES)
-    numeric = numeric.reshape(50, 3, 3)
+    rng = stream()
+    vectors, states = _draw_states(rng, 50)
+    thetas, phis = rng.uniform(0.0, [[np.pi], [2.0 * np.pi]], (2, 150))
+    numeric = _direction_forms(
+        np.repeat(vectors, 3, axis=0), thetas, phis, 1.0, DEFAULT_STEP, _AXES
+    ).reshape(50, 3, 3)
     analytic = np.array([
         [m.g_theta_theta, m.g_theta_phi, m.g_phi_phi] for m in map(metric_analytic, states)
     ])
-    worst_fd = np.max(np.abs(numeric - analytic[:, None]))
-    worst_flat = np.max(np.abs(numeric - numeric.mean(axis=1, keepdims=True)))
+    worst_fd = np.abs(numeric - analytic[:, None]).max()
+    worst_flat = np.abs(numeric - numeric.mean(axis=1, keepdims=True)).max()
     record("metric_closed_form_vs_finite_difference", worst_fd, 1e-6)
     record("metric_constant_over_torus", worst_flat, 1e-6)
 
-    worst1 = 0.0
-    worst2 = 0.0
-    for _ in range(100):
-        state = random_state(rng)
-        a, b, c, d = state.a, state.b, state.c, state.d
-        inv = family_invariants(state)
-        al, mis, imb = inv.aligned, inv.mismatch, inv.imbalance
-        lhs1 = mis * (2.0 * al - 2.0 * imb ** 2 - al * mis)
-        rhs1 = (abs(a) ** 2 + abs(d) ** 2) * abs(b * b - c * c) ** 2 + 8.0 * abs(
-            a
-        ) ** 2 * abs(d) ** 2 * abs(b - c) ** 2
-        worst1 = max(worst1, abs(lhs1 - rhs1), -min(lhs1, 0.0))
-        x, y = abs(a) ** 2, abs(d) ** 2
-        rhs2 = x * (1.0 - x) + y * (1.0 - y) + 2.0 * x * y
-        worst2 = max(worst2, abs((al - imb ** 2) - rhs2), -min(al - imb ** 2, 0.0))
+    vectors, states = _draw_states(stream(), 100)
+    al, mis, imb = np.array([
+        (inv.aligned, inv.mismatch, inv.imbalance) for inv in map(family_invariants, states)
+    ]).T
+    a, b, c, d = vectors.T
+    x, y = np.abs(a) ** 2, np.abs(d) ** 2
+    lhs1 = mis * (2.0 * al - 2.0 * imb ** 2 - al * mis)
+    rhs1 = (x + y) * np.abs(b * b - c * c) ** 2 + 8.0 * x * y * np.abs(b - c) ** 2
+    lhs2 = al - imb ** 2
+    rhs2 = x * (1.0 - x) + y * (1.0 - y) + 2.0 * x * y
+    worst1 = np.max((np.abs(lhs1 - rhs1), -np.minimum(lhs1, 0.0)))
+    worst2 = np.max((np.abs(lhs2 - rhs2), -np.minimum(lhs2, 0.0)))
     record("metric_positivity_identity_theta", worst1, 1e-10)
     record("metric_positivity_identity_phi", worst2, 1e-10)
 
-    states = [random_state(rng) for _ in range(50)]
+    vectors, states = _draw_states(stream(), 50)
     shears = [metric_analytic(state).shear for state in states]
-    sheared = _sheared_forms([state.vector for state in states], shears, 1.0)
-    record("metric_shear_kills_cross_term", np.max(np.abs(sheared[:, 1])), 1e-8)
+    sheared = _sheared_forms(vectors, shears, 1.0)
+    record("metric_shear_kills_cross_term", np.abs(sheared[:, 1]).max(), 1e-8)
 
     # --- concurrence ---------------------------------------------------------
-    states, thetas, phis = zip(*[
-        (random_state(rng), float(rng.uniform(0, np.pi)), rng.uniform(0, 2 * np.pi, size=5))
-        for _ in range(100)
-    ])
-    closed = [concurrence_evolved(state, th) for state, th in zip(states, thetas)]
+    rng = stream()
+    vectors, states = _draw_states(rng, 100)
+    thetas = rng.uniform(0.0, np.pi, 100)
+    phis = rng.uniform(0.0, 2.0 * np.pi, (100, 5))
+    closed = [concurrence_evolved(state, th) for state, th in zip(states, thetas.tolist())]
     direct = entanglement_along_orbit(states, thetas, phis)
-    worst_closed = np.max(np.abs(closed - direct[:, 0]))
-    worst_phi_ind = np.max(direct.max(axis=1) - direct.min(axis=1))
-    oracle = concurrence_wootters_oracle_stack([state.vector for state in states])
-    worst_oracle = np.max(np.abs([concurrence(state) for state in states] - oracle))
-    record("concurrence_closed_form_vs_direct", worst_closed, 1e-12)
-    record("concurrence_field_independence", worst_phi_ind, 1e-12)
+    oracle = concurrence_wootters_oracle_stack(vectors)
+    worst_oracle = np.abs([concurrence(state) for state in states] - oracle).max()
+    record("concurrence_closed_form_vs_direct", np.abs(closed - direct[:, 0]).max(), 1e-12)
+    record("concurrence_field_independence", np.ptp(direct, axis=1).max(), 1e-12)
     record("concurrence_wootters_oracle", worst_oracle, 1e-10)
 
-    worst = 0.0
-    for _ in range(50):
-        state = random_state(rng)
-        th = float(rng.uniform(0, np.pi))
-        worst = max(
-            worst,
-            abs(concurrence_evolved(state, th) - concurrence_evolved(state, th + np.pi)),
-        )
+    rng = stream()
+    states = _draw_states(rng, 50)[1]
+    worst = np.max([
+        abs(concurrence_evolved(state, th) - concurrence_evolved(state, th + np.pi))
+        for state, th in zip(states, rng.uniform(0.0, np.pi, 50).tolist())
+    ])
     record("concurrence_theta_period", worst, 1e-12)
 
-    worst = 0.0
-    for _ in range(10):
-        chi = float(rng.uniform(0.2, np.pi - 0.2))
-        gaz = float(rng.uniform(0, 2 * np.pi))
-        state = plus_minus_state(chi, gaz)
-        peak = max_entanglement_time(state, SystemParams(1.0, 0.0))
-        worst = max(
-            worst, abs(peak.theta - np.pi / 4.0), abs(peak.concurrence - 1.0)
-        )
+    rng = stream()
+    chis, azimuths = rng.uniform((0.2, 0.0), (np.pi - 0.2, 2.0 * np.pi), (10, 2)).T.tolist()
+    peaks = [
+        max_entanglement_time(plus_minus_state(chi, gaz), SystemParams(1.0, 0.0))
+        for chi, gaz in zip(chis, azimuths)
+    ]
+    worst = np.max([(abs(p.theta - np.pi / 4.0), abs(p.concurrence - 1.0)) for p in peaks])
     record("product_state_peak_at_quarter_turn", worst, 1e-10)
 
-    worst = 0.0
+    rng = stream()
+    vectors, states = _draw_states(rng, 10)
+    theta_max, c_max = np.array([_closed_form_maximum(state)[:2] for state in states]).T
+    direct = entanglement_along_orbit(states, theta_max, rng.uniform(0.0, 2.0 * np.pi, (10, 1)))
     grid = np.linspace(0.0, np.pi, 256, endpoint=False)
-    for _ in range(10):
-        state = random_state(rng)
-        theta_max, c_max, _ = _closed_form_maximum(state)
-        peak = TorusPoint(theta_max, float(rng.uniform(0, 2 * np.pi)))
-        top = 2.0 * float(np.abs(_w(state, grid)).max())
-        worst = max(
-            worst, abs(concurrence(evolve_family(state, peak)) - c_max), top - c_max
-        )
+    top = 2.0 * np.abs([_w(state, grid) for state in states]).max(axis=1)
     record(
         "concurrence_max_closed_form_vs_sampled",
-        worst,
+        np.max((np.abs(direct[:, 0] - c_max), top - c_max)),
         1e-12,
         "direct route at theta_max; no 256-point sample above c_max",
     )
 
     # --- distance function ---------------------------------------------------
-    worst_bound = 0.0
-    worst_phase = 0.0
-    for _ in range(50):
-        x, y = random_state(rng), random_state(rng)
-        d2 = fs_distance_sq(x, y)
-        worst_bound = max(worst_bound, -min(d2, 0.0), max(d2 - 1.0, 0.0))
-        worst_bound = max(worst_bound, abs(d2 - fs_distance_sq(y, x)))
-        worst_bound = max(worst_bound, abs(abs(inner(x, y)) ** 2 + d2 - 1.0))
-        phase = np.exp(1j * float(rng.uniform(0, 2 * np.pi)))
-        rotated = PureState2Q(phase * y.vector)
-        worst_phase = max(worst_phase, abs(fs_distance_sq(x, rotated) - d2))
+    rng = stream()
+    vectors, states = _draw_states(rng, 100)
+    xs, ys = states[::2], states[1::2]
+    phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (50, 1)))
+    rotated = [PureState2Q(vector) for vector in phases * vectors[1::2]]
+    d2, swapped, turned = (
+        np.array(list(map(fs_distance_sq, lefts, rights)))
+        for lefts, rights in ((xs, ys), (ys, xs), (xs, rotated))
+    )
+    overlap = np.abs(list(map(inner, xs, ys))) ** 2
+    worst_bound = np.max((
+        -np.minimum(d2, 0.0), d2 - 1.0, np.abs(d2 - swapped), np.abs(overlap + d2 - 1.0)
+    ))
     record("distance_bounds_and_symmetry", worst_bound, 1e-12)
-    record("distance_phase_invariance", worst_phase, 1e-12)
+    record("distance_phase_invariance", np.abs(turned - d2).max(), 1e-12)
 
     # --- scenario determinism ------------------------------------------------
     probe_config = config_from_dict(

@@ -12,6 +12,7 @@ from spin_torus.qstate import (
     apply,
     basis_state,
     bloch_minus,
+    check_state_array,
     check_state_rows,
     bloch_plus,
     fs_distance_sq,
@@ -21,9 +22,11 @@ from spin_torus.qstate import (
     plus_plus_state,
     product_state,
     random_state,
+    random_states,
     ray_equal,
     up_down,
 )
+from spin_torus.qstate import _norms_sq
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 #: Inputs that are not finite floats, including integers beyond the float range.
@@ -219,6 +222,87 @@ class TestStackedGuard:
             check_state_rows(rows)
 
 
+def loop_norm_sq(amplitudes):
+    """The squared norm as :func:`check_state_rows` forms it."""
+    try:
+        m0, m1, m2, m3 = map(abs, amplitudes)
+    except OverflowError:
+        return float("inf")
+    return m0 * m0 + m1 * m1 + m2 * m2 + m3 * m3
+
+
+def guard_message(guard, rows):
+    with pytest.raises(ValueError) as caught:
+        guard(rows)
+    return str(caught.value)
+
+
+#: Rows at the edges of the float range: signed zeros, subnormal parts,
+#: parts whose squares or moduli overflow, and both non-finite kinds.
+EDGE_ROWS = [
+    [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-1.0, -0.0), -0.0j],
+    [complex(1.0, 5e-324), complex(-5e-324, 2e-308), complex(0.0, -1e-310), 0.0],
+    [complex(0.6, 0.0), complex(0.0, 0.8), complex(1e-160, 1e-160), 0.0],
+    [complex(1e308, 1e308), 0.0, 0.0, 0.0],
+    [complex(1.7e308, -1.7e308), 1.0, 0.0, 0.0],
+    [complex(1e308, 0.0), complex(0.0, -1e308), 0.0, 0.0],
+    [complex(np.nan, 0.0), 0.0, 0.0, 0.0],
+    [complex(0.0, np.inf), 0.0, 0.0, 0.0],
+    [complex(np.inf, np.nan), 1.0, 0.0, 0.0],
+    [complex(0.0, -np.inf), complex(1e308, 1e308), 0.0, 0.0],
+]
+
+
+class TestArrayGuard:
+    """check_state_array gives the verdicts, the messages and the squared
+    norms of the row loop that PureState2Q runs."""
+
+    def test_norm_bits_match_the_row_loop(self):
+        rng = np.random.default_rng(11)
+        haar = random_states(rng, 100_000)
+        scaled = haar[:1000] * rng.uniform(0.5, 2.0, (1000, 1))
+        rows = np.concatenate((haar, scaled, np.array(EDGE_ROWS)))
+        expected = np.array([loop_norm_sq(row) for row in rows.tolist()])
+        np.testing.assert_array_equal(_norms_sq(rows).view(np.uint64), expected.view(np.uint64))
+
+    def test_same_message_as_the_row_loop(self):
+        rng = np.random.default_rng(12)
+        rows = random_states(rng, 500) * rng.uniform(0.99, 1.01, (500, 1))
+        for row in np.concatenate((rows, np.array(EDGE_ROWS[3:]))):
+            assert guard_message(check_state_array, row) == guard_message(
+                check_state_rows, [row.tolist()]
+            )
+
+    @pytest.mark.parametrize("row", EDGE_ROWS[3:6])
+    def test_an_overflowing_norm_reports_inf(self, row):
+        with pytest.raises(ValueError, match=r"^state is not normalized: .* sums to inf$"):
+            check_state_array(np.array([row]))
+
+    @pytest.mark.parametrize("row", EDGE_ROWS[6:])
+    def test_nan_and_inf_are_not_finite(self, row):
+        with pytest.raises(ValueError, match="^state amplitudes must be finite$"):
+            check_state_array(np.array([row]))
+
+    def test_accepts_edge_rows_that_are_normalized(self):
+        rows = np.array(EDGE_ROWS[:3])
+        assert check_state_array(rows) is rows
+        check_state_rows(rows.tolist())
+
+    @pytest.mark.parametrize(
+        "first, message",
+        [("unnormalized", "sums to 2.0$"), ("nan", "^state amplitudes must be finite$")],
+    )
+    def test_the_first_bad_row_decides(self, first, message):
+        rows = random_states(np.random.default_rng(13), 10).reshape(2, 5, 4)
+        bad = {"unnormalized": [1.0, 1.0, 0.0, 0.0], "nan": [np.nan, 1.0, 0.0, 0.0]}
+        other = "nan" if first == "unnormalized" else "unnormalized"
+        rows[0, 3], rows[1, 1] = bad[first], bad[other]
+        with pytest.raises(ValueError, match=message):
+            check_state_array(rows)
+        with pytest.raises(ValueError, match=message):
+            check_state_rows(rows.reshape(-1, 4).tolist())
+
+
 class TestOperators:
     def test_apply_identity_is_noop(self):
         state = PureState2Q.normalized(1.0, 1.0j, -1.0, 0.5)
@@ -323,6 +407,28 @@ class TestProductStates:
             ]
         )
         np.testing.assert_allclose(state.vector, expected, atol=1e-15)
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 200])
+def test_random_states_is_n_random_state_calls(n):
+    one_by_one, at_once = np.random.default_rng(21), np.random.default_rng(21)
+    looped = np.array([random_state(one_by_one).vector for _ in range(n)], dtype=complex)
+    drawn = random_states(at_once, n)
+    np.testing.assert_array_equal(drawn.view(np.uint64), looped.reshape(n, 4).view(np.uint64))
+    assert one_by_one.bit_generator.state == at_once.bit_generator.state
+    assert one_by_one.standard_normal() == at_once.standard_normal()
+
+
+def test_random_states_rows_are_normalized_gaussian_draws():
+    # Each state is 8 normals, the real parts then the imaginary ones,
+    # divided by np.linalg.norm of the 4-vector they make.
+    rng, again = np.random.default_rng(22), np.random.default_rng(22)
+    drawn = random_states(rng, 2000)
+    expected = []
+    for _ in range(2000):
+        raw = again.standard_normal(4) + 1j * again.standard_normal(4)
+        expected.append(raw / np.linalg.norm(raw))
+    np.testing.assert_array_equal(drawn.view(np.uint64), np.array(expected).view(np.uint64))
 
 
 def test_random_state_is_normalized_and_seeded():

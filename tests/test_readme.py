@@ -49,10 +49,12 @@ def test_runs_and_gives_the_annotated_values():
         "g_tt=1.0, g_tp=0.0, g_pp=0.375",
         "(pi/8, 1.0)",
         '"flat_torus"',
+        "(1000, 4): Haar states, one per row",
     ]
-    concurrence, metric, peak, kind = (eval(code, namespace) for code, _ in annotated)
+    concurrence, metric, peak, kind, shape = (eval(code, namespace) for code, _ in annotated)
     assert repr(concurrence).startswith("0.99957")
     assert (metric.g_theta_theta, metric.g_theta_phi) == (1.0, 0.0)
     assert metric.g_phi_phi == pytest.approx(0.375, abs=1e-15)
     assert peak == pytest.approx((math.pi / 8, 1.0), abs=1e-15)
     assert kind == "flat_torus"
+    assert shape == (1000, 4)

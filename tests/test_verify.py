@@ -1,11 +1,13 @@
 """Tests for the self-check battery."""
 
+import dataclasses
+import math
 import sys
 
 import numpy as np
 import pytest
 
-from spin_torus import entanglement, hamiltonian
+from spin_torus import entanglement, hamiltonian, verify
 from spin_torus.cli import EXIT_CHECK_FAILURE, main
 from spin_torus.qstate import Operator4, check_state_rows
 from spin_torus.verify import verify_all
@@ -59,7 +61,7 @@ class TestVerifyAll:
     def test_same_seed_gives_identical_lines(self):
         assert verify_all(seed=7).lines() == verify_all(seed=7).lines()
 
-    @pytest.mark.parametrize("seed", range(20))
+    @pytest.mark.parametrize("seed", range(100))
     def test_verdict_robust_across_seeds(self, seed):
         assert verify_all(seed=seed).passed
 
@@ -84,7 +86,7 @@ class TestNegativeControl:
         )
         assert report.lines()[-1].endswith("1 of 27 checks FAILED")
 
-    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("seed", range(50))
     def test_cli_negative_control_fails_only_unitarity(self, seed, capsys):
         # The benchmark's check of a negative-control verify call.
         assert main(["verify", "--seed", str(seed), "--negative-control"]) == EXIT_CHECK_FAILURE
@@ -126,3 +128,44 @@ class TestStackGuards:
             check_state_rows([[complex(np.nan, 0.0), 0.0, 0.0, 0.0]])
         with pytest.raises(ValueError, match="^state amplitudes must be finite$"):
             verify_all(seed=0)
+
+
+class TestNanResiduals:
+    """A NaN that an audited function returns for a single draw fails the
+    checks it reaches with residual nan: no reduction drops it, as max()
+    drops a NaN that is not its first argument."""
+
+    @pytest.mark.parametrize(
+        "function, poison, checks",
+        [
+            (
+                "family_invariants",
+                lambda inv: dataclasses.replace(inv, aligned=math.nan),
+                ["metric_positivity_identity_theta", "metric_positivity_identity_phi"],
+            ),
+            (
+                "max_entanglement_time",
+                lambda peak: peak._replace(theta=math.nan),
+                ["product_state_peak_at_quarter_turn"],
+            ),
+            (
+                "fs_distance_sq",
+                lambda d2: math.nan,
+                ["distance_bounds_and_symmetry", "distance_phase_invariance"],
+            ),
+        ],
+    )
+    def test_a_nan_from_one_draw_fails_its_check(self, monkeypatch, function, poison, checks):
+        audited, calls = getattr(verify, function), []
+
+        def poisoned(*args):
+            value = audited(*args)
+            calls.append(value)
+            return poison(value) if len(calls) == 3 else value
+
+        monkeypatch.setattr(verify, function, poisoned)
+        report = verify.verify_all(seed=0)
+        failed = [check for check in report.checks if not check.passed]
+        assert [check.name for check in failed] == checks
+        assert all(math.isnan(check.residual) for check in failed)
+        assert f"FAIL  {checks[0]}: residual nan (bound" in "\n".join(report.lines())
