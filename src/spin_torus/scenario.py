@@ -25,7 +25,7 @@ from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, NamedTuple
+from typing import Any, NamedTuple, TextIO
 
 import numpy as np
 
@@ -702,6 +702,16 @@ def _checked_rows(block: Any) -> list[tuple[float, ...]]:
     where = "results.evolved_states"
     if not isinstance(block, list):
         raise ConfigInvalid(f"{where}: must be a list of rows")
+    # Rows read from a record are tuples of floats already: then a finite
+    # sum shows every value finite.  Else the loop finds the first bad row.
+    values = itertools.chain.from_iterable
+    if (
+        {tuple}.issuperset(map(type, block))
+        and {len(CSV_COLUMNS)}.issuperset(map(len, block))
+        and _FLOAT_ONLY.issuperset(map(type, values(block)))
+        and math.isfinite(sum(values(block)))
+    ):
+        return block
     rows = []
     for index, row in enumerate(block):
         row = _packed_row(row)
@@ -776,38 +786,6 @@ def record_from_dict(data: Mapping[str, Any]) -> RunRecord:
     )
 
 
-def read_record(path: str) -> RunRecord:
-    """Read a record file and check it as :func:`record_from_dict` does.
-
-    The text is UTF-8, after a BOM if one leads it.  Each row-shaped object
-    is packed by :func:`_packed_row` as json's scanner finishes it, so no
-    tree of row objects ever sits beside the text.  If anything packed is
-    not an item of results.evolved_states, such as a row-shaped object
-    elsewhere, the text is parsed again without packing and reads exactly
-    as plain json reads it.
-
-    Raises ``OSError`` if the file cannot be read, ``ValueError`` or
-    ``RecursionError`` if its text is not JSON, and :class:`ConfigInvalid`
-    if the record is malformed.
-    """
-    text = Path(path).read_text(encoding="utf-8-sig")
-    packed = 0
-
-    def pack(obj: dict[str, Any]) -> Any:
-        nonlocal packed
-        row = _packed_row(obj)
-        packed += row is not obj
-        return row
-
-    data = json.loads(text, object_hook=pack)
-    results = data.get("results") if isinstance(data, dict) else None
-    rows = results.get("evolved_states") if isinstance(results, dict) else None
-    if packed != (sum(type(row) is tuple for row in rows) if isinstance(rows, list) else 0):
-        data = json.loads(text)
-    del text  # not held while the rows are checked
-    return record_from_dict(data)
-
-
 #: Where results.evolved_states opens in a record's json text.  Only json's
 #: indentation puts a raw newline in that text, so no key or string in the
 #: record can read as either marker.
@@ -838,6 +816,94 @@ def _row_layout() -> tuple[str, Callable[[Sequence[float]], tuple[float, ...]], 
 
 
 _ROW_JSON, _JSON_ORDER, _ROWS_CLOSE = _row_layout()
+
+#: What json writes between two evolved-states rows: the comma, then the
+#: next row up to its opening brace.
+_ROW_SEPARATOR = _ROW_JSON[: _ROW_JSON.index("{") + 1] % ","
+#: Characters of a record file read at a time while its rows are parsed.
+_READ_CHARS = 2**16
+
+
+def _streamed_body(handle: TextIO) -> Any:
+    """The JSON value of a record laid out as :func:`record_to_json` lays
+    it out, read from ``handle`` with only its packed rows and one block of
+    text held at a time, or None if the text is not in that layout.
+
+    The rows are parsed in blocks, each cut at the last row separator and
+    parsed as a list.  A raw newline in JSON is whitespace, so a cut never
+    falls inside a string; one inside a row leaves the block's brackets
+    unbalanced and its parse fails.  The text around the rows is parsed
+    with a placeholder list in their place, once as [] and once as [0], and
+    results.evolved_states must read as each: else the rows were not that
+    key's one value.  Raises ``ValueError`` or ``RecursionError`` where the
+    text does not decode or parse.
+    """
+    head = ""
+    while True:
+        try:
+            at = _rows_at(head)
+            break
+        except ValueError:
+            # The head doubles, so a record without the rows' marker is
+            # searched in linear time.
+            block = handle.read(max(_READ_CHARS, len(head)))
+            if not block:
+                return None
+            head += block
+    rows: list[Any] = []
+    pending = ""
+    blocks = iter(lambda: handle.read(_READ_CHARS), "")
+    for block in itertools.chain([head[at:]], blocks):
+        pending += block
+        start = max(0, len(pending) - len(block) - len(_ROW_SEPARATOR))
+        cut = pending.rfind(_ROW_SEPARATOR, start)
+        if cut >= 0:
+            parsed = json.loads("[" + pending[:cut] + "]", object_hook=_packed_row)
+            if not parsed:  # a separator with no row before it
+                return None
+            rows += parsed
+            pending = pending[cut + 1 :]
+    last, end = json.JSONDecoder(object_hook=_packed_row).raw_decode("[" + pending)
+    rows += last
+    head, tail = head[:at], pending[end - 1 :]
+    for inner, placeholder in (("", []), ("0", [0])):
+        data = json.loads(f"{head}{inner}]{tail}")
+        results = data.get("results") if isinstance(data, dict) else None
+        if not isinstance(results, dict) or results.get("evolved_states") != placeholder:
+            return None
+    results["evolved_states"] = rows
+    return data
+
+
+def read_record(path: str) -> RunRecord:
+    """Read a record file and check it as :func:`record_from_dict` does.
+
+    The text is UTF-8, after a BOM if one leads it.  A record in the layout
+    :func:`record_to_json` writes is read from a file in blocks: each
+    evolved row is packed by :func:`_packed_row` as json's scanner finishes
+    it, so neither the whole text nor a tree of row objects is ever held.
+    Any other text, one that fails to decode or parse, or one read from a
+    pipe, is read whole and parsed by plain json, so it reads and fails
+    exactly as plain json reads it.
+
+    Raises ``OSError`` if the file cannot be read, ``ValueError`` or
+    ``RecursionError`` if its text is not JSON, and :class:`ConfigInvalid`
+    if the record is malformed.
+    """
+    with Path(path).open(encoding="utf-8-sig") as handle:
+        data = None
+        if handle.seekable():  # else a pipe, which can be read only once
+            try:
+                data = _streamed_body(handle)
+            # Undecodable text or json's own parse error: the whole-text
+            # parse below raises it again, at the positions of the whole text.
+            except (ValueError, RecursionError):
+                pass
+            if data is None:
+                handle.seek(0)
+        if data is None:
+            data = json.loads(handle.read())
+    return record_from_dict(data)
 
 
 def _record_pieces(record: RunRecord) -> Iterator[str]:

@@ -313,7 +313,8 @@ def test_record_config_at_the_limit_meets_the_schema(tmp_path, capsys, frames):
 
 def test_only_json_parse_errors_meet_the_recursion_limit():
     """The package decides nesting itself; the one RecursionError it maps
-    is json's own, while parsing, in config_from_json and in export."""
+    is json's own, while parsing, in config_from_json and in export, where
+    read_record also meets it in a streamed block and reads the text whole."""
     handlers = []
     for path in SOURCES:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -321,5 +322,6 @@ def test_only_json_parse_errors_meet_the_recursion_limit():
                 handlers.append((path.stem, ast.unparse(node.type)))
     assert sorted(handlers) == [
         ("cli", "(ValueError, RecursionError)"),
+        ("scenario", "(ValueError, RecursionError)"),
         ("scenario", "(ValueError, RecursionError)"),
     ]

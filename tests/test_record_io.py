@@ -5,7 +5,9 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -428,33 +430,163 @@ PACKING_CASES = {
 }
 
 
+def duplicate_rows_after():
+    """A second, empty evolved_states after the rows, the one json keeps."""
+    text = record_to_json(make_record())
+    return text.replace('\n    ],\n    "metric"', '\n    ],\n    "evolved_states": [],\n    "metric"')
+
+
+def results_marker_in_another_object():
+    """A whole record with rows as the value of a root key ahead of a
+    record whose rows are empty: the rows' markers stand in the first."""
+    inner = record_to_json(make_record()).rstrip()
+    outer = record_to_json(with_results(make_record(), evolved_states=[]))
+    return '{\n  "aa": ' + inner + "," + outer[1:]
+
+
+def rows_edited(edit):
+    """The text of a record with ``edit`` applied to its bytes."""
+    return edit(record_to_json(make_record()).encode())
+
+
+def with_deep_theta(depth):
+    return edited_body(lambda body, rows: rows[30].update(theta="@@")).replace(
+        '"@@"', "[" * depth + "]" * depth
+    )
+
+
+def invalid_utf8_in_rows(data):
+    at = data.index(b'"theta"', len(data) // 2) + len(b'"theta": 0')
+    return data[:at] + b"\xff" + data[at:]
+
+
+PACKING_CASES.update({
+    "duplicate_rows_after": duplicate_rows_after,
+    "results_marker_at_another_depth": results_marker_in_another_object,
+    "crlf": lambda: rows_edited(lambda data: data.replace(b"\n", b"\r\n")),
+    "bom": lambda: rows_edited(lambda data: b"\xef\xbb\xbf" + data),
+    "invalid_utf8_in_rows": lambda: rows_edited(invalid_utf8_in_rows),
+    "syntax_error_in_tail": lambda: rows_edited(lambda data: data.rstrip()[:-1] + b",}\n"),
+    "deep_row": lambda: with_deep_theta(DEEP),
+    "too_deep_for_json_in_row": lambda: with_deep_theta(100_000),
+    "row_in_a_row": lambda: edited_body(lambda body, rows: rows[30].update(concurrence=ROW)),
+    "nan_in_a_row": lambda: edited_body(lambda body, rows: rows[30].update(phi=math.nan)),
+    "inf_literal_in_a_row": lambda: edited_body(
+        lambda body, rows: rows[30].update(theta="@@")
+    ).replace('"@@"', "1e999"),
+    "rows_whose_sum_overflows": lambda: edited_body(
+        lambda body, rows: [row.update(theta=1.5e308) for row in rows[:2]]
+    ),
+})
+
+#: Characters read at a time in these tests: a row is ~600, so each row
+#: straddles blocks.
+SMALL_BLOCK = 256
+
+
 def written_files(out):
     meta = Path(f"{out}.meta.csv")
     return [path.read_bytes() for path in (out, meta) if path.exists()]
 
 
+def plain_export(path, fmt, out):
+    """The exit code and error line of ``spin-torus export`` when plain json
+    reads the whole text, writing to ``out``."""
+    try:
+        data = json.loads(path.read_text(encoding="utf-8-sig"))
+    except (ValueError, RecursionError) as error:
+        return 2, f"error: record is not valid JSON: {error}\n"
+    try:
+        export_record(record_from_dict(data), fmt, str(out))
+    except ConfigInvalid as error:
+        return 2, f"error: invalid record: {error}\n"
+    return 0, ""
+
+
 class TestPackingParse:
     """``spin-torus export`` reads a record by packing rows as json parses
-    it; what it exits with, says and writes must be what it gives when
-    plain json reads the record."""
+    it, in blocks; what it exits with, says and writes must be what it
+    gives when plain json reads the whole record."""
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("name", sorted(PACKING_CASES))
-    def test_export_reads_as_plain_json(self, name, fmt, tmp_path, capsys):
+    def test_export_reads_as_plain_json(self, name, fmt, tmp_path, capsys, monkeypatch):
         text = PACKING_CASES[name]()
         path = tmp_path / "record.json"
-        path.write_text(text, encoding="utf-8")
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        else:
+            path.write_text(text, encoding="utf-8")
         expected_out = tmp_path / "expected" / f"out.{fmt}"
         expected_out.parent.mkdir()
-        try:
-            export_record(record_from_dict(json.loads(text)), fmt, str(expected_out))
-            expected = (0, "")
-        except ConfigInvalid as error:
-            expected = (2, f"error: invalid record: {error}\n")
+        expected = plain_export(path, fmt, expected_out)
+        monkeypatch.setattr(scenario, "_READ_CHARS", SMALL_BLOCK)
         out = tmp_path / f"out.{fmt}"
         code = cli.main(["export", str(path), "--format", fmt, "--out", str(out)])
         assert (code, capsys.readouterr().err) == expected
         assert written_files(out) == written_files(expected_out)
+
+    @pytest.mark.parametrize("name", ["plain", "crlf", "bom"])
+    def test_run_layout_streams_in_blocks(self, name, tmp_path, monkeypatch):
+        """A record as run writes it, with any line ends or BOM, is read
+        in blocks, not whole."""
+        text = record_to_json(make_record())
+        data = text.encode()
+        if name == "crlf":
+            data = data.replace(b"\n", b"\r\n")
+        elif name == "bom":
+            data = b"\xef\xbb\xbf" + data
+        path = tmp_path / "record.json"
+        path.write_bytes(data)
+        assert len(data) > 50 * SMALL_BLOCK
+        streamed = []
+        real = scenario._streamed_body
+
+        def recording(handle):
+            streamed.append(real(handle))
+            return streamed[-1]
+
+        monkeypatch.setattr(scenario, "_streamed_body", recording)
+        monkeypatch.setattr(scenario, "_READ_CHARS", SMALL_BLOCK)
+        assert record_to_json(read_record(str(path))) == text
+        assert len(streamed) == 1 and streamed[0] is not None
+
+    def test_a_comma_before_the_first_row_is_not_dropped(self):
+        """A block that holds a row separator and nothing before it must not
+        read as an empty list, which would drop the comma of ``[,``."""
+        text = record_to_json(make_record())
+        at = scenario._rows_at(text)
+        head = text[:at] + scenario._ROW_SEPARATOR
+
+        class Pieces:
+            """Reads that end where a test wants them to, whatever the size."""
+            pieces = iter([head, text[at + len(scenario._ROW_SEPARATOR) - 1 :]])
+
+            def read(self, size):
+                return next(self.pieces, "")
+
+        with pytest.raises(json.JSONDecodeError):
+            json.loads(head + text[at + len(scenario._ROW_SEPARATOR) - 1 :])
+        assert scenario._streamed_body(Pieces()) is None
+
+    @pytest.mark.parametrize("layout", ["run", "compact"])
+    def test_record_from_a_pipe_reads(self, layout, tmp_path):
+        """A pipe is read once, whole: a record that is not in run's layout
+        must not need a second read."""
+        record = make_record()
+        text = record_to_json(record)
+        if layout == "compact":
+            text = json.dumps(json.loads(text))
+        pipe = tmp_path / "record.pipe"
+        os.mkfifo(pipe)
+        writer = threading.Thread(target=Path(pipe).write_text, args=(text,), daemon=True)
+        writer.start()
+        try:
+            loaded = read_record(str(pipe))
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert record_to_json(loaded) == record_to_json(record)
 
     def test_rows_are_packed_while_parsing(self, tmp_path, monkeypatch):
         path = tmp_path / "record.json"
@@ -492,6 +624,21 @@ class TestHeldMemory:
             tracemalloc.stop()
         assert len(record.results["evolved_states"]) == 100 * 100
         assert held / (100 * 100) <= 450
+
+    def test_read_peaks_near_the_rows(self, tmp_path):
+        """While ``read_record`` reads a record it holds at most a quarter of
+        the file beside what the record it returns holds: never the text."""
+        config, path = tmp_path / "grid.json", tmp_path / "grid.record.json"
+        config.write_text(json.dumps(self.grid_config()), encoding="utf-8")
+        assert cli.main(["run", str(config), "--out", str(path)]) == 0
+        tracemalloc.start()
+        try:
+            record = read_record(str(path))
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(record.results["evolved_states"]) == 100 * 100
+        assert peak < held + path.stat().st_size // 4
 
     def test_export_read_holds_less_than_the_file(self, tmp_path, monkeypatch):
         """What ``spin-torus export`` holds once it has read the record, at
