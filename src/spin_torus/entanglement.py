@@ -17,7 +17,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .hamiltonian import SystemParams
-from .manifold import _phi_circle_radius, evolve_grid, family_invariants
+from .manifold import _complex_product, _phi_circle_radius, evolve_grid, family_invariants
 from .qstate import PureState2Q, check_gamma, check_state_array
 
 #: Excursions beyond [0, 1] larger than this are treated as bugs, not noise.
@@ -83,15 +83,37 @@ def _clamp_unit(value: float) -> float:
     return min(max(value, 0.0), 1.0)
 
 
-def _concurrence_of(amplitudes: Sequence[complex]) -> float:
-    """Concurrence 2|ad - bc| of the amplitudes, in CPython complex arithmetic."""
-    a, b, c, d = amplitudes
-    return _clamp_unit(2.0 * abs(a * d - b * c))
+def _clamp_unit_array(values: np.ndarray) -> np.ndarray:
+    """:func:`_clamp_unit` on a whole array, in place: the first value out
+    of range, or NaN, raises as it would alone; the rest clip to the same
+    bits."""
+    outside = ~((values >= -_RANGE_SLACK) & (values <= 1.0 + _RANGE_SLACK))
+    if outside.any():
+        _clamp_unit(float(values.flat[outside.argmax()]))
+    return np.clip(values, 0.0, 1.0, out=values)
 
 
 def concurrence(state: PureState2Q) -> float:
-    """Concurrence 2|ad - bc| of a pure two-qubit state."""
-    return _concurrence_of(state.vector.tolist())
+    """Concurrence 2|ad - bc| of a pure two-qubit state, in CPython complex
+    arithmetic."""
+    a, b, c, d = state.vector.tolist()
+    return _clamp_unit(2.0 * abs(a * d - b * c))
+
+
+def concurrence_stack(vectors: np.ndarray) -> np.ndarray:
+    """:func:`concurrence` of each state vector of a stack (..., 4), with
+    its bits: ad - bc is formed part by part as CPython's complex product
+    and difference form it, and np.hypot is the C library's hypot, as abs()
+    of a Python complex is."""
+    vecs = np.asarray(vectors, dtype=np.complex128)
+    a, b, c, d = vecs.reshape(-1, 4).T
+    re, im = _complex_product(a.real, a.imag, d.real, d.imag)
+    bc_re, bc_im = _complex_product(b.real, b.imag, c.real, c.imag)
+    re -= bc_re
+    im -= bc_im
+    values = np.hypot(re, im, out=re)
+    values *= 2.0
+    return _clamp_unit_array(values).reshape(vecs.shape[:-1])
 
 
 def concurrence_wootters_oracle(state: PureState2Q) -> float:
@@ -211,13 +233,8 @@ def concurrence_profile(
     :func:`_closed_form_maximum`, so coarse sampling grids do not degrade it.
     """
     grid = np.asarray(thetas, dtype=np.float64)
-    values = 2.0 * np.abs(np.atleast_1d(_w(initial, grid)))
-    # _clamp_unit on the whole array: the first sample out of range, or NaN,
-    # raises as it would alone; the rest clip to the same bits.
-    outside = ~((values >= -_RANGE_SLACK) & (values <= 1.0 + _RANGE_SLACK))
-    if outside.any():
-        _clamp_unit(float(values[outside.argmax()]))
-    samples = tuple(zip(np.atleast_1d(grid).tolist(), np.clip(values, 0.0, 1.0).tolist()))
+    values = _clamp_unit_array(2.0 * np.abs(np.atleast_1d(_w(initial, grid))))
+    samples = tuple(zip(np.atleast_1d(grid).tolist(), values.tolist()))
     theta_max, c_max, flat = _closed_form_maximum(initial)
     return ConcurrenceProfile(
         initial=initial,
@@ -271,5 +288,4 @@ def entanglement_along_orbit(
     if not (np.isfinite(theta).all() and np.isfinite(phi).all()):  # as TorusPoint refuses them
         raise ValueError("torus coordinates must be finite")
     amplitudes = np.array([state.vector for state in initials]).reshape(-1, 1, 4)
-    rows = check_state_array(evolve_grid(amplitudes, theta, phi))
-    return np.array(list(map(_concurrence_of, rows.reshape(-1, 4).tolist()))).reshape(phi.shape)
+    return concurrence_stack(check_state_array(evolve_grid(amplitudes, theta, phi)))

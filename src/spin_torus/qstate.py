@@ -13,7 +13,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Iterable, NoReturn, Sequence
+from typing import NoReturn, Sequence
 
 import numpy as np
 
@@ -43,21 +43,21 @@ def check_gamma(gamma: float) -> None:
         raise ValueError(f"gamma must be finite and in (0, {MAX_GAMMA!r}]")
 
 
-def check_state_rows(rows: Iterable[Sequence[complex]]) -> None:
-    """The :class:`PureState2Q` guard: ``ValueError`` unless each row of
-    amplitudes is finite and normalized within ``NORM_TOL``."""
+def check_state_row(amplitudes: Sequence[complex]) -> None:
+    """The :class:`PureState2Q` guard: ``ValueError`` unless the row of
+    amplitudes is finite and normalized within ``NORM_TOL``.
+    :func:`check_state_array` guards many rows at once."""
     # Plain Python: numpy's per-call overhead dwarfs the arithmetic on a
     # 4-vector, checked once per evolved point.  abs() is hypot, summed in order.
     # A non-finite amplitude makes the sum NaN or inf, so finiteness is asked
     # only of a row that fails the norm.
-    for amplitudes in rows:
-        try:
-            m0, m1, m2, m3 = map(abs, amplitudes)
-            norm_sq = m0 * m0 + m1 * m1 + m2 * m2 + m3 * m3
-        except OverflowError:  # a finite amplitude whose modulus overflows
-            norm_sq = math.inf
-        if not abs(norm_sq - 1.0) <= NORM_TOL:
-            _refuse_row(amplitudes, norm_sq)
+    try:
+        m0, m1, m2, m3 = map(abs, amplitudes)
+        norm_sq = m0 * m0 + m1 * m1 + m2 * m2 + m3 * m3
+    except OverflowError:  # a finite amplitude whose modulus overflows
+        norm_sq = math.inf
+    if not abs(norm_sq - 1.0) <= NORM_TOL:
+        _refuse_row(amplitudes, norm_sq)
 
 
 def _refuse_row(amplitudes: Sequence[complex], norm_sq: float) -> NoReturn:
@@ -69,7 +69,7 @@ def _refuse_row(amplitudes: Sequence[complex], norm_sq: float) -> NoReturn:
 
 def _norms_sq(rows: np.ndarray) -> np.ndarray:
     """The squared norm of each row of an array (..., 4), with the bits of
-    :func:`check_state_rows`: np.hypot is the C library's hypot, as abs()
+    :func:`check_state_row`: np.hypot is the C library's hypot, as abs()
     of a Python complex is, and the squares are summed in the same order.
     A modulus or a square that overflows is inf, as there."""
     with np.errstate(over="ignore", invalid="ignore"):
@@ -79,7 +79,7 @@ def _norms_sq(rows: np.ndarray) -> np.ndarray:
 
 
 def check_state_array(rows: np.ndarray) -> np.ndarray:
-    """:func:`check_state_rows` on an array (..., 4) of amplitudes at once:
+    """:func:`check_state_row` on each row of an array (..., 4) at once:
     ``rows``, or its ``ValueError`` for the first row that fails."""
     norms_sq = _norms_sq(rows)
     bad = ~(np.abs(norms_sq - 1.0) <= NORM_TOL)
@@ -134,7 +134,7 @@ class PureState2Q:
 
     def __post_init__(self) -> None:
         vec = _amplitude_vector(self.vector)
-        check_state_rows((vec.tolist(),))
+        check_state_row(vec.tolist())
         vec.setflags(write=False)
         object.__setattr__(self, "vector", vec)
 

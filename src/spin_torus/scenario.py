@@ -20,8 +20,8 @@ import itertools
 import json
 import math
 import numbers
-import operator
-from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from array import array
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -30,7 +30,7 @@ from typing import Any, NamedTuple, TextIO
 import numpy as np
 
 from . import __version__
-from .entanglement import concurrence, concurrence_profile
+from .entanglement import concurrence_profile, concurrence_stack
 from .hamiltonian import SystemParams
 from .manifold import (
     DegenerateShear,
@@ -515,15 +515,17 @@ CSV_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunRecord:
     """Results of one scenario run plus enough context to reproduce it.
 
-    ``results["evolved_states"]``, when present, holds one row per grid
-    point, each a tuple of 11 floats in ``CSV_COLUMNS`` order: theta, phi,
-    the real and imaginary parts of the four amplitudes, and the
-    concurrence C.  The record's JSON writes each row as an object with
-    theta, phi, four [re, im] amplitude pairs and concurrence.
+    ``results["evolved_states"]``, when present, is one read-only float64
+    array of shape (n, 11), 88 bytes per grid point: a row per point, its
+    columns in ``CSV_COLUMNS`` order (theta, phi, the real and imaginary
+    parts of the four amplitudes, and the concurrence C).  The record's
+    JSON writes each row as an object with theta, phi, four [re, im]
+    amplitude pairs and concurrence.  Records compare by identity; compare
+    :func:`canonical_result_bytes` to compare results.
     """
 
     schema_version: str
@@ -570,18 +572,29 @@ def _run_profile(initial: PureState2Q, config: ScenarioConfig, seed: int) -> dic
     }
 
 
-def _run_evolved(initial: PureState2Q, config: ScenarioConfig, seed: int) -> list:
-    """One row per grid point, theta varying slowest on a torus grid: the
-    tuple of its ``CSV_COLUMNS`` values."""
+def _frozen_rows(values: array) -> np.ndarray:
+    """The float array ``values`` as read-only rows of ``CSV_COLUMNS``,
+    without a copy."""
+    rows = np.frombuffer(values).reshape(-1, len(CSV_COLUMNS))
+    rows.setflags(write=False)
+    return rows
+
+
+def _run_evolved(initial: PureState2Q, config: ScenarioConfig, seed: int) -> np.ndarray:
+    """One row of ``CSV_COLUMNS`` values per grid point, theta varying
+    slowest on a torus grid.  Each point's angles and amplitudes come from
+    :func:`evolve_family`, then the concurrence column from one
+    :func:`concurrence_stack` over the amplitude columns."""
     pair = itertools.product if isinstance(config.grid, TorusGrid) else zip
-    rows = []
+    values = array("d")
     for theta, phi in pair(*_grid_angles(config)):
-        state = evolve_family(initial, TorusPoint(theta, phi))
-        a, b, c, d = state.vector.tolist()
-        rows.append(
-            (theta, phi, a.real, a.imag, b.real, b.imag, c.real, c.imag, d.real, d.imag,
-             concurrence(state))
-        )
+        values.extend((theta, phi))
+        # A complex128 vector's bytes are its parts, re and im in turn.
+        values.frombytes(evolve_family(initial, TorusPoint(theta, phi)).vector.tobytes())
+        values.append(0.0)
+    rows = np.frombuffer(values).reshape(-1, len(CSV_COLUMNS))
+    rows[:, -1] = concurrence_stack(rows[:, 2:-1].view(np.complex128))
+    rows.setflags(write=False)
     return rows
 
 
@@ -648,11 +661,21 @@ def _row_object(row: tuple[float, ...]) -> dict[str, Any]:
     }
 
 
+def _row_lists(rows: Any, columns: Any = slice(None)) -> Iterator[list[float]]:
+    """Each row as a list of Python floats, its ``columns`` in that order.
+    The lists are made ``_BLOCK_PIECES`` rows at a time, and hold floats,
+    not numpy's scalars, whose %r is no float repr."""
+    rows = np.asarray(rows, dtype=np.float64).reshape(-1, len(CSV_COLUMNS))
+    for start in range(0, len(rows), _BLOCK_PIECES):
+        yield from rows[start : start + _BLOCK_PIECES, columns].tolist()
+
+
 def record_to_dict(record: RunRecord) -> dict[str, Any]:
     """The record as plain JSON values, each evolved row an object."""
     results = record.results
     if "evolved_states" in results:
-        results = {**results, "evolved_states": list(map(_row_object, results["evolved_states"]))}
+        rows = _row_lists(results["evolved_states"])
+        results = {**results, "evolved_states": list(map(_row_object, rows))}
     return _record_body(record, results)
 
 
@@ -691,28 +714,41 @@ def _packed_row(row: Any) -> Any:
     return row
 
 
-def _checked_rows(block: Any) -> list[tuple[float, ...]]:
-    """A record's evolved-states block as checked rows.
+def _packed_floats(rows: list[Any]) -> bool:
+    """Whether every row is a tuple of ``CSV_COLUMNS`` floats, as
+    :func:`_packed_row` packs a row of floats."""
+    return (
+        {tuple}.issuperset(map(type, rows))
+        and {len(CSV_COLUMNS)}.issuperset(map(len, rows))
+        and _FLOAT_ONLY.issuperset(map(type, itertools.chain.from_iterable(rows)))
+    )
 
-    Each row is an object that :func:`_packed_row` packs, or a tuple it
-    packed already, and every value must be a finite real number; ints
-    become floats.  These are the rows :func:`record_to_json` and the CSV
-    writer format without further checks.
+
+def _checked_rows(block: Any) -> np.ndarray:
+    """A record's evolved-states block as checked rows: the read-only
+    float64 (n, 11) array of :class:`RunRecord`.
+
+    The block is such an array, which a record read in run's layout holds
+    already, or a list of rows, each an object that :func:`_packed_row`
+    packs or a tuple it packed already; ints become floats.  Every value
+    must be a finite real number.  These are the rows
+    :func:`record_to_json` and the CSV writer format without further checks.
     """
     where = "results.evolved_states"
+    row_shape = (len(CSV_COLUMNS),)
+    if isinstance(block, np.ndarray) and block.dtype == np.float64 and block.shape[1:] == row_shape:
+        finite = np.isfinite(block).all(axis=1)
+        if not finite.all():
+            raise ConfigInvalid(
+                f"{where}[{finite.argmin()}]: every value must be a finite real number"
+            )
+        if block.flags.writeable:
+            block = block.copy()
+            block.setflags(write=False)
+        return block
     if not isinstance(block, list):
         raise ConfigInvalid(f"{where}: must be a list of rows")
-    # Rows read from a record are tuples of floats already: then a finite
-    # sum shows every value finite.  Else the loop finds the first bad row.
-    values = itertools.chain.from_iterable
-    if (
-        {tuple}.issuperset(map(type, block))
-        and {len(CSV_COLUMNS)}.issuperset(map(len, block))
-        and _FLOAT_ONLY.issuperset(map(type, values(block)))
-        and math.isfinite(sum(values(block)))
-    ):
-        return block
-    rows = []
+    values = array("d")
     for index, row in enumerate(block):
         row = _packed_row(row)
         if type(row) is not tuple or len(row) != len(CSV_COLUMNS):
@@ -727,8 +763,8 @@ def _checked_rows(block: Any) -> list[tuple[float, ...]]:
             raise ConfigInvalid(
                 f"{where}[{index}]: every value must be a finite real number"
             )
-        rows.append(floats if floats is row else tuple(floats))
-    return rows
+        values.extend(floats)
+    return _frozen_rows(values)
 
 
 def _checked_samples(block: dict[str, Any]) -> dict[str, Any]:
@@ -754,7 +790,8 @@ def record_from_dict(data: Mapping[str, Any]) -> RunRecord:
     evolved rows or profile samples that are not finite real numbers, and
     in the results or the provenance any float that is not finite or nesting
     beyond ``MAX_NESTING``.  Evolved rows may be objects, as the record's
-    JSON writes them, or the tuples they pack into."""
+    JSON writes them, the tuples they pack into, or the float64 (n, 11)
+    array a run holds."""
     if not isinstance(data, Mapping):
         raise ConfigInvalid("record must be a JSON object")
     try:
@@ -774,7 +811,7 @@ def record_from_dict(data: Mapping[str, Any]) -> RunRecord:
     profile = results.get("concurrence_profile")
     if isinstance(profile, dict) and "samples" in profile:
         results["concurrence_profile"] = _checked_samples(profile)
-    # The record's root, its checked rows tuples that the walk does not enter.
+    # The record's root, its checked rows an array that the walk does not enter.
     for path, value in _leaves({"results": results, "provenance": provenance}):
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigInvalid(f"{_where(path)}: must be finite")
@@ -798,8 +835,8 @@ def _rows_at(text: str) -> int:
     return text.index(_ROWS_OPEN, text.index(_RESULTS_OPEN)) + len(_ROWS_OPEN)
 
 
-def _row_layout() -> tuple[str, Callable[[Sequence[float]], tuple[float, ...]], str]:
-    """One evolved-states row as json lays it out in a record, the getter
+def _row_layout() -> tuple[str, list[int], str]:
+    """One evolved-states row as json lays it out in a record, the columns
     of a row's values in the order they appear there, and the text between
     the last row and the list's closing bracket.  The row has a %s slot for
     the separator before it, then a %r slot for each value."""
@@ -812,10 +849,10 @@ def _row_layout() -> tuple[str, Callable[[Sequence[float]], tuple[float, ...]], 
     order = sorted(range(len(slots)), key=lambda i: row_text.index(f'"{slots[i]}"'))
     for slot in slots:
         row_text = row_text.replace(f'"{slot}"', "%r")
-    return "%s" + row_text, operator.itemgetter(*order), close
+    return "%s" + row_text, order, close
 
 
-_ROW_JSON, _JSON_ORDER, _ROWS_CLOSE = _row_layout()
+_ROW_JSON, _JSON_COLUMNS, _ROWS_CLOSE = _row_layout()
 
 #: What json writes between two evolved-states rows: the comma, then the
 #: next row up to its opening brace.
@@ -826,16 +863,19 @@ _READ_CHARS = 2**16
 
 def _streamed_body(handle: TextIO) -> Any:
     """The JSON value of a record laid out as :func:`record_to_json` lays
-    it out, read from ``handle`` with only its packed rows and one block of
-    text held at a time, or None if the text is not in that layout.
+    it out, read from ``handle`` with only its rows' float array and one
+    block of text held at a time, or None if the text is not in that layout
+    or a row is not an object of floats.
 
     The rows are parsed in blocks, each cut at the last row separator and
-    parsed as a list.  A raw newline in JSON is whitespace, so a cut never
-    falls inside a string; one inside a row leaves the block's brackets
-    unbalanced and its parse fails.  The text around the rows is parsed
-    with a placeholder list in their place, once as [] and once as [0], and
-    results.evolved_states must read as each: else the rows were not that
-    key's one value.  Raises ``ValueError`` or ``RecursionError`` where the
+    parsed as a list, and each block's packed rows are added to the array;
+    a block with any other row sends the record to the whole-text read,
+    whose check finds the first bad row.  A raw newline in JSON is
+    whitespace, so a cut never falls inside a string; one inside a row
+    leaves the block's brackets unbalanced and its parse fails.  The text
+    around the rows is parsed with a placeholder list in their place, once
+    as [] and once as [0], and results.evolved_states must read as each:
+    else the rows were not that key's one value.  Raises ``ValueError`` or ``RecursionError`` where the
     text does not decode or parse.
     """
     head = ""
@@ -850,7 +890,7 @@ def _streamed_body(handle: TextIO) -> Any:
             if not block:
                 return None
             head += block
-    rows: list[Any] = []
+    values = array("d")
     pending = ""
     blocks = iter(lambda: handle.read(_READ_CHARS), "")
     for block in itertools.chain([head[at:]], blocks):
@@ -859,19 +899,22 @@ def _streamed_body(handle: TextIO) -> Any:
         cut = pending.rfind(_ROW_SEPARATOR, start)
         if cut >= 0:
             parsed = json.loads("[" + pending[:cut] + "]", object_hook=_packed_row)
-            if not parsed:  # a separator with no row before it
+            # [] is a separator with no row before it.
+            if not parsed or not _packed_floats(parsed):
                 return None
-            rows += parsed
+            values.extend(itertools.chain.from_iterable(parsed))
             pending = pending[cut + 1 :]
     last, end = json.JSONDecoder(object_hook=_packed_row).raw_decode("[" + pending)
-    rows += last
+    if not _packed_floats(last):
+        return None
+    values.extend(itertools.chain.from_iterable(last))
     head, tail = head[:at], pending[end - 1 :]
     for inner, placeholder in (("", []), ("0", [0])):
         data = json.loads(f"{head}{inner}]{tail}")
         results = data.get("results") if isinstance(data, dict) else None
         if not isinstance(results, dict) or results.get("evolved_states") != placeholder:
             return None
-    results["evolved_states"] = rows
+    results["evolved_states"] = _frozen_rows(values)
     return data
 
 
@@ -881,7 +924,8 @@ def read_record(path: str) -> RunRecord:
     The text is UTF-8, after a BOM if one leads it.  A record in the layout
     :func:`record_to_json` writes is read from a file in blocks: each
     evolved row is packed by :func:`_packed_row` as json's scanner finishes
-    it, so neither the whole text nor a tree of row objects is ever held.
+    it and its block goes into one float array, so neither the whole text
+    nor a tree of row objects is ever held.
     Any other text, one that fails to decode or parse, or one read from a
     pipe, is read whole and parsed by plain json, so it reads and fails
     exactly as plain json reads it.
@@ -919,16 +963,16 @@ def _record_pieces(record: RunRecord) -> Iterator[str]:
     finite float as its repr.
     """
     rows = record.results.get("evolved_states")
-    results = {**record.results, "evolved_states": []} if rows else record.results
+    results = record.results if rows is None else {**record.results, "evolved_states": []}
     text = json.dumps(_record_body(record, results), sort_keys=True, indent=2)
-    if not rows:
+    if rows is None or len(rows) == 0:
         yield text + "\n"
         return
     at = _rows_at(text)
     yield text[:at]
     separator = ""
-    for row in rows:
-        yield _ROW_JSON % (separator, *_JSON_ORDER(row))
+    for row in _row_lists(rows, _JSON_COLUMNS):
+        yield _ROW_JSON % (separator, *row)
         separator = ","
     yield _ROWS_CLOSE + text[at:] + "\n"
 
@@ -984,8 +1028,8 @@ def _csv_lines(record: RunRecord) -> Iterator[str]:
     """
     yield ",".join(CSV_COLUMNS) + "\n"
     if "evolved_states" in record.results:
-        for row in record.results["evolved_states"]:
-            yield _CSV_ROW % row
+        for row in _row_lists(record.results["evolved_states"]):
+            yield _CSV_ROW % tuple(row)
     elif "concurrence_profile" in record.results:
         block = record.results["concurrence_profile"]
         if isinstance(block, dict) and "samples" in block:

@@ -19,6 +19,7 @@ from .entanglement import (
     _w,
     concurrence,
     concurrence_evolved,
+    concurrence_stack,
     concurrence_wootters_oracle_stack,
     entanglement_along_orbit,
     max_entanglement_time,
@@ -258,10 +259,15 @@ def verify_all(seed: int = 0, corrupt_propagator: bool = False) -> VerifyReport:
     closed = [concurrence_evolved(state, th) for state, th in zip(states, thetas.tolist())]
     direct = entanglement_along_orbit(states, thetas, phis)
     oracle = concurrence_wootters_oracle_stack(vectors)
-    worst_oracle = np.abs([concurrence(state) for state in states] - oracle).max()
+    scalar = np.array([concurrence(state) for state in states])
+    worst_oracle = np.abs(scalar - oracle).max()
     record("concurrence_closed_form_vs_direct", np.abs(closed - direct[:, 0]).max(), 1e-12)
     record("concurrence_field_independence", np.ptp(direct, axis=1).max(), 1e-12)
     record("concurrence_wootters_oracle", worst_oracle, 1e-10)
+    # The evolved-states column and entanglement_along_orbit take the stack.
+    flipped = np.bitwise_count(concurrence_stack(vectors).view(np.uint64) ^ scalar.view(np.uint64))
+    detail = "differing bits: concurrence_stack vs scalar concurrence"
+    record("concurrence_stack_matches_scalar", int(flipped.sum()), 0.0, detail)
 
     rng = stream()
     states = _draw_states(rng, 50)[1]

@@ -470,7 +470,7 @@ class TestRuntimeWithoutJsonschema:
         result = self.run_python(code, tmp_path)
         assert result.returncode == 0, result.stderr
         assert (tmp_path / "demo.csv").read_text().startswith("theta,phi,")
-        assert "all 27 checks passed" in result.stdout
+        assert "all 28 checks passed" in result.stdout
 
 
 NON_FINITE_PLACES = {

@@ -18,6 +18,7 @@ from spin_torus.entanglement import (
     concurrence_disentangled,
     concurrence_evolved,
     concurrence_profile,
+    concurrence_stack,
     concurrence_wootters_oracle,
     concurrence_wootters_oracle_stack,
     constant_entanglement_circle,
@@ -328,7 +329,49 @@ def stack_states():
     return haar_states(1000, seed=53) + named + products + near
 
 
+def loop_concurrences(vectors):
+    """C = 2|ad - bc| of each row in CPython complex arithmetic, clamped
+    row by row, so the first bad row raises."""
+    return [_clamp_unit(2.0 * abs(a * d - b * c)) for a, b, c, d in vectors.tolist()]
+
+
 class TestStackedRoutes:
+    def test_concurrence_stack_bit_identical_to_scalar_route(self):
+        states = stack_states()
+        vectors = np.array([state.vector for state in states])
+        # |down up> with a signed zero in every part
+        signed = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-1.0, -0.0), -0.0j]
+        vectors = np.concatenate((vectors, [signed]))
+        reference = np.array(loop_concurrences(vectors))
+        assert same_bits(concurrence_stack(vectors), reference)
+        one = np.array([concurrence(PureState2Q(vector)) for vector in vectors])
+        assert same_bits(one, reference)
+        stacked = concurrence_stack(vectors[:1000].reshape(10, 100, 4))
+        assert same_bits(stacked, reference[:1000].reshape(10, 100))
+        assert same_bits(concurrence_stack(vectors[5]), reference[5])
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[0.5, 0.0, 0.0, 0.5], [0.8, 0.0, 0.0, 0.8], [np.nan, 0.0, 0.0, 1.0]],
+            [[0.5, 0.0, 0.0, 0.5], [np.nan, 0.0, 0.0, 1.0], [0.8, 0.0, 0.0, 0.8]],
+            [[0.5, 0.3j, 0.3j, 0.5 + 1e-6], [1.0, 0.0, 0.0, 0.5]],
+            [[0.5, 0.0, 0.0, 1.0 + 4e-10], [0.0, 1.0, -1e-10, 0.0], [0.0, 0.5, 0.5, 0.0]],
+        ],
+    )
+    def test_concurrence_stack_clamps_as_the_loop_does(self, rows):
+        """Out of range or NaN, the first bad row raises _clamp_unit's
+        error; rounding excursions clip to the loop's bits."""
+        vectors = np.array(rows, dtype=np.complex128)
+        try:
+            expected = loop_concurrences(vectors)
+        except ConcurrenceRangeError as error:
+            with pytest.raises(ConcurrenceRangeError) as excinfo:
+                concurrence_stack(vectors)
+            assert str(excinfo.value) == str(error)
+        else:
+            assert same_bits(concurrence_stack(vectors), np.array(expected))
+
     def test_oracle_bit_identical_to_scalar_route(self):
         states = stack_states()
         reference = np.array([scalar_oracle(state) for state in states])
@@ -354,6 +397,7 @@ class TestStackedRoutes:
             entanglement_along_orbit([up_down()], [theta], [[phi, 1.0]])
 
     def test_zero_length_stacks(self):
+        assert concurrence_stack(np.zeros((0, 4))).shape == (0,)
         assert concurrence_wootters_oracle_stack(np.zeros((0, 4))).shape == (0,)
         assert entanglement_along_orbit([], [], np.zeros((0, 5))).shape == (0, 5)
 

@@ -13,7 +13,7 @@ from spin_torus.qstate import (
     basis_state,
     bloch_minus,
     check_state_array,
-    check_state_rows,
+    check_state_row,
     bloch_plus,
     fs_distance_sq,
     inner,
@@ -199,31 +199,39 @@ class TestAllFinite:
         assert not all_finite(value, 1.0)
 
 
+def check_each_row(rows):
+    """The one-row guard on each row in turn, so the first bad row raises."""
+    for row in rows:
+        check_state_row(row)
+
+
 class TestStackedGuard:
     def rows(self):
         rng = np.random.default_rng(5)
         return [random_state(rng).vector.tolist() for _ in range(13)]
 
     def test_accepts_normalized_rows(self):
-        check_state_rows(self.rows())
+        check_each_row(self.rows())
 
     @pytest.mark.parametrize("index", [0, 6, 12])
     def test_rejects_a_row_holding_nan(self, index):
         rows = self.rows()
         rows[index][2] = complex(0.3, np.nan)
+        check_each_row(rows[:index])
         with pytest.raises(ValueError, match="^state amplitudes must be finite$"):
-            check_state_rows(rows)
+            check_state_row(rows[index])
 
     @pytest.mark.parametrize("index", [0, 6, 12])
     def test_rejects_an_unnormalized_row(self, index):
         rows = self.rows()
         rows[index] = [1.0, 1.0, 0.0, 0.0]
+        check_each_row(rows[:index])
         with pytest.raises(ValueError, match=r"not normalized: \|amplitudes\|\^2 sums to 2\.0$"):
-            check_state_rows(rows)
+            check_state_row(rows[index])
 
 
 def loop_norm_sq(amplitudes):
-    """The squared norm as :func:`check_state_rows` forms it."""
+    """The squared norm as :func:`check_state_row` forms it."""
     try:
         m0, m1, m2, m3 = map(abs, amplitudes)
     except OverflowError:
@@ -270,7 +278,7 @@ class TestArrayGuard:
         rows = random_states(rng, 500) * rng.uniform(0.99, 1.01, (500, 1))
         for row in np.concatenate((rows, np.array(EDGE_ROWS[3:]))):
             assert guard_message(check_state_array, row) == guard_message(
-                check_state_rows, [row.tolist()]
+                check_state_row, row.tolist()
             )
 
     @pytest.mark.parametrize("row", EDGE_ROWS[3:6])
@@ -286,7 +294,7 @@ class TestArrayGuard:
     def test_accepts_edge_rows_that_are_normalized(self):
         rows = np.array(EDGE_ROWS[:3])
         assert check_state_array(rows) is rows
-        check_state_rows(rows.tolist())
+        check_each_row(rows.tolist())
 
     @pytest.mark.parametrize(
         "first, message",
@@ -300,7 +308,7 @@ class TestArrayGuard:
         with pytest.raises(ValueError, match=message):
             check_state_array(rows)
         with pytest.raises(ValueError, match=message):
-            check_state_rows(rows.reshape(-1, 4).tolist())
+            check_each_row(rows.reshape(-1, 4).tolist())
 
 
 class TestOperators:

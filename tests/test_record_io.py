@@ -72,6 +72,16 @@ def reference_csv(record):
     return "\n".join(lines) + "\n"
 
 
+def assert_row_array(rows, expected):
+    """``rows`` is a record's evolved-states block, a read-only float64
+    (n, 11) array, and holds the bits of ``expected``."""
+    assert type(rows) is np.ndarray and rows.dtype == np.float64
+    assert rows.shape == (len(expected), len(CSV_COLUMNS))
+    assert not rows.flags.writeable
+    expected = np.array(expected, dtype=np.float64).reshape(rows.shape)
+    np.testing.assert_array_equal(rows.view(np.uint64), expected.view(np.uint64))
+
+
 def written_csv(record, tmp_path):
     path = tmp_path / "out.csv"
     export_record(record, "csv", str(path))
@@ -347,12 +357,22 @@ class TestRecordChecks:
         def integral(row):
             row["theta"] = 0
             row["amplitudes"][0] = [1, 0]
+        source = make_record(outputs=["evolved_states"]).results["evolved_states"]
+        expected = source.copy()
+        expected[3, [0, 2, 3]] = 0.0, 1.0, 0.0
         record = record_from_dict(with_row_change(integral))
-        row = record.results["evolved_states"][3]
-        assert type(row[0]) is float and row[0] == 0.0
-        assert row[2:4] == (1.0, 0.0)
-        assert all(type(value) is float for value in row)
+        assert_row_array(record.results["evolved_states"], expected)
         assert record_to_json(record) == reference_json(record)
+
+    def test_an_array_block_is_checked_and_kept_read_only(self):
+        rows = make_record(outputs=["evolved_states"]).results["evolved_states"]
+        body = record_body()
+        body["results"]["evolved_states"] = writable = rows.copy()
+        kept = record_from_dict(body).results["evolved_states"]
+        writable[3, 0] = math.nan
+        assert_row_array(kept, rows)
+        with pytest.raises(ConfigInvalid, match=r"^results\.evolved_states\[3\]: every value"):
+            record_from_dict(body)
 
     def test_valid_rows_pass_unchanged(self):
         body = record_body()
@@ -600,16 +620,18 @@ class TestPackingParse:
 
         monkeypatch.setattr(scenario, "_packed_row", counting)
         record = read_record(str(path))
-        rows = record.results["evolved_states"]
-        assert len(rows) == 45 and all(type(row) is tuple for row in rows)
-        # Each row object met the hook as json finished it, then was checked
-        # as the tuple it became; nothing was parsed twice.
+        assert_row_array(record.results["evolved_states"], make_record().results["evolved_states"])
+        # Each row object met the hook as json finished it, then went into
+        # the array as the tuple it became; nothing was parsed twice.
         assert sum(type(row) is dict and row.keys() == ROW.keys() for row in packed) == 45
 
 
 class TestHeldMemory:
     """Memory a dense grid's rows hold, traced by tracemalloc, which counts
     every Python allocation and so gives the same figure on every run."""
+
+    #: Bytes a grid point's row needs: 11 float64 values.
+    ROW_BYTES = 8 * len(CSV_COLUMNS)
 
     def grid_config(self):
         return {**dense_config(), "grid": {"theta_steps": 100, "phi_steps": 100}}
@@ -623,7 +645,24 @@ class TestHeldMemory:
         finally:
             tracemalloc.stop()
         assert len(record.results["evolved_states"]) == 100 * 100
-        assert held / (100 * 100) <= 450
+        assert held / (100 * 100) <= 100
+
+    def test_run_and_read_peak_near_the_rows(self, tmp_path):
+        """At its peak, ``run_scenario`` and ``read_record`` each hold at
+        most twice the bytes the rows need."""
+        config, path = tmp_path / "grid.json", tmp_path / "grid.record.json"
+        config.write_text(json.dumps(self.grid_config()), encoding="utf-8")
+        assert cli.main(["run", str(config), "--out", str(path)]) == 0
+        parsed = config_from_dict(self.grid_config())
+        for call in (lambda: run_scenario(parsed, seed=4), lambda: read_record(str(path))):
+            tracemalloc.start()
+            try:
+                record = call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(record.results["evolved_states"]) == 100 * 100
+            assert peak / (100 * 100) <= 2 * self.ROW_BYTES
 
     def test_read_peaks_near_the_rows(self, tmp_path):
         """While ``read_record`` reads a record it holds at most a quarter of

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import spin_torus.scenario
-from spin_torus.manifold import classify, metric_analytic
+from spin_torus.entanglement import concurrence
+from spin_torus.manifold import TorusPoint, classify, evolve_family, metric_analytic
 from spin_torus.qstate import basis_state, plus_plus_state, random_state, up_down
 from spin_torus.scenario import (
     AMPLITUDE_NORM_TOL,
@@ -37,6 +38,27 @@ def base_config_dict(**overrides):
     }
     data.update(overrides)
     return data
+
+
+def point_rows(initial, points):
+    """The evolved-states rows of the points (theta, phi) one point at a
+    time: evolve_family, then the scalar concurrence of the state."""
+    rows = []
+    for theta, phi in points:
+        state = evolve_family(initial, TorusPoint(theta, phi))
+        parts = [part for z in state.vector.tolist() for part in (z.real, z.imag)]
+        rows.append((theta, phi, *parts, concurrence(state)))
+    return rows
+
+
+def assert_row_array(rows, expected):
+    """``rows`` is a record's evolved-states block, a read-only float64
+    (n, 11) array, and holds the bits of the 11-value rows ``expected``."""
+    assert type(rows) is np.ndarray and rows.dtype == np.float64
+    assert rows.shape == (len(expected), len(CSV_COLUMNS))
+    assert not rows.flags.writeable
+    expected = np.array(expected, dtype=np.float64).reshape(rows.shape)
+    np.testing.assert_array_equal(rows.view(np.uint64), expected.view(np.uint64))
 
 
 class TestConfigValidation:
@@ -250,9 +272,10 @@ class TestRunScenario:
     def test_evolved_states_cover_grid(self):
         config = config_from_dict(base_config_dict(outputs=["evolved_states"]))
         rows = run_scenario(config).results["evolved_states"]
-        assert len(rows) == 9 * 5
-        assert {len(row) for row in rows} == {len(CSV_COLUMNS)}
-        assert {type(value) for row in rows for value in row} == {float}
+        thetas = np.linspace(0.0, np.pi, 9).tolist()
+        phis = np.linspace(0.0, 2.0 * np.pi, 5).tolist()
+        points = [(theta, phi) for theta in thetas for phi in phis]
+        assert_row_array(rows, point_rows(config.initial.build(), points))
 
     def test_time_grid_points(self):
         config = config_from_dict(
@@ -281,9 +304,11 @@ class TestRunScenario:
         thetas = [repr(float(2.0 * coupling * t)) for t in times]
         phis = [repr(float(2.0 * override * t)) for t in times]
         rows = results["evolved_states"]
-        assert [repr(row[0]) for row in rows] == thetas
-        assert [repr(row[1]) for row in rows] == phis
+        assert list(map(repr, rows[:, 0].tolist())) == thetas
+        assert list(map(repr, rows[:, 1].tolist())) == phis
         assert [repr(theta) for theta, _ in results["concurrence_profile"]["samples"]] == thetas
+        points = zip(rows[:, 0].tolist(), rows[:, 1].tolist())
+        assert_row_array(rows, point_rows(config.initial.build(), points))
 
     def test_output_order_respected(self):
         config = config_from_dict(
@@ -377,10 +402,9 @@ class TestExport:
         out = tmp_path / "run.csv"
         export_record(record, "csv", str(out))
         lines = out.read_text().splitlines()[1:]
-        source = record.results["evolved_states"]
-        assert len(lines) == len(source)
-        for line, row in zip(lines, source):
-            assert tuple(map(float, line.split(","))) == row
+        assert_row_array(
+            record.results["evolved_states"], [list(map(float, line.split(","))) for line in lines]
+        )
 
     def test_profile_only_record_still_exports_rows(self, tmp_path):
         record = self.make_record(
@@ -463,12 +487,20 @@ def leaves(value):
         {"amplitudes": [[0.5, 0.0], [0.0, 0.5], [0.5, 0.0], [0.0, -0.5]]},
     ],
 )
-def test_results_hold_only_plain_json_types(initial):
+def test_results_hold_plain_json_types_and_one_row_array(initial):
     """No numpy scalar reaches a record's results, whatever the state's
-    classification (a circle's radius once came out of np.sqrt)."""
-    record = run_scenario(config_from_dict(base_config_dict(initial=initial)))
-    kinds = {type(leaf) for leaf in leaves(record.results)}
+    classification (a circle's radius once came out of np.sqrt); the one
+    array is the evolved-states block, with the bits of the rows evolved
+    one point at a time."""
+    config = config_from_dict(base_config_dict(initial=initial))
+    results = dict(run_scenario(config).results)
+    rows = results.pop("evolved_states")
+    kinds = {type(leaf) for leaf in leaves(results)}
     assert kinds <= {float, int, bool, str, type(None)}
+    thetas = np.linspace(0.0, np.pi, 9).tolist()
+    phis = np.linspace(0.0, 2.0 * np.pi, 5).tolist()
+    points = [(theta, phi) for theta in thetas for phi in phis]
+    assert_row_array(rows, point_rows(config.initial.build(), points))
 
 
 def literal_metric_block(metric):
@@ -540,6 +572,14 @@ class TestRecordSerialization:
     def test_record_json_ends_with_newline(self):
         record = run_scenario(config_from_dict(base_config_dict()))
         assert record_to_json(record).endswith("\n")
+
+    def test_records_compare_by_identity(self):
+        """A record holds an array, whose == is elementwise: records compare
+        as objects, their results through canonical_result_bytes."""
+        config = config_from_dict(base_config_dict())
+        first, second = run_scenario(config), run_scenario(config)
+        assert first == first and first != second
+        assert canonical_result_bytes(first) == canonical_result_bytes(second)
 
     def test_record_from_dict_rejects_missing_fields(self):
         with pytest.raises(ConfigInvalid, match="missing"):

@@ -9,7 +9,7 @@ import pytest
 
 from spin_torus import entanglement, hamiltonian, verify
 from spin_torus.cli import EXIT_CHECK_FAILURE, main
-from spin_torus.qstate import Operator4, check_state_rows
+from spin_torus.qstate import Operator4, check_state_row
 from spin_torus.verify import verify_all
 
 CHECK_NAMES = [
@@ -34,6 +34,7 @@ CHECK_NAMES = [
     "concurrence_closed_form_vs_direct",
     "concurrence_field_independence",
     "concurrence_wootters_oracle",
+    "concurrence_stack_matches_scalar",
     "concurrence_theta_period",
     "product_state_peak_at_quarter_turn",
     "concurrence_max_closed_form_vs_sampled",
@@ -68,7 +69,7 @@ class TestVerifyAll:
     def test_every_line_carries_a_verdict(self):
         lines = verify_all(seed=0).lines()
         assert all(line.startswith(("PASS ", "FAIL ")) for line in lines[:-1])
-        assert lines[-1].endswith("all 27 checks passed")
+        assert lines[-1].endswith("all 28 checks passed")
 
 
 class TestNegativeControl:
@@ -84,7 +85,7 @@ class TestNegativeControl:
             line.startswith("FAIL") and "propagator_unitarity" in line
             for line in report.lines()
         )
-        assert report.lines()[-1].endswith("1 of 27 checks FAILED")
+        assert report.lines()[-1].endswith("1 of 28 checks FAILED")
 
     @pytest.mark.parametrize("seed", range(50))
     def test_cli_negative_control_fails_only_unitarity(self, seed, capsys):
@@ -125,7 +126,7 @@ class TestStackGuards:
 
         monkeypatch.setattr(entanglement, "evolve_grid", poisoned)
         with pytest.raises(ValueError, match="^state amplitudes must be finite$"):
-            check_state_rows([[complex(np.nan, 0.0), 0.0, 0.0, 0.0]])
+            check_state_row([complex(np.nan, 0.0), 0.0, 0.0, 0.0])
         with pytest.raises(ValueError, match="^state amplitudes must be finite$"):
             verify_all(seed=0)
 
