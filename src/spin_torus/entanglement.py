@@ -18,7 +18,7 @@ import numpy as np
 
 from .hamiltonian import SystemParams
 from .manifold import _complex_product, _phi_circle_radius, evolve_grid, family_invariants
-from .qstate import PureState2Q, check_gamma, check_state_array
+from .qstate import PureState2Q, check_gamma
 
 #: Excursions beyond [0, 1] larger than this are treated as bugs, not noise.
 _RANGE_SLACK = 1e-9
@@ -280,12 +280,10 @@ def entanglement_along_orbit(
 
     The values along a row are all equal -- the field only turns phases --
     and this helper exists so that claim can be tested against the actual
-    evolution, one :func:`evolve_grid` call under one state guard, rather
+    evolution, one :func:`evolve_grid` call that guards every row, rather
     than against the closed form that already assumes it.
     """
     phi = np.asarray(phis, dtype=np.float64)
     theta = np.broadcast_to(np.asarray(thetas, dtype=np.float64)[:, None], phi.shape)
-    if not (np.isfinite(theta).all() and np.isfinite(phi).all()):  # as TorusPoint refuses them
-        raise ValueError("torus coordinates must be finite")
     amplitudes = np.array([state.vector for state in initials]).reshape(-1, 1, 4)
-    return concurrence_stack(check_state_array(evolve_grid(amplitudes, theta, phi)))
+    return concurrence_stack(evolve_grid(amplitudes, theta, phi))

@@ -157,10 +157,14 @@ def evolve_grid(amplitudes: np.ndarray, thetas: np.ndarray, phis: np.ndarray) ->
     keeps signed zeros, and cmath.exp(+-1j s) is cos and sin of the
     imaginary part of +-1j s.  The bits then rest on numpy's cos and sin
     matching the platform's math.cos and math.sin, which ``verify`` checks.
+    Like :func:`evolve_family`, it raises :class:`TorusPoint`'s error for a
+    non-finite angle and :class:`PureState2Q`'s for a row that fails its guard.
     """
     amps = np.asarray(amplitudes, dtype=np.complex128)
     theta = np.asarray(thetas, dtype=np.float64)
     phi = np.asarray(phis, dtype=np.float64)
+    if not (np.isfinite(theta).all() and np.isfinite(phi).all()):
+        raise ValueError("torus coordinates must be finite")
     # The left factors a, b, c, d, 1j * c, -1j * b of six complex products,
     # each state's own made by CPython itself ...
     left = np.array(
@@ -170,12 +174,13 @@ def evolve_grid(amplitudes: np.ndarray, thetas: np.ndarray, phis: np.ndarray) ->
     # sin_t, sin_t.  -1j * s has imaginary part -0.0 + -s, that is -s, and
     # 1j * s has 0.0 + s.
     angles = np.empty(theta.shape + (3,))
-    np.negative(phi + theta, out=angles[..., 0])
-    angles[..., 1] = theta
-    np.add(0.0, phi - theta, out=angles[..., 2])
     trig = np.empty(theta.shape + (7,))
-    np.cos(angles, out=trig[..., :3])
-    np.sin(angles, out=trig[..., 3:6])
+    with np.errstate(over="ignore", invalid="ignore"):  # the state guard refuses NaN
+        np.negative(phi + theta, out=angles[..., 0])
+        angles[..., 1] = theta
+        np.add(0.0, phi - theta, out=angles[..., 2])
+        np.cos(angles, out=trig[..., :3])
+        np.sin(angles, out=trig[..., 3:6])
     trig[..., 6] = 0.0
     right = trig[..., _RIGHT_FACTORS]
     re, im = _complex_product(left.real, left.imag, right[..., 0, :], right[..., 1, :])
@@ -186,7 +191,7 @@ def evolve_grid(amplitudes: np.ndarray, thetas: np.ndarray, phis: np.ndarray) ->
     im[..., 2] += im[..., 5]
     out = np.empty(re.shape[:-1] + (4,), dtype=np.complex128)
     out.real, out.imag = re[..., :4], im[..., :4]
-    return out
+    return check_state_array(out)
 
 
 def evolve_family(initial: PureState2Q, point: TorusPoint) -> PureState2Q:
@@ -295,7 +300,7 @@ def _direction_forms(
     displacement, so the truncation error O(h^2) becomes O(h^4).
 
     Every centre and its twelve probes are one stacked evaluation: one
-    :func:`evolve_grid` call under one state guard, then one ``np.vecdot``,
+    :func:`evolve_grid` call, which guards every row, then one ``np.vecdot``,
     which conjugates its first argument as ``np.vdot`` does and reaches the
     same BLAS zdotc, so each overlap has the bits of a per-probe
     ``np.vdot``.  The squared moduli are taken in Python, because numpy
@@ -309,15 +314,11 @@ def _direction_forms(
     d = np.asarray(directions, dtype=np.float64).reshape(-1, 2, 2)
     d = np.concatenate((d, d[:, :1] + d[:, 1:]), axis=1)[:, :, None]  # u, v, u + v
     centres = np.array((thetas, phis), dtype=np.float64).T[:, None]
-    # An overflow gives inf or NaN, which the two guards below refuse.
-    with np.errstate(over="ignore", invalid="ignore"):
-        # Each centre, then its probes centre + step * d for d in u, v and u + v.
+    # Each centre, then its probes centre + step * d for d in u, v and u + v.
+    with np.errstate(over="ignore", invalid="ignore"):  # evolve_grid refuses inf and NaN
         probes = centres[:, None] + np.array((h, -h, h / 2.0, -h / 2.0))[:, None] * d
-        if not np.isfinite(probes).all():
-            raise ValueError("torus coordinates must be finite")
-        points = np.concatenate((centres, probes.reshape(len(centres), 12, 2)), axis=1)
-        rows = evolve_grid(np.asarray(amplitudes)[..., None, :], points[..., 0], points[..., 1])
-    check_state_array(rows)
+    points = np.concatenate((centres, probes.reshape(len(centres), 12, 2)), axis=1)
+    rows = evolve_grid(np.asarray(amplitudes)[..., None, :], points[..., 0], points[..., 1])
     overlaps = np.vecdot(rows[:, :1], rows[:, 1:]).ravel().tolist()
     mod_sq = np.array([abs(z) ** 2 for z in overlaps]).reshape(-1, 3, 2, 2)
     dist = gamma * gamma * np.minimum(np.maximum(1.0 - mod_sq, 0.0), 1.0)

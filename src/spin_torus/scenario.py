@@ -37,6 +37,7 @@ from .manifold import (
     TorusPoint,
     classify,
     evolve_family,
+    evolve_grid,
     metric_analytic,
 )
 from .qstate import (
@@ -1023,21 +1024,19 @@ def _csv_lines(record: RunRecord) -> Iterator[str]:
     """Header plus one row per grid point: angles, amplitudes, concurrence.
 
     Prefers the evolved-states block; a record holding only a concurrence
-    profile still exports, with the states recomputed at phi = 0 from the
-    config echo so the file is self-contained either way.
+    profile still exports, its states at phi = 0 from one :func:`evolve_grid`
+    call on the config echo, so the file is self-contained either way.
     """
     yield ",".join(CSV_COLUMNS) + "\n"
-    if "evolved_states" in record.results:
-        for row in _row_lists(record.results["evolved_states"]):
-            yield _CSV_ROW % tuple(row)
-    elif "concurrence_profile" in record.results:
-        block = record.results["concurrence_profile"]
-        if isinstance(block, dict) and "samples" in block:
-            initial = record.config.initial.build()
-            for theta, value in block["samples"]:
-                state = evolve_family(initial, TorusPoint(theta, 0.0))
-                parts = [part for z in state.vector.tolist() for part in (z.real, z.imag)]
-                yield _CSV_ROW % (theta, 0.0, *parts, value)
+    rows = record.results.get("evolved_states", ())
+    block = record.results.get("concurrence_profile")
+    if "evolved_states" not in record.results and isinstance(block, dict) and "samples" in block:
+        theta, value = np.array(block["samples"], dtype=np.float64).reshape(-1, 2).T
+        phi = np.zeros_like(theta)
+        amplitudes = evolve_grid(record.config.initial.build().vector, theta, phi)
+        rows = np.column_stack((theta, phi, amplitudes.view(np.float64), value))
+    for row in _row_lists(rows):
+        yield _CSV_ROW % tuple(row)
 
 
 def export_record(record: RunRecord, format: str, path: str) -> None:
@@ -1054,21 +1053,21 @@ def export_record(record: RunRecord, format: str, path: str) -> None:
     Scalar blocks (metric, classification) do not fit a per-point table;
     they go to a key,value sidecar at ``<path>.meta.csv`` when present,
     which csv writes, quoting a cell that holds a comma, a quote or a
-    newline.  They are flattened first, so one too deep leaves no file.
+    newline, and a whole row that holds a carriage return, which csv would
+    leave bare.  They are flattened first, so one too deep leaves no file.
     """
     if format == "json":
         _write_pieces(_record_pieces(record), path)
         return
     if format != "csv":
         raise ValueError(f"unknown export format {format!r}")
-    scalar_blocks = {
-        kind: record.results[kind]
-        for kind in ("metric", "classify")
-        if kind in record.results
-    }
+    results = record.results
+    scalar_blocks = {kind: results[kind] for kind in ("metric", "classify") if kind in results}
     flat = [(_where(keys), value) for keys, value in _leaves(scalar_blocks, sort=True)]
     _write_pieces(_csv_lines(record), path)
 
     if scalar_blocks:
         with open(f"{path}.meta.csv", "w", encoding="utf-8", newline="") as handle:
-            csv.writer(handle, lineterminator="\n").writerows([("key", "value"), *flat])
+            for key, value in [("key", "value"), *flat]:
+                quoting = csv.QUOTE_ALL if "\r" in f"{key}{value}" else csv.QUOTE_MINIMAL
+                csv.writer(handle, lineterminator="\n", quoting=quoting).writerow((key, value))

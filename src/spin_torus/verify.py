@@ -169,14 +169,14 @@ def verify_all(seed: int = 0, corrupt_propagator: bool = False) -> VerifyReport:
     t = rng.uniform(0.0, 5.0, 50)
     # apply() and evolve_family guard each state; params_to_point gives (2 J t, 2 h_z t).
     via_u = check_state_array((propagator_analytic_stack(j, h, t) @ vectors[:, :, None])[..., 0])
-    via_family = check_state_array(evolve_grid(vectors, 2.0 * j * t, 2.0 * h * t))
+    via_family = evolve_grid(vectors, 2.0 * j * t, 2.0 * h * t)
     record("family_matches_propagator", np.abs(via_u - via_family).max(), 1e-12)
 
     rng = stream()
     vectors = random_states(rng, 50)
     th, ph = rng.uniform(0.0, [[np.pi], [2.0 * np.pi]], (2, 50))
     thetas, phis = (th, th + np.pi, th), (ph, ph, ph + 2.0 * np.pi)
-    base, shifted, wrapped = check_state_array(evolve_grid(vectors, thetas, phis))
+    base, shifted, wrapped = evolve_grid(vectors, thetas, phis)
     record("family_theta_antiperiod", np.abs(shifted + base).max(), 1e-12, "psi(theta+pi) = -psi")
     record("family_phi_period", np.abs(wrapped - base).max(), 1e-12, "psi(phi+2pi) = psi")
 
@@ -213,7 +213,7 @@ def verify_all(seed: int = 0, corrupt_propagator: bool = False) -> VerifyReport:
     k = np.array([shear for shear in shears if shear is not None])
     th, ph = th[live], ph[live]
     phis = (_plain_phi(th, ph, k), _plain_phi(th + np.pi, ph + k * np.pi, k))
-    base, shifted = check_state_array(evolve_grid(vectors[live], (th, th + np.pi), phis))
+    base, shifted = evolve_grid(vectors[live], (th, th + np.pi), phis)
     record("family_sheared_antiperiod", np.abs(shifted + base).max(initial=0.0), 1e-10)
 
     # --- metric --------------------------------------------------------------

@@ -26,7 +26,13 @@ from spin_torus.entanglement import (
     max_entanglement_time,
 )
 from spin_torus.hamiltonian import SystemParams
-from spin_torus.manifold import TorusPoint, classify, evolve_family, family_invariants
+from spin_torus.manifold import (
+    TorusPoint,
+    classify,
+    evolve_family,
+    evolve_grid,
+    family_invariants,
+)
 from spin_torus.qstate import (
     PureState2Q,
     basis_state,
@@ -395,6 +401,8 @@ class TestStackedRoutes:
             TorusPoint(theta, phi)
         with pytest.raises(ValueError, match="^torus coordinates must be finite$"):
             entanglement_along_orbit([up_down()], [theta], [[phi, 1.0]])
+        with pytest.raises(ValueError, match="^torus coordinates must be finite$"):
+            evolve_grid(up_down().vector, [theta, 0.2], [phi, 1.0])
 
     def test_zero_length_stacks(self):
         assert concurrence_stack(np.zeros((0, 4))).shape == (0,)

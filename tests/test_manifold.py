@@ -215,6 +215,19 @@ class TestEvolveGrid:
         expected = self.scalar([state.vector.tolist()] * 3, thetas, phis)
         assert np.array_equal(bits(grid), bits(expected))
 
+    @pytest.mark.parametrize(
+        "initial, message",
+        [
+            ([2.0, 0.0, 0.0, 0.0], r"^state is not normalized: \|amplitudes\|\^2 sums to 4\.0$"),
+            ([complex(np.nan, 0.0), 0.0, 0.0, 0.0], "^state amplitudes must be finite$"),
+        ],
+    )
+    def test_refuses_rows_as_the_state_guard_does(self, initial, message):
+        with pytest.raises(ValueError, match=message):
+            PureState2Q(initial)
+        with pytest.raises(ValueError, match=message):
+            manifold.evolve_grid(np.array([up_down().vector, initial]), [0.3, 0.4], [1.1, 1.2])
+
     def test_vecdot_matches_per_row_vdot(self):
         # The kernel's shape, one centre against its probes, and plain pairs.
         rng = np.random.default_rng(95)
@@ -395,16 +408,15 @@ class TestMetricNumeric:
     def test_stacked_probes_pass_the_state_guard(
         self, monkeypatch, corrupt, message, estimate, row
     ):
-        # One probe row of one centre is spoiled after the kernel; the guard
-        # must still see it.
-        original = manifold.evolve_grid
+        # One probe row of one centre is spoiled on its way into the guard
+        # inside the kernel; the guard must still see it.
+        guard = manifold.check_state_array
 
-        def kernel(amplitudes, thetas, phis):
-            rows = original(amplitudes, thetas, phis)
+        def poisoned(rows):
             rows[row][0] = corrupt(rows[row][0])
-            return rows
+            return guard(rows)
 
-        monkeypatch.setattr(manifold, "evolve_grid", kernel)
+        monkeypatch.setattr(manifold, "check_state_array", poisoned)
         with pytest.raises(ValueError, match=message):
             estimate(plus_minus_state(0.8, 0.3))
 

@@ -285,7 +285,10 @@ class TestMetaSidecar:
 
     def test_commas_quotes_and_newlines_round_trip(self, tmp_path):
         data = record_to_dict(make_record())
-        added = {"a,b": 'say "hi"', 'quo"te': "x,y", "line\nbreak": "two\nlines", "plain": "z"}
+        added = {
+            "a,b": 'say "hi"', 'quo"te': "x,y", "line\nbreak": "two\nlines", "plain": "z",
+            "a\rb": "c\rd",
+        }
         data["results"]["metric"] = {**data["results"]["metric"], **added}
         out = tmp_path / "out.csv"
         export_record(record_from_dict(data), "csv", str(out))
@@ -302,10 +305,18 @@ class TestCsvWriter:
         expected = reference_csv(dense_record).encode()
         assert written_csv(dense_record, tmp_path) == expected
 
-    def test_profile_only_route(self, tmp_path):
-        record = make_record(outputs=["metric", "concurrence_profile"])
+    @pytest.mark.parametrize(
+        "grid, steps",
+        [
+            ({"theta_steps": 9, "phi_steps": 5}, 9),
+            ({"time": {"t0": 0.0, "t1": 5.0, "steps": 11}, "field_override": 1.5}, 11),
+        ],
+        ids=["torus", "time_with_field_override"],
+    )
+    def test_profile_only_route(self, grid, steps, tmp_path):
+        record = make_record(grid=grid, outputs=["metric", "concurrence_profile"])
         expected = reference_csv(record).encode()
-        assert expected.count(b"\n") == 1 + 9
+        assert expected.count(b"\n") == 1 + steps
         assert written_csv(record, tmp_path) == expected
 
     def test_time_grid_rows(self, tmp_path):

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from spin_torus import entanglement, hamiltonian, verify
+from spin_torus import hamiltonian, manifold, verify
 from spin_torus.cli import EXIT_CHECK_FAILURE, main
 from spin_torus.qstate import Operator4, check_state_row
 from spin_torus.verify import verify_all
@@ -117,14 +117,14 @@ class TestStackGuards:
             verify_all(seed=0)
 
     def test_nan_in_an_evolved_orbit_row(self, monkeypatch):
-        evolve_grid = entanglement.evolve_grid
+        guard = manifold.check_state_array
 
-        def poisoned(amplitudes, thetas, phis):
-            rows = evolve_grid(amplitudes, thetas, phis)
-            rows[41, 3, 2] = complex(np.nan, 0.0)
-            return rows
+        def poisoned(rows):
+            if sys._getframe(2).f_code.co_name == "entanglement_along_orbit":
+                rows[41, 3, 2] = complex(np.nan, 0.0)
+            return guard(rows)
 
-        monkeypatch.setattr(entanglement, "evolve_grid", poisoned)
+        monkeypatch.setattr(manifold, "check_state_array", poisoned)
         with pytest.raises(ValueError, match="^state amplitudes must be finite$"):
             check_state_row([complex(np.nan, 0.0), 0.0, 0.0, 0.0])
         with pytest.raises(ValueError, match="^state amplitudes must be finite$"):
