@@ -96,12 +96,15 @@ class ManifoldKind(enum.Enum):
 class ManifoldReport:
     """Classification of the evolution surface for one initial state.
 
-    Both one-dimensional radius candidates are always reported: the phi
-    circle has circumference-radius gamma sqrt(aligned - imbalance^2), the
-    theta circle gamma sqrt(mismatch (2 - mismatch)).  ``circle_radius``
-    holds whichever applies when kind is CIRCLE (None otherwise), and
-    ``radius_extrapolated`` flags the theta case, whose radius is read off
-    the metric rather than from a closed curve of constant distance.
+    Both one-dimensional radius candidates are always reported: the loop
+    phi in [0, 2 pi) has circumference-radius gamma sqrt(aligned -
+    imbalance^2); the theta value, gamma sqrt(mismatch (2 - mismatch)) =
+    sqrt(g_theta_theta), is the radius of the loop theta in [0, 2 pi), which
+    covers the ray circle (theta period pi) twice, so for |up down> it reads
+    1.0 while the ray loop has length pi.  ``circle_radius`` holds whichever
+    applies when kind is CIRCLE (None otherwise), and ``radius_extrapolated``
+    flags the theta case, whose radius is that of the 2 pi loop, read off the
+    metric rather than from a closed curve of constant distance.
     """
 
     kind: ManifoldKind

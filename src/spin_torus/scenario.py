@@ -642,24 +642,17 @@ _ROW_KEYS = frozenset({"theta", "phi", "amplitudes", "concurrence"})
 _FLOAT_ONLY = frozenset({float})
 
 
-def _record_body(record: RunRecord, results: dict[str, Any]) -> dict[str, Any]:
+def _record_body(record: RunRecord) -> tuple[dict[str, Any], Any]:
+    """The record as plain JSON values with its evolved rows as ``[]``, and
+    the rows, or None if it holds none."""
+    rows = record.results.get("evolved_states")
+    results = record.results if rows is None else {**record.results, "evolved_states": []}
     return {
         "schema_version": record.schema_version,
         "config": record.config.to_jsonable(),
         "results": results,
         "provenance": record.provenance,
-    }
-
-
-def _row_object(row: tuple[float, ...]) -> dict[str, Any]:
-    """A row as the record's JSON writes it."""
-    theta, phi, a_re, a_im, b_re, b_im, c_re, c_im, d_re, d_im, value = row
-    return {
-        "theta": theta,
-        "phi": phi,
-        "amplitudes": [[a_re, a_im], [b_re, b_im], [c_re, c_im], [d_re, d_im]],
-        "concurrence": value,
-    }
+    }, rows
 
 
 def _row_lists(rows: Any, columns: Any = slice(None)) -> Iterator[list[float]]:
@@ -669,15 +662,6 @@ def _row_lists(rows: Any, columns: Any = slice(None)) -> Iterator[list[float]]:
     rows = np.asarray(rows, dtype=np.float64).reshape(-1, len(CSV_COLUMNS))
     for start in range(0, len(rows), _BLOCK_PIECES):
         yield from rows[start : start + _BLOCK_PIECES, columns].tolist()
-
-
-def record_to_dict(record: RunRecord) -> dict[str, Any]:
-    """The record as plain JSON values, each evolved row an object."""
-    results = record.results
-    if "evolved_states" in results:
-        rows = _row_lists(results["evolved_states"])
-        results = {**results, "evolved_states": list(map(_row_object, rows))}
-    return _record_body(record, results)
 
 
 def _finite_floats(values: Sequence[Any]) -> Sequence[float] | None:
@@ -788,11 +772,12 @@ def _checked_samples(block: dict[str, Any]) -> dict[str, Any]:
 def record_from_dict(data: Mapping[str, Any]) -> RunRecord:
     """Rebuild a record read from outside, raising :class:`ConfigInvalid`
     for anything malformed: a ``schema_version`` but ``SCHEMA_VERSION``,
-    evolved rows or profile samples that are not finite real numbers, and
-    in the results or the provenance any float that is not finite or nesting
-    beyond ``MAX_NESTING``.  Evolved rows may be objects, as the record's
-    JSON writes them, the tuples they pack into, or the float64 (n, 11)
-    array a run holds."""
+    results without a block that ``config.outputs`` names, evolved rows or
+    profile samples that are not finite real numbers, and in the results or
+    the provenance any float that is not finite or nesting beyond
+    ``MAX_NESTING``.  Evolved rows may be objects, as the record's JSON
+    writes them, the tuples they pack into, or the float64 (n, 11) array a
+    run holds."""
     if not isinstance(data, Mapping):
         raise ConfigInvalid("record must be a JSON object")
     try:
@@ -807,6 +792,9 @@ def record_from_dict(data: Mapping[str, Any]) -> RunRecord:
         raise ConfigInvalid("record results and provenance must be JSON objects")
     results = dict(results)
     provenance = dict(provenance)
+    for kind in config.outputs:
+        if kind not in results:
+            raise ConfigInvalid(f"results: lacks the {kind!r} block that config.outputs names")
     if "evolved_states" in results:
         results["evolved_states"] = _checked_rows(results["evolved_states"])
     profile = results.get("concurrence_profile")
@@ -841,8 +829,10 @@ def _row_layout() -> tuple[str, list[int], str]:
     of a row's values in the order they appear there, and the text between
     the last row and the list's closing bracket.  The row has a %s slot for
     the separator before it, then a %r slot for each value."""
-    slots = tuple(f"@{i}@" for i in range(len(CSV_COLUMNS)))
-    row = _row_object(slots)
+    slots = [f"@{i}@" for i in range(len(CSV_COLUMNS))]
+    theta, phi, *parts, value = slots
+    pairs = [parts[i : i + 2] for i in range(0, len(parts), 2)]
+    row = {"theta": theta, "phi": phi, "amplitudes": pairs, "concurrence": value}
     text = json.dumps({"results": {"evolved_states": [row]}}, sort_keys=True, indent=2)
     start, end = _rows_at(text), text.rindex("]")
     row_text = text[start:end].rstrip()
@@ -963,9 +953,8 @@ def _record_pieces(record: RunRecord) -> Iterator[str]:
     makes them so and :func:`record_from_dict` checks it), and json writes a
     finite float as its repr.
     """
-    rows = record.results.get("evolved_states")
-    results = record.results if rows is None else {**record.results, "evolved_states": []}
-    text = json.dumps(_record_body(record, results), sort_keys=True, indent=2)
+    body, rows = _record_body(record)
+    text = json.dumps(body, sort_keys=True, indent=2)
     if rows is None or len(rows) == 0:
         yield text + "\n"
         return
@@ -982,21 +971,26 @@ def record_to_json(record: RunRecord) -> str:
     """Serialize with sorted keys and shortest round-trip float format, so
     equal records produce identical bytes.
 
-    The text equals ``json.dumps(record_to_dict(record), sort_keys=True,
-    indent=2) + "\\n"``.  It is joined from the pieces that
-    :func:`export_record` writes to a file without joining them whole.
+    The text is json's ``sort_keys=True, indent=2`` layout of the record,
+    plus a final newline, each evolved row an object with theta, phi, four
+    [re, im] amplitude pairs and concurrence.  It is joined from the pieces
+    that :func:`export_record` writes to a file without joining them whole.
     """
     return "".join(_record_pieces(record))
 
 
 def canonical_result_bytes(record: RunRecord) -> bytes:
     """Byte form used for determinism comparisons: everything except the
-    creation timestamp, which is honest provenance but not a result."""
-    body = record_to_dict(record)
-    body["provenance"] = {
-        k: v for k, v in body["provenance"].items() if k != "created_utc"
-    }
-    return json.dumps(body, sort_keys=True, separators=(",", ":")).encode()
+    creation timestamp, which is honest provenance but not a result.  The
+    compact JSON of the record with its rows as ``[]``, then the rows'
+    float64 bits, little-endian, in one copy: a finite float's repr and its
+    bits determine each other, so the bytes are equal exactly when the JSON
+    is, and no row becomes a Python object."""
+    body, rows = _record_body(record)
+    body["provenance"] = {k: v for k, v in record.provenance.items() if k != "created_utc"}
+    head = json.dumps(body, sort_keys=True, separators=(",", ":")).encode()
+    bits = np.ascontiguousarray(() if rows is None else rows, dtype="<f8")
+    return b"".join((head, bits))
 
 
 # --- export ------------------------------------------------------------------

