@@ -520,12 +520,14 @@ CSV_COLUMNS = (
 class RunRecord:
     """Results of one scenario run plus enough context to reproduce it.
 
-    ``results["evolved_states"]``, when present, is one read-only float64
-    array of shape (n, 11), 88 bytes per grid point: a row per point, its
-    columns in ``CSV_COLUMNS`` order (theta, phi, the real and imaginary
-    parts of the four amplitudes, and the concurrence C).  The record's
-    JSON writes each row as an object with theta, phi, four [re, im]
-    amplitude pairs and concurrence.  Records compare by identity; compare
+    Its float blocks are read-only float64 arrays:
+    ``results["concurrence_profile"]["samples"]`` (n, 2), a (theta, C) row
+    per exchange angle, 16 bytes each, and ``results["evolved_states"]``
+    (n, 11), 88 bytes per grid point, a row's columns in ``CSV_COLUMNS``
+    order (theta, phi, the real and imaginary parts of the four amplitudes,
+    and the concurrence C).  The record's JSON writes a sample as a [theta,
+    C] list and a row as an object with theta, phi, four [re, im] amplitude
+    pairs and concurrence.  Records compare by identity; compare
     :func:`canonical_result_bytes` to compare results.
     """
 
@@ -565,18 +567,16 @@ def _run_classify(initial: PureState2Q, config: ScenarioConfig, seed: int) -> di
 
 def _run_profile(initial: PureState2Q, config: ScenarioConfig, seed: int) -> dict:
     profile = concurrence_profile(initial, _grid_angles(config)[0])
-    return {
-        "samples": [[theta, value] for theta, value in profile.samples],
-        "theta_max": profile.theta_max,
-        "c_max": profile.c_max,
-        "is_constant": profile.is_constant,
-    }
+    samples = array("d", itertools.chain.from_iterable(profile.samples))
+    block = {**vars(profile), "samples": _frozen_rows(samples, 2)}
+    del block["initial"]  # the config echo holds the initial state
+    return block
 
 
-def _frozen_rows(values: array) -> np.ndarray:
-    """The float array ``values`` as read-only rows of ``CSV_COLUMNS``,
+def _frozen_rows(values: array, width: int) -> np.ndarray:
+    """The float array ``values`` as read-only rows of ``width`` values,
     without a copy."""
-    rows = np.frombuffer(values).reshape(-1, len(CSV_COLUMNS))
+    rows = np.frombuffer(values).reshape(-1, width)
     rows.setflags(write=False)
     return rows
 
@@ -637,53 +637,60 @@ def run_scenario(config: ScenarioConfig, seed: int = 0) -> RunRecord:
 
 # --- serialization -----------------------------------------------------------
 
+#: Each float block of a record, in text order: its keys under results, its width.
+_FLOAT_BLOCKS = ((("concurrence_profile", "samples"), 2), (("evolved_states",), len(CSV_COLUMNS)))
 #: The keys of one evolved-states row in a record's JSON.
 _ROW_KEYS = frozenset({"theta", "phi", "amplitudes", "concurrence"})
 _FLOAT_ONLY = frozenset({float})
 
 
-def _record_body(record: RunRecord) -> tuple[dict[str, Any], Any]:
-    """The record as plain JSON values with its evolved rows as ``[]``, and
-    the rows, or None if it holds none."""
-    rows = record.results.get("evolved_states")
-    results = record.results if rows is None else {**record.results, "evolved_states": []}
+def _block_holder(results: dict[str, Any], keys: tuple[str, ...]) -> dict[str, Any]:
+    """The object in ``results`` that holds the float block at ``keys``,
+    each object on the way copied into its parent, so a change to it
+    changes no object that ``results`` shares.  :class:`ConfigInvalid` at
+    one that is no object holding the next key."""
+    for depth, key in enumerate(keys[:-1], 1):
+        inner = results[key]
+        if not isinstance(inner, Mapping) or keys[depth] not in inner:
+            where = ".".join(keys[:depth])
+            raise ConfigInvalid(f"results.{where}: must be an object holding {keys[depth]}")
+        results[key] = dict(inner)
+        results = results[key]
+    return results
+
+
+def _record_body(record: RunRecord) -> tuple[dict[str, Any], list[tuple[tuple[str, ...], Any]]]:
+    """The record as plain JSON values with each float block as ``[]``, and
+    (keys, rows) for each block it holds, in text order."""
+    results = dict(record.results)
+    blocks = []
+    for keys, _ in _FLOAT_BLOCKS:
+        if keys[0] in results:
+            holder = _block_holder(results, keys)
+            blocks.append((keys, holder[keys[-1]]))
+            holder[keys[-1]] = []
     return {
         "schema_version": record.schema_version,
         "config": record.config.to_jsonable(),
         "results": results,
         "provenance": record.provenance,
-    }, rows
+    }, blocks
 
 
 def _row_lists(rows: Any, columns: Any = slice(None)) -> Iterator[list[float]]:
-    """Each row as a list of Python floats, its ``columns`` in that order.
-    The lists are made ``_BLOCK_PIECES`` rows at a time, and hold floats,
-    not numpy's scalars, whose %r is no float repr."""
-    rows = np.asarray(rows, dtype=np.float64).reshape(-1, len(CSV_COLUMNS))
+    """Each row of a float block as a list of Python floats, its ``columns``
+    in that order.  The lists are made ``_BLOCK_PIECES`` rows at a time, and
+    hold floats, not numpy's scalars, whose %r is no float repr."""
     for start in range(0, len(rows), _BLOCK_PIECES):
         yield from rows[start : start + _BLOCK_PIECES, columns].tolist()
 
 
-def _finite_floats(values: Sequence[Any]) -> Sequence[float] | None:
-    """The values as floats, or None unless each is a finite real number.
-
-    A bool is not a number here.  Returns ``values`` itself when it already
-    holds only finite floats, which is every record this package writes.
-    """
-    floats = _FLOAT_ONLY.issuperset(map(type, values))
-    real = floats or all(
+def _finite_reals(values: Sequence[Any]) -> bool:
+    """Whether each value is a finite real number; a bool is not one here."""
+    real = _FLOAT_ONLY.issuperset(map(type, values)) or all(
         isinstance(value, (int, float)) and not isinstance(value, bool) for value in values
     )
-    if not (real and all_finite(*values)):
-        return None
-    return values if floats else [float(value) for value in values]
-
-
-def _is_pair_list(value: Any) -> bool:
-    """Whether ``value`` is a list of two-element lists."""
-    return isinstance(value, list) and all(
-        isinstance(pair, list) and len(pair) == 2 for pair in value
-    )
+    return real and all_finite(*values)
 
 
 def _packed_row(row: Any) -> Any:
@@ -692,7 +699,9 @@ def _packed_row(row: Any) -> Any:
     ``row`` itself.  The values are not checked here."""
     if isinstance(row, dict) and row.keys() == _ROW_KEYS:
         pairs = row["amplitudes"]
-        if isinstance(pairs, list) and len(pairs) == 4 and _is_pair_list(pairs):
+        if isinstance(pairs, list) and len(pairs) == 4 and all(
+            isinstance(pair, list) and len(pair) == 2 for pair in pairs
+        ):
             (a_re, a_im), (b_re, b_im), (c_re, c_im), (d_re, d_im) = pairs
             return (row["theta"], row["phi"], a_re, a_im, b_re, b_im, c_re, c_im,
                     d_re, d_im, row["concurrence"])
@@ -709,19 +718,18 @@ def _packed_floats(rows: list[Any]) -> bool:
     )
 
 
-def _checked_rows(block: Any) -> np.ndarray:
-    """A record's evolved-states block as checked rows: the read-only
-    float64 (n, 11) array of :class:`RunRecord`.
+def _checked_block(block: Any, keys: tuple[str, ...], width: int) -> np.ndarray:
+    """A record's float block at ``results.<keys>`` as checked rows: the
+    read-only float64 (n, ``width``) array of :class:`RunRecord`.
 
-    The block is such an array, which a record read in run's layout holds
-    already, or a list of rows, each an object that :func:`_packed_row`
-    packs or a tuple it packed already; ints become floats.  Every value
-    must be a finite real number.  These are the rows
-    :func:`record_to_json` and the CSV writer format without further checks.
+    The block is such an array, or a list of rows: (theta, C) lists or
+    tuples for the samples, and for the evolved rows objects that
+    :func:`_packed_row` packs or tuples it packed.  Every value must be a
+    finite real number.  These are the rows :func:`record_to_json` and the CSV writer
+    format without further checks.
     """
-    where = "results.evolved_states"
-    row_shape = (len(CSV_COLUMNS),)
-    if isinstance(block, np.ndarray) and block.dtype == np.float64 and block.shape[1:] == row_shape:
+    where = "results." + ".".join(keys)
+    if isinstance(block, np.ndarray) and block.dtype == np.float64 and block.shape[1:] == (width,):
         finite = np.isfinite(block).all(axis=1)
         if not finite.all():
             raise ConfigInvalid(
@@ -735,49 +743,32 @@ def _checked_rows(block: Any) -> np.ndarray:
         raise ConfigInvalid(f"{where}: must be a list of rows")
     values = array("d")
     for index, row in enumerate(block):
-        row = _packed_row(row)
-        if type(row) is not tuple or len(row) != len(CSV_COLUMNS):
+        row = tuple(row) if width == 2 and type(row) is list else _packed_row(row)
+        if type(row) is not tuple or len(row) != width:
+            if width == 2:
+                raise ConfigInvalid(f"{where}[{index}]: a sample is a [theta, C] pair")
             if isinstance(row, dict) and row.keys() == _ROW_KEYS:
                 raise ConfigInvalid(f"{where}[{index}].amplitudes: must be 4 [re, im] pairs")
             raise ConfigInvalid(
                 f"{where}[{index}]: a row has exactly the keys "
                 "amplitudes, concurrence, phi and theta"
             )
-        floats = _finite_floats(row)
-        if floats is None:
-            raise ConfigInvalid(
-                f"{where}[{index}]: every value must be a finite real number"
-            )
-        values.extend(floats)
-    return _frozen_rows(values)
-
-
-def _checked_samples(block: dict[str, Any]) -> dict[str, Any]:
-    """A concurrence-profile block whose samples are [theta, C] pairs of
-    finite reals, ints made floats; the CSV export evolves and writes them."""
-    samples = block["samples"]
-    where = "results.concurrence_profile.samples"
-    if not _is_pair_list(samples):
-        raise ConfigInvalid(f"{where}: must be a list of [theta, C] pairs")
-    values = [value for sample in samples for value in sample]
-    floats = _finite_floats(values)
-    if floats is None:
-        raise ConfigInvalid(f"{where}: every value must be a finite real number")
-    if floats is values:
-        return block
-    pairs = [floats[i : i + 2] for i in range(0, len(floats), 2)]
-    return {**block, "samples": pairs}
+        if not _finite_reals(row):
+            raise ConfigInvalid(f"{where}[{index}]: every value must be a finite real number")
+        values.extend(row)  # an int becomes the float it names
+    return _frozen_rows(values, width)
 
 
 def record_from_dict(data: Mapping[str, Any]) -> RunRecord:
     """Rebuild a record read from outside, raising :class:`ConfigInvalid`
     for anything malformed: a ``schema_version`` but ``SCHEMA_VERSION``,
-    results without a block that ``config.outputs`` names, evolved rows or
-    profile samples that are not finite real numbers, and in the results or
-    the provenance any float that is not finite or nesting beyond
-    ``MAX_NESTING``.  Evolved rows may be objects, as the record's JSON
-    writes them, the tuples they pack into, or the float64 (n, 11) array a
-    run holds."""
+    results without a block that ``config.outputs`` names, a profile block
+    that is no object holding samples, evolved rows or profile samples that
+    are not finite real numbers, and in the results or the provenance any
+    float that is not finite or nesting beyond ``MAX_NESTING``.  Each float
+    block becomes :class:`RunRecord`'s array; it may be one already, or a
+    list of rows as the record's JSON writes them, evolved rows also as
+    the tuples they pack into."""
     if not isinstance(data, Mapping):
         raise ConfigInvalid("record must be a JSON object")
     try:
@@ -795,12 +786,11 @@ def record_from_dict(data: Mapping[str, Any]) -> RunRecord:
     for kind in config.outputs:
         if kind not in results:
             raise ConfigInvalid(f"results: lacks the {kind!r} block that config.outputs names")
-    if "evolved_states" in results:
-        results["evolved_states"] = _checked_rows(results["evolved_states"])
-    profile = results.get("concurrence_profile")
-    if isinstance(profile, dict) and "samples" in profile:
-        results["concurrence_profile"] = _checked_samples(profile)
-    # The record's root, its checked rows an array that the walk does not enter.
+    for keys, width in _FLOAT_BLOCKS:
+        if keys[0] in results:
+            holder = _block_holder(results, keys)
+            holder[keys[-1]] = _checked_block(holder[keys[-1]], keys, width)
+    # The record's root, its float blocks arrays that the walk does not enter.
     for path, value in _leaves({"results": results, "provenance": provenance}):
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigInvalid(f"{_where(path)}: must be finite")
@@ -812,42 +802,48 @@ def record_from_dict(data: Mapping[str, Any]) -> RunRecord:
     )
 
 
-#: Where results.evolved_states opens in a record's json text.  Only json's
-#: indentation puts a raw newline in that text, so no key or string in the
-#: record can read as either marker.
-_RESULTS_OPEN = '\n  "results": {'
-_ROWS_OPEN = '\n    "evolved_states": ['
+def _block_at(text: str, keys: tuple[str, ...]) -> int:
+    """Where the items of the float block at ``results.<keys>`` begin in a
+    record's json text.  Each key on the way is found after a newline at
+    its depth's indentation, and only json's indentation puts a raw newline
+    in that text, so no key or string in the record can read as one."""
+    at = 0
+    for depth, key in enumerate(("results", *keys), 1):
+        marker = f'\n{"  " * depth}"{key}": ' + ("[" if depth > len(keys) else "{")
+        at = text.index(marker, at) + len(marker)
+    return at
 
 
-def _rows_at(text: str) -> int:
-    """Where the items of results.evolved_states begin in a record's json text."""
-    return text.index(_ROWS_OPEN, text.index(_RESULTS_OPEN)) + len(_ROWS_OPEN)
-
-
-def _row_layout() -> tuple[str, list[int], str]:
-    """One evolved-states row as json lays it out in a record, the columns
-    of a row's values in the order they appear there, and the text between
-    the last row and the list's closing bracket.  The row has a %s slot for
-    the separator before it, then a %r slot for each value."""
-    slots = [f"@{i}@" for i in range(len(CSV_COLUMNS))]
-    theta, phi, *parts, value = slots
-    pairs = [parts[i : i + 2] for i in range(0, len(parts), 2)]
-    row = {"theta": theta, "phi": phi, "amplitudes": pairs, "concurrence": value}
-    text = json.dumps({"results": {"evolved_states": [row]}}, sort_keys=True, indent=2)
-    start, end = _rows_at(text), text.rindex("]")
+def _row_layout(keys: tuple[str, ...], width: int) -> tuple[str, list[int], str]:
+    """One row of the float block at ``results.<keys>`` as json lays it out
+    in a record (an evolved row's object, a sample's list), the columns of
+    a row's values in the order they appear there, and the text between the
+    last row and the list's closing bracket.  The row has a %s slot for the
+    separator before it, then a %r slot for each value."""
+    slots = [f"@{i}@" for i in range(width)]
+    row: Any = slots
+    if width == len(CSV_COLUMNS):
+        theta, phi, *parts, value = slots
+        pairs = [parts[i : i + 2] for i in range(0, len(parts), 2)]
+        row = {"theta": theta, "phi": phi, "amplitudes": pairs, "concurrence": value}
+    body: Any = [row]
+    for key in reversed(("results", *keys)):
+        body = {key: body}
+    text = json.dumps(body, sort_keys=True, indent=2)
+    start, end = _block_at(text, keys), text.rindex("]")
     row_text = text[start:end].rstrip()
     close = text[start + len(row_text) : end]
-    order = sorted(range(len(slots)), key=lambda i: row_text.index(f'"{slots[i]}"'))
+    order = sorted(range(width), key=lambda i: row_text.index(f'"{slots[i]}"'))
     for slot in slots:
         row_text = row_text.replace(f'"{slot}"', "%r")
     return "%s" + row_text, order, close
 
 
-_ROW_JSON, _JSON_COLUMNS, _ROWS_CLOSE = _row_layout()
-
+#: Each float block's :func:`_row_layout`, by its keys.
+_LAYOUTS = {keys: _row_layout(keys, width) for keys, width in _FLOAT_BLOCKS}
 #: What json writes between two evolved-states rows: the comma, then the
 #: next row up to its opening brace.
-_ROW_SEPARATOR = _ROW_JSON[: _ROW_JSON.index("{") + 1] % ","
+_ROW_SEPARATOR = _LAYOUTS[("evolved_states",)][0].partition("{")[0] % "," + "{"
 #: Characters of a record file read at a time while its rows are parsed.
 _READ_CHARS = 2**16
 
@@ -872,7 +868,7 @@ def _streamed_body(handle: TextIO) -> Any:
     head = ""
     while True:
         try:
-            at = _rows_at(head)
+            at = _block_at(head, ("evolved_states",))
             break
         except ValueError:
             # The head doubles, so a record without the rows' marker is
@@ -905,7 +901,7 @@ def _streamed_body(handle: TextIO) -> Any:
         results = data.get("results") if isinstance(data, dict) else None
         if not isinstance(results, dict) or results.get("evolved_states") != placeholder:
             return None
-    results["evolved_states"] = _frozen_rows(values)
+    results["evolved_states"] = _frozen_rows(values, len(CSV_COLUMNS))
     return data
 
 
@@ -942,29 +938,30 @@ def read_record(path: str) -> RunRecord:
 
 
 def _record_pieces(record: RunRecord) -> Iterator[str]:
-    """The text of :func:`record_to_json` in pieces: json's text before
-    the evolved rows, one piece per row, and json's text after them.
+    """The text of :func:`record_to_json` in pieces: json's text around the
+    float blocks, and one piece per row of each.
 
-    json lays out the record with its evolved rows replaced by an empty
-    list, and the rows are spliced into that list from ``_ROW_JSON``.
-    json drops to its pure-Python encoder whenever ``indent`` is set, which
-    takes seconds over a dense grid's rows; the template writes the same
-    text, because the rows hold only finite floats (:func:`run_scenario`
-    makes them so and :func:`record_from_dict` checks it), and json writes a
-    finite float as its repr.
+    json lays out the record with each float block replaced by an empty
+    list, and the blocks' rows are spliced into those lists from
+    ``_LAYOUTS``.  json drops to its pure-Python encoder whenever ``indent``
+    is set, which takes seconds over a dense grid's rows; the templates
+    write the same text, because the blocks hold only finite floats
+    (:func:`run_scenario` makes them so and :func:`record_from_dict` checks
+    it), and json writes a finite float as its repr.
     """
-    body, rows = _record_body(record)
+    body, blocks = _record_body(record)
     text = json.dumps(body, sort_keys=True, indent=2)
-    if rows is None or len(rows) == 0:
-        yield text + "\n"
-        return
-    at = _rows_at(text)
-    yield text[:at]
-    separator = ""
-    for row in _row_lists(rows, _JSON_COLUMNS):
-        yield _ROW_JSON % (separator, *row)
-        separator = ","
-    yield _ROWS_CLOSE + text[at:] + "\n"
+    done = 0
+    for keys, rows in blocks:
+        if len(rows):
+            row_json, columns, close = _LAYOUTS[keys]
+            at = _block_at(text, keys)
+            yield text[done:at]
+            for index, row in enumerate(_row_lists(rows, columns)):
+                yield row_json % ("," if index else "", *row)
+            yield close
+            done = at
+    yield text[done:] + "\n"
 
 
 def record_to_json(record: RunRecord) -> str:
@@ -982,15 +979,17 @@ def record_to_json(record: RunRecord) -> str:
 def canonical_result_bytes(record: RunRecord) -> bytes:
     """Byte form used for determinism comparisons: everything except the
     creation timestamp, which is honest provenance but not a result.  The
-    compact JSON of the record with its rows as ``[]``, then the rows'
-    float64 bits, little-endian, in one copy: a finite float's repr and its
-    bits determine each other, so the bytes are equal exactly when the JSON
-    is, and no row becomes a Python object."""
-    body, rows = _record_body(record)
+    compact JSON of the record with its float blocks as ``[]``, then per
+    block in text order its row count, 8 bytes, and its float64 bits, all
+    little-endian, in one copy.  A finite float's repr and its bits
+    determine each other, and the counts say where each block ends, so the
+    bytes are equal exactly when the JSON is; no row becomes an object."""
+    body, blocks = _record_body(record)
     body["provenance"] = {k: v for k, v in record.provenance.items() if k != "created_utc"}
-    head = json.dumps(body, sort_keys=True, separators=(",", ":")).encode()
-    bits = np.ascontiguousarray(() if rows is None else rows, dtype="<f8")
-    return b"".join((head, bits))
+    pieces = [json.dumps(body, sort_keys=True, separators=(",", ":")).encode()]
+    for _, rows in blocks:
+        pieces += [len(rows).to_bytes(8, "little"), np.ascontiguousarray(rows, dtype="<f8")]
+    return b"".join(pieces)
 
 
 # --- export ------------------------------------------------------------------
@@ -1022,10 +1021,10 @@ def _csv_lines(record: RunRecord) -> Iterator[str]:
     call on the config echo, so the file is self-contained either way.
     """
     yield ",".join(CSV_COLUMNS) + "\n"
-    rows = record.results.get("evolved_states", ())
-    block = record.results.get("concurrence_profile")
-    if "evolved_states" not in record.results and isinstance(block, dict) and "samples" in block:
-        theta, value = np.array(block["samples"], dtype=np.float64).reshape(-1, 2).T
+    results = record.results
+    rows = results.get("evolved_states", ())
+    if "evolved_states" not in results and "concurrence_profile" in results:
+        theta, value = results["concurrence_profile"]["samples"].T
         phi = np.zeros_like(theta)
         amplitudes = evolve_grid(record.config.initial.build().vector, theta, phi)
         rows = np.column_stack((theta, phi, amplitudes.view(np.float64), value))

@@ -21,8 +21,13 @@ def row_object(row):
 
 
 def record_to_dict(record):
-    """The record as plain JSON values, each evolved row an object."""
+    """The record as plain JSON values, each profile sample a [theta, C]
+    list and each evolved row an object."""
     results = record.results
+    if "concurrence_profile" in results:
+        profile = results["concurrence_profile"]
+        samples = np.asarray(profile["samples"], dtype=np.float64).tolist()
+        results = {**results, "concurrence_profile": {**profile, "samples": samples}}
     if "evolved_states" in results:
         rows = np.asarray(results["evolved_states"], dtype=np.float64)
         rows = rows.reshape(-1, len(CSV_COLUMNS)).tolist()

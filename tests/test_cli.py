@@ -422,6 +422,33 @@ class TestExportCommand:
         )
         assert sorted(tmp_path.iterdir()) == sorted([config_file, record])
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "profile", [[1, 2], {"c_max": 1.0}, "x"], ids=["list", "no_samples", "string"]
+    )
+    def test_profile_without_samples_is_config_error(
+        self, config_file, tmp_path, capsys, profile, fmt
+    ):
+        """A profile block that is no object holding samples is refused; the
+        CSV of a profile-only record must not come out as a bare header."""
+        config = json.loads(config_file.read_text())
+        config_file.write_text(json.dumps({**config, "outputs": ["metric", "concurrence_profile"]}))
+        record = tmp_path / "r.json"
+        assert main(["run", str(config_file), "--out", str(record)]) == EXIT_OK
+        body = json.loads(record.read_text())
+        body["results"]["concurrence_profile"] = profile
+        record.write_text(json.dumps(body))
+        capsys.readouterr()
+        out = tmp_path / f"never.{fmt}"
+        assert main(["export", str(record), "--format", fmt, "--out", str(out)]) == (
+            EXIT_CONFIG_ERROR
+        )
+        assert capsys.readouterr().err == (
+            "error: invalid record: results.concurrence_profile: "
+            "must be an object holding samples\n"
+        )
+        assert sorted(tmp_path.iterdir()) == sorted([config_file, record])
+
     @pytest.mark.parametrize(
         "content", [b"\xff\xfe{}", b'{"schema_version": ' + b"9" * 5000 + b"}"]
     )

@@ -599,7 +599,7 @@ class TestPackingParse:
         """A block that holds a row separator and nothing before it must not
         read as an empty list, which would drop the comma of ``[,``."""
         text = record_to_json(make_record())
-        at = scenario._rows_at(text)
+        at = scenario._block_at(text, ("evolved_states",))
         head = text[:at] + scenario._ROW_SEPARATOR
 
         class Pieces:
@@ -721,14 +721,38 @@ class TestCanonicalBytes:
         assert canonical_result_bytes(later) == canonical_result_bytes(record)
 
     def test_head_then_the_rows_little_endian(self):
+        """The compact JSON with each float block as [], then per block in
+        text order, samples before rows, its row count and its bits, each
+        little-endian."""
         record = make_record()
-        rows = record.results["evolved_states"]
+        blocks = record.results["concurrence_profile"]["samples"], record.results["evolved_states"]
         canonical = canonical_result_bytes(record)
-        tail = rows.astype("<f8").tobytes()
+        tail = b"".join(len(rows).to_bytes(8, "little") + rows.astype("<f8").tobytes()
+                        for rows in blocks)
         assert canonical.endswith(tail)
-        head = json.loads(canonical[: -len(tail)])
-        assert head["results"]["evolved_states"] == []
-        assert head["results"]["metric"] == record.results["metric"]
+        expected = json.loads(compact_result_text(record))
+        expected["results"]["concurrence_profile"]["samples"] = []
+        expected["results"]["evolved_states"] = []
+        assert json.loads(canonical[: -len(tail)]) == expected
+
+    def test_the_counts_keep_the_blocks_apart(self):
+        """11 samples and 2 rows, and 22 samples that hold the same 44
+        values followed by no row, have one head and one run of float bits;
+        only the row counts tell the two records apart."""
+        grid = {"theta_steps": 11, "phi_steps": 2}
+        body = json.loads(record_to_json(make_record(grid=grid)))
+        results = body["results"]
+        results["evolved_states"] = results["evolved_states"][:2]
+        one = record_from_dict(body)
+        values = [*one.results["concurrence_profile"]["samples"].ravel().tolist(),
+                  *one.results["evolved_states"].ravel().tolist()]
+        results["concurrence_profile"]["samples"] = [values[i : i + 2] for i in range(0, 44, 2)]
+        results["evolved_states"] = []
+        two = record_from_dict(body)
+        assert len(two.results["concurrence_profile"]["samples"]) == 22
+        assert len(two.results["evolved_states"]) == 0
+        ones, twos = canonical_result_bytes(one), canonical_result_bytes(two)
+        assert len(ones) == len(twos) and ones != twos
 
 
 class TestHeldMemory:
@@ -765,6 +789,44 @@ class TestHeldMemory:
             tracemalloc.stop()
         assert len(canonical) > 100 * 100 * self.ROW_BYTES
         assert peak / (100 * 100) <= 2 * self.ROW_BYTES
+
+    #: Samples in a long profile's time grid, and the bytes each needs:
+    #: theta and C, two float64 values.
+    SAMPLES = 10**5
+    SAMPLE_BYTES = 16
+
+    def profile_record(self):
+        grid = {"time": {"t0": 0.0, "t1": 50.0, "steps": self.SAMPLES}}
+        config = make_config(grid=grid, outputs=["concurrence_profile"])
+        return run_scenario(config_from_dict(config))
+
+    def test_profile_run_holds_few_bytes_per_sample(self):
+        tracemalloc.start()
+        try:
+            record = self.profile_record()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(record.results["concurrence_profile"]["samples"]) == self.SAMPLES
+        assert held / self.SAMPLES <= 2 * self.SAMPLE_BYTES
+
+    @pytest.mark.parametrize("write", ["json_export", "canonical_bytes"])
+    def test_profile_writes_peak_near_the_samples(self, write, tmp_path):
+        """At its peak, a JSON export of a long profile, or its canonical
+        bytes, holds at most twice the bytes the samples need."""
+        record = self.profile_record()
+        path = tmp_path / "profile.json"
+        calls = {
+            "json_export": lambda: export_record(record, "json", str(path)),
+            "canonical_bytes": lambda: canonical_result_bytes(record),
+        }
+        tracemalloc.start()
+        try:
+            calls[write]()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / self.SAMPLES <= 2 * self.SAMPLE_BYTES
 
     def test_run_and_read_peak_near_the_rows(self, tmp_path):
         """At its peak, ``run_scenario`` and ``read_record`` each hold at

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import spin_torus.scenario
-from spin_torus.entanglement import concurrence
+from spin_torus.entanglement import concurrence, concurrence_profile
 from spin_torus.manifold import TorusPoint, classify, evolve_family, metric_analytic
 from spin_torus.qstate import basis_state, plus_plus_state, random_state, up_down
 from spin_torus.scenario import (
@@ -53,12 +53,13 @@ def point_rows(initial, points):
 
 
 def assert_row_array(rows, expected):
-    """``rows`` is a record's evolved-states block, a read-only float64
-    (n, 11) array, and holds the bits of the 11-value rows ``expected``."""
+    """``rows`` is a record's float block, a read-only float64 array with a
+    row per sample or point, and holds the bits of the rows ``expected``:
+    11-value rows for the evolved states, (theta, C) ones for the profile."""
+    expected = np.array(expected, dtype=np.float64)
     assert type(rows) is np.ndarray and rows.dtype == np.float64
-    assert rows.shape == (len(expected), len(CSV_COLUMNS))
+    assert rows.shape == expected.shape
     assert not rows.flags.writeable
-    expected = np.array(expected, dtype=np.float64).reshape(rows.shape)
     np.testing.assert_array_equal(rows.view(np.uint64), expected.view(np.uint64))
 
 
@@ -307,7 +308,8 @@ class TestRunScenario:
         rows = results["evolved_states"]
         assert list(map(repr, rows[:, 0].tolist())) == thetas
         assert list(map(repr, rows[:, 1].tolist())) == phis
-        assert [repr(theta) for theta, _ in results["concurrence_profile"]["samples"]] == thetas
+        samples = results["concurrence_profile"]["samples"]
+        assert list(map(repr, samples[:, 0].tolist())) == thetas
         points = zip(rows[:, 0].tolist(), rows[:, 1].tolist())
         assert_row_array(rows, point_rows(config.initial.build(), points))
 
@@ -488,19 +490,23 @@ def leaves(value):
         {"amplitudes": [[0.5, 0.0], [0.0, 0.5], [0.5, 0.0], [0.0, -0.5]]},
     ],
 )
-def test_results_hold_plain_json_types_and_one_row_array(initial):
+def test_results_hold_plain_json_types_and_two_float_blocks(initial):
     """No numpy scalar reaches a record's results, whatever the state's
-    classification (a circle's radius once came out of np.sqrt); the one
-    array is the evolved-states block, with the bits of the rows evolved
-    one point at a time."""
+    classification (a circle's radius once came out of np.sqrt); the two
+    arrays are the float blocks: the profile samples, with the bits of
+    ``concurrence_profile``'s, and the evolved states, with the bits of the
+    rows evolved one point at a time."""
     config = config_from_dict(base_config_dict(initial=initial))
     results = dict(run_scenario(config).results)
     rows = results.pop("evolved_states")
+    profile = results["concurrence_profile"] = dict(results["concurrence_profile"])
+    samples = profile.pop("samples")
     kinds = {type(leaf) for leaf in leaves(results)}
     assert kinds <= {float, int, bool, str, type(None)}
     thetas = np.linspace(0.0, np.pi, 9).tolist()
     phis = np.linspace(0.0, 2.0 * np.pi, 5).tolist()
     points = [(theta, phi) for theta in thetas for phi in phis]
+    assert_row_array(samples, concurrence_profile(config.initial.build(), thetas).samples)
     assert_row_array(rows, point_rows(config.initial.build(), points))
 
 
