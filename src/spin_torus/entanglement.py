@@ -59,18 +59,18 @@ class MaxEntanglement(NamedTuple):
     concurrence: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConcurrenceProfile:
-    """Concurrence sampled along the exchange angle for one initial state.
+    """Concurrence sampled along the exchange angle for one initial state,
+    as a record's profile block holds it.
 
-    theta_max is the first location of the global maximum, in [0, pi/2) --
-    taken from the closed form, not read off the samples -- and is_constant
-    records whether the profile is flat (the orbit of a Hamiltonian
-    eigenstate, where the evolution only turns phases).
+    samples is a read-only float64 (n, 2) array, a (theta, C) row per
+    angle.  theta_max is the first location of the global maximum, in
+    [0, pi/2), from the closed form, not read off the samples; is_constant
+    says whether the profile is flat (the orbit of a Hamiltonian eigenstate).
     """
 
-    initial: PureState2Q
-    samples: tuple[tuple[float, float], ...]
+    samples: np.ndarray
     theta_max: float
     c_max: float
     is_constant: bool
@@ -234,15 +234,9 @@ def concurrence_profile(
     """
     grid = np.asarray(thetas, dtype=np.float64)
     values = _clamp_unit_array(2.0 * np.abs(np.atleast_1d(_w(initial, grid))))
-    samples = tuple(zip(np.atleast_1d(grid).tolist(), values.tolist()))
-    theta_max, c_max, flat = _closed_form_maximum(initial)
-    return ConcurrenceProfile(
-        initial=initial,
-        samples=samples,
-        theta_max=theta_max,
-        c_max=c_max,
-        is_constant=flat,
-    )
+    samples = np.column_stack((np.atleast_1d(grid), values))
+    samples.setflags(write=False)
+    return ConcurrenceProfile(samples, *_closed_form_maximum(initial))
 
 
 def max_entanglement_time(

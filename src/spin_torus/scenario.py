@@ -22,7 +22,7 @@ import math
 import numbers
 from array import array
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, NamedTuple, TextIO
@@ -537,16 +537,16 @@ class RunRecord:
     provenance: dict[str, Any]
 
 
-def _grid_angles(config: ScenarioConfig) -> tuple[list[float], list[float]]:
+def _grid_angles(config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
     """The grid's theta and phi values: the two axes of a torus grid, or
     theta = 2 J t and phi = 2 h_z t at each time of a time grid."""
     grid = config.grid
     if isinstance(grid, TorusGrid):
         thetas = np.linspace(0.0, np.pi, grid.theta_steps)
-        return thetas.tolist(), np.linspace(0.0, 2.0 * np.pi, grid.phi_steps).tolist()
+        return thetas, np.linspace(0.0, 2.0 * np.pi, grid.phi_steps)
     times = np.linspace(grid.t0, grid.t1, grid.steps)
     field = config.params.field if grid.field_override is None else grid.field_override
-    return (2.0 * config.params.coupling * times).tolist(), (2.0 * field * times).tolist()
+    return 2.0 * config.params.coupling * times, 2.0 * field * times
 
 
 def _run_metric(initial: PureState2Q, config: ScenarioConfig, seed: int) -> dict:
@@ -566,11 +566,7 @@ def _run_classify(initial: PureState2Q, config: ScenarioConfig, seed: int) -> di
 
 
 def _run_profile(initial: PureState2Q, config: ScenarioConfig, seed: int) -> dict:
-    profile = concurrence_profile(initial, _grid_angles(config)[0])
-    samples = array("d", itertools.chain.from_iterable(profile.samples))
-    block = {**vars(profile), "samples": _frozen_rows(samples, 2)}
-    del block["initial"]  # the config echo holds the initial state
-    return block
+    return dict(vars(concurrence_profile(initial, _grid_angles(config)[0])))
 
 
 def _frozen_rows(values: array, width: int) -> np.ndarray:
@@ -588,15 +584,14 @@ def _run_evolved(initial: PureState2Q, config: ScenarioConfig, seed: int) -> np.
     :func:`concurrence_stack` over the amplitude columns."""
     pair = itertools.product if isinstance(config.grid, TorusGrid) else zip
     values = array("d")
-    for theta, phi in pair(*_grid_angles(config)):
+    for theta, phi in pair(*(angles.tolist() for angles in _grid_angles(config))):
         values.extend((theta, phi))
         # A complex128 vector's bytes are its parts, re and im in turn.
         values.frombytes(evolve_family(initial, TorusPoint(theta, phi)).vector.tobytes())
         values.append(0.0)
     rows = np.frombuffer(values).reshape(-1, len(CSV_COLUMNS))
     rows[:, -1] = concurrence_stack(rows[:, 2:-1].view(np.complex128))
-    rows.setflags(write=False)
-    return rows
+    return _frozen_rows(values, len(CSV_COLUMNS))
 
 
 _RUNNERS = {
@@ -642,6 +637,8 @@ _FLOAT_BLOCKS = ((("concurrence_profile", "samples"), 2), (("evolved_states",), 
 #: The keys of one evolved-states row in a record's JSON.
 _ROW_KEYS = frozenset({"theta", "phi", "amplitudes", "concurrence"})
 _FLOAT_ONLY = frozenset({float})
+#: The keys at a record's root.
+_RECORD_FIELDS = frozenset(field.name for field in fields(RunRecord))
 
 
 def _block_holder(results: dict[str, Any], keys: tuple[str, ...]) -> dict[str, Any]:
@@ -675,14 +672,6 @@ def _record_body(record: RunRecord) -> tuple[dict[str, Any], list[tuple[tuple[st
         "results": results,
         "provenance": record.provenance,
     }, blocks
-
-
-def _row_lists(rows: Any, columns: Any = slice(None)) -> Iterator[list[float]]:
-    """Each row of a float block as a list of Python floats, its ``columns``
-    in that order.  The lists are made ``_BLOCK_PIECES`` rows at a time, and
-    hold floats, not numpy's scalars, whose %r is no float repr."""
-    for start in range(0, len(rows), _BLOCK_PIECES):
-        yield from rows[start : start + _BLOCK_PIECES, columns].tolist()
 
 
 def _finite_reals(values: Sequence[Any]) -> bool:
@@ -761,8 +750,9 @@ def _checked_block(block: Any, keys: tuple[str, ...], width: int) -> np.ndarray:
 
 def record_from_dict(data: Mapping[str, Any]) -> RunRecord:
     """Rebuild a record read from outside, raising :class:`ConfigInvalid`
-    for anything malformed: a ``schema_version`` but ``SCHEMA_VERSION``,
-    results without a block that ``config.outputs`` names, a profile block
+    for anything malformed: a root key but :class:`RunRecord`'s fields, a
+    ``schema_version`` but ``SCHEMA_VERSION``, results without a block that
+    ``config.outputs`` names or with one it does not name, a profile block
     that is no object holding samples, evolved rows or profile samples that
     are not finite real numbers, and in the results or the provenance any
     float that is not finite or nesting beyond ``MAX_NESTING``.  Each float
@@ -779,13 +769,18 @@ def record_from_dict(data: Mapping[str, Any]) -> RunRecord:
         provenance = data["provenance"]
     except KeyError as error:
         raise ConfigInvalid(f"record is missing field {error}") from error
+    for key in data:
+        if key not in _RECORD_FIELDS:
+            raise ConfigInvalid(f"record has unknown field {_cut(repr(key))}")
     if not isinstance(results, Mapping) or not isinstance(provenance, Mapping):
         raise ConfigInvalid("record results and provenance must be JSON objects")
     results = dict(results)
     provenance = dict(provenance)
-    for kind in config.outputs:
+    for kind in (*config.outputs, *results):  # a lacking block is reported first
         if kind not in results:
             raise ConfigInvalid(f"results: lacks the {kind!r} block that config.outputs names")
+        if kind not in config.outputs:
+            raise ConfigInvalid(f"results: {_cut(repr(kind))} is not a block config.outputs names")
     for keys, width in _FLOAT_BLOCKS:
         if keys[0] in results:
             holder = _block_holder(results, keys)
@@ -852,7 +847,8 @@ def _streamed_body(handle: TextIO) -> Any:
     """The JSON value of a record laid out as :func:`record_to_json` lays
     it out, read from ``handle`` with only its rows' float array and one
     block of text held at a time, or None if the text is not in that layout
-    or a row is not an object of floats.
+    or a row is not an object of floats.  A text without the rows' marker,
+    read to its end in the search for it, is parsed by plain json.
 
     The rows are parsed in blocks, each cut at the last row separator and
     parsed as a list, and each block's packed rows are added to the array;
@@ -875,7 +871,7 @@ def _streamed_body(handle: TextIO) -> Any:
             # searched in linear time.
             block = handle.read(max(_READ_CHARS, len(head)))
             if not block:
-                return None
+                return json.loads(head)
             head += block
     values = array("d")
     pending = ""
@@ -912,10 +908,10 @@ def read_record(path: str) -> RunRecord:
     :func:`record_to_json` writes is read from a file in blocks: each
     evolved row is packed by :func:`_packed_row` as json's scanner finishes
     it and its block goes into one float array, so neither the whole text
-    nor a tree of row objects is ever held.
-    Any other text, one that fails to decode or parse, or one read from a
-    pipe, is read whole and parsed by plain json, so it reads and fails
-    exactly as plain json reads it.
+    nor a tree of row objects is ever held; a text without evolved rows is
+    read once, whole.  Any other text, one that fails to decode or parse,
+    or one read from a pipe, is read whole and parsed by plain json, so it
+    reads and fails exactly as plain json reads it.
 
     Raises ``OSError`` if the file cannot be read, ``ValueError`` or
     ``RecursionError`` if its text is not JSON, and :class:`ConfigInvalid`
@@ -930,8 +926,7 @@ def read_record(path: str) -> RunRecord:
             # parse below raises it again, at the positions of the whole text.
             except (ValueError, RecursionError):
                 pass
-            if data is None:
-                handle.seek(0)
+            handle.seek(0)
         if data is None:
             data = json.loads(handle.read())
     return record_from_dict(data)
@@ -957,8 +952,11 @@ def _record_pieces(record: RunRecord) -> Iterator[str]:
             row_json, columns, close = _LAYOUTS[keys]
             at = _block_at(text, keys)
             yield text[done:at]
-            for index, row in enumerate(_row_lists(rows, columns)):
-                yield row_json % ("," if index else "", *row)
+            for start in range(0, len(rows), _BLOCK_PIECES):
+                # Python floats: the %r of numpy's scalars is no float repr.
+                block = rows[start : start + _BLOCK_PIECES, columns].tolist()
+                for index, row in enumerate(block, start):
+                    yield row_json % ("," if index else "", *row)
             yield close
             done = at
     yield text[done:] + "\n"
@@ -1017,19 +1015,25 @@ def _csv_lines(record: RunRecord) -> Iterator[str]:
     """Header plus one row per grid point: angles, amplitudes, concurrence.
 
     Prefers the evolved-states block; a record holding only a concurrence
-    profile still exports, its states at phi = 0 from one :func:`evolve_grid`
-    call on the config echo, so the file is self-contained either way.
+    profile still exports, its states at phi = 0 from :func:`evolve_grid` on
+    the config echo, so the file is self-contained either way.
     """
     yield ",".join(CSV_COLUMNS) + "\n"
     results = record.results
     rows = results.get("evolved_states", ())
-    if "evolved_states" not in results and "concurrence_profile" in results:
-        theta, value = results["concurrence_profile"]["samples"].T
-        phi = np.zeros_like(theta)
-        amplitudes = evolve_grid(record.config.initial.build().vector, theta, phi)
-        rows = np.column_stack((theta, phi, amplitudes.view(np.float64), value))
-    for row in _row_lists(rows):
-        yield _CSV_ROW % tuple(row)
+    profile_only = "evolved_states" not in results and "concurrence_profile" in results
+    if profile_only:
+        rows = results["concurrence_profile"]["samples"]
+        vector = record.config.initial.build().vector
+    for start in range(0, len(rows), _BLOCK_PIECES):
+        block = rows[start : start + _BLOCK_PIECES]
+        if profile_only:
+            theta, value = block.T
+            phi = np.zeros_like(theta)
+            amplitudes = evolve_grid(vector, theta, phi).view(np.float64)
+            block = np.column_stack((theta, phi, amplitudes, value))
+        for row in block.tolist():
+            yield _CSV_ROW % tuple(row)
 
 
 def export_record(record: RunRecord, format: str, path: str) -> None:

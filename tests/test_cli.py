@@ -404,7 +404,7 @@ class TestExportCommand:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_missing_block_is_config_error(self, config_file, tmp_path, capsys, fmt):
         """A record without a block its config names is refused, whatever
-        other blocks it holds; an extra block alone is not refused."""
+        other blocks it holds."""
         record = tmp_path / "r.json"
         assert main(["run", str(config_file), "--out", str(record)]) == EXIT_OK
         body = json.loads(record.read_text())
@@ -420,6 +420,40 @@ class TestExportCommand:
             "error: invalid record: results: lacks the 'evolved_states' block "
             "that config.outputs names\n"
         )
+        assert sorted(tmp_path.iterdir()) == sorted([config_file, record])
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (
+                lambda body: body["results"].update(notes={"x": 1.0}),
+                "results: 'notes' is not a block config.outputs names",
+            ),
+            (
+                lambda body: body["results"].update({"n" * 10**5: {}}),
+                f"results: '{'n' * 199}… is not a block config.outputs names",
+            ),
+            (lambda body: body.update(bogus_root=1), "record has unknown field 'bogus_root'"),
+        ],
+        ids=["extra_block", "long_block_name", "root_key"],
+    )
+    def test_field_run_never_writes_is_config_error(
+        self, config_file, tmp_path, capsys, edit, message, fmt
+    ):
+        """A results block that config.outputs does not name, or a root key
+        other than a record's four, is refused with one line."""
+        record = tmp_path / "r.json"
+        assert main(["run", str(config_file), "--out", str(record)]) == EXIT_OK
+        body = json.loads(record.read_text())
+        edit(body)
+        record.write_text(json.dumps(body))
+        capsys.readouterr()
+        out = tmp_path / f"never.{fmt}"
+        assert main(["export", str(record), "--format", fmt, "--out", str(out)]) == (
+            EXIT_CONFIG_ERROR
+        )
+        assert capsys.readouterr().err == f"error: invalid record: {message}\n"
         assert sorted(tmp_path.iterdir()) == sorted([config_file, record])
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -76,6 +76,16 @@ def loop_samples(grid, values):
     )
 
 
+def assert_sample_array(samples, expected):
+    """``samples`` is a profile's read-only float64 (n, 2) array and holds
+    the bits of the (theta, C) pairs ``expected``, -0.0 told from 0.0."""
+    assert type(samples) is np.ndarray and samples.dtype == np.float64
+    assert samples.shape == (len(expected), 2)
+    assert not samples.flags.writeable
+    expected = np.array(expected, dtype=np.float64).reshape(samples.shape)
+    np.testing.assert_array_equal(samples.view(np.uint64), expected.view(np.uint64))
+
+
 def edge_state(tilt):
     """A state whose concurrence peak sits at the edge of the pi/2 period:
     theta* = tilt/4 mod pi/2 (see test_peak_at_the_edge_of_the_period)."""
@@ -556,10 +566,7 @@ class TestProfile:
         for state in haar_states(200, seed=61) + specials + edges:
             grid = np.asarray(thetas, dtype=np.float64)
             expected = loop_samples(grid, 2.0 * np.abs(np.atleast_1d(_w(state, grid))))
-            samples = concurrence_profile(state, thetas).samples
-            # repr tells -0.0 from 0.0 and shows every bit of a float.
-            assert repr(samples) == repr(expected)
-            assert all(type(x) is float for sample in samples for x in sample)
+            assert_sample_array(concurrence_profile(state, thetas).samples, expected)
 
     @pytest.mark.parametrize(
         "w",
@@ -581,7 +588,7 @@ class TestProfile:
                 concurrence_profile(up_down(), grid)
             assert str(excinfo.value) == str(error)
         else:
-            assert concurrence_profile(up_down(), grid).samples == expected
+            assert_sample_array(concurrence_profile(up_down(), grid).samples, expected)
 
     def test_values_stay_in_range(self):
         for state in haar_states(10, seed=43):

@@ -230,10 +230,17 @@ class TestStreamedWriter:
 
     @pytest.mark.parametrize("name", list(SPLICED))
     def test_read_back(self, name, tmp_path):
+        """Each record reads back as written, but one holding a results
+        block its config does not name, which is refused."""
         record = SPLICED[name]
         path = tmp_path / "record.json"
         export_record(record, "json", str(path))
-        assert record_to_json(read_record(str(path))) == path.read_text()
+        if name in ("decoys", "row_beside_rows"):
+            message = "^results: 'aa_before' is not a block config.outputs names$"
+            with pytest.raises(ConfigInvalid, match=message):
+                read_record(str(path))
+        else:
+            assert record_to_json(read_record(str(path))) == path.read_text()
 
     def test_decoys_survive(self):
         body = json.loads(record_to_json(SPLICED["decoys"]))
@@ -409,8 +416,9 @@ class TestRecordChecks:
     )
     def test_malformed_profile_samples_rejected(self, samples):
         body = record_body()
+        body["config"]["outputs"].append("concurrence_profile")
         body["results"]["concurrence_profile"] = {"samples": samples}
-        with pytest.raises(ConfigInvalid, match="concurrence_profile"):
+        with pytest.raises(ConfigInvalid, match=r"^results\.concurrence_profile\.samples"):
             record_from_dict(body)
 
     @pytest.mark.parametrize("field", ["results", "provenance"])
@@ -547,6 +555,27 @@ def plain_export(path, fmt, out):
     return 0, ""
 
 
+class CountingReads:
+    """A text file handle that counts the characters read through it."""
+
+    def __init__(self, handle):
+        self.handle, self.chars = handle, 0
+
+    def read(self, size=-1):
+        text = self.handle.read(size)
+        self.chars += len(text)
+        return text
+
+    def __getattr__(self, name):
+        return getattr(self.handle, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.handle.close()
+
+
 class TestPackingParse:
     """``spin-torus export`` reads a record by packing rows as json parses
     it, in blocks; what it exits with, says and writes must be what it
@@ -594,6 +623,36 @@ class TestPackingParse:
         monkeypatch.setattr(scenario, "_READ_CHARS", SMALL_BLOCK)
         assert record_to_json(read_record(str(path))) == text
         assert len(streamed) == 1 and streamed[0] is not None
+
+    @pytest.mark.parametrize("layout", ["run", "compact"])
+    def test_record_without_rows_is_read_once(self, layout, tmp_path, monkeypatch):
+        """A profile-only record, as run writes it or re-dumped compact, is
+        parsed from the text that the search for the rows read: the file
+        is read once."""
+        text = record_to_json(make_record(outputs=["metric", "concurrence_profile"]))
+        if layout == "compact":
+            text = json.dumps(json.loads(text))
+        path = tmp_path / "record.json"
+        path.write_text(text, encoding="utf-8")
+        assert len(text) > 4 * SMALL_BLOCK
+        streamed, handles = [], []
+        real_body, real_open = scenario._streamed_body, Path.open
+
+        def recording(handle):
+            streamed.append(real_body(handle))
+            return streamed[-1]
+
+        def counting_open(self, *args, **kwargs):
+            handles.append(CountingReads(real_open(self, *args, **kwargs)))
+            return handles[-1]
+
+        monkeypatch.setattr(scenario, "_streamed_body", recording)
+        monkeypatch.setattr(scenario, "_READ_CHARS", SMALL_BLOCK)
+        monkeypatch.setattr(Path, "open", counting_open)
+        loaded = read_record(str(path))
+        assert record_to_json(loaded) == record_to_json(record_from_dict(json.loads(text)))
+        assert len(streamed) == 1 and streamed[0] is not None
+        assert [handle.chars for handle in handles] == [len(text)]
 
     def test_a_comma_before_the_first_row_is_not_dropped(self):
         """A block that holds a row separator and nothing before it must not
@@ -809,6 +868,31 @@ class TestHeldMemory:
             tracemalloc.stop()
         assert len(record.results["concurrence_profile"]["samples"]) == self.SAMPLES
         assert held / self.SAMPLES <= 2 * self.SAMPLE_BYTES
+
+    def test_profile_run_peaks_near_the_samples(self):
+        """At its peak, a long profile's run holds at most four times the
+        bytes the samples need: arrays, and no Python float per sample."""
+        tracemalloc.start()
+        try:
+            self.profile_record()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / self.SAMPLES <= 4 * self.SAMPLE_BYTES
+
+    def test_profile_csv_export_peaks_near_its_rows(self, tmp_path):
+        """At its peak, the CSV export of a long profile-only record holds at
+        most twice the bytes its rows would need, as a grid's export does:
+        the states are evolved in blocks, not into one array of rows."""
+        record = self.profile_record()
+        tracemalloc.start()
+        try:
+            export_record(record, "csv", str(tmp_path / "profile.csv"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "profile.csv").read_text().count("\n") == 1 + self.SAMPLES
+        assert peak / self.SAMPLES <= 2 * self.ROW_BYTES
 
     @pytest.mark.parametrize("write", ["json_export", "canonical_bytes"])
     def test_profile_writes_peak_near_the_samples(self, write, tmp_path):
