@@ -15,13 +15,15 @@ for reproducibility comparisons.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import itertools
 import json
 import math
 import numbers
+import os
 from array import array
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Generator, Iterator, Mapping, Sequence
 from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -813,8 +815,8 @@ def _row_layout(keys: tuple[str, ...], width: int) -> tuple[str, list[int], str]
     """One row of the float block at ``results.<keys>`` as json lays it out
     in a record (an evolved row's object, a sample's list), the columns of
     a row's values in the order they appear there, and the text between the
-    last row and the list's closing bracket.  The row has a %s slot for the
-    separator before it, then a %r slot for each value."""
+    last row and the list's closing bracket.  The row starts with the comma
+    that separates it from the row before, then has a %r slot for each value."""
     slots = [f"@{i}@" for i in range(width)]
     row: Any = slots
     if width == len(CSV_COLUMNS):
@@ -831,14 +833,14 @@ def _row_layout(keys: tuple[str, ...], width: int) -> tuple[str, list[int], str]
     order = sorted(range(width), key=lambda i: row_text.index(f'"{slots[i]}"'))
     for slot in slots:
         row_text = row_text.replace(f'"{slot}"', "%r")
-    return "%s" + row_text, order, close
+    return "," + row_text, order, close
 
 
 #: Each float block's :func:`_row_layout`, by its keys.
 _LAYOUTS = {keys: _row_layout(keys, width) for keys, width in _FLOAT_BLOCKS}
 #: What json writes between two evolved-states rows: the comma, then the
 #: next row up to its opening brace.
-_ROW_SEPARATOR = _LAYOUTS[("evolved_states",)][0].partition("{")[0] % "," + "{"
+_ROW_SEPARATOR = _LAYOUTS[("evolved_states",)][0].partition("{")[0] + "{"
 #: Characters of a record file read at a time while its rows are parsed.
 _READ_CHARS = 2**16
 
@@ -848,7 +850,8 @@ def _streamed_body(handle: TextIO) -> Any:
     it out, read from ``handle`` with only its rows' float array and one
     block of text held at a time, or None if the text is not in that layout
     or a row is not an object of floats.  A text without the rows' marker,
-    read to its end in the search for it, is parsed by plain json.
+    read to its end in the search for it, is returned whole, a str, for
+    plain json to parse, so it is read once whether or not it parses.
 
     The rows are parsed in blocks, each cut at the last row separator and
     parsed as a list, and each block's packed rows are added to the array;
@@ -871,7 +874,7 @@ def _streamed_body(handle: TextIO) -> Any:
             # searched in linear time.
             block = handle.read(max(_READ_CHARS, len(head)))
             if not block:
-                return json.loads(head)
+                return head
             head += block
     values = array("d")
     pending = ""
@@ -909,9 +912,10 @@ def read_record(path: str) -> RunRecord:
     evolved row is packed by :func:`_packed_row` as json's scanner finishes
     it and its block goes into one float array, so neither the whole text
     nor a tree of row objects is ever held; a text without evolved rows is
-    read once, whole.  Any other text, one that fails to decode or parse,
-    or one read from a pipe, is read whole and parsed by plain json, so it
-    reads and fails exactly as plain json reads it.
+    read once, whole, and parsed once, even where the parse fails.  Any
+    other text, one with rows that fails to decode or parse, or one read
+    from a pipe, is read whole and parsed by plain json, so it reads and
+    fails exactly as plain json reads it.
 
     Raises ``OSError`` if the file cannot be read, ``ValueError`` or
     ``RecursionError`` if its text is not JSON, and :class:`ConfigInvalid`
@@ -928,13 +932,13 @@ def read_record(path: str) -> RunRecord:
                 pass
             handle.seek(0)
         if data is None:
-            data = json.loads(handle.read())
-    return record_from_dict(data)
+            data = handle.read()
+    return record_from_dict(json.loads(data) if isinstance(data, str) else data)
 
 
-def _record_pieces(record: RunRecord) -> Iterator[str]:
+def _record_pieces(record: RunRecord) -> Generator[str, None, None]:
     """The text of :func:`record_to_json` in pieces: json's text around the
-    float blocks, and one piece per row of each.
+    float blocks, and one piece per ``_BLOCK_ROWS`` rows of each.
 
     json lays out the record with each float block replaced by an empty
     list, and the blocks' rows are spliced into those lists from
@@ -952,11 +956,12 @@ def _record_pieces(record: RunRecord) -> Iterator[str]:
             row_json, columns, close = _LAYOUTS[keys]
             at = _block_at(text, keys)
             yield text[done:at]
-            for start in range(0, len(rows), _BLOCK_PIECES):
-                # Python floats: the %r of numpy's scalars is no float repr.
-                block = rows[start : start + _BLOCK_PIECES, columns].tolist()
-                for index, row in enumerate(block, start):
-                    yield row_json % ("," if index else "", *row)
+
+            def block_text(block: slice) -> str:
+                filled = _filled(row_json, rows[block, columns])
+                return filled[1:] if block.start == 0 else filled  # no comma before the first row
+
+            yield from _block_texts(block_text, len(rows))
             yield close
             done = at
     yield text[done:] + "\n"
@@ -969,7 +974,8 @@ def record_to_json(record: RunRecord) -> str:
     The text is json's ``sort_keys=True, indent=2`` layout of the record,
     plus a final newline, each evolved row an object with theta, phi, four
     [re, im] amplitude pairs and concurrence.  It is joined from the pieces
-    that :func:`export_record` writes to a file without joining them whole.
+    that :func:`export_record` writes, so a float block past ``_BLOCK_ROWS``
+    rows is formatted in forked workers here too, to the same text.
     """
     return "".join(_record_pieces(record))
 
@@ -994,24 +1000,78 @@ def canonical_result_bytes(record: RunRecord) -> bytes:
 
 #: One CSV row, a %r slot per column.
 _CSV_ROW = ",".join(["%r"] * len(CSV_COLUMNS)) + "\n"
-#: Export text reaches the file in blocks joined from this many pieces (a
-#: piece holds one grid row, or the JSON text around the rows), so no copy
-#: of a whole dense record, joined or encoded, is ever held at once.
-_BLOCK_PIECES = 4096
+#: Rows of a float block formatted as one piece of text, so no copy of a
+#: whole dense record, joined or encoded, is ever held at once.
+_BLOCK_ROWS = 4096
 
 
-def _write_pieces(pieces: Iterable[str], path: str) -> None:
-    """Write the pieces to ``path`` as UTF-8 with LF line endings, in blocks.
+def _filled(template: str, rows: np.ndarray) -> str:
+    """``template`` once per row, filled with the rows' values as Python
+    floats: the %r of numpy's scalars is no float repr."""
+    return (template * len(rows)) % tuple(rows.ravel().tolist())
+
+
+def _block_texts(block_text: Callable[[slice], str], rows: int) -> Iterator[str]:
+    """``block_text`` of each slice of ``_BLOCK_ROWS`` of ``rows`` rows, in
+    order, made past one block by forked workers, one per CPU: worker k makes
+    blocks k, k + W, ... of the rows it inherited and sends each as UTF-8 over
+    its own pipe, whose backpressure bounds what the parent holds.  They are
+    made in-process, to the same text, with one CPU, in a daemonic process
+    (which may start none) or without Linux's ``sched_getaffinity``.  Raises
+    ``OSError`` if a worker ends before it has sent its blocks."""
+    blocks = [slice(start, start + _BLOCK_ROWS) for start in range(0, rows, _BLOCK_ROWS)]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, len(blocks))
+    if workers > 1:
+        import multiprocessing  # here, so that importing the package imports none of it
+        workers = 1 if multiprocessing.current_process().daemon else workers
+    if workers < 2:
+        yield from map(block_text, blocks)
+        return
+
+    def work(mine: list[slice], sender: Any) -> None:
+        try:
+            for block in mine:
+                sender.send_bytes(block_text(block).encode())
+        finally:
+            # Silent, and flushing no copy of the parent's buffers, on any exit
+            # (multiprocessing flushes stdout and stderr before it forks).
+            os._exit(0)
+
+    # fork, not spawn: a worker reads the rows it inherits, so none is pickled.
+    context = multiprocessing.get_context("fork")
+    running = []
+    try:
+        for k in range(workers):
+            receiver, sender = context.Pipe(duplex=False)
+            process = context.Process(target=work, args=(blocks[k::workers], sender), daemon=True)
+            process.start()
+            running.append((process, receiver))
+            sender.close()  # so the worker's end is the receiver's end of file
+        for i in range(len(blocks)):
+            yield running[i % workers][1].recv_bytes().decode()
+    except EOFError:
+        raise OSError("a worker formatting rows ended before it sent them all") from None
+    finally:
+        for process, receiver in running:
+            process.terminate()  # one the consumer left blocked on a full pipe
+            process.join()
+            receiver.close()
+
+
+def _write_pieces(pieces: Generator[str, None, None], path: str) -> None:
+    """Write the pieces to ``path`` as UTF-8 with LF line endings, each as it
+    comes, and close them on every exit, which ends any worker making them.
     The first piece is made before the file opens, so an error in making it
     (json's RecursionError on a hand-built record too deep) leaves no file."""
-    pieces = iter(pieces)
-    pieces = itertools.chain([next(pieces, "")], pieces)
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        while block := list(itertools.islice(pieces, _BLOCK_PIECES)):
-            handle.write("".join(block))
+    with contextlib.closing(pieces):
+        first = next(pieces, "")
+        with open(path, "w", encoding="utf-8", newline="\n") as handle:
+            handle.write(first)
+            handle.writelines(pieces)
 
 
-def _csv_lines(record: RunRecord) -> Iterator[str]:
+def _csv_lines(record: RunRecord) -> Generator[str, None, None]:
     """Header plus one row per grid point: angles, amplitudes, concurrence.
 
     Prefers the evolved-states block; a record holding only a concurrence
@@ -1025,28 +1085,30 @@ def _csv_lines(record: RunRecord) -> Iterator[str]:
     if profile_only:
         rows = results["concurrence_profile"]["samples"]
         vector = record.config.initial.build().vector
-    for start in range(0, len(rows), _BLOCK_PIECES):
-        block = rows[start : start + _BLOCK_PIECES]
+
+    def block_text(block: slice) -> str:
+        part = rows[block]
         if profile_only:
-            theta, value = block.T
+            theta, value = part.T
             phi = np.zeros_like(theta)
             amplitudes = evolve_grid(vector, theta, phi).view(np.float64)
-            block = np.column_stack((theta, phi, amplitudes, value))
-        for row in block.tolist():
-            yield _CSV_ROW % tuple(row)
+            part = np.column_stack((theta, phi, amplitudes, value))
+        return _filled(_CSV_ROW, part)
+
+    yield from _block_texts(block_text, len(rows))
 
 
 def export_record(record: RunRecord, format: str, path: str) -> None:
     """Write a record to disk as JSON (the whole record) or CSV (grid data).
 
     CSV uses a dot decimal separator, comma delimiter, and LF line endings.
-    Each grid row is one %-template of float reprs rather than a join of
-    per-cell strings: the rows hold only finite floats, for the reason
-    :func:`record_to_json` gives, so the template writes what per-cell
-    formatting would, in a fraction of the time.  Both formats go through
-    one writer in blocks of pieces, the JSON from the pieces that
-    :func:`record_to_json` joins, so no whole-record string is ever held
-    and the text of a dense record does not set the peak memory of a run.
+    Each block of grid rows is one %-template of float reprs: the rows hold
+    only finite floats, for the reason :func:`record_to_json` gives, so it
+    writes what per-cell formatting would, in a fraction of the time.  Both
+    formats go through one writer, the JSON from the pieces that
+    :func:`record_to_json` joins, so no whole-record string is ever held.
+    Past ``_BLOCK_ROWS`` rows, forked workers, one per CPU, format the
+    blocks (:func:`_block_texts`); the bytes are those made in-process.
     Scalar blocks (metric, classification) do not fit a per-point table;
     they go to a key,value sidecar at ``<path>.meta.csv`` when present,
     which csv writes, quoting a cell that holds a comma, a quote or a

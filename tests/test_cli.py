@@ -555,6 +555,18 @@ class TestRuntimeWithoutJsonschema:
         assert "all 28 checks passed" in result.stdout
 
 
+def test_import_leaves_multiprocessing_unloaded(tmp_path):
+    """Only a write of a float block past one block of rows forks workers
+    and imports multiprocessing for it; importing the CLI does neither."""
+    code = "import sys, spin_torus.cli\nsys.exit('multiprocessing' in sys.modules)\n"
+    src = Path(__file__).resolve().parent.parent / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", code], cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True,
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+
+
 NON_FINITE_PLACES = {
     "results.metric.g_phi_phi": ("results", "metric", "g_phi_phi"),
     "results.concurrence_profile.c_max": ("results", "concurrence_profile", "c_max"),

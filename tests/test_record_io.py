@@ -5,7 +5,9 @@ import csv
 import dataclasses
 import json
 import math
+import multiprocessing
 import os
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -279,6 +281,124 @@ class TestStreamedWriter:
         assert peak < out.stat().st_size // 4
 
 
+BLOCK = scenario._BLOCK_ROWS
+#: Row counts either side of the block boundaries of the formatted text.
+ROW_COUNTS = [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 1]
+
+
+@pytest.fixture(scope="module")
+def long_record():
+    """A time-grid record of ``3 * BLOCK + 1`` samples and evolved rows,
+    with -0.0 in the first row and at the second block's start."""
+    grid = {"time": {"t0": 0.0, "t1": 30.0, "steps": ROW_COUNTS[-1]}}
+    record = make_record(grid=grid, outputs=["concurrence_profile", "evolved_states"])
+    rows = record.results["evolved_states"].copy()
+    samples = record.results["concurrence_profile"]["samples"].copy()
+    rows[[0, BLOCK], 3] = samples[BLOCK, 1] = -0.0
+    profile = {**record.results["concurrence_profile"], "samples": samples}
+    return with_results(record, concurrence_profile=profile, evolved_states=rows)
+
+
+def assert_no_child_process():
+    """No worker of this process is left running, or unreaped."""
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def with_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+class TestForkedBlocks:
+    """A float block past ``BLOCK`` rows is formatted in forked workers, one
+    per CPU: the text is the reference routes' on either side of every
+    block boundary, with one CPU (in-process) and with three, and no
+    worker outlives a write, whether it ends well or not."""
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    @pytest.mark.parametrize("count", ROW_COUNTS)
+    def test_json_record_export_and_csv(self, long_record, count, cpus, tmp_path, monkeypatch):
+        profile = long_record.results["concurrence_profile"]
+        record = with_results(
+            long_record,
+            concurrence_profile={**profile, "samples": profile["samples"][:count]},
+            evolved_states=long_record.results["evolved_states"][:count],
+        )
+        with_cpus(monkeypatch, cpus)
+        expected = reference_json(record)
+        assert record_to_json(record) == expected
+        path = tmp_path / "record.json"
+        export_record(record, "json", str(path))
+        assert path.read_bytes() == expected.encode()
+        assert written_csv(record, tmp_path) == reference_csv(record).encode()
+        assert_no_child_process()
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_profile_only_csv(self, cpus, tmp_path, monkeypatch):
+        grid = {"time": {"t0": 0.0, "t1": 50.0, "steps": 10**4 + 1}}
+        record = make_record(grid=grid, outputs=["concurrence_profile"])
+        with_cpus(monkeypatch, cpus)
+        assert written_csv(record, tmp_path) == reference_csv(record).encode()
+        assert_no_child_process()
+
+    def test_a_pool_worker_formats_in_process(self, long_record, tmp_path):
+        """A pool's worker is daemonic, and a daemonic process may start no
+        process: it formats every block itself, to the same bytes."""
+        path = tmp_path / "record.json"
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            pool.apply(export_record, (long_record, "json", str(path)))
+        assert path.read_bytes() == reference_json(long_record).encode()
+
+    def test_a_worker_that_dies_is_an_io_error(self, long_record, tmp_path, capsys, monkeypatch):
+        path, out = tmp_path / "record.json", tmp_path / "out.csv"
+        export_record(long_record, "json", str(path))
+        parent, real = os.getpid(), scenario._filled
+
+        def dying(template, rows):
+            if os.getpid() != parent:
+                os._exit(1)
+            return real(template, rows)
+
+        with_cpus(monkeypatch, 2)
+        monkeypatch.setattr(scenario, "_filled", dying)
+        assert cli.main(["export", str(path), "--format", "csv", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write export: ") and err.count("\n") == 1
+        assert_no_child_process()
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full")
+    def test_a_full_disk_is_an_io_error(self, tmp_path, capsys, monkeypatch):
+        grid = {"time": {"t0": 0.0, "t1": 30.0, "steps": 2 * BLOCK + 1}}
+        config = tmp_path / "long.json"
+        config.write_text(json.dumps(make_config(grid=grid, outputs=["evolved_states"])))
+        with_cpus(monkeypatch, 2)
+        assert cli.main(["run", str(config), "--out", "/dev/full"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write record: ") and err.count("\n") == 1
+        assert_no_child_process()
+
+    def test_pending_stdout_is_written_once(self, long_record, tmp_path):
+        """Text printed, and still in the buffer of a piped stdout, when the
+        workers fork is written once, by the parent."""
+        path, out = tmp_path / "record.json", tmp_path / "out.csv"
+        export_record(long_record, "json", str(path))
+        code = (
+            "import os, sys\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "from spin_torus.cli import main\n"
+            "print('before the export')\n"
+            f"sys.exit(main(['export', {str(path)!r}, '--format', 'csv', '--out', {str(out)!r}]))\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        done = subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout == f"before the export\nwrote {out}\n"
+
+
 def reference_meta(record):
     """The sidecar as plain ``key,value`` lines: the scalar blocks flattened
     in sorted key order, None as an empty cell."""
@@ -519,6 +639,9 @@ PACKING_CASES.update({
     "bom": lambda: rows_edited(lambda data: b"\xef\xbb\xbf" + data),
     "invalid_utf8_in_rows": lambda: rows_edited(invalid_utf8_in_rows),
     "syntax_error_in_tail": lambda: rows_edited(lambda data: data.rstrip()[:-1] + b",}\n"),
+    "syntax_error_without_rows": lambda: record_to_json(
+        make_record(outputs=["metric", "concurrence_profile"])
+    ).rstrip()[:-1] + ",}\n",
     "deep_row": lambda: with_deep_theta(DEEP),
     "too_deep_for_json_in_row": lambda: with_deep_theta(100_000),
     "row_in_a_row": lambda: edited_body(lambda body, rows: rows[30].update(concurrence=ROW)),
@@ -652,6 +775,25 @@ class TestPackingParse:
         loaded = read_record(str(path))
         assert record_to_json(loaded) == record_to_json(record_from_dict(json.loads(text)))
         assert len(streamed) == 1 and streamed[0] is not None
+        assert [handle.chars for handle in handles] == [len(text)]
+
+    def test_record_without_rows_that_fails_to_parse_is_read_once(self, tmp_path, monkeypatch):
+        """The text read to its end in the search for the rows is the text
+        plain json fails on: it is not read a second time to fail again."""
+        grid = {"time": {"t0": 0.0, "t1": 50.0, "steps": 10**4}}
+        text = record_to_json(make_record(grid=grid, outputs=["concurrence_profile"]))
+        text = text.rstrip()[:-1] + ",}\n"
+        path = tmp_path / "record.json"
+        path.write_text(text, encoding="utf-8")
+        handles, real_open = [], Path.open
+
+        def counting_open(self, *args, **kwargs):
+            handles.append(CountingReads(real_open(self, *args, **kwargs)))
+            return handles[-1]
+
+        monkeypatch.setattr(Path, "open", counting_open)
+        with pytest.raises(json.JSONDecodeError):
+            read_record(str(path))
         assert [handle.chars for handle in handles] == [len(text)]
 
     def test_a_comma_before_the_first_row_is_not_dropped(self):
