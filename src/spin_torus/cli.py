@@ -60,13 +60,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         export_record(record, "json", str(out_path))
     except OSError as error:
         return _fail(f"cannot write record: {error}", EXIT_IO_ERROR)
-    warned = [
-        kind
-        for kind, block in record.results.items()
-        if isinstance(block, dict) and "warning" in block
-    ]
-    for kind in warned:
-        print(f"warning: output {kind!r} degenerate -- see record annotation")
+    for kind, block in record.results.items():
+        if isinstance(block, dict) and "warning" in block:
+            print(f"warning: output {kind!r} degenerate -- see record annotation")
     print(f"wrote {out_path}")
     return EXIT_OK
 

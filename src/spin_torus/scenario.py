@@ -17,25 +17,30 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import enum
+import functools
 import itertools
 import json
 import math
 import numbers
 import os
+import stat
 from array import array
 from collections.abc import Callable, Generator, Iterator, Mapping, Sequence
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, NamedTuple, TextIO
+from typing import Any, NamedTuple, TextIO, get_type_hints
 
 import numpy as np
 
 from . import __version__
-from .entanglement import concurrence_profile, concurrence_stack
+from .entanglement import ConcurrenceProfile, concurrence_profile, concurrence_stack
 from .hamiltonian import SystemParams
 from .manifold import (
     DegenerateShear,
+    ManifoldReport,
+    MetricTensor2,
     TorusPoint,
     classify,
     evolve_family,
@@ -367,15 +372,14 @@ def _finite_float(value: Any, where: str) -> float:
     return float(value)
 
 
-def _leaves(root: Any, sort: bool = False) -> Iterator[tuple[list[Any], Any]]:
+def _leaves(root: Any) -> Iterator[tuple[list[Any], Any]]:
     """(path, value) for each value in ``root`` that is no list or object,
-    in document order or, if ``sort``, by sorted keys; the path of keys and
-    indices is live.  :class:`ConfigInvalid` at a list or object more than
-    ``MAX_NESTING`` deep, ``root`` counting as one.  The walk keeps its own
-    stack, so how deep a document may nest does not rest on Python's."""
+    in document order; the path of keys and indices is live.
+    :class:`ConfigInvalid` at a list or object more than ``MAX_NESTING``
+    deep, ``root`` counting as one.  The walk keeps its own stack, so how
+    deep a document may nest does not rest on Python's."""
     def items(value: Any) -> Iterator[tuple[Any, Any]]:
-        pairs = value.items() if isinstance(value, dict) else enumerate(value)
-        return iter(sorted(pairs) if sort and isinstance(value, dict) else pairs)
+        return iter(value.items() if isinstance(value, dict) else enumerate(value))
 
     open_items = [items(root)] if isinstance(root, (dict, list)) else []
     path: list[Any] = []
@@ -522,7 +526,10 @@ CSV_COLUMNS = (
 class RunRecord:
     """Results of one scenario run plus enough context to reproduce it.
 
-    Its float blocks are read-only float64 arrays:
+    Its fields are a record's root keys; ``results`` holds a block per name
+    in ``config.outputs``, :func:`_plain` of its runner's value (or a
+    warning), and ``provenance`` the keys ``_PROVENANCE``.  Its float
+    blocks are read-only float64 arrays:
     ``results["concurrence_profile"]["samples"]`` (n, 2), a (theta, C) row
     per exchange angle, 16 bytes each, and ``results["evolved_states"]``
     (n, 11), 88 bytes per grid point, a row's columns in ``CSV_COLUMNS``
@@ -551,26 +558,6 @@ def _grid_angles(config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
     return 2.0 * config.params.coupling * times, 2.0 * field * times
 
 
-def _run_metric(initial: PureState2Q, config: ScenarioConfig, seed: int) -> dict:
-    return dict(vars(metric_analytic(initial, config.params.gamma)))
-
-
-def _run_classify(initial: PureState2Q, config: ScenarioConfig, seed: int) -> dict:
-    # vars, not dataclasses.asdict: the fields are flat, and asdict's deep
-    # copy costs ~20 times as much.
-    report = classify(initial, gamma=config.params.gamma, seed=seed)
-    return {
-        **vars(report),
-        "kind": report.kind.value,
-        "invariants": dict(vars(report.invariants)),
-        "metric": dict(vars(report.metric)),
-    }
-
-
-def _run_profile(initial: PureState2Q, config: ScenarioConfig, seed: int) -> dict:
-    return dict(vars(concurrence_profile(initial, _grid_angles(config)[0])))
-
-
 def _frozen_rows(values: array, width: int) -> np.ndarray:
     """The float array ``values`` as read-only rows of ``width`` values,
     without a copy."""
@@ -596,12 +583,26 @@ def _run_evolved(initial: PureState2Q, config: ScenarioConfig, seed: int) -> np.
     return _frozen_rows(values, len(CSV_COLUMNS))
 
 
+#: Each output's value; the lambdas look their functions up when called.
 _RUNNERS = {
-    "metric": _run_metric,
-    "classify": _run_classify,
-    "concurrence_profile": _run_profile,
+    "metric": lambda initial, config, seed: metric_analytic(initial, config.params.gamma),
+    "classify": lambda initial, config, seed: classify(initial, gamma=config.params.gamma, seed=seed),
+    "concurrence_profile": lambda initial, config, seed: concurrence_profile(
+        initial, _grid_angles(config)[0]
+    ),
     "evolved_states": _run_evolved,
 }
+#: The keys of a record's provenance, in the order :func:`run_scenario` writes them.
+_PROVENANCE = ("library_version", "seed", "created_utc")
+
+
+def _plain(value: Any) -> Any:
+    """A runner's value as its block holds it: a dataclass as the dict of
+    its fields made plain, through vars (asdict's deep copy costs ~20 times
+    as much), an enum as its value, anything else as it is."""
+    if hasattr(value, "__dataclass_fields__"):  # is_dataclass, whose miss on a type is slow
+        return {name: _plain(field) for name, field in vars(value).items()}
+    return value.value if isinstance(value, enum.Enum) else value
 
 
 def run_scenario(config: ScenarioConfig, seed: int = 0) -> RunRecord:
@@ -617,18 +618,15 @@ def run_scenario(config: ScenarioConfig, seed: int = 0) -> RunRecord:
     results: dict[str, Any] = {}
     for kind in config.outputs:
         try:
-            results[kind] = _RUNNERS[kind](initial, config, seed)
+            results[kind] = _plain(_RUNNERS[kind](initial, config, seed))
         except DegenerateShear as error:
             results[kind] = {"warning": str(error)}
+    created = datetime.now(timezone.utc).isoformat()
     return RunRecord(
         schema_version=SCHEMA_VERSION,
         config=config,
         results=results,
-        provenance={
-            "library_version": __version__,
-            "seed": seed,
-            "created_utc": datetime.now(timezone.utc).isoformat(),
-        },
+        provenance=dict(zip(_PROVENANCE, (__version__, seed, created))),
     )
 
 
@@ -639,21 +637,37 @@ _FLOAT_BLOCKS = ((("concurrence_profile", "samples"), 2), (("evolved_states",), 
 #: The keys of one evolved-states row in a record's JSON.
 _ROW_KEYS = frozenset({"theta", "phi", "amplitudes", "concurrence"})
 _FLOAT_ONLY = frozenset({float})
-#: The keys at a record's root.
-_RECORD_FIELDS = frozenset(field.name for field in fields(RunRecord))
+#: The value type of each output whose block is an object, whose keys are its fields.
+_TYPES = {"metric": MetricTensor2, "classify": ManifoldReport,
+          "concurrence_profile": ConcurrenceProfile}
+#: The outputs whose block run_scenario writes as {"warning": ...} on DegenerateShear.
+_WARNED = frozenset({"metric", "classify"})
+_hints = functools.cache(get_type_hints)
+
+
+def _exact(value: Any, shape: Any, where: str) -> None:
+    """:class:`ConfigInvalid` unless ``value`` is an object holding exactly
+    the keys of ``shape``, a dataclass's fields or a collection of keys,
+    naming the first it lacks, else the first it should not have.  The
+    value of a field whose type is a dataclass too is checked in turn."""
+    keys = _hints(shape) if is_dataclass(shape) else dict.fromkeys(shape)
+    if not isinstance(value, Mapping):
+        raise ConfigInvalid(f"{where}: must be an object")
+    for key in itertools.chain(keys, value):  # the keys it lacks come first
+        if key not in value or key not in keys:
+            problem = "lacks" if key not in value else "has the unknown key"
+            raise ConfigInvalid(f"{where}: {problem} {_cut(repr(key))}")
+    for key, hint in keys.items():
+        if is_dataclass(hint):
+            _exact(value[key], hint, f"{where}.{key}")
 
 
 def _block_holder(results: dict[str, Any], keys: tuple[str, ...]) -> dict[str, Any]:
     """The object in ``results`` that holds the float block at ``keys``,
     each object on the way copied into its parent, so a change to it
-    changes no object that ``results`` shares.  :class:`ConfigInvalid` at
-    one that is no object holding the next key."""
-    for depth, key in enumerate(keys[:-1], 1):
-        inner = results[key]
-        if not isinstance(inner, Mapping) or keys[depth] not in inner:
-            where = ".".join(keys[:depth])
-            raise ConfigInvalid(f"results.{where}: must be an object holding {keys[depth]}")
-        results[key] = dict(inner)
+    changes no object that ``results`` shares."""
+    for key in keys[:-1]:
+        results[key] = dict(results[key])
         results = results[key]
     return results
 
@@ -668,12 +682,7 @@ def _record_body(record: RunRecord) -> tuple[dict[str, Any], list[tuple[tuple[st
             holder = _block_holder(results, keys)
             blocks.append((keys, holder[keys[-1]]))
             holder[keys[-1]] = []
-    return {
-        "schema_version": record.schema_version,
-        "config": record.config.to_jsonable(),
-        "results": results,
-        "provenance": record.provenance,
-    }, blocks
+    return {**vars(record), "config": record.config.to_jsonable(), "results": results}, blocks
 
 
 def _finite_reals(values: Sequence[Any]) -> bool:
@@ -752,37 +761,27 @@ def _checked_block(block: Any, keys: tuple[str, ...], width: int) -> np.ndarray:
 
 def record_from_dict(data: Mapping[str, Any]) -> RunRecord:
     """Rebuild a record read from outside, raising :class:`ConfigInvalid`
-    for anything malformed: a root key but :class:`RunRecord`'s fields, a
-    ``schema_version`` but ``SCHEMA_VERSION``, results without a block that
-    ``config.outputs`` names or with one it does not name, a profile block
-    that is no object holding samples, evolved rows or profile samples that
-    are not finite real numbers, and in the results or the provenance any
-    float that is not finite or nesting beyond ``MAX_NESTING``.  Each float
-    block becomes :class:`RunRecord`'s array; it may be one already, or a
-    list of rows as the record's JSON writes them, evolved rows also as
-    the tuples they pack into."""
-    if not isinstance(data, Mapping):
-        raise ConfigInvalid("record must be a JSON object")
-    try:
-        if data["schema_version"] != SCHEMA_VERSION:  # no repr: the value may nest deep
-            raise ConfigInvalid(f"schema_version: must be the string {SCHEMA_VERSION!r}")
-        config = config_from_dict(data["config"])
-        results = data["results"]
-        provenance = data["provenance"]
-    except KeyError as error:
-        raise ConfigInvalid(f"record is missing field {error}") from error
-    for key in data:
-        if key not in _RECORD_FIELDS:
-            raise ConfigInvalid(f"record has unknown field {_cut(repr(key))}")
-    if not isinstance(results, Mapping) or not isinstance(provenance, Mapping):
-        raise ConfigInvalid("record results and provenance must be JSON objects")
+    for anything malformed: an object without exactly the keys ``run``
+    writes there (:class:`RunRecord`), a ``schema_version`` but
+    ``SCHEMA_VERSION``, evolved rows or profile samples that are not finite
+    real numbers, and in the results or the provenance any float that is
+    not finite or nesting beyond ``MAX_NESTING``.  Each float block becomes
+    :class:`RunRecord`'s array; it may be one already, or a list of rows as
+    the record's JSON writes them, evolved rows also as the tuples they
+    pack into."""
+    _exact(data, [field.name for field in fields(RunRecord)], "record")
+    if data["schema_version"] != SCHEMA_VERSION:  # no repr: the value may nest deep
+        raise ConfigInvalid(f"schema_version: must be the string {SCHEMA_VERSION!r}")
+    config = config_from_dict(data["config"])
+    results = data["results"]
+    _exact(results, config.outputs, "results")
+    for kind in config.outputs:  # in order, so the first error does not rest on hash order
+        warned = kind in _WARNED and isinstance(results[kind], Mapping) and "warning" in results[kind]
+        if kind in _TYPES:
+            _exact(results[kind], ("warning",) if warned else _TYPES[kind], f"results.{kind}")
+    _exact(data["provenance"], _PROVENANCE, "provenance")
     results = dict(results)
-    provenance = dict(provenance)
-    for kind in (*config.outputs, *results):  # a lacking block is reported first
-        if kind not in results:
-            raise ConfigInvalid(f"results: lacks the {kind!r} block that config.outputs names")
-        if kind not in config.outputs:
-            raise ConfigInvalid(f"results: {_cut(repr(kind))} is not a block config.outputs names")
+    provenance = dict(data["provenance"])
     for keys, width in _FLOAT_BLOCKS:
         if keys[0] in results:
             holder = _block_holder(results, keys)
@@ -791,12 +790,7 @@ def record_from_dict(data: Mapping[str, Any]) -> RunRecord:
     for path, value in _leaves({"results": results, "provenance": provenance}):
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigInvalid(f"{_where(path)}: must be finite")
-    return RunRecord(
-        schema_version=SCHEMA_VERSION,
-        config=config,
-        results=results,
-        provenance=provenance,
-    )
+    return RunRecord(SCHEMA_VERSION, config, results, provenance)
 
 
 def _block_at(text: str, keys: tuple[str, ...]) -> int:
@@ -1063,12 +1057,20 @@ def _write_pieces(pieces: Generator[str, None, None], path: str) -> None:
     """Write the pieces to ``path`` as UTF-8 with LF line endings, each as it
     comes, and close them on every exit, which ends any worker making them.
     The first piece is made before the file opens, so an error in making it
-    (json's RecursionError on a hand-built record too deep) leaves no file."""
+    (json's RecursionError on a hand-built record too deep) leaves no file;
+    a later error removes the file begun if it is a regular one."""
     with contextlib.closing(pieces):
         first = next(pieces, "")
-        with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(first)
-            handle.writelines(pieces)
+        handle = open(path, "w", encoding="utf-8", newline="\n")
+        regular = stat.S_ISREG(os.fstat(handle.fileno()).st_mode)
+        try:
+            with handle:
+                handle.write(first)
+                handle.writelines(pieces)
+        except BaseException:
+            if regular:
+                os.unlink(path)
+            raise
 
 
 def _csv_lines(record: RunRecord) -> Generator[str, None, None]:
@@ -1122,11 +1124,12 @@ def export_record(record: RunRecord, format: str, path: str) -> None:
         raise ValueError(f"unknown export format {format!r}")
     results = record.results
     scalar_blocks = {kind: results[kind] for kind in ("metric", "classify") if kind in results}
-    flat = [(_where(keys), value) for keys, value in _leaves(scalar_blocks, sort=True)]
+    # Paths are unique, and under one parent all keys or all indices.
+    flat = sorted((tuple(keys), value) for keys, value in _leaves(scalar_blocks))
     _write_pieces(_csv_lines(record), path)
 
     if scalar_blocks:
         with open(f"{path}.meta.csv", "w", encoding="utf-8", newline="") as handle:
-            for key, value in [("key", "value"), *flat]:
+            for key, value in [("key", "value"), *((_where(keys), value) for keys, value in flat)]:
                 quoting = csv.QUOTE_ALL if "\r" in f"{key}{value}" else csv.QUOTE_MINIMAL
                 csv.writer(handle, lineterminator="\n", quoting=quoting).writerow((key, value))

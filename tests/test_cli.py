@@ -417,8 +417,7 @@ class TestExportCommand:
             EXIT_CONFIG_ERROR
         )
         assert capsys.readouterr().err == (
-            "error: invalid record: results: lacks the 'evolved_states' block "
-            "that config.outputs names\n"
+            "error: invalid record: results: lacks 'evolved_states'\n"
         )
         assert sorted(tmp_path.iterdir()) == sorted([config_file, record])
 
@@ -428,13 +427,13 @@ class TestExportCommand:
         [
             (
                 lambda body: body["results"].update(notes={"x": 1.0}),
-                "results: 'notes' is not a block config.outputs names",
+                "results: has the unknown key 'notes'",
             ),
             (
                 lambda body: body["results"].update({"n" * 10**5: {}}),
-                f"results: '{'n' * 199}… is not a block config.outputs names",
+                f"results: has the unknown key '{'n' * 199}…",
             ),
-            (lambda body: body.update(bogus_root=1), "record has unknown field 'bogus_root'"),
+            (lambda body: body.update(bogus_root=1), "record: has the unknown key 'bogus_root'"),
         ],
         ids=["extra_block", "long_block_name", "root_key"],
     )
@@ -458,10 +457,16 @@ class TestExportCommand:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize(
-        "profile", [[1, 2], {"c_max": 1.0}, "x"], ids=["list", "no_samples", "string"]
+        "profile, message",
+        [
+            ([1, 2], "must be an object"),
+            ({"c_max": 1.0}, "lacks 'samples'"),
+            ("x", "must be an object"),
+        ],
+        ids=["list", "no_samples", "string"],
     )
     def test_profile_without_samples_is_config_error(
-        self, config_file, tmp_path, capsys, profile, fmt
+        self, config_file, tmp_path, capsys, profile, message, fmt
     ):
         """A profile block that is no object holding samples is refused; the
         CSV of a profile-only record must not come out as a bare header."""
@@ -478,9 +483,56 @@ class TestExportCommand:
             EXIT_CONFIG_ERROR
         )
         assert capsys.readouterr().err == (
-            "error: invalid record: results.concurrence_profile: "
-            "must be an object holding samples\n"
+            f"error: invalid record: results.concurrence_profile: {message}\n"
         )
+        assert sorted(tmp_path.iterdir()) == sorted([config_file, record])
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("lacking", [True, False], ids=["missing", "unknown"])
+    @pytest.mark.parametrize(
+        "keys, key",
+        [
+            ((), "provenance"),
+            (("results",), "classify"),
+            (("results", "metric"), "g_phi_phi"),
+            (("results", "classify"), "flatness_residual"),
+            (("results", "classify", "invariants"), "mismatch"),
+            (("results", "classify", "metric"), "shear"),
+            (("results", "concurrence_profile"), "c_max"),
+            (("provenance",), "seed"),
+        ],
+        ids=lambda value: ".".join(value) or "record" if isinstance(value, tuple) else None,
+    )
+    def test_each_level_has_exactly_the_keys_run_writes(
+        self, config_file, tmp_path, capsys, keys, key, lacking, fmt
+    ):
+        """Every object of a record holds exactly the keys run writes there:
+        one it lacks or one it should not have is refused with one line
+        naming the level and the key, and nothing is written."""
+        config = json.loads(config_file.read_text())
+        outputs = ["metric", "classify", "concurrence_profile", "evolved_states"]
+        config_file.write_text(json.dumps({**config, "outputs": outputs}))
+        record = tmp_path / "r.json"
+        assert main(["run", str(config_file), "--out", str(record)]) == EXIT_OK
+        body = json.loads(record.read_text())
+        level = body
+        for name in keys:
+            level = level[name]
+        assert key in level
+        if lacking:
+            del level[key]
+        else:
+            key = "bogus"
+            level[key] = 1.0
+        record.write_text(json.dumps(body))
+        capsys.readouterr()
+        out = tmp_path / f"never.{fmt}"
+        assert main(["export", str(record), "--format", fmt, "--out", str(out)]) == (
+            EXIT_CONFIG_ERROR
+        )
+        problem = "lacks" if lacking else "has the unknown key"
+        where = ".".join(keys) or "record"
+        assert capsys.readouterr().err == f"error: invalid record: {where}: {problem} {key!r}\n"
         assert sorted(tmp_path.iterdir()) == sorted([config_file, record])
 
     @pytest.mark.parametrize(

@@ -240,9 +240,9 @@ def deep_record(where, depth):
     whose deepest value sits in ``where``."""
     body = record_to_dict(run_scenario(config_from_dict(base_config()), seed=1))
     if where == "results":
-        body["results"]["metric"]["x"] = nested(depth - 3)
+        body["results"]["metric"]["shear"] = nested(depth - 3)
     elif where == "provenance":
-        body["provenance"]["x"] = nested(depth - 2)
+        body["provenance"]["seed"] = nested(depth - 2)
     else:
         body["config"] = deep_config(depth - 1)
     assert depth_of(body) == depth

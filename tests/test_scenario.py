@@ -455,14 +455,19 @@ class TestExport:
             deep = [deep]
         record = self.make_record(outputs=["metric", "evolved_states"])
         data = record_to_dict(record)
-        data["results"]["metric"]["x"] = deep
-        with pytest.raises(ConfigInvalid, match="^results.metric.x"):
+        data["results"]["metric"]["shear"] = deep
+        with pytest.raises(ConfigInvalid, match="^results.metric.shear"):
             record_from_dict(data)
-        metric = {**record.results["metric"], "x": deep}
+        metric = {**record.results["metric"], "shear": deep}
         record = dataclasses.replace(record, results={**record.results, "metric": metric})
         with pytest.raises(error):
             export_record(record, format, str(tmp_path / "deep.out"))
         assert list(tmp_path.iterdir()) == []
+        kept = tmp_path / "kept.out"
+        kept.write_text("kept")
+        with pytest.raises(error):
+            export_record(record, format, str(kept))
+        assert kept.read_text() == "kept"
 
     def test_unknown_format_rejected(self, tmp_path):
         record = self.make_record(outputs=["metric"])
@@ -547,11 +552,12 @@ def test_metric_and_classify_blocks_match_the_literal_builders():
     states = [random_state(rng) for _ in range(20)]
     states += [up_down(), plus_plus_state(1.1), basis_state(0), basis_state(3), plus_plus_state(0.0)]
     config = config_from_dict(base_config_dict(params={"coupling": 1.0, "field": 0.5, "gamma": 0.7}))
+    plain, runners = spin_torus.scenario._plain, spin_torus.scenario._RUNNERS
     for seed, state in enumerate(states):
-        metric_block = spin_torus.scenario._run_metric(state, config, seed)
+        metric_block = plain(runners["metric"](state, config, seed))
         expected = literal_metric_block(metric_analytic(state, 0.7))
         assert json.dumps(metric_block) == json.dumps(expected)
-        classify_block = spin_torus.scenario._run_classify(state, config, seed)
+        classify_block = plain(runners["classify"](state, config, seed))
         expected = literal_classify_block(classify(state, gamma=0.7, seed=seed))
         assert json.dumps(classify_block) == json.dumps(expected)
 
@@ -589,7 +595,7 @@ class TestRecordSerialization:
         assert canonical_result_bytes(first) == canonical_result_bytes(second)
 
     def test_record_from_dict_rejects_missing_fields(self):
-        with pytest.raises(ConfigInvalid, match="missing"):
+        with pytest.raises(ConfigInvalid, match="^record: lacks 'config'$"):
             record_from_dict({"schema_version": "1"})
 
 
