@@ -832,31 +832,68 @@ def _row_layout(keys: tuple[str, ...], width: int) -> tuple[str, list[int], str]
 
 #: Each float block's :func:`_row_layout`, by its keys.
 _LAYOUTS = {keys: _row_layout(keys, width) for keys, width in _FLOAT_BLOCKS}
-#: What json writes between two evolved-states rows: the comma, then the
-#: next row up to its opening brace.
-_ROW_SEPARATOR = _LAYOUTS[("evolved_states",)][0].partition("{")[0] + "{"
-#: Characters of a record file read at a time while its rows are parsed.
+#: Characters of a record's text, or bytes of its rows, read at a time.
 _READ_CHARS = 2**16
+#: Bytes of a record's rows that one call of :func:`_range_rows` parses.
+_RANGE_BYTES = 2**20
+
+
+def _range_rows(fd: int, start: int, end: int, separator: bytes, lo: int) -> bytes | None:
+    """The float64 bytes of a record's rows, which span bytes [``start``,
+    ``end``) of the file open at ``fd``, from the first ``separator`` at or
+    after ``lo`` (the first range keeps ``start``) to the first at or after
+    ``lo + _RANGE_BYTES``, or None if that text does not decode or parse
+    into rows of floats.  It is read ``_READ_CHARS`` at a time, each block
+    cut at its last separator and parsed as a list whose rows
+    :func:`_packed_row` packs.  A raw newline in JSON is whitespace, so a
+    cut never falls inside a string; one inside a row leaves the block's
+    brackets unbalanced and its parse fails."""
+    def cut_at(at: int) -> int:
+        for at in range(at, end, _READ_CHARS - len(separator) + 1):
+            if (found := os.pread(fd, _READ_CHARS, at).find(separator)) >= 0:
+                return min(at + found, end)
+        return end
+
+    first = lo if lo == start else cut_at(lo) + 1  # after the separator's comma
+    last = cut_at(lo + _RANGE_BYTES)
+    if first >= last:
+        return b""
+    reads = (os.pread(fd, min(_READ_CHARS, last - at), at) for at in range(first, last, _READ_CHARS))
+    pending, values = bytearray(), array("d")
+    try:
+        # A separator after the text cuts its last row too.
+        for block in itertools.chain(reads, [separator]):
+            pending += block
+            cut = pending.rfind(separator, max(0, len(pending) - len(block) - len(separator)))
+            if cut >= 0:
+                parsed = json.loads("[" + pending[:cut].decode() + "]", object_hook=_packed_row)
+                # [] is a separator with no row before it.
+                if not parsed or not _packed_floats(parsed):
+                    return None
+                values.extend(itertools.chain.from_iterable(parsed))
+                del pending[: cut + 1]
+    except (ValueError, RecursionError):
+        return None
+    return values.tobytes()
 
 
 def _streamed_body(handle: TextIO) -> Any:
     """The JSON value of a record laid out as :func:`record_to_json` lays
     it out, read from ``handle`` with only its rows' float array and one
-    block of text held at a time, or None if the text is not in that layout
-    or a row is not an object of floats.  A text without the rows' marker,
-    read to its end in the search for it, is returned whole, a str, for
-    plain json to parse, so it is read once whether or not it parses.
+    range's rows per worker held at a time, or None if the text is not in
+    that layout or a row is not an object of floats.  A text without the
+    rows' marker, read to its end in the search for it, is returned whole,
+    a str, for plain json to parse, so it is read once whether or not it
+    parses.
 
-    The rows are parsed in blocks, each cut at the last row separator and
-    parsed as a list, and each block's packed rows are added to the array;
-    a block with any other row sends the record to the whole-text read,
-    whose check finds the first bad row.  A raw newline in JSON is
-    whitespace, so a cut never falls inside a string; one inside a row
-    leaves the block's brackets unbalanced and its parse fails.  The text
-    around the rows is parsed with a placeholder list in their place, once
-    as [] and once as [0], and results.evolved_states must read as each:
-    else the rows were not that key's one value.  Raises ``ValueError`` or ``RecursionError`` where the
-    text does not decode or parse.
+    The rows span the bytes from the marker to the list's last closing
+    bracket, with the text's line ends, LF or CRLF, and :func:`_range_rows`
+    parses them from the descriptor of ``handle`` (:func:`_forked_map`).
+    The text around them is parsed with a placeholder list in their place,
+    once as [] and once as [0], and results.evolved_states must read as
+    each: else the rows were not that key's one value.  Raises
+    ``ValueError`` or ``RecursionError`` where that text does not decode or
+    parse.
     """
     head = ""
     while True:
@@ -870,30 +907,36 @@ def _streamed_body(handle: TextIO) -> Any:
             if not block:
                 return head
             head += block
-    values = array("d")
-    pending = ""
-    blocks = iter(lambda: handle.read(_READ_CHARS), "")
-    for block in itertools.chain([head[at:]], blocks):
-        pending += block
-        start = max(0, len(pending) - len(block) - len(_ROW_SEPARATOR))
-        cut = pending.rfind(_ROW_SEPARATOR, start)
-        if cut >= 0:
-            parsed = json.loads("[" + pending[:cut] + "]", object_hook=_packed_row)
-            # [] is a separator with no row before it.
-            if not parsed or not _packed_floats(parsed):
-                return None
-            values.extend(itertools.chain.from_iterable(parsed))
-            pending = pending[cut + 1 :]
-    last, end = json.JSONDecoder(object_hook=_packed_row).raw_decode("[" + pending)
-    if not _packed_floats(last):
+    if handle.newlines not in ("\n", "\r\n"):
         return None
-    values.extend(itertools.chain.from_iterable(last))
-    head, tail = head[:at], pending[end - 1 :]
+    fd, head, newline = handle.fileno(), head[:at], handle.newlines
+    start = len(head.encode()) + (len(newline) - 1) * head.count("\n")
+    start += 3 * (os.pread(fd, 3, 0) == b"\xef\xbb\xbf")  # a BOM
+    row_json, _, close = _LAYOUTS[("evolved_states",)]
+    close = (close + "]").replace("\n", newline).encode()
+    size = os.fstat(fd).st_size
+    for at in range(size - _READ_CHARS, start - _READ_CHARS, -_READ_CHARS):
+        at = max(at, start)  # each read reaches a close but one byte into the one before
+        if (end := os.pread(fd, _READ_CHARS + len(close) - 1, at).rfind(close)) >= 0:
+            break
+    else:
+        return None
+    end += at
+    tail = os.pread(fd, size - end - len(close), end + len(close)).decode()
     for inner, placeholder in (("", []), ("0", [0])):
         data = json.loads(f"{head}{inner}]{tail}")
         results = data.get("results") if isinstance(data, dict) else None
         if not isinstance(results, dict) or results.get("evolved_states") != placeholder:
             return None
+    # json writes the comma, then the next row up to its opening brace.
+    separator = (row_json.partition("{")[0] + "{").replace("\n", newline).encode()
+    rows_of = functools.partial(_range_rows, fd, start, end, separator)
+    values = array("d")
+    with contextlib.closing(_forked_map(rows_of, range(start, end, _RANGE_BYTES))) as ranges:
+        for rows in ranges:
+            if rows is None:
+                return None
+            values.frombytes(rows)
     results["evolved_states"] = _frozen_rows(values, len(CSV_COLUMNS))
     return data
 
@@ -902,18 +945,19 @@ def read_record(path: str) -> RunRecord:
     """Read a record file and check it as :func:`record_from_dict` does.
 
     The text is UTF-8, after a BOM if one leads it.  A record in the layout
-    :func:`record_to_json` writes is read from a file in blocks: each
+    :func:`record_to_json` writes is read from a file in byte ranges of its
+    rows, past one range by forked workers (:func:`_streamed_body`): each
     evolved row is packed by :func:`_packed_row` as json's scanner finishes
-    it and its block goes into one float array, so neither the whole text
-    nor a tree of row objects is ever held; a text without evolved rows is
-    read once, whole, and parsed once, even where the parse fails.  Any
-    other text, one with rows that fails to decode or parse, or one read
-    from a pipe, is read whole and parsed by plain json, so it reads and
-    fails exactly as plain json reads it.
+    it and each range's rows go into one float array, so neither the whole
+    text nor a tree of row objects is ever held; a text without evolved
+    rows is read once, whole, and parsed once, even where the parse fails.
+    Any other text, one with rows that fails to decode or parse, or one
+    read from a pipe, is read whole and parsed by plain json, so it reads
+    and fails exactly as plain json reads it.
 
-    Raises ``OSError`` if the file cannot be read, ``ValueError`` or
-    ``RecursionError`` if its text is not JSON, and :class:`ConfigInvalid`
-    if the record is malformed.
+    Raises ``OSError`` if the file cannot be read or a worker dies,
+    ``ValueError`` or ``RecursionError`` if its text is not JSON, and
+    :class:`ConfigInvalid` if the record is malformed.
     """
     with Path(path).open(encoding="utf-8-sig") as handle:
         data = None
@@ -951,11 +995,11 @@ def _record_pieces(record: RunRecord) -> Generator[str, None, None]:
             at = _block_at(text, keys)
             yield text[done:at]
 
-            def block_text(block: slice) -> str:
-                filled = _filled(row_json, rows[block, columns])
-                return filled[1:] if block.start == 0 else filled  # no comma before the first row
+            def block_text(start: int) -> str:
+                filled = _filled(row_json, rows[start : start + _BLOCK_ROWS, columns])
+                return filled if start else filled[1:]  # no comma before the first row
 
-            yield from _block_texts(block_text, len(rows))
+            yield from _forked_map(block_text, range(0, len(rows), _BLOCK_ROWS), text=True)
             yield close
             done = at
     yield text[done:] + "\n"
@@ -1005,47 +1049,54 @@ def _filled(template: str, rows: np.ndarray) -> str:
     return (template * len(rows)) % tuple(rows.ravel().tolist())
 
 
-def _block_texts(block_text: Callable[[slice], str], rows: int) -> Iterator[str]:
-    """``block_text`` of each slice of ``_BLOCK_ROWS`` of ``rows`` rows, in
-    order, made past one block by forked workers, one per CPU: worker k makes
-    blocks k, k + W, ... of the rows it inherited and sends each as UTF-8 over
-    its own pipe, whose backpressure bounds what the parent holds.  They are
-    made in-process, to the same text, with one CPU, in a daemonic process
-    (which may start none) or without Linux's ``sched_getaffinity``.  Raises
-    ``OSError`` if a worker ends before it has sent its blocks."""
-    blocks = [slice(start, start + _BLOCK_ROWS) for start in range(0, rows, _BLOCK_ROWS)]
+def _forked_map(function: Callable[[Any], Any], items: Sequence[Any],
+                text: bool = False) -> Generator[Any, None, None]:
+    """``function`` of each item, in order, made past one item by forked
+    workers, one per CPU: worker k makes items k, k + W, ... from what it
+    inherited and sends each result over its own pipe, whose backpressure
+    bounds what the parent holds: pickled, or with ``text`` a str as UTF-8
+    (pickled, the writers' text left the parent ~0.3 MB higher at its
+    peak).  They are made in-process, to the same results, for one item,
+    with one CPU, in a daemonic process (which may start none) or without
+    Linux's ``sched_getaffinity``.  Closing the generator ends the workers;
+    ``OSError`` if one ends early."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(cpus, len(blocks))
+    workers = min(cpus, len(items))
     if workers > 1:
         import multiprocessing  # here, so that importing the package imports none of it
         workers = 1 if multiprocessing.current_process().daemon else workers
     if workers < 2:
-        yield from map(block_text, blocks)
+        yield from map(function, items)
         return
 
-    def work(mine: list[slice], sender: Any) -> None:
+    def work(mine: Sequence[Any], sender: Any) -> None:
         try:
-            for block in mine:
-                sender.send_bytes(block_text(block).encode())
+            for item in mine:
+                result = function(item)
+                if text:
+                    sender.send_bytes(result.encode())
+                else:
+                    sender.send(result)
         finally:
             # Silent, and flushing no copy of the parent's buffers, on any exit
             # (multiprocessing flushes stdout and stderr before it forks).
             os._exit(0)
 
-    # fork, not spawn: a worker reads the rows it inherits, so none is pickled.
+    # fork, not spawn: a worker reads what it inherits, so nothing is pickled to it.
     context = multiprocessing.get_context("fork")
     running = []
     try:
         for k in range(workers):
             receiver, sender = context.Pipe(duplex=False)
-            process = context.Process(target=work, args=(blocks[k::workers], sender), daemon=True)
+            process = context.Process(target=work, args=(items[k::workers], sender), daemon=True)
             process.start()
             running.append((process, receiver))
             sender.close()  # so the worker's end is the receiver's end of file
-        for i in range(len(blocks)):
-            yield running[i % workers][1].recv_bytes().decode()
+        for i in range(len(items)):
+            receiver = running[i % workers][1]
+            yield receiver.recv_bytes().decode() if text else receiver.recv()
     except EOFError:
-        raise OSError("a worker formatting rows ended before it sent them all") from None
+        raise OSError("a worker process ended before it sent all its results") from None
     finally:
         for process, receiver in running:
             process.terminate()  # one the consumer left blocked on a full pipe
@@ -1088,8 +1139,8 @@ def _csv_lines(record: RunRecord) -> Generator[str, None, None]:
         rows = results["concurrence_profile"]["samples"]
         vector = record.config.initial.build().vector
 
-    def block_text(block: slice) -> str:
-        part = rows[block]
+    def block_text(start: int) -> str:
+        part = rows[start : start + _BLOCK_ROWS]
         if profile_only:
             theta, value = part.T
             phi = np.zeros_like(theta)
@@ -1097,7 +1148,7 @@ def _csv_lines(record: RunRecord) -> Generator[str, None, None]:
             part = np.column_stack((theta, phi, amplitudes, value))
         return _filled(_CSV_ROW, part)
 
-    yield from _block_texts(block_text, len(rows))
+    yield from _forked_map(block_text, range(0, len(rows), _BLOCK_ROWS), text=True)
 
 
 def export_record(record: RunRecord, format: str, path: str) -> None:
@@ -1110,7 +1161,7 @@ def export_record(record: RunRecord, format: str, path: str) -> None:
     formats go through one writer, the JSON from the pieces that
     :func:`record_to_json` joins, so no whole-record string is ever held.
     Past ``_BLOCK_ROWS`` rows, forked workers, one per CPU, format the
-    blocks (:func:`_block_texts`); the bytes are those made in-process.
+    blocks (:func:`_forked_map`); the bytes are those made in-process.
     Scalar blocks (metric, classification) do not fit a per-point table;
     they go to a key,value sidecar at ``<path>.meta.csv`` when present,
     which csv writes, quoting a cell that holds a comma, a quote or a

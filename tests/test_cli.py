@@ -607,10 +607,26 @@ class TestRuntimeWithoutJsonschema:
         assert "all 28 checks passed" in result.stdout
 
 
-def test_import_leaves_multiprocessing_unloaded(tmp_path):
-    """Only a write of a float block past one block of rows forks workers
-    and imports multiprocessing for it; importing the CLI does neither."""
-    code = "import sys, spin_torus.cli\nsys.exit('multiprocessing' in sys.modules)\n"
+def test_import_leaves_multiprocessing_unloaded(config_file, tmp_path):
+    """Only a write of a float block past one block of rows, or a read of
+    rows past one range, forks workers and imports multiprocessing for it;
+    importing the CLI does neither, and nor does a run and a read of a
+    config-sized record, whose rows are one range, parsed in-process."""
+    code = (
+        "import os, sys\n"
+        "os.sched_getaffinity = lambda pid: {0, 1, 2}\n"
+        "import spin_torus.cli\n"
+        "if 'multiprocessing' in sys.modules:\n"
+        "    sys.exit('imported')\n"
+        "from spin_torus import scenario\n"
+        "ranges, real = [], scenario._range_rows\n"
+        "scenario._range_rows = lambda *args: ranges.append(real(*args)) or ranges[-1]\n"
+        f"spin_torus.cli.main(['run', {str(config_file)!r}, '--out', 'small.record.json'])\n"
+        "record = scenario.read_record('small.record.json')\n"
+        "if len(ranges) != 1 or len(ranges[0]) != record.results['evolved_states'].nbytes:\n"
+        "    sys.exit(f'{len(ranges)} ranges')\n"
+        "sys.exit('multiprocessing' in sys.modules)\n"
+    )
     src = Path(__file__).resolve().parent.parent / "src"
     result = subprocess.run(
         [sys.executable, "-c", code], cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(src)},

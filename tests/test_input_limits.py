@@ -315,7 +315,8 @@ def test_record_config_at_the_limit_meets_the_schema(tmp_path, capsys, frames):
 def test_only_json_parse_errors_meet_the_recursion_limit():
     """The package decides nesting itself; the one RecursionError it maps
     is json's own, while parsing, in config_from_json and in export, where
-    read_record also meets it in a streamed block and reads the text whole."""
+    read_record also meets it around the rows and reads the text whole, as
+    it does when _range_rows meets it in a range."""
     handlers = []
     for path in SOURCES:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -323,6 +324,7 @@ def test_only_json_parse_errors_meet_the_recursion_limit():
                 handlers.append((path.stem, ast.unparse(node.type)))
     assert sorted(handlers) == [
         ("cli", "(ValueError, RecursionError)"),
+        ("scenario", "(ValueError, RecursionError)"),
         ("scenario", "(ValueError, RecursionError)"),
         ("scenario", "(ValueError, RecursionError)"),
     ]

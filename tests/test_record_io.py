@@ -404,6 +404,52 @@ class TestForkedBlocks:
         assert done.stdout == f"before the export\nwrote {out}\n"
 
 
+class TestForkedRanges:
+    """A record's rows past one range are parsed in forked workers, one per
+    CPU, each reading its own byte range of the file: no worker outlives a
+    read, whether it ends well or not."""
+
+    def test_a_worker_that_dies_is_an_io_error(self, long_record, tmp_path, capsys, monkeypatch):
+        path, out = tmp_path / "record.json", tmp_path / "out.csv"
+        export_record(long_record, "json", str(path))
+        assert path.stat().st_size > 2 * scenario._RANGE_BYTES
+        parent, real = os.getpid(), scenario._range_rows
+
+        def dying(fd, start, end, separator, lo):
+            if os.getpid() != parent and lo == start:
+                os._exit(1)  # while the other worker waits to send its first range
+            return real(fd, start, end, separator, lo)
+
+        with_cpus(monkeypatch, 2)
+        monkeypatch.setattr(scenario, "_range_rows", dying)
+        assert cli.main(["export", str(path), "--format", "csv", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "error: cannot read record: a worker process ended before it sent all its results\n"
+        )
+        assert list(tmp_path.iterdir()) == [path]
+        assert_no_child_process()
+
+    def test_a_pool_worker_reads_in_process(self, long_record, tmp_path, monkeypatch):
+        """A pool's worker is daemonic and may start no process: it parses
+        every range itself, to the rows forked workers give.  So it does
+        where an int in the first row sends the read to the whole text, and
+        the forked workers, still parsing, are ended."""
+        path, edited = tmp_path / "record.json", tmp_path / "int.record.json"
+        export_record(long_record, "json", str(path))
+        text = path.read_text()
+        assert '"theta": 0.0\n' in text
+        edited.write_text(text.replace('"theta": 0.0\n', '"theta": 0\n', 1))
+        with_cpus(monkeypatch, 2)
+        for read in (path, edited):
+            forked = read_record(str(read)).results["evolved_states"]
+            assert_no_child_process()
+            assert_row_array(forked, long_record.results["evolved_states"])
+            with multiprocessing.get_context("fork").Pool(1) as pool:
+                record = pool.apply(read_record, (str(read),))
+            # A pickled copy of the rows, which comes back writeable.
+            assert record.results["evolved_states"].tobytes() == forked.tobytes()
+
+
 def reference_meta(record):
     """The sidecar as plain ``key,value`` lines: the scalar blocks flattened
     in sorted key order, None as an empty cell."""
@@ -648,7 +694,14 @@ def invalid_utf8_in_rows(data):
     return data[:at] + b"\xff" + data[at:]
 
 
+def comma_before_the_first_row():
+    text = record_to_json(make_record())
+    at = scenario._block_at(text, ("evolved_states",))
+    return text[:at] + "," + text[at:]
+
+
 PACKING_CASES.update({
+    "comma_before_the_first_row": comma_before_the_first_row,
     "duplicate_rows_after": duplicate_rows_after,
     "results_marker_at_another_depth": results_marker_in_another_object,
     "crlf": lambda: rows_edited(lambda data: data.replace(b"\n", b"\r\n")),
@@ -694,6 +747,39 @@ def plain_export(path, fmt, out):
     return 0, ""
 
 
+#: Bytes of a range in these tests: fewer than a row holds, so most ranges
+#: hold no row and a row straddles each edge.
+SMALL_RANGE = 500
+
+
+def with_layout(data, name):
+    """A record's bytes with CRLF line ends, a BOM, both, or as they are."""
+    if "crlf" in name:
+        data = data.replace(b"\n", b"\r\n")
+    return b"\xef\xbb\xbf" + data if "bom" in name else data
+
+
+def assert_export_reads_as_plain_json(name, fmt, tmp_path, capsys, monkeypatch):
+    """``spin-torus export`` of the ``name`` case exits, says and writes
+    what it does when plain json reads the whole record."""
+    text = PACKING_CASES[name]()
+    path = tmp_path / "record.json"
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text, encoding="utf-8")
+    expected_out = tmp_path / "expected" / f"out.{fmt}"
+    expected_out.parent.mkdir()
+    expected = plain_export(path, fmt, expected_out)
+    monkeypatch.setattr(scenario, "_READ_CHARS", SMALL_BLOCK)
+    out = tmp_path / f"out.{fmt}"
+    code = cli.main(["export", str(path), "--format", fmt, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == expected
+    assert captured.out == (f"wrote {out}\n" if code == 0 else "")
+    assert written_files(out) == written_files(expected_out)
+
+
 class CountingReads:
     """A text file handle that counts the characters read through it."""
 
@@ -723,45 +809,74 @@ class TestPackingParse:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("name", sorted(PACKING_CASES))
     def test_export_reads_as_plain_json(self, name, fmt, tmp_path, capsys, monkeypatch):
-        text = PACKING_CASES[name]()
-        path = tmp_path / "record.json"
-        if isinstance(text, bytes):
-            path.write_bytes(text)
-        else:
-            path.write_text(text, encoding="utf-8")
-        expected_out = tmp_path / "expected" / f"out.{fmt}"
-        expected_out.parent.mkdir()
-        expected = plain_export(path, fmt, expected_out)
-        monkeypatch.setattr(scenario, "_READ_CHARS", SMALL_BLOCK)
-        out = tmp_path / f"out.{fmt}"
-        code = cli.main(["export", str(path), "--format", fmt, "--out", str(out)])
-        assert (code, capsys.readouterr().err) == expected
-        assert written_files(out) == written_files(expected_out)
+        assert_export_reads_as_plain_json(name, fmt, tmp_path, capsys, monkeypatch)
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("name", sorted(PACKING_CASES))
+    def test_export_in_small_ranges_reads_as_plain_json(
+        self, name, fmt, cpus, tmp_path, capsys, monkeypatch
+    ):
+        """The same, with the rows cut into ranges of fewer bytes than a row
+        holds, parsed in-process and in forked workers; a read that fails or
+        falls back to the whole text leaves no worker."""
+        with_cpus(monkeypatch, cpus)
+        monkeypatch.setattr(scenario, "_RANGE_BYTES", SMALL_RANGE)
+        assert_export_reads_as_plain_json(name, fmt, tmp_path, capsys, monkeypatch)
+        assert_no_child_process()
 
     @pytest.mark.parametrize("name", ["plain", "crlf", "bom"])
     def test_run_layout_streams_in_blocks(self, name, tmp_path, monkeypatch):
-        """A record as run writes it, with any line ends or BOM, is read
-        in blocks, not whole."""
+        """A record as run writes it, with any line ends or BOM, is read in
+        ranges of rows, every one of them parsed to float rows, not whole."""
         text = record_to_json(make_record())
-        data = text.encode()
-        if name == "crlf":
-            data = data.replace(b"\n", b"\r\n")
-        elif name == "bom":
-            data = b"\xef\xbb\xbf" + data
+        path = tmp_path / "record.json"
+        path.write_bytes(with_layout(text.encode(), name))
+        parsed = []
+        real = scenario._range_rows
+
+        def recording(*args):
+            parsed.append(real(*args))
+            return parsed[-1]
+
+        with_cpus(monkeypatch, 1)
+        monkeypatch.setattr(scenario, "_range_rows", recording)
+        monkeypatch.setattr(scenario, "_READ_CHARS", SMALL_BLOCK)
+        monkeypatch.setattr(scenario, "_RANGE_BYTES", 4 * SMALL_BLOCK)
+        assert record_to_json(read_record(str(path))) == text
+        assert len(parsed) > 20 and None not in parsed
+        assert sum(map(len, parsed)) == 45 * len(CSV_COLUMNS) * 8
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    @pytest.mark.parametrize("edge", range(len(b",\r\n      {") + 1))
+    @pytest.mark.parametrize("name", ["plain", "crlf", "bom", "bom_crlf"])
+    def test_range_edges_anywhere_in_a_separator(self, name, edge, cpus, tmp_path, monkeypatch):
+        """Ranges whose first edge lands ``edge`` bytes into a row separator,
+        between CR and LF too, read the rows plain json reads, without a
+        read of the whole text."""
+        data = with_layout(record_to_json(make_record()).encode(), name)
         path = tmp_path / "record.json"
         path.write_bytes(data)
-        assert len(data) > 50 * SMALL_BLOCK
-        streamed = []
-        real = scenario._streamed_body
+        expected = record_from_dict(json.loads(path.read_text(encoding="utf-8-sig")))
+        newline = b"\r\n" if "crlf" in name else b"\n"
+        start = data.index(b'"evolved_states": [') + len(b'"evolved_states": [')
+        third = data.index(b"," + newline + b"      {", start)
+        for _ in range(2):
+            third = data.index(b"," + newline + b"      {", third + 1)
+        handles, real_open = [], Path.open
 
-        def recording(handle):
-            streamed.append(real(handle))
-            return streamed[-1]
+        def counting_open(self, *args, **kwargs):
+            handles.append(CountingReads(real_open(self, *args, **kwargs)))
+            return handles[-1]
 
-        monkeypatch.setattr(scenario, "_streamed_body", recording)
+        with_cpus(monkeypatch, cpus)
+        monkeypatch.setattr(Path, "open", counting_open)
         monkeypatch.setattr(scenario, "_READ_CHARS", SMALL_BLOCK)
-        assert record_to_json(read_record(str(path))) == text
-        assert len(streamed) == 1 and streamed[0] is not None
+        monkeypatch.setattr(scenario, "_RANGE_BYTES", third + edge - start)
+        rows = read_record(str(path)).results["evolved_states"]
+        assert_row_array(rows, expected.results["evolved_states"])
+        assert len(handles) == 1 and handles[0].chars < len(data) // 2
+        assert_no_child_process()
 
     @pytest.mark.parametrize("layout", ["run", "compact"])
     def test_record_without_rows_is_read_once(self, layout, tmp_path, monkeypatch):
@@ -812,23 +927,20 @@ class TestPackingParse:
             read_record(str(path))
         assert [handle.chars for handle in handles] == [len(text)]
 
-    def test_a_comma_before_the_first_row_is_not_dropped(self):
-        """A block that holds a row separator and nothing before it must not
-        read as an empty list, which would drop the comma of ``[,``."""
-        text = record_to_json(make_record())
-        at = scenario._block_at(text, ("evolved_states",))
-        head = text[:at] + scenario._ROW_SEPARATOR
-
-        class Pieces:
-            """Reads that end where a test wants them to, whatever the size."""
-            pieces = iter([head, text[at + len(scenario._ROW_SEPARATOR) - 1 :]])
-
-            def read(self, size):
-                return next(self.pieces, "")
-
+    def test_a_comma_before_the_first_row_is_not_dropped(self, tmp_path):
+        """A range whose text starts with a row separator must not read as
+        an empty list, which would drop the comma of ``[,``."""
+        path = tmp_path / "record.json"
+        path.write_text(comma_before_the_first_row(), encoding="utf-8")
+        data = path.read_bytes()
         with pytest.raises(json.JSONDecodeError):
-            json.loads(head + text[at + len(scenario._ROW_SEPARATOR) - 1 :])
-        assert scenario._streamed_body(Pieces()) is None
+            json.loads(data)
+        start = data.index(b'"evolved_states": [') + len(b'"evolved_states": [')
+        end = data.rindex(b"\n    ]")
+        separator = b",\n      {"
+        assert data[start:].startswith(separator)
+        with path.open("rb") as handle:
+            assert scenario._range_rows(handle.fileno(), start, end, separator, start) is None
 
     @pytest.mark.parametrize("layout", ["run", "compact"])
     def test_record_from_a_pipe_reads(self, layout, tmp_path):
