@@ -810,7 +810,7 @@ def _row_layout(keys: tuple[str, ...], width: int) -> tuple[str, list[int], str]
     in a record (an evolved row's object, a sample's list), the columns of
     a row's values in the order they appear there, and the text between the
     last row and the list's closing bracket.  The row starts with the comma
-    that separates it from the row before, then has a %r slot for each value."""
+    that separates it from the row before, then has a %s slot for each value."""
     slots = [f"@{i}@" for i in range(width)]
     row: Any = slots
     if width == len(CSV_COLUMNS):
@@ -826,7 +826,7 @@ def _row_layout(keys: tuple[str, ...], width: int) -> tuple[str, list[int], str]
     close = text[start + len(row_text) : end]
     order = sorted(range(width), key=lambda i: row_text.index(f'"{slots[i]}"'))
     for slot in slots:
-        row_text = row_text.replace(f'"{slot}"', "%r")
+        row_text = row_text.replace(f'"{slot}"', "%s")
     return "," + row_text, order, close
 
 
@@ -1036,17 +1036,31 @@ def canonical_result_bytes(record: RunRecord) -> bytes:
 
 # --- export ------------------------------------------------------------------
 
-#: One CSV row, a %r slot per column.
-_CSV_ROW = ",".join(["%r"] * len(CSV_COLUMNS)) + "\n"
+#: One CSV row, a %s slot per column.
+_CSV_ROW = ",".join(["%s"] * len(CSV_COLUMNS)) + "\n"
 #: Rows of a float block formatted as one piece of text, so no copy of a
 #: whole dense record, joined or encoded, is ever held at once.
 _BLOCK_ROWS = 4096
+#: Rows from which :func:`_filled` formats a column's distinct values once;
+#: a process's first sort and unique add ~0.8 MB, which small records never pay.
+_SHARED_ROWS = 1024
 
 
 def _filled(template: str, rows: np.ndarray) -> str:
-    """``template`` once per row, filled with the rows' values as Python
-    floats: the %r of numpy's scalars is no float repr."""
-    return (template * len(rows)) % tuple(rows.ravel().tolist())
+    """``template`` once per row, its %s slots filled with the rows' values
+    as Python floats, whose str is their repr.  A column that repeats a
+    float64 bit pattern (0.0 is not -0.0) in a block's first ``_SHARED_ROWS``
+    rows, if it has that many, has each distinct value's repr made once."""
+    cells = rows
+    if len(rows) >= _SHARED_ROWS:
+        ordered = np.sort((bits := rows.view(np.uint64))[:_SHARED_ROWS], axis=0)
+        if (shared := (ordered[1:] == ordered[:-1]).any(axis=0)).any():
+            cells = np.empty(rows.shape, dtype=object)
+            cells[:, ~shared] = rows[:, ~shared]
+            for j in np.flatnonzero(shared):
+                values, inverse = np.unique(bits[:, j], return_inverse=True)
+                cells[:, j] = np.array(list(map(repr, values.view(float).tolist())), object)[inverse]
+    return (template * len(rows)) % tuple(cells.ravel().tolist())
 
 
 def _forked_map(function: Callable[[Any], Any], items: Sequence[Any],
@@ -1155,9 +1169,10 @@ def export_record(record: RunRecord, format: str, path: str) -> None:
     """Write a record to disk as JSON (the whole record) or CSV (grid data).
 
     CSV uses a dot decimal separator, comma delimiter, and LF line endings.
-    Each block of grid rows is one %-template of float reprs: the rows hold
-    only finite floats, for the reason :func:`record_to_json` gives, so it
-    writes what per-cell formatting would, in a fraction of the time.  Both
+    Each block of grid rows fills one %-template with float reprs, made once
+    per distinct value of a column that repeats (:func:`_filled`): the rows
+    hold only finite floats, for the reason :func:`record_to_json` gives, so
+    it writes what per-cell repr would, in a fraction of the time.  Both
     formats go through one writer, the JSON from the pieces that
     :func:`record_to_json` joins, so no whole-record string is ever held.
     Past ``_BLOCK_ROWS`` rows, forked workers, one per CPU, format the

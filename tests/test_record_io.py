@@ -404,6 +404,82 @@ class TestForkedBlocks:
         assert done.stdout == f"before the export\nwrote {out}\n"
 
 
+SHARED = scenario._SHARED_ROWS
+#: Row counts either side of the size from which a block formats each
+#: distinct value of a column once: a first block, then a last one.
+SHARED_COUNTS = [SHARED - 1, SHARED, SHARED + 1, BLOCK + SHARED - 1, BLOCK + SHARED]
+TINY, HUGE = 5e-324, 1.7976931348623157e308
+
+
+def mixed_columns(count, width):
+    """``count`` rows of ``width`` columns that mix what a writer sharing
+    reprs could merge or miss: 0.0 with -0.0, the smallest subnormal with
+    the largest float (either sign), one value throughout, no value twice,
+    half the cells one value, one value twice and reprs in exponent form."""
+    index = np.arange(count)
+    distinct = np.random.default_rng(count).standard_normal(count)
+    columns = [
+        np.where(index % 2, 0.0, -0.0),
+        np.where(index % 3, TINY, HUGE) * np.where(index % 5, 1.0, -1.0),
+        np.full(count, 0.1 + 0.2),
+        distinct,
+        np.where(index % 2, distinct, -0.0),
+        np.where(index == count - 1, distinct[0], distinct),
+        np.where(index % 4, 1e16, 1e-5),
+        np.where(index % 7, -TINY, 2.0**-1022),
+        distinct[::-1] * 1e-300,
+        np.floor(distinct * 4) / 8,
+        np.where(index % 2, 0.0, 1.0),
+    ]
+    return np.column_stack([columns[j % len(columns)] for j in range(width)])
+
+
+def mixed_record(count):
+    """A record whose profile samples and evolved rows are ``count`` rows of
+    :func:`mixed_columns`."""
+    record = make_record()
+    profile = {**record.results["concurrence_profile"], "samples": mixed_columns(count, 2)}
+    rows = mixed_columns(count, len(CSV_COLUMNS))
+    return with_results(record, concurrence_profile=profile, evolved_states=rows)
+
+
+def torus_record(count):
+    """The first ``count`` evolved rows of a 64 x 80 torus grid, whose
+    columns repeat as a torus grid's do."""
+    record = make_record(grid={"theta_steps": 64, "phi_steps": 80})
+    return with_results(record, evolved_states=record.results["evolved_states"][:count])
+
+
+class TestSharedReprs:
+    """Around ``SHARED`` rows a block formats each distinct bit pattern of a
+    column once: the JSON and CSV are still the reference routes' per-cell
+    repr, with one CPU (in-process) and with two."""
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("count", SHARED_COUNTS)
+    @pytest.mark.parametrize("make", [mixed_record, torus_record], ids=["mixed", "torus"])
+    def test_json_record_export_and_csv(self, make, count, cpus, tmp_path, monkeypatch):
+        record = make(count)
+        with_cpus(monkeypatch, cpus)
+        expected = reference_json(record)
+        assert record_to_json(record) == expected
+        path = tmp_path / "record.json"
+        export_record(record, "json", str(path))
+        assert path.read_bytes() == expected.encode()
+        assert written_csv(record, tmp_path) == reference_csv(record).encode()
+        assert_no_child_process()
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_profile_only_csv(self, cpus, tmp_path, monkeypatch):
+        record = make_record(outputs=["concurrence_profile"])
+        samples = mixed_columns(BLOCK + SHARED, 2)  # angles 0.0 and -0.0
+        profile = {**record.results["concurrence_profile"], "samples": samples}
+        record = with_results(record, concurrence_profile=profile)
+        with_cpus(monkeypatch, cpus)
+        assert written_csv(record, tmp_path) == reference_csv(record).encode()
+        assert_no_child_process()
+
+
 class TestForkedRanges:
     """A record's rows past one range are parsed in forked workers, one per
     CPU, each reading its own byte range of the file: no worker outlives a
