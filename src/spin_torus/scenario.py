@@ -569,8 +569,8 @@ def _frozen_rows(values: array, width: int) -> np.ndarray:
 def _run_evolved(initial: PureState2Q, config: ScenarioConfig, seed: int) -> np.ndarray:
     """One row of ``CSV_COLUMNS`` values per grid point, theta varying
     slowest on a torus grid.  Each point's angles and amplitudes come from
-    :func:`evolve_family`, then the concurrence column from one
-    :func:`concurrence_stack` over the amplitude columns."""
+    :func:`evolve_family`, then the concurrence column from
+    :func:`concurrence_stack`, one ``_BLOCK_ROWS`` block of rows at a time."""
     pair = itertools.product if isinstance(config.grid, TorusGrid) else zip
     values = array("d")
     for theta, phi in pair(*(angles.tolist() for angles in _grid_angles(config))):
@@ -579,7 +579,9 @@ def _run_evolved(initial: PureState2Q, config: ScenarioConfig, seed: int) -> np.
         values.frombytes(evolve_family(initial, TorusPoint(theta, phi)).vector.tobytes())
         values.append(0.0)
     rows = np.frombuffer(values).reshape(-1, len(CSV_COLUMNS))
-    rows[:, -1] = concurrence_stack(rows[:, 2:-1].view(np.complex128))
+    for start in range(0, len(rows), _BLOCK_ROWS):
+        block = rows[start : start + _BLOCK_ROWS]
+        block[:, -1] = concurrence_stack(block[:, 2:-1].view(np.complex128))
     return _frozen_rows(values, len(CSV_COLUMNS))
 
 
@@ -725,16 +727,18 @@ def _checked_block(block: Any, keys: tuple[str, ...], width: int) -> np.ndarray:
     The block is such an array, or a list of rows: (theta, C) lists or
     tuples for the samples, and for the evolved rows objects that
     :func:`_packed_row` packs or tuples it packed.  Every value must be a
-    finite real number.  These are the rows :func:`record_to_json` and the CSV writer
-    format without further checks.
+    finite real number, an array's checked ``_BLOCK_ROWS`` rows at a time.
+    These are the rows :func:`record_to_json` and the CSV writer format
+    without further checks.
     """
     where = "results." + ".".join(keys)
     if isinstance(block, np.ndarray) and block.dtype == np.float64 and block.shape[1:] == (width,):
-        finite = np.isfinite(block).all(axis=1)
-        if not finite.all():
-            raise ConfigInvalid(
-                f"{where}[{finite.argmin()}]: every value must be a finite real number"
-            )
+        for start in range(0, len(block), _BLOCK_ROWS):
+            finite = np.isfinite(block[start : start + _BLOCK_ROWS]).all(axis=1)
+            if not finite.all():
+                raise ConfigInvalid(
+                    f"{where}[{start + finite.argmin()}]: every value must be a finite real number"
+                )
         if block.flags.writeable:
             block = block.copy()
             block.setflags(write=False)
@@ -832,7 +836,7 @@ def _row_layout(keys: tuple[str, ...], width: int) -> tuple[str, list[int], str]
 
 #: Each float block's :func:`_row_layout`, by its keys.
 _LAYOUTS = {keys: _row_layout(keys, width) for keys, width in _FLOAT_BLOCKS}
-#: Characters of a record's text, or bytes of its rows, read at a time.
+#: Characters or bytes of a record's text, or bytes of its rows, read or sent at a time.
 _READ_CHARS = 2**16
 #: Bytes of a record's rows that one call of :func:`_range_rows` parses.
 _RANGE_BYTES = 2**20
@@ -976,7 +980,8 @@ def read_record(path: str) -> RunRecord:
 
 def _record_pieces(record: RunRecord) -> Generator[str, None, None]:
     """The text of :func:`record_to_json` in pieces: json's text around the
-    float blocks, and one piece per ``_BLOCK_ROWS`` rows of each.
+    float blocks, and the text of each ``_BLOCK_ROWS`` rows of each, whole,
+    or in pieces where forked workers make it (:func:`_forked_map`).
 
     json lays out the record with each float block replaced by an empty
     list, and the blocks' rows are spliced into those lists from
@@ -1068,10 +1073,11 @@ def _forked_map(function: Callable[[Any], Any], items: Sequence[Any],
     """``function`` of each item, in order, made past one item by forked
     workers, one per CPU: worker k makes items k, k + W, ... from what it
     inherited and sends each result over its own pipe, whose backpressure
-    bounds what the parent holds: pickled, or with ``text`` a str as UTF-8
-    (pickled, the writers' text left the parent ~0.3 MB higher at its
-    peak).  They are made in-process, to the same results, for one item,
-    with one CPU, in a daemonic process (which may start none) or without
+    bounds what the parent holds: pickled, or with ``text`` an ASCII str in
+    pieces of at most ``_READ_CHARS`` bytes, then an empty one, each piece
+    yielded as a str as it comes, so the parent never holds a whole result.
+    They are made in-process, whole, to the same text, for one item, with
+    one CPU, in a daemonic process (which may start none) or without
     Linux's ``sched_getaffinity``.  Closing the generator ends the workers;
     ``OSError`` if one ends early."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
@@ -1086,11 +1092,14 @@ def _forked_map(function: Callable[[Any], Any], items: Sequence[Any],
     def work(mine: Sequence[Any], sender: Any) -> None:
         try:
             for item in mine:
-                result = function(item)
-                if text:
-                    sender.send_bytes(result.encode())
-                else:
-                    sender.send(result)
+                if not text:
+                    sender.send(function(item))
+                    continue
+                data = function(item).encode()  # sent in pieces, then an empty one
+                for at in range(0, len(data), _READ_CHARS):
+                    sender.send_bytes(data, at, min(_READ_CHARS, len(data) - at))
+                sender.send_bytes(b"")
+                del data  # not held while the next item is made
         finally:
             # Silent, and flushing no copy of the parent's buffers, on any exit
             # (multiprocessing flushes stdout and stderr before it forks).
@@ -1108,7 +1117,11 @@ def _forked_map(function: Callable[[Any], Any], items: Sequence[Any],
             sender.close()  # so the worker's end is the receiver's end of file
         for i in range(len(items)):
             receiver = running[i % workers][1]
-            yield receiver.recv_bytes().decode() if text else receiver.recv()
+            if text:
+                while piece := receiver.recv_bytes():  # ASCII: each piece decodes alone
+                    yield piece.decode()
+            else:
+                yield receiver.recv()
     except EOFError:
         raise OSError("a worker process ended before it sent all its results") from None
     finally:
@@ -1176,7 +1189,9 @@ def export_record(record: RunRecord, format: str, path: str) -> None:
     formats go through one writer, the JSON from the pieces that
     :func:`record_to_json` joins, so no whole-record string is ever held.
     Past ``_BLOCK_ROWS`` rows, forked workers, one per CPU, format the
-    blocks (:func:`_forked_map`); the bytes are those made in-process.
+    blocks (:func:`_forked_map`), and each block's text reaches the file in
+    pieces, so the writing process holds the rows and one piece, never a
+    whole block; the bytes are those made in-process.
     Scalar blocks (metric, classification) do not fit a per-point table;
     they go to a key,value sidecar at ``<path>.meta.csv`` when present,
     which csv writes, quoting a cell that holds a comma, a quote or a

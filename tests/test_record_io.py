@@ -7,11 +7,13 @@ import json
 import math
 import multiprocessing
 import os
+import re
 import stat
 import subprocess
 import sys
 import threading
 import tracemalloc
+from multiprocessing.connection import Connection
 from pathlib import Path
 
 import jsonschema
@@ -85,6 +87,18 @@ def assert_row_array(rows, expected):
     assert not rows.flags.writeable
     expected = np.array(expected, dtype=np.float64).reshape(rows.shape)
     np.testing.assert_array_equal(rows.view(np.uint64), expected.view(np.uint64))
+
+
+def traced_peak(call):
+    """``call()``, then what tracemalloc traced as held when it returned and
+    at its peak, counting only what the call allocated."""
+    tracemalloc.start()
+    try:
+        value = call()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return value, held, peak
 
 
 def written_csv(record, tmp_path):
@@ -255,12 +269,7 @@ class TestStreamedWriter:
 
     def test_dense_export_holds_no_whole_text(self, dense_record, tmp_path):
         path = tmp_path / "record.json"
-        tracemalloc.start()
-        try:
-            export_record(dense_record, "json", str(path))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, _, peak = traced_peak(lambda: export_record(dense_record, "json", str(path)))
         assert path.stat().st_size > 40 * 2**20
         assert peak < path.stat().st_size // 4
 
@@ -285,6 +294,8 @@ class TestStreamedWriter:
 
 
 BLOCK = scenario._BLOCK_ROWS
+#: Most bytes of text a worker sends in one piece.
+PIECE = scenario._READ_CHARS
 #: Row counts either side of the block boundaries of the formatted text.
 ROW_COUNTS = [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 1]
 
@@ -315,11 +326,12 @@ def with_cpus(monkeypatch, cpus):
 
 class TestForkedBlocks:
     """A float block past ``BLOCK`` rows is formatted in forked workers, one
-    per CPU: the text is the reference routes' on either side of every
-    block boundary, with one CPU (in-process) and with three, and no
-    worker outlives a write, whether it ends well or not."""
+    per CPU, each block's text sent in pieces: the text is the reference
+    routes' on either side of every block boundary, with one CPU
+    (in-process) and with two or three, and no worker outlives a write,
+    whether it ends well or not."""
 
-    @pytest.mark.parametrize("cpus", [1, 3])
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
     @pytest.mark.parametrize("count", ROW_COUNTS)
     def test_json_record_export_and_csv(self, long_record, count, cpus, tmp_path, monkeypatch):
         profile = long_record.results["concurrence_profile"]
@@ -369,6 +381,51 @@ class TestForkedBlocks:
         err = capsys.readouterr().err
         assert err.startswith("error: cannot write export: ") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == [path]  # no short CSV is left behind
+        assert_no_child_process()
+
+    def test_text_comes_in_pieces(self, monkeypatch):
+        """A worker sends a text result in pieces of ``PIECE`` bytes, the
+        last one shorter unless the text is a multiple of ``PIECE`` long,
+        and the parent yields each piece as it comes."""
+        lengths = [2 * PIECE, 10, PIECE, 3 * PIECE + 5, 1]
+        texts = [str(k) * length for k, length in enumerate(lengths)]
+        with_cpus(monkeypatch, 2)
+        pieces = list(scenario._forked_map(texts.__getitem__, range(len(texts)), text=True))
+        assert pieces == [text[at : at + PIECE] for text in texts for at in range(0, len(text), PIECE)]
+        assert_no_child_process()
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_a_worker_that_dies_between_pieces_is_an_io_error(
+        self, long_record, fmt, tmp_path, capsys, monkeypatch
+    ):
+        """A worker that ends after the first piece of its first block: the
+        parent has written that piece, then gets no more."""
+        path, out = tmp_path / "record.json", tmp_path / f"out.{fmt}"
+        export_record(long_record, "json", str(path))
+        parent, send, forked_map = os.getpid(), Connection.send_bytes, scenario._forked_map
+        sent, received = [], []
+
+        def dying(self, *args):
+            if os.getpid() != parent and sent:
+                os._exit(1)
+            sent.append(args)  # in the worker's own copy of the list
+            return send(self, *args)
+
+        def counted(*args, **kwargs):
+            for piece in forked_map(*args, **kwargs):
+                received.append(len(piece))
+                yield piece
+
+        with_cpus(monkeypatch, 2)
+        monkeypatch.setattr(Connection, "send_bytes", dying)
+        monkeypatch.setattr(scenario, "_forked_map", counted)
+        assert cli.main(["export", str(path), "--format", fmt, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err == (
+            "error: cannot write export: a worker process ended before it sent all its results\n"
+        )
+        assert received[-1] == PIECE
+        assert list(tmp_path.iterdir()) == [path]
         assert_no_child_process()
 
     @pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full")
@@ -524,6 +581,35 @@ class TestForkedRanges:
                 record = pool.apply(read_record, (str(read),))
             # A pickled copy of the rows, which comes back writeable.
             assert record.results["evolved_states"].tobytes() == forked.tobytes()
+
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    @pytest.mark.parametrize("bad", ["NaN", "1e999"])
+    def test_first_bad_row_past_the_first_block(self, bad, cpus, tmp_path, capsys, monkeypatch):
+        """A value that is no finite float at row 5000, in the second block
+        of a 100 x 100 record: the streamed read refuses it with plain
+        json's exit code and message, the row's index included."""
+        config, path = tmp_path / "grid.json", tmp_path / "grid.record.json"
+        grid = {"theta_steps": 100, "phi_steps": 100}
+        config.write_text(json.dumps(make_config(grid=grid, outputs=["evolved_states"])))
+        assert cli.main(["run", str(config), "--out", str(path)]) == 0
+        text = path.read_text()
+        values = list(re.finditer(r'"concurrence": ([^,\n]+)', text))
+        assert len(values) == 100 * 100 and 5000 > BLOCK
+        at = values[5000].span(1)
+        path.write_text(text[: at[0]] + bad + text[at[1] :])
+        message = "results.evolved_states[5000]: every value must be a finite real number"
+        with pytest.raises(ConfigInvalid) as plain:
+            record_from_dict(json.loads(path.read_text()))
+        assert str(plain.value) == message
+        with_cpus(monkeypatch, cpus)
+        with path.open(encoding="utf-8") as handle:  # the streamed read takes the rows
+            rows = scenario._streamed_body(handle)["results"]["evolved_states"]
+        assert np.flatnonzero(~np.isfinite(rows).all(axis=1)).tolist() == [5000]
+        capsys.readouterr()
+        assert cli.main(["export", str(path), "--format", "csv", "--out", str(tmp_path / "g.csv")]) == 2
+        assert capsys.readouterr().err == f"error: invalid record: {message}\n"
+        assert_no_child_process()
 
 
 def reference_meta(record):
@@ -1172,12 +1258,7 @@ class TestHeldMemory:
 
     def test_run_holds_few_bytes_per_point(self):
         config = config_from_dict({**self.grid_config(), "outputs": ["evolved_states"]})
-        tracemalloc.start()
-        try:
-            record = run_scenario(config, seed=4)
-            held = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
+        record, held, _ = traced_peak(lambda: run_scenario(config, seed=4))
         assert len(record.results["evolved_states"]) == 100 * 100
         assert held / (100 * 100) <= 100
 
@@ -1186,12 +1267,7 @@ class TestHeldMemory:
         bytes the rows need: the bytes it returns, and no row objects."""
         config = config_from_dict({**self.grid_config(), "outputs": ["evolved_states"]})
         record = run_scenario(config, seed=4)
-        tracemalloc.start()
-        try:
-            canonical = canonical_result_bytes(record)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        canonical, _, peak = traced_peak(lambda: canonical_result_bytes(record))
         assert len(canonical) > 100 * 100 * self.ROW_BYTES
         assert peak / (100 * 100) <= 2 * self.ROW_BYTES
 
@@ -1206,24 +1282,14 @@ class TestHeldMemory:
         return run_scenario(config_from_dict(config))
 
     def test_profile_run_holds_few_bytes_per_sample(self):
-        tracemalloc.start()
-        try:
-            record = self.profile_record()
-            held = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
+        record, held, _ = traced_peak(self.profile_record)
         assert len(record.results["concurrence_profile"]["samples"]) == self.SAMPLES
         assert held / self.SAMPLES <= 2 * self.SAMPLE_BYTES
 
     def test_profile_run_peaks_near_the_samples(self):
         """At its peak, a long profile's run holds at most four times the
         bytes the samples need: arrays, and no Python float per sample."""
-        tracemalloc.start()
-        try:
-            self.profile_record()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, _, peak = traced_peak(self.profile_record)
         assert peak / self.SAMPLES <= 4 * self.SAMPLE_BYTES
 
     def test_profile_csv_export_peaks_near_its_rows(self, tmp_path):
@@ -1231,12 +1297,7 @@ class TestHeldMemory:
         most twice the bytes its rows would need, as a grid's export does:
         the states are evolved in blocks, not into one array of rows."""
         record = self.profile_record()
-        tracemalloc.start()
-        try:
-            export_record(record, "csv", str(tmp_path / "profile.csv"))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, _, peak = traced_peak(lambda: export_record(record, "csv", str(tmp_path / "profile.csv")))
         assert (tmp_path / "profile.csv").read_text().count("\n") == 1 + self.SAMPLES
         assert peak / self.SAMPLES <= 2 * self.ROW_BYTES
 
@@ -1250,12 +1311,7 @@ class TestHeldMemory:
             "json_export": lambda: export_record(record, "json", str(path)),
             "canonical_bytes": lambda: canonical_result_bytes(record),
         }
-        tracemalloc.start()
-        try:
-            calls[write]()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, _, peak = traced_peak(calls[write])
         assert peak / self.SAMPLES <= 2 * self.SAMPLE_BYTES
 
     def test_run_and_read_peak_near_the_rows(self, tmp_path):
@@ -1266,12 +1322,7 @@ class TestHeldMemory:
         assert cli.main(["run", str(config), "--out", str(path)]) == 0
         parsed = config_from_dict(self.grid_config())
         for call in (lambda: run_scenario(parsed, seed=4), lambda: read_record(str(path))):
-            tracemalloc.start()
-            try:
-                record = call()
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            record, _, peak = traced_peak(call)
             assert len(record.results["evolved_states"]) == 100 * 100
             assert peak / (100 * 100) <= 2 * self.ROW_BYTES
 
@@ -1281,12 +1332,7 @@ class TestHeldMemory:
         config, path = tmp_path / "grid.json", tmp_path / "grid.record.json"
         config.write_text(json.dumps(self.grid_config()), encoding="utf-8")
         assert cli.main(["run", str(config), "--out", str(path)]) == 0
-        tracemalloc.start()
-        try:
-            record = read_record(str(path))
-            held, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        record, held, peak = traced_peak(lambda: read_record(str(path)))
         assert len(record.results["evolved_states"]) == 100 * 100
         assert peak < held + path.stat().st_size // 4
 
@@ -1300,14 +1346,53 @@ class TestHeldMemory:
         monkeypatch.setattr(
             cli, "export_record", lambda *args: held.append(tracemalloc.get_traced_memory()[0])
         )
-        tracemalloc.start()
-        try:
-            argv = ["export", str(record), "--format", "csv", "--out", str(tmp_path / "grid.csv")]
-            assert cli.main(argv) == 0
-        finally:
-            tracemalloc.stop()
+        argv = ["export", str(record), "--format", "csv", "--out", str(tmp_path / "grid.csv")]
+        assert traced_peak(lambda: cli.main(argv))[0] == 0
         assert len(held) == 1
         assert held[0] <= record.stat().st_size
+
+    #: Points of the grid the next tests run, export and read, and the bytes
+    #: of one ``BLOCK`` of its rows, the most any step of them should hold
+    #: beyond the rows.
+    POINTS = 200 * 200
+    BLOCK_BYTES = BLOCK * ROW_BYTES
+
+    def large_grid_config(self):
+        return {**dense_config(), "grid": {"theta_steps": 200, "phi_steps": 200}}
+
+    def test_run_peaks_at_the_rows_and_one_block(self):
+        """At its peak, ``run_scenario`` holds the rows it returns and less
+        than one block of rows beside: the concurrence column is filled a
+        block at a time, not over the whole grid at once."""
+        config = config_from_dict(self.large_grid_config())
+        record, _, peak = traced_peak(lambda: run_scenario(config, seed=4))
+        assert len(record.results["evolved_states"]) == self.POINTS
+        assert peak <= self.POINTS * self.ROW_BYTES + self.BLOCK_BYTES
+
+    def test_forked_json_export_peaks_below_one_block(self, tmp_path, monkeypatch):
+        """While forked workers format a dense record's JSON, the writing
+        process holds, beside what it held before, less than one block of
+        rows: each block's text comes in pieces, never whole, though a
+        block's text is ~6 times the bytes of its rows."""
+        record = run_scenario(config_from_dict(self.large_grid_config()), seed=4)
+        path = tmp_path / "grid.record.json"
+        with_cpus(monkeypatch, 2)
+        export_record(record, "json", str(path))  # imports what forking needs, untraced
+        _, _, peak = traced_peak(lambda: export_record(record, "json", str(path)))
+        assert path.stat().st_size > self.POINTS * 5 * self.ROW_BYTES
+        assert peak <= self.BLOCK_BYTES
+
+    def test_forked_read_peaks_at_the_rows_and_one_block(self, tmp_path, monkeypatch):
+        """At its peak, ``read_record`` with forked workers holds beside the
+        record it returns less than one block of rows and one piece of text:
+        no mask over the whole grid checks the rows' finiteness."""
+        config, path = tmp_path / "grid.json", tmp_path / "grid.record.json"
+        config.write_text(json.dumps(self.large_grid_config()), encoding="utf-8")
+        assert cli.main(["run", str(config), "--out", str(path)]) == 0
+        with_cpus(monkeypatch, 2)
+        record, held, peak = traced_peak(lambda: read_record(str(path)))
+        assert len(record.results["evolved_states"]) == self.POINTS
+        assert peak <= held + self.BLOCK_BYTES + scenario._READ_CHARS
 
 
 def reference_schema_message(data):
