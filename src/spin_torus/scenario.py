@@ -19,6 +19,7 @@ import contextlib
 import csv
 import enum
 import functools
+import io
 import itertools
 import json
 import math
@@ -30,7 +31,7 @@ from collections.abc import Callable, Generator, Iterator, Mapping, Sequence
 from dataclasses import dataclass, fields, is_dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, NamedTuple, TextIO, get_type_hints
+from typing import Any, BinaryIO, NamedTuple, TextIO, get_type_hints
 
 import numpy as np
 
@@ -836,22 +837,20 @@ def _row_layout(keys: tuple[str, ...], width: int) -> tuple[str, list[int], str]
 
 #: Each float block's :func:`_row_layout`, by its keys.
 _LAYOUTS = {keys: _row_layout(keys, width) for keys, width in _FLOAT_BLOCKS}
-#: Characters or bytes of a record's text, or bytes of its rows, read or sent at a time.
+#: Characters or bytes of a record's text read at a time, the bytes of rows one
+#: :func:`_range_rows` call parses, and the most of a worker's result held at once.
 _READ_CHARS = 2**16
-#: Bytes of a record's rows that one call of :func:`_range_rows` parses.
-_RANGE_BYTES = 2**20
 
 
-def _range_rows(fd: int, start: int, end: int, separator: bytes, lo: int) -> bytes | None:
+def _range_rows(fd: int, start: int, end: int, separator: bytes, lo: int) -> memoryview | None:
     """The float64 bytes of a record's rows, which span bytes [``start``,
     ``end``) of the file open at ``fd``, from the first ``separator`` at or
     after ``lo`` (the first range keeps ``start``) to the first at or after
-    ``lo + _RANGE_BYTES``, or None if that text does not decode or parse
-    into rows of floats.  It is read ``_READ_CHARS`` at a time, each block
-    cut at its last separator and parsed as a list whose rows
-    :func:`_packed_row` packs.  A raw newline in JSON is whitespace, so a
-    cut never falls inside a string; one inside a row leaves the block's
-    brackets unbalanced and its parse fails."""
+    ``lo + _READ_CHARS``, as a view of the array they fill, or None if that
+    text does not decode or parse into rows of floats.  It is read with one
+    pread and parsed as one list whose rows :func:`_packed_row` packs.  A
+    raw newline in JSON is whitespace, so an edge never falls inside a
+    string; one inside a row leaves the list's brackets unbalanced."""
     def cut_at(at: int) -> int:
         for at in range(at, end, _READ_CHARS - len(separator) + 1):
             if (found := os.pread(fd, _READ_CHARS, at).find(separator)) >= 0:
@@ -859,45 +858,37 @@ def _range_rows(fd: int, start: int, end: int, separator: bytes, lo: int) -> byt
         return end
 
     first = lo if lo == start else cut_at(lo) + 1  # after the separator's comma
-    last = cut_at(lo + _RANGE_BYTES)
+    last = cut_at(lo + _READ_CHARS)
     if first >= last:
-        return b""
-    reads = (os.pread(fd, min(_READ_CHARS, last - at), at) for at in range(first, last, _READ_CHARS))
-    pending, values = bytearray(), array("d")
+        return memoryview(b"")
     try:
-        # A separator after the text cuts its last row too.
-        for block in itertools.chain(reads, [separator]):
-            pending += block
-            cut = pending.rfind(separator, max(0, len(pending) - len(block) - len(separator)))
-            if cut >= 0:
-                parsed = json.loads("[" + pending[:cut].decode() + "]", object_hook=_packed_row)
-                # [] is a separator with no row before it.
-                if not parsed or not _packed_floats(parsed):
-                    return None
-                values.extend(itertools.chain.from_iterable(parsed))
-                del pending[: cut + 1]
+        parsed = json.loads("[" + os.pread(fd, last - first, first).decode() + "]",
+                            object_hook=_packed_row)
     except (ValueError, RecursionError):
         return None
-    return values.tobytes()
+    # Text of only whitespace parses as no row, where plain json fails.
+    if not parsed or not _packed_floats(parsed):
+        return None
+    return memoryview(array("d", itertools.chain.from_iterable(parsed))).cast("B")
 
 
 def _streamed_body(handle: TextIO) -> Any:
     """The JSON value of a record laid out as :func:`record_to_json` lays
-    it out, read from ``handle`` with only its rows' float array and one
-    range's rows per worker held at a time, or None if the text is not in
-    that layout or a row is not an object of floats.  A text without the
-    rows' marker, read to its end in the search for it, is returned whole,
-    a str, for plain json to parse, so it is read once whether or not it
+    it out, read from ``handle`` holding its rows' float array and one
+    range of their text at a time, or None if the text is not in that
+    layout or a row is not an object of floats.  A text without the rows'
+    marker, read to its end in the search for it, is returned whole, a
+    str, for plain json to parse, so it is read once whether or not it
     parses.
 
     The rows span the bytes from the marker to the list's last closing
-    bracket, with the text's line ends, LF or CRLF, and :func:`_range_rows`
-    parses them from the descriptor of ``handle`` (:func:`_forked_map`).
-    The text around them is parsed with a placeholder list in their place,
-    once as [] and once as [0], and results.evolved_states must read as
-    each: else the rows were not that key's one value.  Raises
-    ``ValueError`` or ``RecursionError`` where that text does not decode or
-    parse.
+    bracket, with the text's line ends, LF or CRLF, cut into ranges of
+    ``_READ_CHARS`` bytes that :func:`_range_rows` parses from the
+    descriptor of ``handle`` (:func:`_forked_map`).  The text around them
+    is parsed with a placeholder list in their place, once as [] and once
+    as [0], and results.evolved_states must read as each: else the rows
+    were not that key's one value.  Raises ``ValueError`` or
+    ``RecursionError`` where that text does not decode or parse.
     """
     head = ""
     while True:
@@ -936,7 +927,7 @@ def _streamed_body(handle: TextIO) -> Any:
     separator = (row_json.partition("{")[0] + "{").replace("\n", newline).encode()
     rows_of = functools.partial(_range_rows, fd, start, end, separator)
     values = array("d")
-    with contextlib.closing(_forked_map(rows_of, range(start, end, _RANGE_BYTES))) as ranges:
+    with contextlib.closing(_forked_map(rows_of, range(start, end, _READ_CHARS))) as ranges:
         for rows in ranges:
             if rows is None:
                 return None
@@ -949,15 +940,14 @@ def read_record(path: str) -> RunRecord:
     """Read a record file and check it as :func:`record_from_dict` does.
 
     The text is UTF-8, after a BOM if one leads it.  A record in the layout
-    :func:`record_to_json` writes is read from a file in byte ranges of its
-    rows, past one range by forked workers (:func:`_streamed_body`): each
-    evolved row is packed by :func:`_packed_row` as json's scanner finishes
-    it and each range's rows go into one float array, so neither the whole
-    text nor a tree of row objects is ever held; a text without evolved
-    rows is read once, whole, and parsed once, even where the parse fails.
-    Any other text, one with rows that fails to decode or parse, or one
-    read from a pipe, is read whole and parsed by plain json, so it reads
-    and fails exactly as plain json reads it.
+    :func:`record_to_json` writes is read from a file without its whole
+    text or a tree of row objects ever held: its rows are parsed in 64 KiB
+    ranges into one float array, past one range by forked workers
+    (:func:`_streamed_body`); a text without evolved rows is read once,
+    whole, and parsed once, even where the parse fails.  Any other text,
+    one with rows that fails to decode or parse, or one read from a pipe,
+    is read whole and parsed by plain json, so it reads and fails exactly
+    as plain json reads it.
 
     Raises ``OSError`` if the file cannot be read or a worker dies,
     ``ValueError`` or ``RecursionError`` if its text is not JSON, and
@@ -978,9 +968,9 @@ def read_record(path: str) -> RunRecord:
     return record_from_dict(json.loads(data) if isinstance(data, str) else data)
 
 
-def _record_pieces(record: RunRecord) -> Generator[str, None, None]:
-    """The text of :func:`record_to_json` in pieces: json's text around the
-    float blocks, and the text of each ``_BLOCK_ROWS`` rows of each, whole,
+def _record_pieces(record: RunRecord) -> Generator[bytes, None, None]:
+    """The text of :func:`record_to_json` as ASCII bytes in pieces: json's
+    text around the float blocks, and each ``_BLOCK_ROWS`` rows' text, whole
     or in pieces where forked workers make it (:func:`_forked_map`).
 
     json lays out the record with each float block replaced by an empty
@@ -998,16 +988,16 @@ def _record_pieces(record: RunRecord) -> Generator[str, None, None]:
         if len(rows):
             row_json, columns, close = _LAYOUTS[keys]
             at = _block_at(text, keys)
-            yield text[done:at]
+            yield text[done:at].encode()
 
-            def block_text(start: int) -> str:
+            def block_text(start: int) -> bytes:
                 filled = _filled(row_json, rows[start : start + _BLOCK_ROWS, columns])
-                return filled if start else filled[1:]  # no comma before the first row
+                return (filled if start else filled[1:]).encode()  # no comma before the first row
 
-            yield from _forked_map(block_text, range(0, len(rows), _BLOCK_ROWS), text=True)
-            yield close
+            yield from _forked_map(block_text, range(0, len(rows), _BLOCK_ROWS))
+            yield close.encode()
             done = at
-    yield text[done:] + "\n"
+    yield (text[done:] + "\n").encode()
 
 
 def record_to_json(record: RunRecord) -> str:
@@ -1020,7 +1010,7 @@ def record_to_json(record: RunRecord) -> str:
     that :func:`export_record` writes, so a float block past ``_BLOCK_ROWS``
     rows is formatted in forked workers here too, to the same text.
     """
-    return "".join(_record_pieces(record))
+    return b"".join(_record_pieces(record)).decode()
 
 
 def canonical_result_bytes(record: RunRecord) -> bytes:
@@ -1068,97 +1058,88 @@ def _filled(template: str, rows: np.ndarray) -> str:
     return (template * len(rows)) % tuple(cells.ravel().tolist())
 
 
-def _forked_map(function: Callable[[Any], Any], items: Sequence[Any],
-                text: bool = False) -> Generator[Any, None, None]:
-    """``function`` of each item, in order, made past one item by forked
-    workers, one per CPU: worker k makes items k, k + W, ... from what it
-    inherited and sends each result over its own pipe, whose backpressure
-    bounds what the parent holds: pickled, or with ``text`` an ASCII str in
-    pieces of at most ``_READ_CHARS`` bytes, then an empty one, each piece
-    yielded as a str as it comes, so the parent never holds a whole result.
-    They are made in-process, whole, to the same text, for one item, with
-    one CPU, in a daemonic process (which may start none) or without
-    Linux's ``sched_getaffinity``.  Closing the generator ends the workers;
-    ``OSError`` if one ends early."""
+def _forked_map(function: Callable[[Any], Any], items: Sequence[Any]) -> Generator[Any, None, None]:
+    """``function`` of each item, bytes or None, in order, made past one item
+    by forked workers, one per CPU: worker k makes items k, k + W, ... from
+    what it inherited and writes each result to its own pipe, an 8-byte
+    signed length (-1 for None), then the bytes, which it drops before it
+    makes the next.  The parent yields None, or the bytes in pieces of at
+    most ``_READ_CHARS`` as they come, so the pipe's backpressure bounds
+    what it holds.  With one item, one CPU or no Linux ``sched_getaffinity``
+    the results are made in-process, whole, to the same bytes.  Closing the
+    generator ends the workers; ``OSError`` if one ends early."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(cpus, len(items))
-    if workers > 1:
-        import multiprocessing  # here, so that importing the package imports none of it
-        workers = 1 if multiprocessing.current_process().daemon else workers
     if workers < 2:
         yield from map(function, items)
         return
+    import signal  # here, so that importing the package does not build signal's enums
 
-    def work(mine: Sequence[Any], sender: Any) -> None:
-        try:
-            for item in mine:
-                if not text:
-                    sender.send(function(item))
-                    continue
-                data = function(item).encode()  # sent in pieces, then an empty one
-                for at in range(0, len(data), _READ_CHARS):
-                    sender.send_bytes(data, at, min(_READ_CHARS, len(data) - at))
-                sender.send_bytes(b"")
-                del data  # not held while the next item is made
-        finally:
-            # Silent, and flushing no copy of the parent's buffers, on any exit
-            # (multiprocessing flushes stdout and stderr before it forks).
-            os._exit(0)
+    def read(pipe: BinaryIO, size: int) -> bytes:
+        if len(data := pipe.read(size)) < size:
+            raise OSError("a worker process ended before it sent all its results")
+        return data
 
-    # fork, not spawn: a worker reads what it inherits, so nothing is pickled to it.
-    context = multiprocessing.get_context("fork")
     running = []
     try:
         for k in range(workers):
-            receiver, sender = context.Pipe(duplex=False)
-            process = context.Process(target=work, args=(items[k::workers], sender), daemon=True)
-            process.start()
-            running.append((process, receiver))
-            sender.close()  # so the worker's end is the receiver's end of file
+            reader, writer = os.pipe()
+            if (pid := os.fork()) == 0:
+                try:
+                    with open(writer, "wb") as pipe:
+                        for item in items[k::workers]:
+                            result = function(item)
+                            size = -1 if result is None else len(result)
+                            pipe.write(size.to_bytes(8, "little", signed=True))
+                            pipe.write(result or b"")
+                            del result  # not held while the next item is made
+                finally:
+                    os._exit(0)  # silent, and flushing no copy of the parent's buffers
+            os.close(writer)  # so the worker's end is the pipe's end of file
+            running.append((pid, open(reader, "rb")))
         for i in range(len(items)):
-            receiver = running[i % workers][1]
-            if text:
-                while piece := receiver.recv_bytes():  # ASCII: each piece decodes alone
-                    yield piece.decode()
-            else:
-                yield receiver.recv()
-    except EOFError:
-        raise OSError("a worker process ended before it sent all its results") from None
+            pipe = running[i % workers][1]
+            size = int.from_bytes(read(pipe, 8), "little", signed=True)
+            if size < 0:
+                yield None
+            for at in range(0, size, _READ_CHARS):
+                yield read(pipe, min(_READ_CHARS, size - at))
     finally:
-        for process, receiver in running:
-            process.terminate()  # one the consumer left blocked on a full pipe
-            process.join()
-            receiver.close()
+        for pid, pipe in running:
+            os.kill(pid, signal.SIGTERM)  # one the consumer left blocked on a full pipe
+            os.waitpid(pid, 0)
+            pipe.close()
 
 
-def _write_pieces(pieces: Generator[str, None, None], path: str) -> None:
-    """Write the pieces to ``path`` as UTF-8 with LF line endings, each as it
-    comes, and close them on every exit, which ends any worker making them.
-    The first piece is made before the file opens, so an error in making it
-    (json's RecursionError on a hand-built record too deep) leaves no file;
-    a later error removes the file begun if it is a regular one."""
-    with contextlib.closing(pieces):
-        first = next(pieces, "")
-        handle = open(path, "w", encoding="utf-8", newline="\n")
-        regular = stat.S_ISREG(os.fstat(handle.fileno()).st_mode)
-        try:
-            with handle:
-                handle.write(first)
-                handle.writelines(pieces)
-        except BaseException:
-            if regular:
-                os.unlink(path)
-            raise
+def _write_pieces(*files: tuple[str, Generator[bytes, None, None]]) -> None:
+    """Write each file's pieces to its path, in turn, each piece as it comes,
+    and close the pieces on every exit, which ends any worker making them.
+    A file's first piece is made before it opens, so an error in making it
+    (json's RecursionError on a hand-built record too deep) leaves no new
+    file; a later error removes every regular file this call began."""
+    begun = []
+    try:
+        for path, pieces in files:
+            with contextlib.closing(pieces):
+                first = next(pieces, b"")
+                with open(path, "wb") as handle:
+                    if stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
+                        begun.append(path)
+                    handle.writelines(itertools.chain([first], pieces))
+    except BaseException:
+        for path in begun:
+            os.unlink(path)
+        raise
 
 
-def _csv_lines(record: RunRecord) -> Generator[str, None, None]:
+def _csv_lines(record: RunRecord) -> Generator[bytes, None, None]:
     """Header plus one row per grid point: angles, amplitudes, concurrence.
 
     Prefers the evolved-states block; a record holding only a concurrence
     profile still exports, its states at phi = 0 from :func:`evolve_grid` on
     the config echo, so the file is self-contained either way.
     """
-    yield ",".join(CSV_COLUMNS) + "\n"
+    yield (",".join(CSV_COLUMNS) + "\n").encode()
     results = record.results
     rows = results.get("evolved_states", ())
     profile_only = "evolved_states" not in results and "concurrence_profile" in results
@@ -1166,16 +1147,25 @@ def _csv_lines(record: RunRecord) -> Generator[str, None, None]:
         rows = results["concurrence_profile"]["samples"]
         vector = record.config.initial.build().vector
 
-    def block_text(start: int) -> str:
+    def block_text(start: int) -> bytes:
         part = rows[start : start + _BLOCK_ROWS]
         if profile_only:
             theta, value = part.T
             phi = np.zeros_like(theta)
             amplitudes = evolve_grid(vector, theta, phi).view(np.float64)
             part = np.column_stack((theta, phi, amplitudes, value))
-        return _filled(_CSV_ROW, part)
+        return _filled(_CSV_ROW, part).encode()
 
-    yield from _forked_map(block_text, range(0, len(rows), _BLOCK_ROWS), text=True)
+    yield from _forked_map(block_text, range(0, len(rows), _BLOCK_ROWS))
+
+
+def _meta_lines(flat: list[tuple[tuple[Any, ...], Any]]) -> Generator[bytes, None, None]:
+    """The sidecar's text: a key,value header, then each flattened value."""
+    text = io.StringIO(newline="")
+    for key, value in [("key", "value"), *((_where(keys), value) for keys, value in flat)]:
+        quoting = csv.QUOTE_ALL if "\r" in f"{key}{value}" else csv.QUOTE_MINIMAL
+        csv.writer(text, lineterminator="\n", quoting=quoting).writerow((key, value))
+    yield text.getvalue().encode()
 
 
 def export_record(record: RunRecord, format: str, path: str) -> None:
@@ -1186,20 +1176,19 @@ def export_record(record: RunRecord, format: str, path: str) -> None:
     per distinct value of a column that repeats (:func:`_filled`): the rows
     hold only finite floats, for the reason :func:`record_to_json` gives, so
     it writes what per-cell repr would, in a fraction of the time.  Both
-    formats go through one writer, the JSON from the pieces that
-    :func:`record_to_json` joins, so no whole-record string is ever held.
-    Past ``_BLOCK_ROWS`` rows, forked workers, one per CPU, format the
-    blocks (:func:`_forked_map`), and each block's text reaches the file in
-    pieces, so the writing process holds the rows and one piece, never a
-    whole block; the bytes are those made in-process.
-    Scalar blocks (metric, classification) do not fit a per-point table;
-    they go to a key,value sidecar at ``<path>.meta.csv`` when present,
-    which csv writes, quoting a cell that holds a comma, a quote or a
-    newline, and a whole row that holds a carriage return, which csv would
-    leave bare.  They are flattened first, so one too deep leaves no file.
+    formats go through :func:`_write_pieces`, the JSON as the pieces that
+    :func:`record_to_json` joins.  Past ``_BLOCK_ROWS`` rows forked workers
+    make the blocks (:func:`_forked_map`), and the writing process then
+    holds the rows and one piece of text, never a whole block.  Scalar
+    blocks (metric, classification) do not fit a per-point table; they go
+    to a key,value sidecar at ``<path>.meta.csv`` when present, which csv
+    writes, quoting a cell that holds a comma, a quote or a newline, and a
+    whole row that holds a carriage return, which csv would leave bare.
+    They are flattened first, so one too deep leaves no file, and a failed
+    write of either file removes each regular file the export began.
     """
     if format == "json":
-        _write_pieces(_record_pieces(record), path)
+        _write_pieces((path, _record_pieces(record)))
         return
     if format != "csv":
         raise ValueError(f"unknown export format {format!r}")
@@ -1207,10 +1196,6 @@ def export_record(record: RunRecord, format: str, path: str) -> None:
     scalar_blocks = {kind: results[kind] for kind in ("metric", "classify") if kind in results}
     # Paths are unique, and under one parent all keys or all indices.
     flat = sorted((tuple(keys), value) for keys, value in _leaves(scalar_blocks))
-    _write_pieces(_csv_lines(record), path)
+    meta = [(f"{path}.meta.csv", _meta_lines(flat))] if scalar_blocks else []
+    _write_pieces((path, _csv_lines(record)), *meta)
 
-    if scalar_blocks:
-        with open(f"{path}.meta.csv", "w", encoding="utf-8", newline="") as handle:
-            for key, value in [("key", "value"), *((_where(keys), value) for keys, value in flat)]:
-                quoting = csv.QUOTE_ALL if "\r" in f"{key}{value}" else csv.QUOTE_MINIMAL
-                csv.writer(handle, lineterminator="\n", quoting=quoting).writerow((key, value))

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from spin_torus import scenario
 from spin_torus.cli import (
     EXIT_CHECK_FAILURE,
     EXIT_CONFIG_ERROR,
@@ -608,13 +609,16 @@ class TestRuntimeWithoutJsonschema:
 
 
 def test_import_leaves_multiprocessing_unloaded(config_file, tmp_path):
-    """Only a write of a float block past one block of rows, or a read of
-    rows past one range, forks workers and imports multiprocessing for it;
-    importing the CLI does neither, and nor does a run and a read of a
-    config-sized record, whose rows are one range, parsed in-process."""
+    """Nothing imports multiprocessing: not importing the CLI, not a run and
+    a read of a config-sized record, whose rows are one range, parsed
+    in-process, and not a write and a read, at two CPUs, of a record whose
+    rows are several blocks and ranges, made in forked workers."""
+    long_config = json.loads(config_file.read_text())
+    long_config["grid"] = {"time": {"t0": 0.0, "t1": 30.0, "steps": 2 * scenario._BLOCK_ROWS + 1}}
+    (tmp_path / "long.json").write_text(json.dumps(long_config))
     code = (
         "import os, sys\n"
-        "os.sched_getaffinity = lambda pid: {0, 1, 2}\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
         "import spin_torus.cli\n"
         "if 'multiprocessing' in sys.modules:\n"
         "    sys.exit('imported')\n"
@@ -625,6 +629,15 @@ def test_import_leaves_multiprocessing_unloaded(config_file, tmp_path):
         "record = scenario.read_record('small.record.json')\n"
         "if len(ranges) != 1 or len(ranges[0]) != record.results['evolved_states'].nbytes:\n"
         "    sys.exit(f'{len(ranges)} ranges')\n"
+        "maps, forked_map = [], scenario._forked_map\n"
+        "scenario._forked_map = lambda *args: maps.append(len(args[1])) or forked_map(*args)\n"
+        "if spin_torus.cli.main(['run', 'long.json', '--out', 'long.record.json']):\n"
+        "    sys.exit('run failed')\n"
+        "record = scenario.read_record('long.record.json')\n"
+        "if len(record.results['evolved_states']) != 2 * scenario._BLOCK_ROWS + 1:\n"
+        "    sys.exit('rows lost')\n"
+        "if len(maps) != 3 or min(maps) < 2 or ranges[1:]:\n"
+        "    sys.exit(f'maps over {maps}, {len(ranges) - 1} ranges in-process')\n"
         "sys.exit('multiprocessing' in sys.modules)\n"
     )
     src = Path(__file__).resolve().parent.parent / "src"

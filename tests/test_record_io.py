@@ -8,12 +8,12 @@ import math
 import multiprocessing
 import os
 import re
+import signal
 import stat
 import subprocess
 import sys
 import threading
 import tracemalloc
-from multiprocessing.connection import Connection
 from pathlib import Path
 
 import jsonschema
@@ -294,7 +294,7 @@ class TestStreamedWriter:
 
 
 BLOCK = scenario._BLOCK_ROWS
-#: Most bytes of text a worker sends in one piece.
+#: Most bytes of a worker's result the parent yields in one piece.
 PIECE = scenario._READ_CHARS
 #: Row counts either side of the block boundaries of the formatted text.
 ROW_COUNTS = [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 1]
@@ -315,7 +315,6 @@ def long_record():
 
 def assert_no_child_process():
     """No worker of this process is left running, or unreaped."""
-    assert multiprocessing.active_children() == []
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -357,10 +356,12 @@ class TestForkedBlocks:
         assert written_csv(record, tmp_path) == reference_csv(record).encode()
         assert_no_child_process()
 
-    def test_a_pool_worker_formats_in_process(self, long_record, tmp_path):
-        """A pool's worker is daemonic, and a daemonic process may start no
-        process: it formats every block itself, to the same bytes."""
+    def test_a_pool_worker_formats_in_process(self, long_record, tmp_path, monkeypatch):
+        """A pool's worker is daemonic, so multiprocessing would let it start
+        no process; it forks its own workers, which format the blocks to the
+        same bytes."""
         path = tmp_path / "record.json"
+        with_cpus(monkeypatch, 2)
         with multiprocessing.get_context("fork").Pool(1) as pool:
             pool.apply(export_record, (long_record, "json", str(path)))
         assert path.read_bytes() == reference_json(long_record).encode()
@@ -384,40 +385,48 @@ class TestForkedBlocks:
         assert_no_child_process()
 
     def test_text_comes_in_pieces(self, monkeypatch):
-        """A worker sends a text result in pieces of ``PIECE`` bytes, the
-        last one shorter unless the text is a multiple of ``PIECE`` long,
-        and the parent yields each piece as it comes."""
-        lengths = [2 * PIECE, 10, PIECE, 3 * PIECE + 5, 1]
-        texts = [str(k) * length for k, length in enumerate(lengths)]
+        """The parent yields a worker's bytes in pieces of ``PIECE`` bytes,
+        the last one shorter unless the result is a multiple of ``PIECE``
+        long, an empty result as no piece, and a None result as None."""
+        lengths = [2 * PIECE, 10, None, 0, PIECE, 3 * PIECE + 5, 1]
+        results = [None if n is None else str(k).encode() * n for k, n in enumerate(lengths)]
         with_cpus(monkeypatch, 2)
-        pieces = list(scenario._forked_map(texts.__getitem__, range(len(texts)), text=True))
-        assert pieces == [text[at : at + PIECE] for text in texts for at in range(0, len(text), PIECE)]
+        pieces = list(scenario._forked_map(results.__getitem__, range(len(results))))
+        assert pieces == [
+            piece for data in results
+            for piece in ([None] if data is None else
+                          [data[at : at + PIECE] for at in range(0, len(data), PIECE)])
+        ]
         assert_no_child_process()
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_a_worker_that_dies_between_pieces_is_an_io_error(
         self, long_record, fmt, tmp_path, capsys, monkeypatch
     ):
-        """A worker that ends after the first piece of its first block: the
-        parent has written that piece, then gets no more."""
+        """A worker of the write killed once the first piece of its first
+        block has come: the parent has written that piece, then gets no
+        more.  The record's read, forked too, comes first and ends well."""
         path, out = tmp_path / "record.json", tmp_path / f"out.{fmt}"
         export_record(long_record, "json", str(path))
-        parent, send, forked_map = os.getpid(), Connection.send_bytes, scenario._forked_map
-        sent, received = [], []
+        fork, forked_map = os.fork, scenario._forked_map
+        workers, maps, received = [], [], []
 
-        def dying(self, *args):
-            if os.getpid() != parent and sent:
-                os._exit(1)
-            sent.append(args)  # in the worker's own copy of the list
-            return send(self, *args)
+        def recorded_fork():
+            pid = fork()
+            workers.append(pid)  # in the parent's list; a worker's copy is never read
+            return pid
 
-        def counted(*args, **kwargs):
-            for piece in forked_map(*args, **kwargs):
-                received.append(len(piece))
+        def counted(*args):
+            maps.append(len(workers))  # the workers forked before this map
+            for piece in forked_map(*args):
+                if len(maps) == 2:  # the write, after the read
+                    received.append(len(piece))
+                    if len(received) == 1:
+                        os.kill(workers[maps[1]], signal.SIGKILL)
                 yield piece
 
         with_cpus(monkeypatch, 2)
-        monkeypatch.setattr(Connection, "send_bytes", dying)
+        monkeypatch.setattr(os, "fork", recorded_fork)
         monkeypatch.setattr(scenario, "_forked_map", counted)
         assert cli.main(["export", str(path), "--format", fmt, "--out", str(out)]) == 3
         err = capsys.readouterr().err
@@ -545,7 +554,7 @@ class TestForkedRanges:
     def test_a_worker_that_dies_is_an_io_error(self, long_record, tmp_path, capsys, monkeypatch):
         path, out = tmp_path / "record.json", tmp_path / "out.csv"
         export_record(long_record, "json", str(path))
-        assert path.stat().st_size > 2 * scenario._RANGE_BYTES
+        assert path.stat().st_size > 2 * scenario._READ_CHARS
         parent, real = os.getpid(), scenario._range_rows
 
         def dying(fd, start, end, separator, lo):
@@ -563,10 +572,11 @@ class TestForkedRanges:
         assert_no_child_process()
 
     def test_a_pool_worker_reads_in_process(self, long_record, tmp_path, monkeypatch):
-        """A pool's worker is daemonic and may start no process: it parses
-        every range itself, to the rows forked workers give.  So it does
-        where an int in the first row sends the read to the whole text, and
-        the forked workers, still parsing, are ended."""
+        """A pool's worker is daemonic, so multiprocessing would let it start
+        no process; it forks its own workers, which parse the ranges to the
+        rows the test process's workers give.  So it does where an int in
+        the first row sends the read to the whole text, and the forked
+        workers, still parsing, are ended."""
         path, edited = tmp_path / "record.json", tmp_path / "int.record.json"
         export_record(long_record, "json", str(path))
         text = path.read_text()
@@ -652,6 +662,45 @@ class TestMetaSidecar:
         read = dict(rows[1:])
         for key, value in written.items():
             assert read[f"metric.{key}"] == value
+
+    def test_a_sidecar_that_cannot_open_leaves_no_file(self, tmp_path, capsys):
+        """A sidecar path that is a directory is an I/O error, and the CSV
+        written before it is removed."""
+        path, out = tmp_path / "record.json", tmp_path / "x.csv"
+        export_record(make_record(), "json", str(path))
+        meta = Path(f"{out}.meta.csv")
+        meta.mkdir()
+        assert cli.main(["export", str(path), "--format", "csv", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            f"error: cannot write export: [Errno 21] Is a directory: '{meta}'\n"
+        )
+        assert sorted(tmp_path.iterdir()) == [path, meta]
+
+    def test_a_sidecar_that_fails_part_way_leaves_no_file(self, tmp_path):
+        """A sidecar longer than the largest file the process may write (its
+        RLIMIT_FSIZE) fails after its first bytes: exit 3, one error line,
+        and neither the sidecar nor the CSV is left."""
+        path, out = tmp_path / "record.json", tmp_path / "x.csv"
+        export_record(make_record(outputs=["metric"]), "json", str(path))
+        export_record(read_record(str(path)), "csv", str(out))
+        limit = out.stat().st_size
+        assert Path(f"{out}.meta.csv").stat().st_size > limit
+        out.unlink()
+        Path(f"{out}.meta.csv").unlink()
+        code = (
+            "import resource, sys\n"
+            f"resource.setrlimit(resource.RLIMIT_FSIZE, ({limit}, {limit}))\n"
+            "from spin_torus.cli import main\n"
+            f"sys.exit(main(['export', {str(path)!r}, '--format', 'csv', '--out', {str(out)!r}]))\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        done = subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert (done.returncode, done.stdout) == (3, "")
+        assert done.stderr == "error: cannot write export: [Errno 27] File too large\n"
+        assert sorted(tmp_path.iterdir()) == [path]
 
     @pytest.mark.parametrize("key", AWKWARD)
     def test_the_same_strings_as_keys_are_refused(self, key):
@@ -921,9 +970,10 @@ def with_layout(data, name):
     return b"\xef\xbb\xbf" + data if "bom" in name else data
 
 
-def assert_export_reads_as_plain_json(name, fmt, tmp_path, capsys, monkeypatch):
-    """``spin-torus export`` of the ``name`` case exits, says and writes
-    what it does when plain json reads the whole record."""
+def assert_export_reads_as_plain_json(name, fmt, tmp_path, capsys, monkeypatch, chars=SMALL_BLOCK):
+    """``spin-torus export`` of the ``name`` case, read ``chars`` at a time,
+    exits, says and writes what it does when plain json reads the whole
+    record."""
     text = PACKING_CASES[name]()
     path = tmp_path / "record.json"
     if isinstance(text, bytes):
@@ -933,7 +983,7 @@ def assert_export_reads_as_plain_json(name, fmt, tmp_path, capsys, monkeypatch):
     expected_out = tmp_path / "expected" / f"out.{fmt}"
     expected_out.parent.mkdir()
     expected = plain_export(path, fmt, expected_out)
-    monkeypatch.setattr(scenario, "_READ_CHARS", SMALL_BLOCK)
+    monkeypatch.setattr(scenario, "_READ_CHARS", chars)
     out = tmp_path / f"out.{fmt}"
     code = cli.main(["export", str(path), "--format", fmt, "--out", str(out)])
     captured = capsys.readouterr()
@@ -983,8 +1033,7 @@ class TestPackingParse:
         holds, parsed in-process and in forked workers; a read that fails or
         falls back to the whole text leaves no worker."""
         with_cpus(monkeypatch, cpus)
-        monkeypatch.setattr(scenario, "_RANGE_BYTES", SMALL_RANGE)
-        assert_export_reads_as_plain_json(name, fmt, tmp_path, capsys, monkeypatch)
+        assert_export_reads_as_plain_json(name, fmt, tmp_path, capsys, monkeypatch, SMALL_RANGE)
         assert_no_child_process()
 
     @pytest.mark.parametrize("name", ["plain", "crlf", "bom"])
@@ -1003,8 +1052,7 @@ class TestPackingParse:
 
         with_cpus(monkeypatch, 1)
         monkeypatch.setattr(scenario, "_range_rows", recording)
-        monkeypatch.setattr(scenario, "_READ_CHARS", SMALL_BLOCK)
-        monkeypatch.setattr(scenario, "_RANGE_BYTES", 4 * SMALL_BLOCK)
+        monkeypatch.setattr(scenario, "_READ_CHARS", 4 * SMALL_BLOCK)
         assert record_to_json(read_record(str(path))) == text
         assert len(parsed) > 20 and None not in parsed
         assert sum(map(len, parsed)) == 45 * len(CSV_COLUMNS) * 8
@@ -1033,8 +1081,7 @@ class TestPackingParse:
 
         with_cpus(monkeypatch, cpus)
         monkeypatch.setattr(Path, "open", counting_open)
-        monkeypatch.setattr(scenario, "_READ_CHARS", SMALL_BLOCK)
-        monkeypatch.setattr(scenario, "_RANGE_BYTES", third + edge - start)
+        monkeypatch.setattr(scenario, "_READ_CHARS", third + edge - start)
         rows = read_record(str(path)).results["evolved_states"]
         assert_row_array(rows, expected.results["evolved_states"])
         assert len(handles) == 1 and handles[0].chars < len(data) // 2
@@ -1382,17 +1429,19 @@ class TestHeldMemory:
         assert path.stat().st_size > self.POINTS * 5 * self.ROW_BYTES
         assert peak <= self.BLOCK_BYTES
 
-    def test_forked_read_peaks_at_the_rows_and_one_block(self, tmp_path, monkeypatch):
-        """At its peak, ``read_record`` with forked workers holds beside the
-        record it returns less than one block of rows and one piece of text:
-        no mask over the whole grid checks the rows' finiteness."""
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_forked_read_peaks_at_the_rows_and_one_block(self, cpus, tmp_path, monkeypatch):
+        """At its peak, ``read_record``, in-process or with forked workers,
+        holds beside the record it returns less than one block of rows: one
+        range's text and rows, or one piece of a worker's rows, and no mask
+        over the whole grid checks the rows' finiteness."""
         config, path = tmp_path / "grid.json", tmp_path / "grid.record.json"
         config.write_text(json.dumps(self.large_grid_config()), encoding="utf-8")
         assert cli.main(["run", str(config), "--out", str(path)]) == 0
-        with_cpus(monkeypatch, 2)
+        with_cpus(monkeypatch, cpus)
         record, held, peak = traced_peak(lambda: read_record(str(path)))
         assert len(record.results["evolved_states"]) == self.POINTS
-        assert peak <= held + self.BLOCK_BYTES + scenario._READ_CHARS
+        assert peak <= held + self.BLOCK_BYTES
 
 
 def reference_schema_message(data):
