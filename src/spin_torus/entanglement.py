@@ -94,17 +94,16 @@ def _clamp_unit_array(values: np.ndarray) -> np.ndarray:
 
 
 def concurrence(state: PureState2Q) -> float:
-    """Concurrence 2|ad - bc| of a pure two-qubit state, in CPython complex
-    arithmetic."""
-    a, b, c, d = state.vector.tolist()
-    return _clamp_unit(2.0 * abs(a * d - b * c))
+    """Concurrence 2|ad - bc| of a pure two-qubit state: the one-state call
+    of :func:`concurrence_stack`."""
+    return float(concurrence_stack(state.vector))
 
 
 def concurrence_stack(vectors: np.ndarray) -> np.ndarray:
-    """:func:`concurrence` of each state vector of a stack (..., 4), with
-    its bits: ad - bc is formed part by part as CPython's complex product
-    and difference form it, and np.hypot is the C library's hypot, as abs()
-    of a Python complex is."""
+    """Concurrence 2|ad - bc| of each state vector of a stack (..., 4), with
+    the bits of CPython's complex arithmetic: ad - bc is formed part by part
+    as CPython's complex product and difference form it, and np.hypot is the
+    C library's hypot, as abs() of a Python complex is."""
     vecs = np.asarray(vectors, dtype=np.complex128)
     a, b, c, d = vecs.reshape(-1, 4).T
     re, im = _complex_product(a.real, a.imag, d.real, d.imag)
@@ -153,29 +152,36 @@ def concurrence_wootters_oracle_stack(vectors: np.ndarray) -> np.ndarray:
     return np.where(value > 0.0, value, 0.0)
 
 
-def _w(initial: PureState2Q, theta: float | np.ndarray) -> complex | np.ndarray:
-    """The complex amplitude w(theta) with C = 2|w|.
+def concurrence_evolved_stack(vectors: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """Closed-form concurrence 2|w(theta)| of each state vector of a stack
+    (..., 4) at the exchange angles ``thetas``, which broadcast against the
+    stack; at least one dimension comes back.  Here
+    w = ad e^{-2i theta} - bc cos 2theta + h sin 2theta, h = (i/2)(b^2 + c^2).
 
-    w collects how the evolution mixes the outer product ad and the inner
-    products: w = ad e^{-2i theta} - bc cos 2theta + (i/2)(b^2+c^2) sin 2theta.
-    A scalar theta takes ``cmath``/``math``: numpy's 0-d bits, minus its overhead.
+    The parts of w are formed in CPython's order and with its bits:
+    cmath.exp(-2i theta) is cos 2theta - i sin 2theta, the C library's cos
+    being even and its sin odd, and the zeros CPython adds when it promotes a
+    float to complex change only the sign of a zero, which hypot ignores.  A
+    non-finite angle raises ValueError, as :func:`evolve_grid` does.
     """
-    a, b, c, d = initial.vector.tolist()
-    ad = a * d
-    bc = b * c
-    sq = b * b + c * c
-    scalar = isinstance(theta, (int, float))
-    exp, cos, sin = (cmath.exp, math.cos, math.sin) if scalar else (np.exp, np.cos, np.sin)
-    return ad * exp(-2j * theta) - bc * cos(2.0 * theta) + 0.5j * sq * sin(2.0 * theta)
+    vecs = np.asarray(vectors, dtype=np.complex128)
+    theta = np.atleast_1d(np.asarray(thetas, dtype=np.float64))
+    if not np.isfinite(theta).all():
+        raise ValueError("exchange angles must be finite")
+    # ad, bc and h of each state, made by CPython itself
+    parts = [(a * d, b * c, 0.5j * (b * b + c * c)) for a, b, c, d in vecs.reshape(-1, 4).tolist()]
+    ad, bc, h = np.array(parts).T.reshape((3,) + vecs.shape[:-1])
+    cos, sin = np.cos(2.0 * theta), np.sin(2.0 * theta)
+    re = ad.real * cos + ad.imag * sin - bc.real * cos + h.real * sin
+    im = ad.imag * cos - ad.real * sin - bc.imag * cos + h.imag * sin
+    return _clamp_unit_array(np.multiply(np.hypot(re, im, out=re), 2.0, out=re))
 
 
 def concurrence_evolved(initial: PureState2Q, theta: float) -> float:
-    """Closed-form concurrence of the evolved state at exchange angle theta.
-
-    Independent of the field angle phi, which only turns phases on the outer
-    amplitudes.
-    """
-    return _clamp_unit(2.0 * abs(complex(_w(initial, theta))))
+    """Closed-form concurrence at exchange angle theta, whatever the field
+    angle phi (it only turns phases on the outer amplitudes): the one-angle
+    call of :func:`concurrence_evolved_stack`."""
+    return float(concurrence_evolved_stack(initial.vector, theta)[0])
 
 
 def concurrence_disentangled(initial: PureState2Q, theta: float) -> float:
@@ -187,7 +193,7 @@ def concurrence_disentangled(initial: PureState2Q, theta: float) -> float:
             f"initial concurrence {initial_c!r} is not zero; "
             "the product-state formula does not apply"
         )
-    return _clamp_unit(abs(initial.b - initial.c) ** 2 * abs(np.sin(2.0 * theta)))
+    return _clamp_unit(abs(initial.b - initial.c) ** 2 * abs(math.sin(2.0 * theta)))
 
 
 def constant_entanglement_circle(
@@ -232,9 +238,8 @@ def concurrence_profile(
     The maximum reported alongside the samples is the closed form of
     :func:`_closed_form_maximum`, so coarse sampling grids do not degrade it.
     """
-    grid = np.asarray(thetas, dtype=np.float64)
-    values = _clamp_unit_array(2.0 * np.abs(np.atleast_1d(_w(initial, grid))))
-    samples = np.column_stack((np.atleast_1d(grid), values))
+    grid = np.atleast_1d(np.asarray(thetas, dtype=np.float64))
+    samples = np.column_stack((grid, concurrence_evolved_stack(initial.vector, grid)))
     samples.setflags(write=False)
     return ConcurrenceProfile(samples, *_closed_form_maximum(initial))
 

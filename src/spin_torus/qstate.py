@@ -276,8 +276,10 @@ def bloch_minus(chi: float, gamma_az: float) -> np.ndarray:
 
 
 def product_state(first: np.ndarray, second: np.ndarray) -> PureState2Q:
-    """Tensor product of two single-qubit states, first spin slowest."""
-    return PureState2Q(np.kron(first, second))
+    """Tensor product of two single-qubit states, first spin slowest, in
+    CPython's complex products (np.kron's round apart where numpy uses FMA)."""
+    seconds = np.asarray(second).tolist()
+    return PureState2Q([x * y for x in np.asarray(first).tolist() for y in seconds])
 
 
 def plus_minus_state(chi: float, gamma_az: float = 0.0) -> PureState2Q:

@@ -770,7 +770,8 @@ def record_from_dict(data: Mapping[str, Any]) -> RunRecord:
     writes there (:class:`RunRecord`), a ``schema_version`` but
     ``SCHEMA_VERSION``, evolved rows or profile samples that are not finite
     real numbers, and in the results or the provenance any float that is
-    not finite or nesting beyond ``MAX_NESTING``.  Each float block becomes
+    not finite, any string UTF-8 cannot encode (a lone surrogate) or nesting
+    beyond ``MAX_NESTING``.  Each float block becomes
     :class:`RunRecord`'s array; it may be one already, or a list of rows as
     the record's JSON writes them, evolved rows also as the tuples they
     pack into."""
@@ -795,6 +796,8 @@ def record_from_dict(data: Mapping[str, Any]) -> RunRecord:
     for path, value in _leaves({"results": results, "provenance": provenance}):
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigInvalid(f"{_where(path)}: must be finite")
+        if isinstance(value, str) and value.encode(errors="replace").decode() != value:
+            raise ConfigInvalid(f"{_where(path)}: must be text that UTF-8 can encode")
     return RunRecord(SCHEMA_VERSION, config, results, provenance)
 
 

@@ -16,9 +16,7 @@ import numpy as np
 
 from .entanglement import (
     _closed_form_maximum,
-    _w,
-    concurrence,
-    concurrence_evolved,
+    concurrence_evolved_stack,
     concurrence_stack,
     concurrence_wootters_oracle_stack,
     entanglement_along_orbit,
@@ -256,25 +254,19 @@ def verify_all(seed: int = 0, corrupt_propagator: bool = False) -> VerifyReport:
     vectors, states = _draw_states(rng, 100)
     thetas = rng.uniform(0.0, np.pi, 100)
     phis = rng.uniform(0.0, 2.0 * np.pi, (100, 5))
-    closed = [concurrence_evolved(state, th) for state, th in zip(states, thetas.tolist())]
+    closed = concurrence_evolved_stack(vectors, thetas)
     direct = entanglement_along_orbit(states, thetas, phis)
     oracle = concurrence_wootters_oracle_stack(vectors)
-    scalar = np.array([concurrence(state) for state in states])
-    worst_oracle = np.abs(scalar - oracle).max()
+    worst_oracle = np.abs(concurrence_stack(vectors) - oracle).max()
     record("concurrence_closed_form_vs_direct", np.abs(closed - direct[:, 0]).max(), 1e-12)
     record("concurrence_field_independence", np.ptp(direct, axis=1).max(), 1e-12)
     record("concurrence_wootters_oracle", worst_oracle, 1e-10)
-    # The evolved-states column and entanglement_along_orbit take the stack.
-    flipped = np.bitwise_count(concurrence_stack(vectors).view(np.uint64) ^ scalar.view(np.uint64))
-    detail = "differing bits: concurrence_stack vs scalar concurrence"
-    record("concurrence_stack_matches_scalar", int(flipped.sum()), 0.0, detail)
 
     rng = stream()
-    states = _draw_states(rng, 50)[1]
-    worst = np.max([
-        abs(concurrence_evolved(state, th) - concurrence_evolved(state, th + np.pi))
-        for state, th in zip(states, rng.uniform(0.0, np.pi, 50).tolist())
-    ])
+    vectors = random_states(rng, 50)
+    thetas = rng.uniform(0.0, np.pi, 50)
+    shifted = concurrence_evolved_stack(vectors, thetas + np.pi)
+    worst = np.abs(concurrence_evolved_stack(vectors, thetas) - shifted).max()
     record("concurrence_theta_period", worst, 1e-12)
 
     rng = stream()
@@ -291,13 +283,10 @@ def verify_all(seed: int = 0, corrupt_propagator: bool = False) -> VerifyReport:
     theta_max, c_max = np.array([_closed_form_maximum(state)[:2] for state in states]).T
     direct = entanglement_along_orbit(states, theta_max, rng.uniform(0.0, 2.0 * np.pi, (10, 1)))
     grid = np.linspace(0.0, np.pi, 256, endpoint=False)
-    top = 2.0 * np.abs([_w(state, grid) for state in states]).max(axis=1)
-    record(
-        "concurrence_max_closed_form_vs_sampled",
-        np.max((np.abs(direct[:, 0] - c_max), top - c_max)),
-        1e-12,
-        "direct route at theta_max; no 256-point sample above c_max",
-    )
+    top = concurrence_evolved_stack(vectors[:, None], grid).max(axis=1)
+    worst = np.max((np.abs(direct[:, 0] - c_max), top - c_max))
+    detail = "direct route at theta_max; no 256-point sample above c_max"
+    record("concurrence_max_closed_form_vs_sampled", worst, 1e-12, detail)
 
     # --- distance function ---------------------------------------------------
     rng = stream()

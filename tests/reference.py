@@ -1,12 +1,34 @@
-"""Plain reference routes for a record's serialized forms, kept in the tests
-only: the package writes the same text and bytes by faster routes, and the
-tests compare the two."""
+"""Plain reference routes, kept in the tests only: the package computes the
+same bits, text and bytes by faster routes, and the tests compare the two."""
 
+import cmath
 import json
+import math
 
 import numpy as np
 
+from spin_torus.entanglement import _clamp_unit
 from spin_torus.scenario import CSV_COLUMNS
+
+
+def concurrence(vector):
+    """C = 2|ad - bc| of the amplitudes ``vector``, in CPython complex
+    arithmetic, clamped as the package clamps."""
+    a, b, c, d = vector
+    return _clamp_unit(2.0 * abs(a * d - b * c))
+
+
+def concurrence_evolved(vector, theta):
+    """C = 2|w(theta)| of the amplitudes ``vector`` evolved to exchange
+    angle ``theta``, in CPython complex arithmetic, clamped as the package
+    clamps: w = ad e^{-2i theta} - bc cos 2theta + (i/2)(b^2+c^2) sin 2theta."""
+    a, b, c, d = vector
+    w = (
+        a * d * cmath.exp(-2j * theta)
+        - b * c * math.cos(2.0 * theta)
+        + 0.5j * (b * b + c * c) * math.sin(2.0 * theta)
+    )
+    return _clamp_unit(2.0 * abs(w))
 
 
 def row_object(row):

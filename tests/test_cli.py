@@ -605,7 +605,7 @@ class TestRuntimeWithoutJsonschema:
         result = self.run_python(code, tmp_path)
         assert result.returncode == 0, result.stderr
         assert (tmp_path / "demo.csv").read_text().startswith("theta,phi,")
-        assert "all 28 checks passed" in result.stdout
+        assert "all 27 checks passed" in result.stdout
 
 
 def test_import_leaves_multiprocessing_unloaded(config_file, tmp_path):
@@ -679,6 +679,41 @@ def test_non_finite_record_value_exits_two_and_writes_nothing(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: invalid record: {place}: must be finite\n"
+    assert sorted(tmp_path.iterdir()) == before
+
+
+UNENCODABLE_PLACES = {
+    "results.classify.kind": ("results", "classify", "kind"),
+    "provenance.created_utc": ("provenance", "created_utc"),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("place", sorted(UNENCODABLE_PLACES))
+def test_unencodable_record_string_exits_two_and_writes_nothing(
+    config_file, tmp_path, capsys, place, fmt
+):
+    """A lone surrogate is valid JSON but no text UTF-8 can encode, so the
+    CSV sidecar could not hold it; neither format writes a record that
+    holds one."""
+    config = json.loads(config_file.read_text())
+    config_file.write_text(json.dumps({**config, "outputs": [*config["outputs"], "classify"]}))
+    record = tmp_path / "r.json"
+    assert main(["run", str(config_file), "--out", str(record)]) == EXIT_OK
+    body = json.loads(record.read_text())
+    *parents, key = UNENCODABLE_PLACES[place]
+    block = body
+    for name in parents:
+        block = block[name]
+    block[key] = "flat_\ud800torus"
+    record.write_text(json.dumps(body, indent=2))
+    before = sorted(tmp_path.iterdir())
+    capsys.readouterr()
+    out = tmp_path / f"never.{fmt}"
+    assert main(["export", str(record), "--format", fmt, "--out", str(out)]) == EXIT_CONFIG_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: invalid record: {place}: must be text that UTF-8 can encode\n"
     assert sorted(tmp_path.iterdir()) == before
 
 

@@ -13,10 +13,10 @@ from spin_torus.entanglement import (
     ZeroCoupling,
     _clamp_unit,
     _closed_form_maximum,
-    _w,
     concurrence,
     concurrence_disentangled,
     concurrence_evolved,
+    concurrence_evolved_stack,
     concurrence_profile,
     concurrence_stack,
     concurrence_wootters_oracle,
@@ -43,6 +43,8 @@ from spin_torus.qstate import (
     up_down,
 )
 
+import reference
+
 UP_UP, DOWN_DOWN = basis_state(0), basis_state(3)
 SINGLET = PureState2Q.normalized(0.0, 1.0, -1.0, 0.0)
 TRIPLET_ZERO = PureState2Q.normalized(0.0, 1.0, 1.0, 0.0)
@@ -67,13 +69,11 @@ def state_from_raw(raw):
     return PureState2Q(vec / np.linalg.norm(vec))
 
 
-def loop_samples(grid, values):
-    """The per-sample loop concurrence_profile built its samples with,
-    kept as an oracle for the array route that replaced it."""
-    return tuple(
-        (float(theta), _clamp_unit(float(value)))
-        for theta, value in zip(np.atleast_1d(grid), values)
-    )
+def reference_samples(state, grid):
+    """The (theta, C) pairs of CPython's closed form at each angle of
+    ``grid``: the bits a profile's samples must have."""
+    vector = state.vector.tolist()
+    return [(theta, reference.concurrence_evolved(vector, theta)) for theta in grid.tolist()]
 
 
 def assert_sample_array(samples, expected):
@@ -227,28 +227,71 @@ def _quarter_turn_gap(x, y):
     return min(gap, np.pi / 2.0 - gap)
 
 
-class TestScalarAmplitude:
-    def test_scalar_path_matches_numpy_element_by_element(self):
-        # A 0-d array takes numpy's route, which is how every scalar theta
-        # was evaluated before the cmath/math path: that route is the
-        # reference for the bits.  Over a whole array numpy's vectorized
-        # complex arithmetic may round differently, so the array path is
-        # held to a few ulps only.
-        rng = np.random.default_rng(101)
-        thetas = np.concatenate([[0.0, np.pi / 4, np.pi], rng.uniform(-20.0, 20.0, 300)])
-        for state in haar_states(10, 102) + [up_down(), SINGLET]:
-            array = _w(state, thetas)
-            for i, theta in enumerate(thetas.tolist()):
-                scalar = _w(state, theta)
-                assert type(scalar) is complex
-                assert scalar == complex(_w(state, np.asarray(theta)))
-                assert abs(scalar - array[i]) <= 1e-14
+def reference_states():
+    """Haar states, the named states and a |down up> with a signed zero in
+    every part, as an (n, 4) array."""
+    named = [UP_UP, DOWN_DOWN, SINGLET, TRIPLET_ZERO, up_down()]
+    named += [plus_minus_state(0.9, 0.4), plus_plus_state(0.8, 0.2), edge_state(-5e-16)]
+    vectors = [state.vector for state in haar_states(30, seed=101) + named]
+    signed = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-1.0, -0.0), -0.0j]
+    return np.array(vectors + [signed])
+
+
+def reference_angles():
+    """Signed zeros, the smallest angles, the quarter turns, |theta| up to
+    1e6 and uniform draws."""
+    rng = np.random.default_rng(103)
+    edges = [0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, np.pi / 4, np.pi / 2, np.pi, 1e6, -1e6]
+    return np.concatenate((edges, rng.uniform(-20.0, 20.0, 400), rng.uniform(-1e6, 1e6, 100)))
+
+
+class TestBitReference:
+    """The closed-form kernel has the bits of CPython's complex arithmetic
+    on every shape of stack it is called with (for concurrence_stack, see
+    TestStackedRoutes)."""
+
+    def test_evolved_stack_has_the_reference_bits(self):
+        vectors, thetas = reference_states(), reference_angles()
+        expected = np.array([
+            [reference.concurrence_evolved(vector, theta) for theta in thetas.tolist()]
+            for vector in vectors.tolist()
+        ])
+        assert same_bits(concurrence_evolved_stack(vectors[:, None], thetas), expected)
+        # one angle per state, one angle for all, and a 3-d stack of states
+        paired = concurrence_evolved_stack(vectors, thetas[: len(vectors)])
+        assert same_bits(paired, expected.diagonal().copy())
+        shared = concurrence_evolved_stack(vectors, thetas[7])
+        assert same_bits(shared, expected[:, 7].copy())
+        stacked = concurrence_evolved_stack(vectors[:36].reshape(6, 6, 1, 4), thetas)
+        assert same_bits(stacked, expected[:36].reshape(6, 6, -1))
+
+    def test_one_angle_call_has_the_reference_bits(self):
+        thetas = reference_angles()[::5].tolist()
+        for vector in reference_states()[::4]:
+            state = PureState2Q(vector)
+            for theta in thetas:
+                value = concurrence_evolved(state, theta)
+                assert type(value) is float
+                assert same_bits(value, reference.concurrence_evolved(vector.tolist(), theta))
 
     def test_integer_and_numpy_scalar_angles(self):
         state = haar_states(1, 103)[0]
-        expected = complex(_w(state, np.asarray(2.0)))
-        assert _w(state, 2) == expected
-        assert _w(state, np.float64(2.0)) == expected
+        expected = concurrence_evolved(state, 2.0)
+        assert same_bits(concurrence_evolved(state, 2), expected)
+        assert same_bits(concurrence_evolved(state, np.float64(2.0)), expected)
+        assert same_bits(concurrence_evolved(state, np.asarray(2.0)), expected)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_angles_raise_one_value_error(self, bad):
+        """A non-finite angle is refused before any arithmetic, so no numpy
+        warning escapes (each would fail the test as an error)."""
+        state = haar_states(1, 107)[0]
+        with pytest.raises(ValueError, match="^exchange angles must be finite$"):
+            concurrence_evolved(state, bad)
+        with pytest.raises(ValueError, match="^exchange angles must be finite$"):
+            concurrence_profile(state, [0.1, bad, 0.2])
+        with pytest.raises(ValueError, match="^exchange angles must be finite$"):
+            concurrence_evolved_stack(np.array([state.vector] * 3), [0.1, 0.2, bad])
 
 
 class TestConcurrence:
@@ -346,9 +389,9 @@ def stack_states():
 
 
 def loop_concurrences(vectors):
-    """C = 2|ad - bc| of each row in CPython complex arithmetic, clamped
-    row by row, so the first bad row raises."""
-    return [_clamp_unit(2.0 * abs(a * d - b * c)) for a, b, c, d in vectors.tolist()]
+    """CPython's C = 2|ad - bc| of each row, clamped row by row, so the
+    first bad row raises."""
+    return [reference.concurrence(vector) for vector in vectors.tolist()]
 
 
 class TestStackedRoutes:
@@ -358,13 +401,14 @@ class TestStackedRoutes:
         # |down up> with a signed zero in every part
         signed = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-1.0, -0.0), -0.0j]
         vectors = np.concatenate((vectors, [signed]))
-        reference = np.array(loop_concurrences(vectors))
-        assert same_bits(concurrence_stack(vectors), reference)
-        one = np.array([concurrence(PureState2Q(vector)) for vector in vectors])
-        assert same_bits(one, reference)
+        expected = np.array(loop_concurrences(vectors))
+        assert same_bits(concurrence_stack(vectors), expected)
+        one = [concurrence(PureState2Q(vector)) for vector in vectors]
+        assert {type(value) for value in one} == {float}
+        assert same_bits(np.array(one), expected)
         stacked = concurrence_stack(vectors[:1000].reshape(10, 100, 4))
-        assert same_bits(stacked, reference[:1000].reshape(10, 100))
-        assert same_bits(concurrence_stack(vectors[5]), reference[5])
+        assert same_bits(stacked, expected[:1000].reshape(10, 100))
+        assert same_bits(concurrence_stack(vectors[5]), expected[5])
 
     @pytest.mark.parametrize(
         "rows",
@@ -390,11 +434,11 @@ class TestStackedRoutes:
 
     def test_oracle_bit_identical_to_scalar_route(self):
         states = stack_states()
-        reference = np.array([scalar_oracle(state) for state in states])
+        expected = np.array([scalar_oracle(state) for state in states])
         stack = concurrence_wootters_oracle_stack([state.vector for state in states])
-        assert same_bits(stack, reference)
+        assert same_bits(stack, expected)
         one = np.array([concurrence_wootters_oracle(state) for state in states])
-        assert same_bits(one, reference)
+        assert same_bits(one, expected)
 
     def test_orbit_bit_identical_to_scalar_route(self):
         states = stack_states()
@@ -416,6 +460,8 @@ class TestStackedRoutes:
 
     def test_zero_length_stacks(self):
         assert concurrence_stack(np.zeros((0, 4))).shape == (0,)
+        assert concurrence_evolved_stack(np.zeros((0, 4)), 0.3).shape == (0,)
+        assert concurrence_evolved_stack(up_down().vector, []).shape == (0,)
         assert concurrence_wootters_oracle_stack(np.zeros((0, 4))).shape == (0,)
         assert entanglement_along_orbit([], [], np.zeros((0, 5))).shape == (0, 5)
 
@@ -482,6 +528,21 @@ class TestDisentangledFormula:
             assert concurrence_evolved(state, float(theta)) == pytest.approx(
                 expected, abs=1e-12
             )
+
+    def test_returns_a_float_with_the_bits_of_numpy_sin(self):
+        """math.sin gives a float, with the bits np.sin gave before it."""
+        rng = np.random.default_rng(109)
+        states = [up_down(), UP_UP, DOWN_DOWN] + [
+            make(chi, gaz)
+            for chi, gaz in rng.uniform(0.0, np.pi, (20, 2)).tolist()
+            for make in (plus_minus_state, plus_plus_state, minus_minus_state)
+        ]
+        for state in states:
+            for theta in reference_angles()[::9].tolist():
+                value = concurrence_disentangled(state, theta)
+                assert type(value) is float
+                numpy_sin = abs(state.b - state.c) ** 2 * abs(np.sin(2.0 * theta))
+                assert same_bits(value, float(_clamp_unit(numpy_sin)))
 
     def test_up_down_is_the_extreme_case(self):
         assert concurrence_disentangled(up_down(), np.pi / 4) == pytest.approx(1.0)
@@ -565,7 +626,7 @@ class TestProfile:
         edges = [edge_state(tilt) for tilt in (1e-17, -1e-17, 5e-16, -5e-16)]
         for state in haar_states(200, seed=61) + specials + edges:
             grid = np.asarray(thetas, dtype=np.float64)
-            expected = loop_samples(grid, 2.0 * np.abs(np.atleast_1d(_w(state, grid))))
+            expected = reference_samples(state, np.atleast_1d(grid))
             assert_sample_array(concurrence_profile(state, thetas).samples, expected)
 
     @pytest.mark.parametrize(
@@ -577,18 +638,21 @@ class TestProfile:
             [0.5 + 4e-10, 0.0, 0.25],
         ],
     )
-    def test_out_of_range_samples_raise_like_the_loop(self, monkeypatch, w):
-        values = 2.0 * np.abs(np.array(w))
-        grid = np.arange(len(w), dtype=np.float64)
-        monkeypatch.setattr(entanglement, "_w", lambda initial, theta: np.array(w))
+    def test_out_of_range_samples_raise_like_the_loop(self, w):
+        """A profile's C column is concurrence_evolved_stack's values, which
+        a normalized state keeps in range; the raw amplitudes (w, 0, 0, 1)
+        at theta = 0 give C = 2|w|.  Out of range or NaN, the first bad
+        sample raises _clamp_unit's error, as a loop over the samples would;
+        rounding excursions clip to its bits."""
+        vectors = np.array([[x, 0.0, 0.0, 1.0] for x in w], dtype=np.complex128)
         try:
-            expected = loop_samples(grid, values)
+            expected = [_clamp_unit(2.0 * abs(x)) for x in w]
         except ConcurrenceRangeError as error:
             with pytest.raises(ConcurrenceRangeError) as excinfo:
-                concurrence_profile(up_down(), grid)
+                concurrence_evolved_stack(vectors, 0.0)
             assert str(excinfo.value) == str(error)
         else:
-            assert_sample_array(concurrence_profile(up_down(), grid).samples, expected)
+            assert same_bits(concurrence_evolved_stack(vectors, 0.0), np.array(expected))
 
     def test_values_stay_in_range(self):
         for state in haar_states(10, seed=43):

@@ -389,6 +389,23 @@ class TestProductStates:
         state = product_state(np.array([0.0, 1.0]), np.array([1.0, 0.0]))
         np.testing.assert_allclose(state.vector, basis_state(2).vector)
 
+    @pytest.mark.parametrize(
+        "build, first, second",
+        [
+            (plus_minus_state, bloch_plus, bloch_minus),
+            (plus_plus_state, bloch_plus, bloch_plus),
+            (minus_minus_state, bloch_minus, bloch_minus),
+        ],
+    )
+    def test_product_amplitudes_are_cpython_products(self, build, first, second):
+        """Each amplitude has the bits of CPython's complex product of the
+        two spinors' amplitudes, which no numpy dispatch path changes."""
+        rng = np.random.default_rng(11)
+        for chi, gamma_az in rng.uniform((0.0, -7.0), (np.pi, 7.0), (300, 2)).tolist():
+            left, right = first(chi, gamma_az).tolist(), second(chi, gamma_az).tolist()
+            expected = np.array([x * y for x in left for y in right])
+            assert build(chi, gamma_az).vector.tobytes() == expected.tobytes()
+
     def test_plus_minus_at_pole_is_up_down(self):
         assert ray_equal(plus_minus_state(0.0, 0.0), up_down())
 

@@ -1,5 +1,8 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -610,3 +613,47 @@ def test_shipped_schema_file_matches_embedded_schema():
     with pytest.raises(ConfigInvalid) as excinfo:
         config_from_dict(bogus)
     assert str(excinfo.value) == spin_torus.scenario._schema_error(on_disk, bogus)
+
+
+#: Prints the sha256 of the canonical bytes of Haar and pm records, on a
+#: 40 x 40 torus grid and a 500-step time grid, with all four outputs.
+DISPATCH_RECORDS = """\
+import hashlib
+import numpy as np
+from spin_torus.qstate import random_states
+from spin_torus.scenario import canonical_result_bytes, config_from_dict, run_scenario
+haar = [{"amplitudes": [[z.real, z.imag] for z in row]}
+        for row in random_states(np.random.default_rng(17), 3).tolist()]
+pm = {"product_state": {"kind": "pm", "chi": 0.9, "gamma_az": 0.3}}
+for initial in haar + [pm]:
+    for grid in ({"theta_steps": 40, "phi_steps": 40}, {"time": {"t0": 0.0, "t1": 7.0, "steps": 500}}):
+        config = config_from_dict({
+            "initial": initial,
+            "params": {"coupling": 1.0, "field": 0.5},
+            "grid": grid,
+            "outputs": ["metric", "classify", "concurrence_profile", "evolved_states"],
+        })
+        print(hashlib.sha256(canonical_result_bytes(run_scenario(config, seed=1))).hexdigest())
+"""
+
+
+def test_record_bytes_do_not_rest_on_numpy_cpu_dispatch():
+    """Records made with every numpy dispatch target disabled, as on a CPU
+    with only numpy's baseline features, have the default path's bytes.
+    The targets are numpy's own list: it refuses any other name with an
+    ImportWarning, which -W error makes fatal."""
+    from numpy._core import _multiarray_umath
+
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    env.pop("NPY_DISABLE_CPU_FEATURES", None)
+    baseline = {**env, "NPY_DISABLE_CPU_FEATURES": " ".join(_multiarray_umath.__cpu_dispatch__)}
+    digests = []
+    for path_env in (env, baseline):
+        result = subprocess.run(
+            [sys.executable, "-W", "error", "-c", DISPATCH_RECORDS],
+            env=path_env, capture_output=True, text=True,
+        )
+        assert (result.returncode, result.stderr) == (0, "")
+        digests.append(result.stdout.split())
+    assert len(digests[0]) == 8
+    assert digests[1] == digests[0]

@@ -34,7 +34,6 @@ CHECK_NAMES = [
     "concurrence_closed_form_vs_direct",
     "concurrence_field_independence",
     "concurrence_wootters_oracle",
-    "concurrence_stack_matches_scalar",
     "concurrence_theta_period",
     "product_state_peak_at_quarter_turn",
     "concurrence_max_closed_form_vs_sampled",
@@ -69,7 +68,7 @@ class TestVerifyAll:
     def test_every_line_carries_a_verdict(self):
         lines = verify_all(seed=0).lines()
         assert all(line.startswith(("PASS ", "FAIL ")) for line in lines[:-1])
-        assert lines[-1].endswith("all 28 checks passed")
+        assert lines[-1].endswith("all 27 checks passed")
 
 
 class TestNegativeControl:
@@ -85,7 +84,7 @@ class TestNegativeControl:
             line.startswith("FAIL") and "propagator_unitarity" in line
             for line in report.lines()
         )
-        assert report.lines()[-1].endswith("1 of 28 checks FAILED")
+        assert report.lines()[-1].endswith("1 of 27 checks FAILED")
 
     @pytest.mark.parametrize("seed", range(50))
     def test_cli_negative_control_fails_only_unitarity(self, seed, capsys):
