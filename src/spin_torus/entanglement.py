@@ -161,17 +161,21 @@ def concurrence_evolved_stack(vectors: np.ndarray, thetas: np.ndarray) -> np.nda
     The parts of w are formed in CPython's order and with its bits:
     cmath.exp(-2i theta) is cos 2theta - i sin 2theta, the C library's cos
     being even and its sin odd, and the zeros CPython adds when it promotes a
-    float to complex change only the sign of a zero, which hypot ignores.  A
-    non-finite angle raises ValueError, as :func:`evolve_grid` does.
+    float to complex change only the sign of a zero, which hypot ignores.  An
+    angle whose double is not finite (non-finite, or |theta| past half the
+    largest float) raises ValueError before any warning, as a non-finite
+    one does in :func:`evolve_grid`.
     """
     vecs = np.asarray(vectors, dtype=np.complex128)
     theta = np.atleast_1d(np.asarray(thetas, dtype=np.float64))
-    if not np.isfinite(theta).all():
+    with np.errstate(over="ignore"):  # a double that overflows is refused below
+        doubled = 2.0 * theta
+    if not np.isfinite(doubled).all():
         raise ValueError("exchange angles must be finite")
     # ad, bc and h of each state, made by CPython itself
     parts = [(a * d, b * c, 0.5j * (b * b + c * c)) for a, b, c, d in vecs.reshape(-1, 4).tolist()]
     ad, bc, h = np.array(parts).T.reshape((3,) + vecs.shape[:-1])
-    cos, sin = np.cos(2.0 * theta), np.sin(2.0 * theta)
+    cos, sin = np.cos(doubled), np.sin(doubled)
     re = ad.real * cos + ad.imag * sin - bc.real * cos + h.real * sin
     im = ad.imag * cos - ad.real * sin - bc.imag * cos + h.imag * sin
     return _clamp_unit_array(np.multiply(np.hypot(re, im, out=re), 2.0, out=re))

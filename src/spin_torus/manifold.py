@@ -199,9 +199,7 @@ def evolve_grid(amplitudes: np.ndarray, thetas: np.ndarray, phis: np.ndarray) ->
 
 def evolve_family(initial: PureState2Q, point: TorusPoint) -> PureState2Q:
     """The evolved state at torus coordinates (theta, phi)."""
-    return PureState2Q.from_amplitudes(
-        *_family_amplitudes(initial.vector.tolist(), point.theta, point.phi)
-    )
+    return PureState2Q(_family_amplitudes(initial.vector.tolist(), point.theta, point.phi))
 
 
 def evolve_family_sheared(initial: PureState2Q, point: TorusPoint, k: float) -> PureState2Q:

@@ -26,6 +26,7 @@ import math
 import numbers
 import os
 import stat
+import struct
 from array import array
 from collections.abc import Callable, Generator, Iterator, Mapping, Sequence
 from dataclasses import dataclass, fields, is_dataclass, replace
@@ -49,6 +50,7 @@ from .manifold import (
     metric_analytic,
 )
 from .qstate import (
+    NORM_TOL,
     PureState2Q,
     all_finite,
     minus_minus_state,
@@ -416,7 +418,7 @@ def _parse_initial(body: Mapping[str, Any]) -> AmplitudesInitial | ProductInitia
                 f"initial.amplitudes: |amplitudes|^2 sums to {norm_sq!r}, "
                 f"more than {AMPLITUDE_NORM_TOL} away from 1"
             )
-        if abs(norm_sq - 1.0) > 1e-12:
+        if abs(norm_sq - 1.0) > NORM_TOL:
             raw = raw / np.sqrt(norm_sq)
         return AmplitudesInitial(amplitudes=tuple(complex(z) for z in raw))
     block = body["product_state"]
@@ -639,6 +641,8 @@ def run_scenario(config: ScenarioConfig, seed: int = 0) -> RunRecord:
 _FLOAT_BLOCKS = ((("concurrence_profile", "samples"), 2), (("evolved_states",), len(CSV_COLUMNS)))
 #: The keys of one evolved-states row in a record's JSON.
 _ROW_KEYS = frozenset({"theta", "phi", "amplitudes", "concurrence"})
+#: Those keys in the order a record's JSON writes them, sorted.
+_ROW_ORDER = tuple(sorted(_ROW_KEYS))
 _FLOAT_ONLY = frozenset({float})
 #: The value type of each output whose block is an object, whose keys are its fields.
 _TYPES = {"metric": MetricTensor2, "classify": ManifoldReport,
@@ -709,6 +713,21 @@ def _packed_row(row: Any) -> Any:
             return (row["theta"], row["phi"], a_re, a_im, b_re, b_im, c_re, c_im,
                     d_re, d_im, row["concurrence"])
     return row
+
+
+def _packed_pairs(pairs: list[tuple[str, Any]]) -> Any:
+    """The object json parsed as ``pairs``, as :func:`_packed_row` packs
+    it.  A row whose keys come in ``_ROW_ORDER``, once each, and whose
+    amplitudes are four 2-item lists is packed from the pairs, with no
+    dict made; any other object goes to :func:`_packed_row` as the dict
+    json would make of it, which keeps the last of duplicate keys."""
+    if len(pairs) == 4:
+        (k0, amplitudes), (k1, concurrence), (k2, phi), (k3, theta) = pairs
+        if (k0, k1, k2, k3) == _ROW_ORDER and type(amplitudes) is list and len(amplitudes) == 4:
+            a, b, c, d = amplitudes
+            if type(a) is type(b) is type(c) is type(d) is list and len(a) == len(b) == len(c) == len(d) == 2:
+                return (theta, phi, *a, *b, *c, *d, concurrence)
+    return _packed_row(dict(pairs))
 
 
 def _packed_floats(rows: list[Any]) -> bool:
@@ -843,36 +862,42 @@ _LAYOUTS = {keys: _row_layout(keys, width) for keys, width in _FLOAT_BLOCKS}
 #: Characters or bytes of a record's text read at a time, the bytes of rows one
 #: :func:`_range_rows` call parses, and the most of a worker's result held at once.
 _READ_CHARS = 2**16
+#: Bytes :func:`_range_rows` reads at a time in search of a row separator:
+#: more than a row of run's layout (~600 bytes) holds, so one read finds it.
+_PROBE_CHARS = 2**10
 
 
-def _range_rows(fd: int, start: int, end: int, separator: bytes, lo: int) -> memoryview | None:
+def _range_rows(fd: int, start: int, end: int, separator: bytes, lo: int) -> bytes | None:
     """The float64 bytes of a record's rows, which span bytes [``start``,
     ``end``) of the file open at ``fd``, from the first ``separator`` at or
     after ``lo`` (the first range keeps ``start``) to the first at or after
-    ``lo + _READ_CHARS``, as a view of the array they fill, or None if that
-    text does not decode or parse into rows of floats.  It is read with one
-    pread and parsed as one list whose rows :func:`_packed_row` packs.  A
-    raw newline in JSON is whitespace, so an edge never falls inside a
-    string; one inside a row leaves the list's brackets unbalanced."""
+    ``lo + _READ_CHARS``, in native byte order, or None if that text does
+    not decode or parse into rows of floats.  Each separator is found by
+    preads of ``_PROBE_CHARS`` bytes and the text is read with one pread, so
+    all ranges together read ~1.03 times the rows' bytes.  It is parsed as
+    one list, each object packed from json's key-value pairs as it is parsed
+    (:func:`_packed_pairs`).  A raw newline in JSON is whitespace, so an
+    edge never falls inside a string; one inside a row leaves the list's
+    brackets unbalanced."""
     def cut_at(at: int) -> int:
-        for at in range(at, end, _READ_CHARS - len(separator) + 1):
-            if (found := os.pread(fd, _READ_CHARS, at).find(separator)) >= 0:
+        for at in range(at, end, _PROBE_CHARS - len(separator) + 1):
+            if (found := os.pread(fd, _PROBE_CHARS, at).find(separator)) >= 0:
                 return min(at + found, end)
         return end
 
     first = lo if lo == start else cut_at(lo) + 1  # after the separator's comma
     last = cut_at(lo + _READ_CHARS)
     if first >= last:
-        return memoryview(b"")
+        return b""
     try:
         parsed = json.loads("[" + os.pread(fd, last - first, first).decode() + "]",
-                            object_hook=_packed_row)
+                            object_pairs_hook=_packed_pairs)
     except (ValueError, RecursionError):
         return None
     # Text of only whitespace parses as no row, where plain json fails.
     if not parsed or not _packed_floats(parsed):
         return None
-    return memoryview(array("d", itertools.chain.from_iterable(parsed))).cast("B")
+    return struct.pack(f"{len(parsed) * len(CSV_COLUMNS)}d", *itertools.chain.from_iterable(parsed))
 
 
 def _streamed_body(handle: TextIO) -> Any:
@@ -901,10 +926,10 @@ def _streamed_body(handle: TextIO) -> Any:
         except ValueError:
             # The head doubles, so a record without the rows' marker is
             # searched in linear time.
-            block = handle.read(max(_READ_CHARS, len(head)))
-            if not block:
+            size = len(head)
+            head += handle.read(max(_READ_CHARS, size))
+            if len(head) == size:
                 return head
-            head += block
     if handle.newlines not in ("\n", "\r\n"):
         return None
     fd, head, newline = handle.fileno(), head[:at], handle.newlines
@@ -978,14 +1003,17 @@ def _record_pieces(record: RunRecord) -> Generator[bytes, None, None]:
 
     json lays out the record with each float block replaced by an empty
     list, and the blocks' rows are spliced into those lists from
-    ``_LAYOUTS``.  json drops to its pure-Python encoder whenever ``indent``
-    is set, which takes seconds over a dense grid's rows; the templates
-    write the same text, because the blocks hold only finite floats
-    (:func:`run_scenario` makes them so and :func:`record_from_dict` checks
-    it), and json writes a finite float as its repr.
+    ``_LAYOUTS`` (:func:`_filled`).  json drops to its pure-Python encoder
+    whenever ``indent`` is set, which takes seconds over a dense grid's
+    rows; the templates write the same text, because the blocks hold only
+    finite floats (:func:`run_scenario` makes them so and
+    :func:`record_from_dict` checks it), and json writes a finite float as
+    its repr.  The blocks of the call share one cache of reprs: a forked
+    worker fills its own copy, an in-process call the one made here.
     """
     body, blocks = _record_body(record)
     text = json.dumps(body, sort_keys=True, indent=2)
+    reprs: dict[int, str] = {}
     done = 0
     for keys, rows in blocks:
         if len(rows):
@@ -994,7 +1022,7 @@ def _record_pieces(record: RunRecord) -> Generator[bytes, None, None]:
             yield text[done:at].encode()
 
             def block_text(start: int) -> bytes:
-                filled = _filled(row_json, rows[start : start + _BLOCK_ROWS, columns])
+                filled = _filled(row_json, rows[start : start + _BLOCK_ROWS, columns], reprs)
                 return (filled if start else filled[1:]).encode()  # no comma before the first row
 
             yield from _forked_map(block_text, range(0, len(rows), _BLOCK_ROWS))
@@ -1039,26 +1067,58 @@ _CSV_ROW = ",".join(["%s"] * len(CSV_COLUMNS)) + "\n"
 #: Rows of a float block formatted as one piece of text, so no copy of a
 #: whole dense record, joined or encoded, is ever held at once.
 _BLOCK_ROWS = 4096
-#: Rows from which :func:`_filled` formats a column's distinct values once;
+#: Rows from which :func:`_filled` takes a column's reprs from its cache;
 #: a process's first sort and unique add ~0.8 MB, which small records never pay.
 _SHARED_ROWS = 1024
+#: Most reprs one writer's cache holds, ``_BLOCK_ROWS`` per column of an
+#: evolved row: ~160 bytes each with its key, so at most ~7 MB.
+_CACHED_REPRS = _BLOCK_ROWS * len(CSV_COLUMNS)
 
 
-def _filled(template: str, rows: np.ndarray) -> str:
-    """``template`` once per row, its %s slots filled with the rows' values
-    as Python floats, whose str is their repr.  A column that repeats a
-    float64 bit pattern (0.0 is not -0.0) in a block's first ``_SHARED_ROWS``
-    rows, if it has that many, has each distinct value's repr made once."""
-    cells = rows
-    if len(rows) >= _SHARED_ROWS:
+def _filled(template: str, rows: np.ndarray, reprs: dict[int, str]) -> str:
+    """``template`` once per row, its %s slots filled with the reprs of the
+    rows' values.
+
+    A block whose first ``_SHARED_ROWS`` rows, if it has that many, repeat
+    a float64 bit pattern in some column is made by one join of the cells
+    and the template's literal pieces, each repeating column's reprs taken
+    from the cache ``reprs`` (:func:`_cached_reprs`), every other cell's
+    made here.  Any other block fills the template with Python floats,
+    whose str is their repr: its cells share no repr, and ``%`` makes their
+    text without a str held per cell, which a join holds all at once.
+    """
+    count, width = rows.shape
+    if count >= _SHARED_ROWS:
         ordered = np.sort((bits := rows.view(np.uint64))[:_SHARED_ROWS], axis=0)
-        if (shared := (ordered[1:] == ordered[:-1]).any(axis=0)).any():
-            cells = np.empty(rows.shape, dtype=object)
-            cells[:, ~shared] = rows[:, ~shared]
-            for j in np.flatnonzero(shared):
-                values, inverse = np.unique(bits[:, j], return_inverse=True)
-                cells[:, j] = np.array(list(map(repr, values.view(float).tolist())), object)[inverse]
-    return (template * len(rows)) % tuple(cells.ravel().tolist())
+        shared = (ordered[1:] == ordered[:-1]).any(axis=0)
+    if count < _SHARED_ROWS or not shared.any():
+        return (template * count) % tuple(rows.ravel().tolist())
+    first, *pieces, last = template.split("%s")
+    text: list[Any] = [None] * (2 * count * width)
+    text[::2] = [last + first, *pieces] * count
+    text[0] = first
+    for j in range(width):
+        cells = _cached_reprs(bits[:, j], reprs) if shared[j] else map(repr, rows[:, j].tolist())
+        text[2 * j + 1 :: 2 * width] = cells
+    text.append(last)
+    return "".join(text)
+
+
+def _cached_reprs(bits: np.ndarray, reprs: dict[int, str]) -> list[str]:
+    """The repr of each float64 whose bits are ``bits``, each distinct
+    value's taken from ``reprs``, keyed by the bits, so 0.0 is not -0.0, and
+    made and added where it lacks one.  Where they would take ``reprs`` past
+    ``_CACHED_REPRS`` entries it is emptied first, so values that repeat in
+    a block's first rows but are mostly distinct do not grow it without
+    bound."""
+    values, inverse = np.unique(bits, return_inverse=True)
+    keys = values.tolist()
+    missing = [key for key in keys if key not in reprs]
+    if len(reprs) + len(missing) > _CACHED_REPRS:
+        reprs.clear()
+        missing = keys
+    reprs.update(zip(missing, map(repr, np.array(missing, np.uint64).view(np.float64).tolist())))
+    return np.array(list(map(reprs.__getitem__, keys)), dtype=object)[inverse].tolist()
 
 
 def _forked_map(function: Callable[[Any], Any], items: Sequence[Any]) -> Generator[Any, None, None]:
@@ -1144,6 +1204,7 @@ def _csv_lines(record: RunRecord) -> Generator[bytes, None, None]:
     """
     yield (",".join(CSV_COLUMNS) + "\n").encode()
     results = record.results
+    reprs: dict[int, str] = {}  # as in _record_pieces
     rows = results.get("evolved_states", ())
     profile_only = "evolved_states" not in results and "concurrence_profile" in results
     if profile_only:
@@ -1157,7 +1218,7 @@ def _csv_lines(record: RunRecord) -> Generator[bytes, None, None]:
             phi = np.zeros_like(theta)
             amplitudes = evolve_grid(vector, theta, phi).view(np.float64)
             part = np.column_stack((theta, phi, amplitudes, value))
-        return _filled(_CSV_ROW, part).encode()
+        return _filled(_CSV_ROW, part, reprs).encode()
 
     yield from _forked_map(block_text, range(0, len(rows), _BLOCK_ROWS))
 
@@ -1175,14 +1236,15 @@ def export_record(record: RunRecord, format: str, path: str) -> None:
     """Write a record to disk as JSON (the whole record) or CSV (grid data).
 
     CSV uses a dot decimal separator, comma delimiter, and LF line endings.
-    Each block of grid rows fills one %-template with float reprs, made once
-    per distinct value of a column that repeats (:func:`_filled`): the rows
-    hold only finite floats, for the reason :func:`record_to_json` gives, so
-    it writes what per-cell repr would, in a fraction of the time.  Both
-    formats go through :func:`_write_pieces`, the JSON as the pieces that
-    :func:`record_to_json` joins.  Past ``_BLOCK_ROWS`` rows forked workers
-    make the blocks (:func:`_forked_map`), and the writing process then
-    holds the rows and one piece of text, never a whole block.  Scalar
+    Each block of grid rows fills a template with float reprs, a repeating
+    column's made once per writing process in a cache of at most
+    ``_CACHED_REPRS`` (:func:`_filled`): the rows hold only finite floats,
+    for the reason :func:`record_to_json` gives, so it writes what per-cell
+    repr would, in a fraction of the time.  Both formats go through
+    :func:`_write_pieces`, the JSON as the pieces that :func:`record_to_json`
+    joins.  Past ``_BLOCK_ROWS`` rows forked workers make the blocks
+    (:func:`_forked_map`), and the writing process then holds the rows and
+    one piece of text, never a whole block.  Scalar
     blocks (metric, classification) do not fit a per-point table; they go
     to a key,value sidecar at ``<path>.meta.csv`` when present, which csv
     writes, quoting a cell that holds a comma, a quote or a newline, and a

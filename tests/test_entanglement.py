@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -292,6 +293,20 @@ class TestBitReference:
             concurrence_profile(state, [0.1, bad, 0.2])
         with pytest.raises(ValueError, match="^exchange angles must be finite$"):
             concurrence_evolved_stack(np.array([state.vector] * 3), [0.1, 0.2, bad])
+
+    @pytest.mark.parametrize("bad", [1e308, -1e308, np.nextafter(np.finfo(float).max / 2, np.inf)])
+    def test_angles_whose_double_overflows_raise_the_same_error(self, bad):
+        """A finite angle whose double overflows is refused as a non-finite
+        one is, with no numpy warning, where cos and sin of 2 theta would
+        overflow; half the largest float is the largest angle taken."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^exchange angles must be finite$"):
+                concurrence_evolved(up_down(), bad)
+            with pytest.raises(ValueError, match="^exchange angles must be finite$"):
+                concurrence_profile(up_down(), [0.1, bad, 0.2])
+            largest = np.finfo(float).max / 2
+            assert 0.0 <= concurrence_evolved(up_down(), largest) <= 1.0
 
 
 class TestConcurrence:

@@ -371,10 +371,10 @@ class TestForkedBlocks:
         export_record(long_record, "json", str(path))
         parent, real = os.getpid(), scenario._filled
 
-        def dying(template, rows):
+        def dying(*args):
             if os.getpid() != parent:
                 os._exit(1)
-            return real(template, rows)
+            return real(*args)
 
         with_cpus(monkeypatch, 2)
         monkeypatch.setattr(scenario, "_filled", dying)
@@ -544,6 +544,98 @@ class TestSharedReprs:
         with_cpus(monkeypatch, cpus)
         assert written_csv(record, tmp_path) == reference_csv(record).encode()
         assert_no_child_process()
+
+
+def tiled_record(blocks):
+    """A record of ``blocks`` blocks of evolved rows, each block the same
+    ``BLOCK`` rows, whose every column repeats in its first ``SHARED`` rows:
+    0.0 and -0.0 in one column, values shared by several columns."""
+    index = np.arange(BLOCK)
+    pattern = mixed_columns(BLOCK, len(CSV_COLUMNS))
+    pattern[:, 3] = np.floor(np.random.default_rng(3).standard_normal(BLOCK) * 64) / 16
+    pattern[:, 5] = pattern[:, 8] = np.where(index % 3, 0.1 + 0.2, -0.0)
+    rows = np.tile(pattern, (blocks, 1))
+    return with_outputs(make_record(), {"evolved_states": rows})
+
+
+class TestReprCache:
+    """One cache of reprs per writing process, keyed by a value's bits:
+    each distinct value of the columns that repeat has its repr made once in
+    a whole write, not once per block, and the bytes stay per-cell repr."""
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_signed_zeros_and_values_across_blocks(self, cpus, tmp_path, monkeypatch):
+        """0.0 in one block and -0.0 in the next, in one column, and values
+        repeated across block edges, with one CPU and with workers that each
+        make several blocks."""
+        count = 4 * BLOCK + SHARED
+        rows = mixed_columns(count, len(CSV_COLUMNS))
+        index = np.arange(count)
+        rows[:, 0] = np.where(index % 2, np.where(index < BLOCK, 0.0, -0.0), 1.5)
+        rows[:, 1] = np.where(index % 3, np.where(index < 2 * BLOCK, -0.0, 0.0), 0.25)
+        rows[:, 2] = (index % 97) / 8.0
+        samples = mixed_columns(count, 2)
+        samples[:, 1] = np.where(index < BLOCK, 0.0, -0.0)
+        record = make_record()
+        profile = {**record.results["concurrence_profile"], "samples": samples}
+        record = with_results(record, concurrence_profile=profile, evolved_states=rows)
+        with_cpus(monkeypatch, cpus)
+        expected = reference_json(record)
+        assert record_to_json(record) == expected
+        path = tmp_path / "record.json"
+        export_record(record, "json", str(path))
+        assert path.read_bytes() == expected.encode()
+        assert written_csv(record, tmp_path) == reference_csv(record).encode()
+        assert_no_child_process()
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_each_distinct_value_is_formatted_once_per_write(self, fmt, tmp_path, monkeypatch):
+        """An in-process write of four equal blocks makes one repr per
+        distinct bit pattern of its rows, however many columns and blocks
+        hold it."""
+        record = tiled_record(4)
+        made = []
+
+        def counting(value):
+            made.append(value)
+            return repr(value)
+
+        with_cpus(monkeypatch, 1)
+        monkeypatch.setattr(scenario, "repr", counting, raising=False)
+        export_record(record, fmt, str(tmp_path / f"out.{fmt}"))
+        monkeypatch.undo()
+        rows = record.results["evolved_states"]
+        assert len(made) == len(np.unique(rows.view(np.uint64)))
+        expected = reference_json(record) if fmt == "json" else reference_csv(record)
+        assert (tmp_path / f"out.{fmt}").read_bytes() == expected.encode()
+
+    def test_the_cache_holds_at_most_its_bound(self, tmp_path, monkeypatch):
+        """A column that repeats in each block's first rows but is otherwise
+        distinct would grow the cache by nearly a block per block: it is
+        emptied before it passes ``_CACHED_REPRS``, and the bytes stay."""
+        count = 6 * BLOCK
+        rows = mixed_columns(count, len(CSV_COLUMNS))
+        rows[:, 3] = np.random.default_rng(5).standard_normal(count)
+        rows[::BLOCK, 3] = rows[1::BLOCK, 3]  # a repeat in each block's first rows
+        record = with_outputs(make_record(), {"evolved_states": rows})
+        bound = 2 * BLOCK + 100
+        sizes, real = [], scenario._cached_reprs
+
+        def measuring(bits, reprs):
+            cells = real(bits, reprs)
+            sizes.append(len(reprs))
+            return cells
+
+        with_cpus(monkeypatch, 1)
+        monkeypatch.setattr(scenario, "_CACHED_REPRS", bound)
+        monkeypatch.setattr(scenario, "_cached_reprs", measuring)
+        for fmt, reference in (("json", reference_json), ("csv", reference_csv)):
+            sizes.clear()
+            path = tmp_path / f"out.{fmt}"
+            export_record(record, fmt, str(path))
+            assert path.read_bytes() == reference(record).encode()
+            assert BLOCK < max(sizes) <= bound
+            assert len(np.unique(rows.view(np.uint64))) > 2 * bound  # the bound applied
 
 
 class TestForkedRanges:
@@ -869,6 +961,17 @@ PACKING_CASES = {
         lambda body, rows: rows[3].update(amplitudes=["ab", "cd", "ef", "gh"])
     ),
     "extra_key": lambda: edited_body(lambda body, rows: rows[3].update(extra=1.0)),
+    "reordered_keys": lambda: edited_body(
+        lambda body, rows: rows.__setitem__(3, dict(reversed(rows[3].items())))
+    ),
+    "duplicate_key": lambda: edited_body(lambda body, rows: rows[3].update(phi="@@")).replace(
+        '"phi": "@@"', '"phi": "0.5", "phi": 0.75'
+    ),
+    "duplicate_amplitudes": lambda: edited_body(
+        lambda body, rows: rows[3].update(amplitudes="@@")
+    ).replace('"amplitudes": "@@"', '"amplitudes": [], "amplitudes": [[1, 0], [0, 0], [0, 0], [0, 0]]'),
+    "one_item_pair": lambda: edited_body(lambda body, rows: rows[3]["amplitudes"][2].pop()),
+    "str_value": lambda: edited_body(lambda body, rows: rows[3].update(theta="0.5")),
     "duplicate_results": duplicate_results,
     "deep_lists": lambda: deep_in_metric("[", "]"),
     "deep_objects": lambda: deep_in_metric('{"x": ', "}"),
@@ -990,6 +1093,29 @@ def assert_export_reads_as_plain_json(name, fmt, tmp_path, capsys, monkeypatch, 
     assert (code, captured.err) == expected
     assert captured.out == (f"wrote {out}\n" if code == 0 else "")
     assert written_files(out) == written_files(expected_out)
+
+
+def row_text(**changes):
+    return json.dumps({**ROW, **changes}, sort_keys=True)
+
+
+#: Objects in json text, by name, that a packing hook may meet.
+HOOK_CASES = {
+    "row": row_text(),
+    "reordered_keys": json.dumps(dict(reversed(sorted(ROW.items())))),
+    "duplicate_key": row_text().replace('"phi": 0.25', '"phi": 1.0, "phi": 0.25'),
+    "duplicate_key_last_a_string": row_text().replace('"theta": 0.5', '"theta": 0.5, "theta": "x"'),
+    "extra_key": row_text(extra=1.0),
+    "three_pairs": row_text(amplitudes=ROW["amplitudes"][:3]),
+    "one_item_pair": row_text(amplitudes=[[1.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]),
+    "int_values": row_text(amplitudes=[[1, 0], [0, 0], [0, 0], [0, 0]], theta=0),
+    "bool_and_str_values": row_text(concurrence=True, phi="0.25"),
+    "string_pairs": row_text(amplitudes=["ab", "cd", "ef", "gh"]),
+    "rows_as_pairs": row_text(amplitudes=[ROW] * 4),
+    "object_as_amplitudes": row_text(amplitudes={"a": 1}),
+    "rows_in_a_list": json.dumps([ROW, {"theta": ROW}]),
+    "empty_object": "{}",
+}
 
 
 class CountingReads:
@@ -1173,19 +1299,32 @@ class TestPackingParse:
     def test_rows_are_packed_while_parsing(self, tmp_path, monkeypatch):
         path = tmp_path / "record.json"
         export_record(make_record(), "json", str(path))
-        packed = []
-        real = scenario._packed_row
+        packed, unpacked = [], []
+        real = scenario._packed_pairs
 
-        def counting(row):
-            packed.append(row)
-            return real(row)
+        def counting(pairs):
+            packed.append(pairs)
+            return real(pairs)
 
-        monkeypatch.setattr(scenario, "_packed_row", counting)
+        monkeypatch.setattr(scenario, "_packed_pairs", counting)
+        monkeypatch.setattr(scenario, "_packed_row", unpacked.append)
         record = read_record(str(path))
         assert_row_array(record.results["evolved_states"], make_record().results["evolved_states"])
-        # Each row object met the hook as json finished it, then went into
-        # the array as the tuple it became; nothing was parsed twice.
-        assert sum(type(row) is dict and row.keys() == ROW.keys() for row in packed) == 45
+        # Each row object met the hook as json finished it, as its key-value
+        # pairs in the order run writes them, then went into the array as
+        # the tuple it became: no dict was made, nothing was parsed twice.
+        assert sum([key for key, _ in pairs] == sorted(ROW) for pairs in packed) == 45
+        assert len(packed) == 45 and unpacked == []
+
+    @pytest.mark.parametrize("name", list(HOOK_CASES))
+    def test_pairs_hook_packs_as_the_dict_hook(self, name):
+        """Each object parses to what ``_packed_row`` made of json's dict:
+        the same tuple of the same values, or the same dict."""
+        text = HOOK_CASES[name]
+        by_pairs = json.loads(text, object_pairs_hook=scenario._packed_pairs)
+        by_dict = json.loads(text, object_hook=scenario._packed_row)
+        assert by_pairs == by_dict
+        assert repr(by_pairs) == repr(by_dict)  # the types too: 0 is not 0.0, True not 1
 
 
 def canonical_corpus(tmp_path):
@@ -1382,6 +1521,26 @@ class TestHeldMemory:
         record, held, peak = traced_peak(lambda: read_record(str(path)))
         assert len(record.results["evolved_states"]) == 100 * 100
         assert peak < held + path.stat().st_size // 4
+
+    def test_a_read_reads_each_byte_about_once(self, tmp_path, monkeypatch):
+        """Finding each range's edges reads a little beyond the range, not
+        another range's worth: a 200 x 200 read, in-process, preads at most
+        1.1 times the file."""
+        config, path = tmp_path / "grid.json", tmp_path / "grid.record.json"
+        config.write_text(json.dumps(self.large_grid_config()), encoding="utf-8")
+        assert cli.main(["run", str(config), "--out", str(path)]) == 0
+        read, real = [], os.pread
+
+        def counting(fd, size, at):
+            data = real(fd, size, at)
+            read.append(len(data))
+            return data
+
+        with_cpus(monkeypatch, 1)
+        monkeypatch.setattr(os, "pread", counting)
+        record = read_record(str(path))
+        assert len(record.results["evolved_states"]) == self.POINTS
+        assert sum(read) <= 1.1 * path.stat().st_size
 
     def test_export_read_holds_less_than_the_file(self, tmp_path, monkeypatch):
         """What ``spin-torus export`` holds once it has read the record, at
