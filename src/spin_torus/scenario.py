@@ -641,8 +641,6 @@ def run_scenario(config: ScenarioConfig, seed: int = 0) -> RunRecord:
 _FLOAT_BLOCKS = ((("concurrence_profile", "samples"), 2), (("evolved_states",), len(CSV_COLUMNS)))
 #: The keys of one evolved-states row in a record's JSON.
 _ROW_KEYS = frozenset({"theta", "phi", "amplitudes", "concurrence"})
-#: Those keys in the order a record's JSON writes them, sorted.
-_ROW_ORDER = tuple(sorted(_ROW_KEYS))
 _FLOAT_ONLY = frozenset({float})
 #: The value type of each output whose block is an object, whose keys are its fields.
 _TYPES = {"metric": MetricTensor2, "classify": ManifoldReport,
@@ -713,21 +711,6 @@ def _packed_row(row: Any) -> Any:
             return (row["theta"], row["phi"], a_re, a_im, b_re, b_im, c_re, c_im,
                     d_re, d_im, row["concurrence"])
     return row
-
-
-def _packed_pairs(pairs: list[tuple[str, Any]]) -> Any:
-    """The object json parsed as ``pairs``, as :func:`_packed_row` packs
-    it.  A row whose keys come in ``_ROW_ORDER``, once each, and whose
-    amplitudes are four 2-item lists is packed from the pairs, with no
-    dict made; any other object goes to :func:`_packed_row` as the dict
-    json would make of it, which keeps the last of duplicate keys."""
-    if len(pairs) == 4:
-        (k0, amplitudes), (k1, concurrence), (k2, phi), (k3, theta) = pairs
-        if (k0, k1, k2, k3) == _ROW_ORDER and type(amplitudes) is list and len(amplitudes) == 4:
-            a, b, c, d = amplitudes
-            if type(a) is type(b) is type(c) is type(d) is list and len(a) == len(b) == len(c) == len(d) == 2:
-                return (theta, phi, *a, *b, *c, *d, concurrence)
-    return _packed_row(dict(pairs))
 
 
 def _packed_floats(rows: list[Any]) -> bool:
@@ -875,10 +858,9 @@ def _range_rows(fd: int, start: int, end: int, separator: bytes, lo: int) -> byt
     not decode or parse into rows of floats.  Each separator is found by
     preads of ``_PROBE_CHARS`` bytes and the text is read with one pread, so
     all ranges together read ~1.03 times the rows' bytes.  It is parsed as
-    one list, each object packed from json's key-value pairs as it is parsed
-    (:func:`_packed_pairs`).  A raw newline in JSON is whitespace, so an
-    edge never falls inside a string; one inside a row leaves the list's
-    brackets unbalanced."""
+    one list whose rows :func:`_packed_row` packs.  A raw newline in JSON is
+    whitespace, so an edge never falls inside a string; one inside a row
+    leaves the list's brackets unbalanced."""
     def cut_at(at: int) -> int:
         for at in range(at, end, _PROBE_CHARS - len(separator) + 1):
             if (found := os.pread(fd, _PROBE_CHARS, at).find(separator)) >= 0:
@@ -891,7 +873,7 @@ def _range_rows(fd: int, start: int, end: int, separator: bytes, lo: int) -> byt
         return b""
     try:
         parsed = json.loads("[" + os.pread(fd, last - first, first).decode() + "]",
-                            object_pairs_hook=_packed_pairs)
+                            object_hook=_packed_row)
     except (ValueError, RecursionError):
         return None
     # Text of only whitespace parses as no row, where plain json fails.
@@ -1022,8 +1004,8 @@ def _record_pieces(record: RunRecord) -> Generator[bytes, None, None]:
             yield text[done:at].encode()
 
             def block_text(start: int) -> bytes:
-                filled = _filled(row_json, rows[start : start + _BLOCK_ROWS, columns], reprs)
-                return (filled if start else filled[1:]).encode()  # no comma before the first row
+                filled = _filled(row_json, rows[start : start + _BLOCK_ROWS, columns], reprs).encode()
+                return filled if start else filled[1:]  # no comma before the first row
 
             yield from _forked_map(block_text, range(0, len(rows), _BLOCK_ROWS))
             yield close.encode()

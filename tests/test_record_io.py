@@ -1095,29 +1095,6 @@ def assert_export_reads_as_plain_json(name, fmt, tmp_path, capsys, monkeypatch, 
     assert written_files(out) == written_files(expected_out)
 
 
-def row_text(**changes):
-    return json.dumps({**ROW, **changes}, sort_keys=True)
-
-
-#: Objects in json text, by name, that a packing hook may meet.
-HOOK_CASES = {
-    "row": row_text(),
-    "reordered_keys": json.dumps(dict(reversed(sorted(ROW.items())))),
-    "duplicate_key": row_text().replace('"phi": 0.25', '"phi": 1.0, "phi": 0.25'),
-    "duplicate_key_last_a_string": row_text().replace('"theta": 0.5', '"theta": 0.5, "theta": "x"'),
-    "extra_key": row_text(extra=1.0),
-    "three_pairs": row_text(amplitudes=ROW["amplitudes"][:3]),
-    "one_item_pair": row_text(amplitudes=[[1.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]),
-    "int_values": row_text(amplitudes=[[1, 0], [0, 0], [0, 0], [0, 0]], theta=0),
-    "bool_and_str_values": row_text(concurrence=True, phi="0.25"),
-    "string_pairs": row_text(amplitudes=["ab", "cd", "ef", "gh"]),
-    "rows_as_pairs": row_text(amplitudes=[ROW] * 4),
-    "object_as_amplitudes": row_text(amplitudes={"a": 1}),
-    "rows_in_a_list": json.dumps([ROW, {"theta": ROW}]),
-    "empty_object": "{}",
-}
-
-
 class CountingReads:
     """A text file handle that counts the characters read through it."""
 
@@ -1299,32 +1276,19 @@ class TestPackingParse:
     def test_rows_are_packed_while_parsing(self, tmp_path, monkeypatch):
         path = tmp_path / "record.json"
         export_record(make_record(), "json", str(path))
-        packed, unpacked = [], []
-        real = scenario._packed_pairs
+        packed = []
+        real = scenario._packed_row
 
-        def counting(pairs):
-            packed.append(pairs)
-            return real(pairs)
+        def counting(row):
+            packed.append(row)
+            return real(row)
 
-        monkeypatch.setattr(scenario, "_packed_pairs", counting)
-        monkeypatch.setattr(scenario, "_packed_row", unpacked.append)
+        monkeypatch.setattr(scenario, "_packed_row", counting)
         record = read_record(str(path))
         assert_row_array(record.results["evolved_states"], make_record().results["evolved_states"])
-        # Each row object met the hook as json finished it, as its key-value
-        # pairs in the order run writes them, then went into the array as
-        # the tuple it became: no dict was made, nothing was parsed twice.
-        assert sum([key for key, _ in pairs] == sorted(ROW) for pairs in packed) == 45
-        assert len(packed) == 45 and unpacked == []
-
-    @pytest.mark.parametrize("name", list(HOOK_CASES))
-    def test_pairs_hook_packs_as_the_dict_hook(self, name):
-        """Each object parses to what ``_packed_row`` made of json's dict:
-        the same tuple of the same values, or the same dict."""
-        text = HOOK_CASES[name]
-        by_pairs = json.loads(text, object_pairs_hook=scenario._packed_pairs)
-        by_dict = json.loads(text, object_hook=scenario._packed_row)
-        assert by_pairs == by_dict
-        assert repr(by_pairs) == repr(by_dict)  # the types too: 0 is not 0.0, True not 1
+        # Each row object met the hook as json finished it, then went into
+        # the array as the tuple it became; nothing was parsed twice.
+        assert sum(type(row) is dict and row.keys() == ROW.keys() for row in packed) == 45
 
 
 def canonical_corpus(tmp_path):
@@ -1587,6 +1551,19 @@ class TestHeldMemory:
         _, _, peak = traced_peak(lambda: export_record(record, "json", str(path)))
         assert path.stat().st_size > self.POINTS * 5 * self.ROW_BYTES
         assert peak <= self.BLOCK_BYTES
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_in_process_export_peaks_near_the_rows(self, fmt, tmp_path, monkeypatch):
+        """With one CPU, an export makes each block's text in-process, beside
+        the cache of reprs that lives for the whole write: at its peak it
+        holds at most twice the bytes the rows need, so the cache stays far
+        below its bound of ``_CACHED_REPRS`` reprs."""
+        record = run_scenario(config_from_dict(self.large_grid_config()), seed=4)
+        path = tmp_path / f"grid.{fmt}"
+        with_cpus(monkeypatch, 1)
+        _, _, peak = traced_peak(lambda: export_record(record, fmt, str(path)))
+        assert path.stat().st_size > self.POINTS * 2 * self.ROW_BYTES
+        assert peak / self.POINTS <= 2 * self.ROW_BYTES
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_forked_read_peaks_at_the_rows_and_one_block(self, cpus, tmp_path, monkeypatch):
