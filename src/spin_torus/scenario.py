@@ -704,12 +704,11 @@ def _packed_row(row: Any) -> Any:
     ``row`` itself.  The values are not checked here."""
     if isinstance(row, dict) and row.keys() == _ROW_KEYS:
         pairs = row["amplitudes"]
-        if isinstance(pairs, list) and len(pairs) == 4 and all(
-            isinstance(pair, list) and len(pair) == 2 for pair in pairs
-        ):
-            (a_re, a_im), (b_re, b_im), (c_re, c_im), (d_re, d_im) = pairs
-            return (row["theta"], row["phi"], a_re, a_im, b_re, b_im, c_re, c_im,
-                    d_re, d_im, row["concurrence"])
+        if isinstance(pairs, list) and len(pairs) == 4:
+            a, b, c, d = pairs
+            if (isinstance(a, list) and isinstance(b, list) and isinstance(c, list)
+                    and isinstance(d, list) and len(a) == len(b) == len(c) == len(d) == 2):
+                return (row["theta"], row["phi"], *a, *b, *c, *d, row["concurrence"])
     return row
 
 
