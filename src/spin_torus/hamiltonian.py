@@ -17,6 +17,7 @@ vouch for itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,16 +70,12 @@ class SystemParams:
         check_gamma(self.gamma)
 
 
-@dataclass(frozen=True)
-class EigenSystem:
+class EigenSystem(NamedTuple):
     """Eigenvalues and eigenvectors of the full Hamiltonian, in the fixed
     order: |up up>, |down down>, triplet-zero, singlet."""
 
     values: np.ndarray
     vectors: np.ndarray  # columns are the eigenvectors, same order as values
-
-    def __iter__(self):
-        return iter((self.values, self.vectors))
 
 
 def build_h_int(params: SystemParams) -> Operator4:

@@ -32,7 +32,7 @@ from collections.abc import Callable, Generator, Iterator, Mapping, Sequence
 from dataclasses import dataclass, fields, is_dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, BinaryIO, NamedTuple, TextIO, get_type_hints
+from typing import Any, BinaryIO, NamedTuple, get_type_hints
 
 import numpy as np
 
@@ -802,14 +802,15 @@ def record_from_dict(data: Mapping[str, Any]) -> RunRecord:
     return RunRecord(SCHEMA_VERSION, config, results, provenance)
 
 
-def _block_at(text: str, keys: tuple[str, ...]) -> int:
+def _block_at(text: bytes, keys: tuple[str, ...]) -> int:
     """Where the items of the float block at ``results.<keys>`` begin in a
-    record's json text.  Each key on the way is found after a newline at
+    record's json bytes.  Each key on the way is found after a newline at
     its depth's indentation, and only json's indentation puts a raw newline
-    in that text, so no key or string in the record can read as one."""
+    in that text, so no key or string in the record can read as one.  A
+    marker begins with LF, which a CRLF line end holds too."""
     at = 0
     for depth, key in enumerate(("results", *keys), 1):
-        marker = f'\n{"  " * depth}"{key}": ' + ("[" if depth > len(keys) else "{")
+        marker = (f'\n{"  " * depth}"{key}": ' + ("[" if depth > len(keys) else "{")).encode()
         at = text.index(marker, at) + len(marker)
     return at
 
@@ -830,7 +831,7 @@ def _row_layout(keys: tuple[str, ...], width: int) -> tuple[str, list[int], str]
     for key in reversed(("results", *keys)):
         body = {key: body}
     text = json.dumps(body, sort_keys=True, indent=2)
-    start, end = _block_at(text, keys), text.rindex("]")
+    start, end = _block_at(text.encode(), keys), text.rindex("]")
     row_text = text[start:end].rstrip()
     close = text[start + len(row_text) : end]
     order = sorted(range(width), key=lambda i: row_text.index(f'"{slots[i]}"'))
@@ -841,35 +842,22 @@ def _row_layout(keys: tuple[str, ...], width: int) -> tuple[str, list[int], str]
 
 #: Each float block's :func:`_row_layout`, by its keys.
 _LAYOUTS = {keys: _row_layout(keys, width) for keys, width in _FLOAT_BLOCKS}
-#: Characters or bytes of a record's text read at a time, the bytes of rows one
-#: :func:`_range_rows` call parses, and the most of a worker's result held at once.
+#: Bytes of a record's text read at a time, of rows a range holds before it ends
+#: at the next row separator, and of a worker's result held at once.
 _READ_CHARS = 2**16
-#: Bytes :func:`_range_rows` reads at a time in search of a row separator:
+#: Bytes :func:`_streamed_body` reads at a time in search of a row separator:
 #: more than a row of run's layout (~600 bytes) holds, so one read finds it.
 _PROBE_CHARS = 2**10
 
 
-def _range_rows(fd: int, start: int, end: int, separator: bytes, lo: int) -> bytes | None:
-    """The float64 bytes of a record's rows, which span bytes [``start``,
-    ``end``) of the file open at ``fd``, from the first ``separator`` at or
-    after ``lo`` (the first range keeps ``start``) to the first at or after
-    ``lo + _READ_CHARS``, in native byte order, or None if that text does
-    not decode or parse into rows of floats.  Each separator is found by
-    preads of ``_PROBE_CHARS`` bytes and the text is read with one pread, so
-    all ranges together read ~1.03 times the rows' bytes.  It is parsed as
-    one list whose rows :func:`_packed_row` packs.  A raw newline in JSON is
-    whitespace, so an edge never falls inside a string; one inside a row
-    leaves the list's brackets unbalanced."""
-    def cut_at(at: int) -> int:
-        for at in range(at, end, _PROBE_CHARS - len(separator) + 1):
-            if (found := os.pread(fd, _PROBE_CHARS, at).find(separator)) >= 0:
-                return min(at + found, end)
-        return end
-
-    first = lo if lo == start else cut_at(lo) + 1  # after the separator's comma
-    last = cut_at(lo + _READ_CHARS)
-    if first >= last:
-        return b""
+def _range_rows(fd: int, span: tuple[int, int]) -> bytes | None:
+    """The float64 bytes, in native byte order, of the rows whose text
+    spans bytes [first, last) of the file open at ``fd``, read with one
+    pread, or None if that text does not decode or parse into rows of
+    floats.  It is parsed as one list whose rows :func:`_packed_row` packs.
+    A raw newline in JSON is whitespace, so an edge never falls inside a
+    string; one inside a row leaves the list's brackets unbalanced."""
+    first, last = span
     try:
         parsed = json.loads("[" + os.pread(fd, last - first, first).decode() + "]",
                             object_hook=_packed_row)
@@ -881,28 +869,30 @@ def _range_rows(fd: int, start: int, end: int, separator: bytes, lo: int) -> byt
     return struct.pack(f"{len(parsed) * len(CSV_COLUMNS)}d", *itertools.chain.from_iterable(parsed))
 
 
-def _streamed_body(handle: TextIO) -> Any:
+def _streamed_body(handle: BinaryIO) -> Any:
     """The JSON value of a record laid out as :func:`record_to_json` lays
-    it out, read from ``handle`` holding its rows' float array and one
-    range of their text at a time, or None if the text is not in that
-    layout or a row is not an object of floats.  A text without the rows'
-    marker, read to its end in the search for it, is returned whole, a
-    str, for plain json to parse, so it is read once whether or not it
-    parses.
+    it out, read from ``handle``, opened for bytes, holding its rows' float
+    array and one range of their text at a time, or None if the text is
+    not in that layout or a row is not an object of floats.  A text without
+    the rows' marker, read to its end in the search for it, is returned
+    whole, as bytes, for plain json to parse, so it is read once whether or
+    not it parses.
 
-    The rows span the bytes from the marker to the list's last closing
-    bracket, with the text's line ends, LF or CRLF, cut into ranges of
-    ``_READ_CHARS`` bytes that :func:`_range_rows` parses from the
-    descriptor of ``handle`` (:func:`_forked_map`).  The text around them
-    is parsed with a placeholder list in their place, once as [] and once
-    as [0], and results.evolved_states must read as each: else the rows
-    were not that key's one value.  Raises ``ValueError`` or
-    ``RecursionError`` where that text does not decode or parse.
+    Every position is a byte offset.  The rows span the bytes from the
+    marker to the list's last closing bracket, with the marker line's line
+    end, LF or CRLF.  Each range ends at the first row separator at least
+    ``_READ_CHARS`` bytes past its start, found here, once, by preads of
+    ``_PROBE_CHARS`` bytes; :func:`_range_rows` parses it from the
+    descriptor of ``handle`` (:func:`_forked_map`).  The text around the
+    rows is parsed once, with NaN in their place, which must be its one
+    constant and results.evolved_states' one item: else the rows were not
+    that key's one value.  Raises ``ValueError`` or ``RecursionError``
+    where that text does not decode or parse.
     """
-    head = ""
+    head = b""
     while True:
         try:
-            at = _block_at(head, ("evolved_states",))
+            start = _block_at(head, ("evolved_states",))
             break
         except ValueError:
             # The head doubles, so a record without the rows' marker is
@@ -911,13 +901,10 @@ def _streamed_body(handle: TextIO) -> Any:
             head += handle.read(max(_READ_CHARS, size))
             if len(head) == size:
                 return head
-    if handle.newlines not in ("\n", "\r\n"):
-        return None
-    fd, head, newline = handle.fileno(), head[:at], handle.newlines
-    start = len(head.encode()) + (len(newline) - 1) * head.count("\n")
-    start += 3 * (os.pread(fd, 3, 0) == b"\xef\xbb\xbf")  # a BOM
+    fd = handle.fileno()
+    newline = b"\r\n" if os.pread(fd, 1, start) == b"\r" else b"\n"
     row_json, _, close = _LAYOUTS[("evolved_states",)]
-    close = (close + "]").replace("\n", newline).encode()
+    close = (close + "]").encode().replace(b"\n", newline)
     size = os.fstat(fd).st_size
     for at in range(size - _READ_CHARS, start - _READ_CHARS, -_READ_CHARS):
         at = max(at, start)  # each read reaches a close but one byte into the one before
@@ -926,17 +913,28 @@ def _streamed_body(handle: TextIO) -> Any:
     else:
         return None
     end += at
-    tail = os.pread(fd, size - end - len(close), end + len(close)).decode()
-    for inner, placeholder in (("", []), ("0", [0])):
-        data = json.loads(f"{head}{inner}]{tail}")
-        results = data.get("results") if isinstance(data, dict) else None
-        if not isinstance(results, dict) or results.get("evolved_states") != placeholder:
-            return None
+    tail = os.pread(fd, size - end - len(close), end + len(close))
+    constants: list[object] = []  # a new object per constant met: the rows' NaN must be the one
+    data = json.loads((head[:start] + b"NaN]" + tail).decode("utf-8-sig"),
+                      parse_constant=lambda _: constants.append(object()) or constants[-1])
+    results = data.get("results") if isinstance(data, dict) else None
+    if not isinstance(results, dict) or results.get("evolved_states") != constants:
+        return None
     # json writes the comma, then the next row up to its opening brace.
-    separator = (row_json.partition("{")[0] + "{").replace("\n", newline).encode()
-    rows_of = functools.partial(_range_rows, fd, start, end, separator)
+    separator = (row_json.partition("{")[0] + "{").encode().replace(b"\n", newline)
+
+    def edge(at: int) -> int:  # the first separator at or after ``at``, else ``end``
+        for at in range(at, end, _PROBE_CHARS - len(separator) + 1):
+            if (found := os.pread(fd, _PROBE_CHARS, at).find(separator)) >= 0:
+                return min(at + found, end)
+        return end
+
+    spans, first = [], start
+    while first < end:
+        spans.append((first, last := edge(first + _READ_CHARS)))
+        first = last + 1  # past the separator's comma
     values = array("d")
-    with contextlib.closing(_forked_map(rows_of, range(start, end, _READ_CHARS))) as ranges:
+    with contextlib.closing(_forked_map(functools.partial(_range_rows, fd), spans)) as ranges:
         for rows in ranges:
             if rows is None:
                 return None
@@ -955,14 +953,14 @@ def read_record(path: str) -> RunRecord:
     (:func:`_streamed_body`); a text without evolved rows is read once,
     whole, and parsed once, even where the parse fails.  Any other text,
     one with rows that fails to decode or parse, or one read from a pipe,
-    is read whole and parsed by plain json, so it reads and fails exactly
-    as plain json reads it.
+    is read whole and parsed by plain json, its line ends read as a text
+    file's, so it reads and fails exactly as plain json reads it.
 
     Raises ``OSError`` if the file cannot be read or a worker dies,
     ``ValueError`` or ``RecursionError`` if its text is not JSON, and
     :class:`ConfigInvalid` if the record is malformed.
     """
-    with Path(path).open(encoding="utf-8-sig") as handle:
+    with Path(path).open("rb") as handle:
         data = None
         if handle.seekable():  # else a pipe, which can be read only once
             try:
@@ -974,7 +972,10 @@ def read_record(path: str) -> RunRecord:
             handle.seek(0)
         if data is None:
             data = handle.read()
-    return record_from_dict(json.loads(data) if isinstance(data, str) else data)
+    if isinstance(data, bytes):  # decoded first, so the bytes go before json parses
+        data = data.decode("utf-8-sig")
+        data = json.loads(data.replace("\r\n", "\n").replace("\r", "\n"))  # universal newlines
+    return record_from_dict(data)
 
 
 def _record_pieces(record: RunRecord) -> Generator[bytes, None, None]:
@@ -993,14 +994,14 @@ def _record_pieces(record: RunRecord) -> Generator[bytes, None, None]:
     worker fills its own copy, an in-process call the one made here.
     """
     body, blocks = _record_body(record)
-    text = json.dumps(body, sort_keys=True, indent=2)
+    text = json.dumps(body, sort_keys=True, indent=2).encode()
     reprs: dict[int, str] = {}
     done = 0
     for keys, rows in blocks:
         if len(rows):
             row_json, columns, close = _LAYOUTS[keys]
             at = _block_at(text, keys)
-            yield text[done:at].encode()
+            yield text[done:at]
 
             def block_text(start: int) -> bytes:
                 filled = _filled(row_json, rows[start : start + _BLOCK_ROWS, columns], reprs).encode()
@@ -1009,7 +1010,7 @@ def _record_pieces(record: RunRecord) -> Generator[bytes, None, None]:
             yield from _forked_map(block_text, range(0, len(rows), _BLOCK_ROWS))
             yield close.encode()
             done = at
-    yield (text[done:] + "\n").encode()
+    yield text[done:] + b"\n"
 
 
 def record_to_json(record: RunRecord) -> str:

@@ -648,11 +648,12 @@ class TestForkedRanges:
         export_record(long_record, "json", str(path))
         assert path.stat().st_size > 2 * scenario._READ_CHARS
         parent, real = os.getpid(), scenario._range_rows
+        start = scenario._block_at(path.read_bytes(), ("evolved_states",))
 
-        def dying(fd, start, end, separator, lo):
-            if os.getpid() != parent and lo == start:
+        def dying(fd, span):
+            if os.getpid() != parent and span[0] == start:
                 os._exit(1)  # while the other worker waits to send its first range
-            return real(fd, start, end, separator, lo)
+            return real(fd, span)
 
         with_cpus(monkeypatch, 2)
         monkeypatch.setattr(scenario, "_range_rows", dying)
@@ -705,7 +706,7 @@ class TestForkedRanges:
             record_from_dict(json.loads(path.read_text()))
         assert str(plain.value) == message
         with_cpus(monkeypatch, cpus)
-        with path.open(encoding="utf-8") as handle:  # the streamed read takes the rows
+        with path.open("rb") as handle:  # the streamed read takes the rows
             rows = scenario._streamed_body(handle)["results"]["evolved_states"]
         assert np.flatnonzero(~np.isfinite(rows).all(axis=1)).tolist() == [5000]
         capsys.readouterr()
@@ -978,10 +979,10 @@ PACKING_CASES = {
 }
 
 
-def duplicate_rows_after():
-    """A second, empty evolved_states after the rows, the one json keeps."""
+def duplicate_rows_after(rows="[]"):
+    """A second evolved_states, empty by default, after the rows: the one json keeps."""
     text = record_to_json(make_record())
-    return text.replace('\n    ],\n    "metric"', '\n    ],\n    "evolved_states": [],\n    "metric"')
+    return text.replace('\n    ],\n    "metric"', f'\n    ],\n    "evolved_states": {rows},\n    "metric"')
 
 
 def results_marker_in_another_object():
@@ -1010,18 +1011,35 @@ def invalid_utf8_in_rows(data):
 
 def comma_before_the_first_row():
     text = record_to_json(make_record())
-    at = scenario._block_at(text, ("evolved_states",))
+    at = scenario._block_at(text.encode(), ("evolved_states",))
     return text[:at] + "," + text[at:]
+
+
+def mixed_line_ends(head, rows):
+    """A record whose text before the rows' marker ends its lines with
+    ``head``, and from the marker on with ``rows``."""
+    data = record_to_json(make_record()).encode()
+    at = scenario._block_at(data, ("evolved_states",))
+    return data[:at].replace(b"\n", head) + data[at:].replace(b"\n", rows)
+
+
+def invalid_utf8_in_head(data):
+    at = data.index(b'"created_utc": "') + len(b'"created_utc": "')
+    return data[:at] + b"\xff" + data[at:]
 
 
 PACKING_CASES.update({
     "comma_before_the_first_row": comma_before_the_first_row,
     "duplicate_rows_after": duplicate_rows_after,
+    "null_rows_after": lambda: duplicate_rows_after("[null]"),
     "results_marker_at_another_depth": results_marker_in_another_object,
     "crlf": lambda: rows_edited(lambda data: data.replace(b"\n", b"\r\n")),
     "bom": lambda: rows_edited(lambda data: b"\xef\xbb\xbf" + data),
     "invalid_utf8_in_rows": lambda: rows_edited(invalid_utf8_in_rows),
     "syntax_error_in_tail": lambda: rows_edited(lambda data: data.rstrip()[:-1] + b",}\n"),
+    "syntax_error_in_a_crlf_head": lambda: rows_edited(
+        lambda data: data.replace(b'"seed": 4', b'"seed": 4,,').replace(b"\n", b"\r\n")
+    ),
     "syntax_error_without_rows": lambda: record_to_json(
         make_record(outputs=["metric", "concurrence_profile"])
     ).rstrip()[:-1] + ",}\n",
@@ -1034,6 +1052,18 @@ PACKING_CASES.update({
     ).replace('"@@"', "1e999"),
     "rows_whose_sum_overflows": lambda: edited_body(
         lambda body, rows: [row.update(theta=1.5e308) for row in rows[:2]]
+    ),
+    "nan_in_the_tail": lambda: edited_body(
+        lambda body, rows: body["results"]["metric"].update(g_phi_phi=math.nan)
+    ),
+    "infinity_in_the_head": lambda: edited_body(
+        lambda body, rows: body["provenance"].update(seed=math.inf)
+    ),
+    "crlf_head_lf_rows": lambda: mixed_line_ends(b"\r\n", b"\n"),
+    "lf_head_crlf_rows": lambda: mixed_line_ends(b"\n", b"\r\n"),
+    "invalid_utf8_in_head": lambda: rows_edited(invalid_utf8_in_head),
+    "invalid_utf8_in_head_after_a_bom": lambda: rows_edited(
+        lambda data: b"\xef\xbb\xbf" + invalid_utf8_in_head(data)
     ),
 })
 
@@ -1190,6 +1220,25 @@ class TestPackingParse:
         assert len(handles) == 1 and handles[0].chars < len(data) // 2
         assert_no_child_process()
 
+    def test_the_text_around_the_rows_is_parsed_once(self, tmp_path, monkeypatch):
+        """A record with a profile and rows, read in-process: json parses
+        the text around the rows once, and each range of rows once."""
+        record = make_record(outputs=["metric", "concurrence_profile", "evolved_states"])
+        path = tmp_path / "record.json"
+        export_record(record, "json", str(path))
+        texts, real = [], json.loads
+
+        def recording(text, **kwargs):
+            texts.append(text)
+            return real(text, **kwargs)
+
+        with_cpus(monkeypatch, 1)
+        monkeypatch.setattr(scenario, "_READ_CHARS", 4 * SMALL_BLOCK)
+        monkeypatch.setattr(scenario.json, "loads", recording)
+        assert record_to_json(read_record(str(path))) == record_to_json(record)
+        assert sum('"concurrence_profile"' in text for text in texts) == 1
+        assert len(texts) > 20
+
     @pytest.mark.parametrize("layout", ["run", "compact"])
     def test_record_without_rows_is_read_once(self, layout, tmp_path, monkeypatch):
         """A profile-only record, as run writes it or re-dumped compact, is
@@ -1252,7 +1301,7 @@ class TestPackingParse:
         separator = b",\n      {"
         assert data[start:].startswith(separator)
         with path.open("rb") as handle:
-            assert scenario._range_rows(handle.fileno(), start, end, separator, start) is None
+            assert scenario._range_rows(handle.fileno(), (start, end)) is None
 
     @pytest.mark.parametrize("layout", ["run", "compact"])
     def test_record_from_a_pipe_reads(self, layout, tmp_path):
@@ -1505,6 +1554,32 @@ class TestHeldMemory:
         record = read_record(str(path))
         assert len(record.results["evolved_states"]) == self.POINTS
         assert sum(read) <= 1.1 * path.stat().st_size
+
+    def test_a_read_finds_each_range_edge_once(self, tmp_path, monkeypatch):
+        """Each range of a 200 x 200 read, in-process, costs at most two
+        preads, one to find its end and one to read it, beside a few for
+        the line end, the list's close and the text after it."""
+        config, path = tmp_path / "grid.json", tmp_path / "grid.record.json"
+        config.write_text(json.dumps(self.large_grid_config()), encoding="utf-8")
+        assert cli.main(["run", str(config), "--out", str(path)]) == 0
+        preads, ranges = [], []
+        real_pread, real_rows = os.pread, scenario._range_rows
+
+        def counting(fd, size, at):
+            preads.append(size)
+            return real_pread(fd, size, at)
+
+        def recording(*args):
+            ranges.append(real_rows(*args))
+            return ranges[-1]
+
+        with_cpus(monkeypatch, 1)
+        monkeypatch.setattr(os, "pread", counting)
+        monkeypatch.setattr(scenario, "_range_rows", recording)
+        record = read_record(str(path))
+        assert len(record.results["evolved_states"]) == self.POINTS
+        assert len(ranges) > 100 and None not in ranges
+        assert len(preads) <= 2 * len(ranges) + 4
 
     def test_export_read_holds_less_than_the_file(self, tmp_path, monkeypatch):
         """What ``spin-torus export`` holds once it has read the record, at
