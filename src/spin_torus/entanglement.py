@@ -48,7 +48,8 @@ class NotDisentangled(ValueError):
 
 
 class ZeroCoupling(ValueError):
-    """J = 0 freezes the exchange angle, so no time maximizes anything."""
+    """|J| too small for a finite time: J = 0 freezes the exchange angle, and
+    a J near zero puts the first peak past the largest float."""
 
 
 class MaxEntanglement(NamedTuple):
@@ -190,14 +191,17 @@ def concurrence_evolved(initial: PureState2Q, theta: float) -> float:
 
 def concurrence_disentangled(initial: PureState2Q, theta: float) -> float:
     """Concurrence growth formula |b - c|^2 |sin 2 theta|, valid only when
-    the initial state is a product state (so that ad = bc)."""
+    the initial state is a product state (so that ad = bc).  An angle whose
+    double is not finite raises ValueError, as in :func:`concurrence_evolved`."""
     initial_c = concurrence(initial)
     if initial_c >= DISENTANGLED_TOL:
         raise NotDisentangled(
             f"initial concurrence {initial_c!r} is not zero; "
             "the product-state formula does not apply"
         )
-    return _clamp_unit(abs(initial.b - initial.c) ** 2 * abs(math.sin(2.0 * theta)))
+    if not math.isfinite(doubled := 2.0 * float(theta)):
+        raise ValueError("exchange angles must be finite")
+    return _clamp_unit(abs(initial.b - initial.c) ** 2 * abs(math.sin(doubled)))
 
 
 def constant_entanglement_circle(
@@ -256,7 +260,8 @@ def max_entanglement_time(
 
     The concurrence is pi/2-periodic in theta = 2 J t, so the maximizing
     angle recurs; the first recurrence after t = 0 is returned.  A flat
-    profile attains its maximum at every time, reported as t = 0.
+    profile attains its maximum at every time, reported as t = 0.  Raises
+    :class:`ZeroCoupling` where |J| is too small for a finite time.
     """
     coupling = params.coupling
     if coupling == 0.0:
@@ -272,14 +277,16 @@ def max_entanglement_time(
     else:
         theta = theta_star + _QUARTER_TURN if theta_star < _QUARTER_TURN - 1e-12 else theta_star
         time = (theta - np.pi) / (2.0 * coupling)
+    if not math.isfinite(time):
+        raise ZeroCoupling(f"J = {coupling!r} is too small for a finite time to the peak")
     return MaxEntanglement(time=float(time), theta=theta, concurrence=c_max)
 
 
 def entanglement_along_orbit(
-    initials: Sequence[PureState2Q], thetas: Sequence[float], phis: np.ndarray
+    vectors: np.ndarray, thetas: Sequence[float], phis: np.ndarray
 ) -> np.ndarray:
-    """Concurrence of initial state n at (thetas[n], phis[n, k]) for every
-    k, shaped like ``phis``: the exchange angle fixed, the field angle moved.
+    """Concurrence of row n of ``vectors`` (n, 4) at (thetas[n], phis[n, k])
+    for each k, shaped like ``phis``: exchange angle fixed, field angle moved.
 
     The values along a row are all equal -- the field only turns phases --
     and this helper exists so that claim can be tested against the actual
@@ -288,5 +295,5 @@ def entanglement_along_orbit(
     """
     phi = np.asarray(phis, dtype=np.float64)
     theta = np.broadcast_to(np.asarray(thetas, dtype=np.float64)[:, None], phi.shape)
-    amplitudes = np.array([state.vector for state in initials]).reshape(-1, 1, 4)
+    amplitudes = np.asarray(vectors, dtype=np.complex128).reshape(-1, 1, 4)
     return concurrence_stack(evolve_grid(amplitudes, theta, phi))

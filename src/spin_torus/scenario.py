@@ -872,22 +872,22 @@ def _range_rows(fd: int, span: tuple[int, int]) -> bytes | None:
 def _streamed_body(handle: BinaryIO) -> Any:
     """The JSON value of a record laid out as :func:`record_to_json` lays
     it out, read from ``handle``, opened for bytes, holding its rows' float
-    array and one range of their text at a time, or None if the text is
-    not in that layout or a row is not an object of floats.  A text without
-    the rows' marker, read to its end in the search for it, is returned
-    whole, as bytes, for plain json to parse, so it is read once whether or
-    not it parses.
+    array and one range of their text at a time; else the file's bytes, for
+    plain json to parse.  A text without the rows' marker, read to its end
+    in the search for it, is returned whole: it is read once, parsed or not.
 
-    Every position is a byte offset.  The rows span the bytes from the
-    marker to the list's last closing bracket, with the marker line's line
-    end, LF or CRLF.  Each range ends at the first row separator at least
-    ``_READ_CHARS`` bytes past its start, found here, once, by preads of
-    ``_PROBE_CHARS`` bytes; :func:`_range_rows` parses it from the
+    Every position is a byte offset.  The rows are walked forward once from
+    the marker, with its line's line end, LF or CRLF: each range ends at the
+    first row separator at least ``_READ_CHARS`` bytes past its start, found
+    by preads of ``_PROBE_CHARS`` bytes, until none follows.  One pread then
+    takes the rest: the last range, the list's close, the last in that read,
+    and the text after it.  :func:`_range_rows` parses each range from the
     descriptor of ``handle`` (:func:`_forked_map`).  The text around the
     rows is parsed once, with NaN in their place, which must be its one
     constant and results.evolved_states' one item: else the rows were not
-    that key's one value.  Raises ``ValueError`` or ``RecursionError``
-    where that text does not decode or parse.
+    that key's one value.  Without a close, where that text does not decode
+    or parse, or a range is not rows of floats, the file is read again,
+    whole; so a head that does not parse pays for the walk's probes first.
     """
     head = b""
     while True:
@@ -905,39 +905,41 @@ def _streamed_body(handle: BinaryIO) -> Any:
     newline = b"\r\n" if os.pread(fd, 1, start) == b"\r" else b"\n"
     row_json, _, close = _LAYOUTS[("evolved_states",)]
     close = (close + "]").encode().replace(b"\n", newline)
-    size = os.fstat(fd).st_size
-    for at in range(size - _READ_CHARS, start - _READ_CHARS, -_READ_CHARS):
-        at = max(at, start)  # each read reaches a close but one byte into the one before
-        if (end := os.pread(fd, _READ_CHARS + len(close) - 1, at).rfind(close)) >= 0:
-            break
-    else:
-        return None
-    end += at
-    tail = os.pread(fd, size - end - len(close), end + len(close))
-    constants: list[object] = []  # a new object per constant met: the rows' NaN must be the one
-    data = json.loads((head[:start] + b"NaN]" + tail).decode("utf-8-sig"),
-                      parse_constant=lambda _: constants.append(object()) or constants[-1])
-    results = data.get("results") if isinstance(data, dict) else None
-    if not isinstance(results, dict) or results.get("evolved_states") != constants:
-        return None
     # json writes the comma, then the next row up to its opening brace.
     separator = (row_json.partition("{")[0] + "{").encode().replace(b"\n", newline)
+    size = os.fstat(fd).st_size
 
-    def edge(at: int) -> int:  # the first separator at or after ``at``, else ``end``
-        for at in range(at, end, _PROBE_CHARS - len(separator) + 1):
+    def edge(at: int) -> int | None:  # the first separator at or after ``at``, if any
+        for at in range(at, size, _PROBE_CHARS - len(separator) + 1):
             if (found := os.pread(fd, _PROBE_CHARS, at).find(separator)) >= 0:
-                return min(at + found, end)
-        return end
+                return at + found
+        return None
+
+    def whole() -> bytes:  # read, not one pread, which Linux cuts short past ~2 GiB
+        handle.seek(0)
+        return handle.read()
 
     spans, first = [], start
-    while first < end:
-        spans.append((first, last := edge(first + _READ_CHARS)))
+    while (last := edge(first + _READ_CHARS)) is not None:
+        spans.append((first, last))
         first = last + 1  # past the separator's comma
+    rest = os.pread(fd, size - first, first)
+    constants: list[object] = []  # a new object per constant met: the rows' NaN must be the one
+    try:
+        end = rest.rindex(close)
+        data = json.loads((head[:start] + b"NaN]" + rest[end + len(close) :]).decode("utf-8-sig"),
+                          parse_constant=lambda _: constants.append(object()) or constants[-1])
+    except (ValueError, RecursionError):  # plain json raises it again, at the whole text's positions
+        return whole()
+    results = data.get("results") if isinstance(data, dict) else None
+    if not isinstance(results, dict) or results.get("evolved_states") != constants:
+        return whole()
+    spans.append((first, first + end))
     values = array("d")
     with contextlib.closing(_forked_map(functools.partial(_range_rows, fd), spans)) as ranges:
         for rows in ranges:
             if rows is None:
-                return None
+                return whole()
             values.frombytes(rows)
     results["evolved_states"] = _frozen_rows(values, len(CSV_COLUMNS))
     return data
@@ -952,26 +954,16 @@ def read_record(path: str) -> RunRecord:
     ranges into one float array, past one range by forked workers
     (:func:`_streamed_body`); a text without evolved rows is read once,
     whole, and parsed once, even where the parse fails.  Any other text,
-    one with rows that fails to decode or parse, or one read from a pipe,
-    is read whole and parsed by plain json, its line ends read as a text
-    file's, so it reads and fails exactly as plain json reads it.
+    or one with rows that fails to decode or parse, comes back as the
+    file's bytes, and a pipe is read whole, once; both read and fail
+    exactly as plain json reads them, line ends read as a text file's.
 
     Raises ``OSError`` if the file cannot be read or a worker dies,
     ``ValueError`` or ``RecursionError`` if its text is not JSON, and
     :class:`ConfigInvalid` if the record is malformed.
     """
-    with Path(path).open("rb") as handle:
-        data = None
-        if handle.seekable():  # else a pipe, which can be read only once
-            try:
-                data = _streamed_body(handle)
-            # Undecodable text or json's own parse error: the whole-text
-            # parse below raises it again, at the positions of the whole text.
-            except (ValueError, RecursionError):
-                pass
-            handle.seek(0)
-        if data is None:
-            data = handle.read()
+    with Path(path).open("rb") as handle:  # a pipe can be read only once, whole
+        data = _streamed_body(handle) if handle.seekable() else handle.read()
     if isinstance(data, bytes):  # decoded first, so the bytes go before json parses
         data = data.decode("utf-8-sig")
         data = json.loads(data.replace("\r\n", "\n").replace("\r", "\n"))  # universal newlines

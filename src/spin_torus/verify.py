@@ -251,11 +251,11 @@ def verify_all(seed: int = 0, corrupt_propagator: bool = False) -> VerifyReport:
 
     # --- concurrence ---------------------------------------------------------
     rng = stream()
-    vectors, states = _draw_states(rng, 100)
+    vectors = random_states(rng, 100)
     thetas = rng.uniform(0.0, np.pi, 100)
     phis = rng.uniform(0.0, 2.0 * np.pi, (100, 5))
     closed = concurrence_evolved_stack(vectors, thetas)
-    direct = entanglement_along_orbit(states, thetas, phis)
+    direct = entanglement_along_orbit(vectors, thetas, phis)
     oracle = concurrence_wootters_oracle_stack(vectors)
     worst_oracle = np.abs(concurrence_stack(vectors) - oracle).max()
     record("concurrence_closed_form_vs_direct", np.abs(closed - direct[:, 0]).max(), 1e-12)
@@ -281,7 +281,7 @@ def verify_all(seed: int = 0, corrupt_propagator: bool = False) -> VerifyReport:
     rng = stream()
     vectors, states = _draw_states(rng, 10)
     theta_max, c_max = np.array([_closed_form_maximum(state)[:2] for state in states]).T
-    direct = entanglement_along_orbit(states, theta_max, rng.uniform(0.0, 2.0 * np.pi, (10, 1)))
+    direct = entanglement_along_orbit(vectors, theta_max, rng.uniform(0.0, 2.0 * np.pi, (10, 1)))
     grid = np.linspace(0.0, np.pi, 256, endpoint=False)
     top = concurrence_evolved_stack(vectors[:, None], grid).max(axis=1)
     worst = np.max((np.abs(direct[:, 0] - c_max), top - c_max))

@@ -462,14 +462,15 @@ class TestStackedRoutes:
         phis = rng.uniform(-7.0, 7.0, (len(states), 5))
         thetas[:3], phis[:3, 0] = [0.0, -0.0, np.pi], -0.0
         reference = [scalar_orbit(*args) for args in zip(states, thetas.tolist(), phis.tolist())]
-        assert same_bits(entanglement_along_orbit(states, thetas, phis), np.array(reference))
+        vectors = np.array([state.vector for state in states])
+        assert same_bits(entanglement_along_orbit(vectors, thetas, phis), np.array(reference))
 
     @pytest.mark.parametrize("theta, phi", [(np.inf, 0.0), (0.3, np.nan)])
     def test_orbit_refuses_non_finite_angles_as_torus_point_does(self, theta, phi):
         with pytest.raises(ValueError, match="^torus coordinates must be finite$"):
             TorusPoint(theta, phi)
         with pytest.raises(ValueError, match="^torus coordinates must be finite$"):
-            entanglement_along_orbit([up_down()], [theta], [[phi, 1.0]])
+            entanglement_along_orbit([up_down().vector], [theta], [[phi, 1.0]])
         with pytest.raises(ValueError, match="^torus coordinates must be finite$"):
             evolve_grid(up_down().vector, [theta, 0.2], [phi, 1.0])
 
@@ -502,7 +503,9 @@ class TestEvolvedConcurrence:
         rng = np.random.default_rng(31)
         states = haar_states(25, seed=31)
         values = entanglement_along_orbit(
-            states, rng.uniform(0, np.pi, 25), rng.uniform(0, 2 * np.pi, size=(25, 6))
+            np.array([state.vector for state in states]),
+            rng.uniform(0, np.pi, 25),
+            rng.uniform(0, 2 * np.pi, size=(25, 6)),
         )
         assert values.shape == (25, 6)
         assert np.all(values.max(axis=1) - values.min(axis=1) < 1e-12)
@@ -570,6 +573,21 @@ class TestDisentangledFormula:
     def test_rejects_entangled_input(self):
         with pytest.raises(NotDisentangled):
             concurrence_disentangled(SINGLET, 0.3)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, 1e308, -1e308, 8.99e307])
+    def test_refuses_an_angle_whose_double_is_not_finite(self, bad):
+        """The kernel's error, with no warning, for an angle the closed form
+        refuses too; half the largest float is still taken."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for state in (up_down(), plus_minus_state(0.7, 0.2)):
+                with pytest.raises(ValueError, match="^exchange angles must be finite$"):
+                    concurrence_evolved(state, bad)
+                with pytest.raises(ValueError, match="^exchange angles must be finite$"):
+                    concurrence_disentangled(state, bad)
+            with pytest.raises(NotDisentangled):
+                concurrence_disentangled(SINGLET, bad)
+            assert 0.0 <= concurrence_disentangled(up_down(), np.finfo(float).max / 2) <= 1.0
 
 
 class TestConstantEntanglementCircle:
@@ -779,6 +797,16 @@ class TestMaxEntanglementTime:
     def test_zero_coupling_rejected(self):
         with pytest.raises(ZeroCoupling):
             max_entanglement_time(up_down(), SystemParams(0.0, 1.0))
+
+    @pytest.mark.parametrize("coupling", [5e-324, -5e-324, 1e-310, -1e-310])
+    def test_coupling_too_small_for_a_finite_time_rejected(self, coupling):
+        """A peak time past the largest float is refused, naming J; a flat
+        profile still peaks at t = 0, and J = 1e-300 still gives a time."""
+        with pytest.raises(ZeroCoupling, match=f"^J = {coupling!r} is too small"):
+            max_entanglement_time(up_down(), SystemParams(coupling, 0.0))
+        assert max_entanglement_time(SINGLET, SystemParams(coupling, 0.0)).time == 0.0
+        peak = max_entanglement_time(up_down(), SystemParams(math.copysign(1e-300, coupling), 0.0))
+        assert peak.time == pytest.approx(np.pi / 8 * 1e300)
 
     def test_time_actually_achieves_the_maximum(self):
         rng = np.random.default_rng(47)

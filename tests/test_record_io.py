@@ -356,7 +356,7 @@ class TestForkedBlocks:
         assert written_csv(record, tmp_path) == reference_csv(record).encode()
         assert_no_child_process()
 
-    def test_a_pool_worker_formats_in_process(self, long_record, tmp_path, monkeypatch):
+    def test_a_pool_worker_forks_its_own_formatters(self, long_record, tmp_path, monkeypatch):
         """A pool's worker is daemonic, so multiprocessing would let it start
         no process; it forks its own workers, which format the blocks to the
         same bytes."""
@@ -664,7 +664,7 @@ class TestForkedRanges:
         assert list(tmp_path.iterdir()) == [path]
         assert_no_child_process()
 
-    def test_a_pool_worker_reads_in_process(self, long_record, tmp_path, monkeypatch):
+    def test_a_pool_worker_forks_its_own_readers(self, long_record, tmp_path, monkeypatch):
         """A pool's worker is daemonic, so multiprocessing would let it start
         no process; it forks its own workers, which parse the ranges to the
         rows the test process's workers give.  So it does where an int in
@@ -985,6 +985,13 @@ def duplicate_rows_after(rows="[]"):
     return text.replace('\n    ],\n    "metric"', f'\n    ],\n    "evolved_states": {rows},\n    "metric"')
 
 
+def rows_again_after_the_rows():
+    """A second evolved_states after the rows, the rows reversed and laid out
+    as json lays out rows: its row separators follow the rows' close."""
+    rows = json.loads(record_to_json(make_record()))["results"]["evolved_states"][::-1]
+    return duplicate_rows_after(json.dumps(rows, indent=2).replace("\n", "\n    "))
+
+
 def results_marker_in_another_object():
     """A whole record with rows as the value of a root key ahead of a
     record whose rows are empty: the rows' markers stand in the first."""
@@ -1032,6 +1039,8 @@ PACKING_CASES.update({
     "comma_before_the_first_row": comma_before_the_first_row,
     "duplicate_rows_after": duplicate_rows_after,
     "null_rows_after": lambda: duplicate_rows_after("[null]"),
+    "separator_after_the_rows": rows_again_after_the_rows,
+    "close_after_the_rows": lambda: duplicate_rows_after("[\n    ]"),
     "results_marker_at_another_depth": results_marker_in_another_object,
     "crlf": lambda: rows_edited(lambda data: data.replace(b"\n", b"\r\n")),
     "bom": lambda: rows_edited(lambda data: b"\xef\xbb\xbf" + data),
