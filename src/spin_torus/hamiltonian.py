@@ -127,17 +127,18 @@ def propagator_analytic_stack(coupling, field, t) -> np.ndarray:
     the central block mixes |up down> and |down up> through a rotation by
     the accumulated exchange angle 2 J t.
     """
-    j, h, t = np.asarray((coupling, field, t), dtype=np.float64)
-    theta = 2.0 * j * t
-    cos_t, sin_t = np.cos(theta), np.sin(theta)
-    mat = np.zeros(theta.shape + (4, 4), dtype=np.complex128)
-    mat[..., 0, 0] = np.exp(-2j * (h + j) * t)
-    mat[..., 3, 3] = np.exp(2j * (h - j) * t)
-    mat[..., 1, 1] = cos_t
-    mat[..., 2, 2] = cos_t
-    mat[..., 1, 2] = -1j * sin_t
-    mat[..., 2, 1] = -1j * sin_t
-    return check_operator_stack(mat)
+    with np.errstate(over="ignore", invalid="ignore"):  # the operator guard refuses inf and NaN
+        j, h, t = np.asarray((coupling, field, t), dtype=np.float64)
+        theta = 2.0 * j * t
+        cos_t, sin_t = np.cos(theta), np.sin(theta)
+        mat = np.zeros(theta.shape + (4, 4), dtype=np.complex128)
+        mat[..., 0, 0] = np.exp(-2j * (h + j) * t)
+        mat[..., 3, 3] = np.exp(2j * (h - j) * t)
+        mat[..., 1, 1] = cos_t
+        mat[..., 2, 2] = cos_t
+        mat[..., 1, 2] = -1j * sin_t
+        mat[..., 2, 1] = -1j * sin_t
+        return check_operator_stack(mat)
 
 
 def propagator_factored_stack(coupling, field, t) -> np.ndarray:
@@ -149,23 +150,24 @@ def propagator_factored_stack(coupling, field, t) -> np.ndarray:
     H_int; the rotations e^{-i h sigma_z^1 t} (first spin, the slow index)
     and e^{-i h sigma_z^2 t} are diagonal.
     """
-    j, h, t = np.asarray((coupling, field, t), dtype=np.float64)
-    x = 2.0 * j * t
-    # sin(x)/(2J) by the Taylor series of sin(x)/x near x = 0, which covers
-    # J = 0; its x^4 term is below double rounding but costs nothing.
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # the branch not taken
+    # The branch not taken may divide by zero; the operator guard refuses inf and NaN.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        j, h, t = np.asarray((coupling, field, t), dtype=np.float64)
+        x = 2.0 * j * t
+        # sin(x)/(2J) by the Taylor series of sin(x)/x for |x| < 1e-6, which covers
+        # J = 0; its x^4 term, below 8.4e-27, is under half an ulp of 1 - x^2/6.
         ratio = np.where(
             np.abs(x) < _SMALL_PHASE,
-            t * (1.0 - x * x / 6.0 + x ** 4 / 120.0),
+            t * (1.0 - x * x / 6.0),
             np.sin(x) / (2.0 * j),
         )
-    h_int = j[..., None, None] * _EXCHANGE
-    interaction = np.cos(x)[..., None, None] * np.eye(4) - (1j * ratio)[..., None, None] * h_int
-    down, up = np.exp(-1j * h * t), np.exp(1j * h * t)
-    phases = np.moveaxis(np.array([[down, down, up, up], [down, up, down, up]]), 1, -1)
-    rotations = np.zeros(phases.shape + (4,), dtype=np.complex128)
-    rotations[..., range(4), range(4)] = phases
-    return check_operator_stack(interaction @ rotations[0] @ rotations[1])
+        h_int = j[..., None, None] * _EXCHANGE
+        interaction = np.cos(x)[..., None, None] * np.eye(4) - (1j * ratio)[..., None, None] * h_int
+        down, up = np.exp(-1j * h * t), np.exp(1j * h * t)
+        phases = np.moveaxis(np.array([[down, down, up, up], [down, up, down, up]]), 1, -1)
+        rotations = np.zeros(phases.shape + (4,), dtype=np.complex128)
+        rotations[..., range(4), range(4)] = phases
+        return check_operator_stack(interaction @ rotations[0] @ rotations[1])
 
 
 def propagator_spectral_stack(coupling, field, t) -> np.ndarray:
@@ -175,12 +177,13 @@ def propagator_spectral_stack(coupling, field, t) -> np.ndarray:
     This is the reference route used to cross-check the closed forms; it
     touches none of their trigonometry.
     """
-    j, h, t = np.asarray((coupling, field, t), dtype=np.float64)
-    phases = np.exp(-1j * _eigenvalues(j, h) * t[..., None])
-    mat = np.zeros(t.shape + (4, 4), dtype=np.complex128)
-    for k, vec in enumerate(_EIGENVECTORS.T):
-        mat += phases[..., k, None, None] * np.outer(vec, vec.conj())
-    return check_operator_stack(mat)
+    with np.errstate(over="ignore", invalid="ignore"):  # the operator guard refuses inf and NaN
+        j, h, t = np.asarray((coupling, field, t), dtype=np.float64)
+        phases = np.exp(-1j * _eigenvalues(j, h) * t[..., None])
+        mat = np.zeros(t.shape + (4, 4), dtype=np.complex128)
+        for k, vec in enumerate(_EIGENVECTORS.T):
+            mat += phases[..., k, None, None] * np.outer(vec, vec.conj())
+        return check_operator_stack(mat)
 
 
 def propagator_analytic(params: SystemParams, t: float) -> Operator4:

@@ -307,10 +307,11 @@ def _direction_forms(
     ``np.vdot``.  The squared moduli are taken in Python, because numpy
     squares with x * x where Python's ``** 2`` calls the C library's pow,
     and the two round apart on some inputs; the rest of
-    ``qstate.fs_distance_sq`` and the Richardson and polarization
-    arithmetic run elementwise in the scalar order.  So the estimate keeps
-    the bits of the per-probe scalar route wherever numpy's sin and cos and
-    BLAS zdotc agree with the scalar ones, which ``verify`` checks.
+    ``qstate.fs_distance_sq``, whose one clamp is at 0, and the Richardson
+    and polarization arithmetic run elementwise in the scalar order.  So the
+    estimate keeps the bits of the per-probe scalar route wherever numpy's
+    sin and cos and BLAS zdotc agree with the scalar ones, which ``verify``
+    checks.
     """
     d = np.asarray(directions, dtype=np.float64).reshape(-1, 2, 2)
     d = np.concatenate((d, d[:, :1] + d[:, 1:]), axis=1)[:, :, None]  # u, v, u + v
@@ -322,7 +323,7 @@ def _direction_forms(
     rows = evolve_grid(np.asarray(amplitudes)[..., None, :], points[..., 0], points[..., 1])
     overlaps = np.vecdot(rows[:, :1], rows[:, 1:]).ravel().tolist()
     mod_sq = np.array([abs(z) ** 2 for z in overlaps]).reshape(-1, 3, 2, 2)
-    dist = gamma * gamma * np.minimum(np.maximum(1.0 - mod_sq, 0.0), 1.0)
+    dist = gamma * gamma * np.maximum(1.0 - mod_sq, 0.0)
     half = h / 2.0
     coarse_fine = (dist[..., 0] + dist[..., 1]) / np.array((2.0 * h * h, 2.0 * half * half))
     forms = (4.0 * coarse_fine[..., 1] - coarse_fine[..., 0]) / 3.0  # along u, v, u + v

@@ -228,11 +228,11 @@ def fs_distance_sq(x: PureState2Q, y: PureState2Q, gamma: float = 1.0) -> float:
     """Squared Fubini-Study distance gamma^2 (1 - |<x|y>|^2).
 
     Symmetric, invariant under independent global phases on either argument,
-    and bounded by [0, gamma^2].
+    and bounded by [0, gamma^2]: 1 - |<x|y>|^2 is at most 1 for any modulus.
     """
     check_gamma(gamma)
     # Rounding can push |<x|y>|^2 a hair past 1 for identical rays.
-    return gamma * gamma * min(max(1.0 - abs(inner(x, y)) ** 2, 0.0), 1.0)
+    return gamma * gamma * max(1.0 - abs(inner(x, y)) ** 2, 0.0)
 
 
 def ray_equal(x: PureState2Q, y: PureState2Q, tol: float = 1e-12) -> bool:

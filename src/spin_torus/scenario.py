@@ -375,31 +375,25 @@ def _finite_float(value: Any, where: str) -> float:
     return float(value)
 
 
-def _leaves(root: Any) -> Iterator[tuple[list[Any], Any]]:
+def _leaves(root: Any, path: list[Any] | None = None) -> Iterator[tuple[list[Any], Any]]:
     """(path, value) for each value in ``root`` that is no list or object,
     in document order; the path of keys and indices is live.
     :class:`ConfigInvalid` at a list or object more than ``MAX_NESTING``
-    deep, ``root`` counting as one.  The walk keeps its own stack, so how
-    deep a document may nest does not rest on Python's."""
-    def items(value: Any) -> Iterator[tuple[Any, Any]]:
-        return iter(value.items() if isinstance(value, dict) else enumerate(value))
-
-    open_items = [items(root)] if isinstance(root, (dict, list)) else []
-    path: list[Any] = []
-    while open_items:
-        for key, value in open_items[-1]:
-            path.append(key)
-            if not isinstance(value, (dict, list)):
-                yield path, value
-                path.pop()
-            elif len(open_items) >= MAX_NESTING:
-                raise ConfigInvalid(f"{_where(path)}: nested more than {MAX_NESTING} levels deep")
-            else:
-                open_items.append(items(value))
-                break
+    deep, ``root`` counting as one.  The walk recurses once per level, so
+    that bound also bounds its stack: no deeper than json's encoder goes
+    when it writes a record."""
+    path = [] if path is None else path
+    children = (root.items() if isinstance(root, dict)
+                else enumerate(root) if isinstance(root, list) else ())
+    for key, value in children:
+        path.append(key)
+        if not isinstance(value, (dict, list)):
+            yield path, value
+        elif len(path) >= MAX_NESTING:
+            raise ConfigInvalid(f"{_where(path)}: nested more than {MAX_NESTING} levels deep")
         else:
-            open_items.pop()
-            del path[-1:]
+            yield from _leaves(value, path)
+        path.pop()
 
 
 def _where(path: list[Any]) -> str:
@@ -713,11 +707,10 @@ def _packed_row(row: Any) -> Any:
 
 
 def _packed_floats(rows: list[Any]) -> bool:
-    """Whether every row is a tuple of ``CSV_COLUMNS`` floats, as
-    :func:`_packed_row` packs a row of floats."""
+    """Whether every row is a tuple of floats: :func:`_packed_row` makes
+    the only tuples json's parse holds, each of ``CSV_COLUMNS`` values."""
     return (
         {tuple}.issuperset(map(type, rows))
-        and {len(CSV_COLUMNS)}.issuperset(map(len, rows))
         and _FLOAT_ONLY.issuperset(map(type, itertools.chain.from_iterable(rows)))
     )
 

@@ -165,7 +165,7 @@ def verify_all(seed: int = 0, corrupt_propagator: bool = False) -> VerifyReport:
     vectors = random_states(rng, 50)
     j, h = rng.uniform(-3.0, 3.0, (2, 50))
     t = rng.uniform(0.0, 5.0, 50)
-    # apply() and evolve_family guard each state; params_to_point gives (2 J t, 2 h_z t).
+    # check_state_array and evolve_grid guard each state; the torus point is (2 J t, 2 h_z t).
     via_u = check_state_array((propagator_analytic_stack(j, h, t) @ vectors[:, :, None])[..., 0])
     via_family = evolve_grid(vectors, 2.0 * j * t, 2.0 * h * t)
     record("family_matches_propagator", np.abs(via_u - via_family).max(), 1e-12)

@@ -201,8 +201,10 @@ def same_bits(x, y):
 
 
 def stack_draws():
-    """1200 (J, h_z, t): random ones with t up to 10, and J = 0, t = 0 and
-    |2Jt| on both sides of the Taylor switch at 1e-6, at it and just below."""
+    """1208 (J, h_z, t): random ones with t up to 10, and J = 0, t = 0 and
+    |2Jt| on both sides of the Taylor switch at 1e-6, at it and just below;
+    the last eight are the series' extremes, J = +-5e-324 and +-1e-300 at
+    t = 0.5 and 1e3."""
     rng = np.random.default_rng(16)
     j, h = rng.uniform(-3.0, 3.0, size=(2, 1200))
     t = rng.uniform(0.0, 10.0, 1200)
@@ -214,6 +216,9 @@ def stack_draws():
     t[400:404] = 0.5
     h[404:504] = 0.0
     h[504:604] = j[504:604]
+    j = np.concatenate((j, [5e-324, -5e-324, 1e-300, -1e-300] * 2))
+    h = np.concatenate((h, rng.uniform(-3.0, 3.0, 8)))
+    t = np.concatenate((t, np.repeat([0.5, 1e3], 4)))
     return j, h, t
 
 
@@ -230,7 +235,7 @@ class TestStackedPropagators:
         stack_route, public, scalar = ROUTES[route]
         j, h, t = stack_draws()
         stack = stack_route(j, h, t)
-        assert stack.shape == (1200, 4, 4)
+        assert stack.shape == (1208, 4, 4)
         for k, (coupling, field, time) in enumerate(zip(j.tolist(), h.tolist(), t.tolist())):
             params = SystemParams(coupling, field)
             reference = scalar(params, time)
@@ -242,6 +247,7 @@ class TestStackedPropagators:
         x = np.abs(2.0 * j * t)
         assert (x[200:404] < 1e-6).sum() > 50 and (x[200:404] >= 1e-6).sum() > 50
         assert x[400] == 1e-6
+        assert len(x) == 1208 and (x[1200:] < 1e-6).all()
 
     def test_unitarity_residuals_bit_identical_to_scalar(self):
         j, h, t = stack_draws()
@@ -261,9 +267,22 @@ class TestStackedPropagators:
         assert unitarity_residuals(stack).shape == (0,)
 
     @pytest.mark.parametrize("route", sorted(ROUTES))
-    def test_non_finite_time_refused_by_the_operator_guard(self, route):
+    @pytest.mark.parametrize(
+        "coupling, field, t",
+        [
+            (1.0, 0.5, np.nan),
+            (2.0, 0.5, np.inf),
+            (2.0, 0.5, 1e308),
+            (1e308, 0.5, 2.0),
+            (2.0, 1e308, 2.0),
+            (8.99e307, 8.99e307, 1.0),
+        ],
+    )
+    def test_non_finite_time_refused_by_the_operator_guard(self, route, coupling, field, t):
+        """A time, coupling or field whose angles or phases overflow ends in
+        the operator guard, with no numpy warning before it."""
         with pytest.raises(ValueError, match="^operator entries must be finite$"):
-            ROUTES[route][0]([1.0, 1.0], [0.5, 0.5], [0.3, np.nan])
+            ROUTES[route][0]([1.0, coupling], [0.5, field], [0.3, t])
 
 
 class TestPropagator:

@@ -295,6 +295,31 @@ def test_record_at_the_limit_exports_one_more_is_refused(tmp_path, capsys, where
 
 
 @pytest.mark.parametrize("frames", [0, 400])
+@pytest.mark.parametrize("empty", [[], {}], ids=["list", "object"])
+def test_an_empty_container_one_level_past_the_limit_is_refused(frames, empty):
+    """An empty list or object counts as a level: at the limit it passes
+    the nesting check, one level past it is refused with its path."""
+    config = deep_config(MAX_NESTING)
+    config["outputs"] = nested(MAX_NESTING - 2, empty)
+    with pytest.raises(ConfigInvalid, match=r"^outputs\.0: .* is not one of \["):
+        at_stack_depth(frames, lambda: config_from_dict(config))
+    config["outputs"] = nested(MAX_NESTING - 1, empty)
+    message = f"outputs{'[0]' * (MAX_NESTING - 1)}: nested more than {MAX_NESTING} levels deep"
+    with pytest.raises(ConfigInvalid) as refused:
+        at_stack_depth(frames, lambda: config_from_dict(config))
+    assert str(refused.value) == message
+
+    record = deep_record("results", MAX_NESTING)
+    record["results"]["metric"]["shear"] = nested(MAX_NESTING - 4, empty)
+    at_stack_depth(frames, lambda: record_from_dict(record))
+    record["results"]["metric"]["shear"] = nested(MAX_NESTING - 3, empty)
+    where = f"results.metric.shear{'[0]' * (MAX_NESTING - 3)}"
+    with pytest.raises(ConfigInvalid) as refused:
+        at_stack_depth(frames, lambda: record_from_dict(record))
+    assert str(refused.value) == f"{where}: nested more than {MAX_NESTING} levels deep"
+
+
+@pytest.mark.parametrize("frames", [0, 400])
 def test_record_config_at_the_limit_meets_the_schema(tmp_path, capsys, frames):
     """A record's config counts its depth from its own root, as a config does."""
     path = tmp_path / "record.json"
