@@ -18,6 +18,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -420,6 +421,43 @@ _FLATNESS_SAMPLES = 5
 _FLATNESS_SPAN = np.array([np.pi, 2.0 * np.pi] * _FLATNESS_SAMPLES)
 
 
+def _uniform_draws(seed: int, n: int) -> np.ndarray:
+    """``np.random.default_rng(seed).random(n)``'s bits, without ``numpy.random``:
+    numpy's SeedSequence hashes ``seed`` into a 4-word pool, 8 words from which
+    seed PCG64 (XSL-RR 128/64); a draw is an output's top 53 bits times 2**-53."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    m32, m64, m128, mult = 2**32 - 1, 2**64 - 1, 2**128 - 1, 0x2360ED051FC65DA44385DF649FCCF645
+    words = [seed >> shift & m32 for shift in range(0, seed.bit_length() or 1, 32)]
+    const = 0x43B0D7E5
+    def hashmix(value: int, step: int = 0x931E8875) -> int:
+        nonlocal const
+        value ^= const
+        const = const * step & m32
+        value = value * const & m32
+        return value ^ value >> 16
+    def mix(x: int, y: int) -> int:
+        x = (0xCA01F9DD * x - 0x4973F715 * hashmix(y)) & m32
+        return x ^ x >> 16
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for i in range(4):
+        pool = [pool[j] if i == j else mix(pool[j], pool[i]) for j in range(4)]
+    for word in words[4:]:
+        pool = [mix(value, word) for value in pool]
+    const = 0x8B51F9DD
+    state = [hashmix(pool[i % 4], 0x58F38DED) for i in range(8)]
+    s0, s1, i0, i1 = (state[k] | state[k + 1] << 32 for k in range(0, 8, 2))
+    inc = ((i0 << 64 | i1) << 1 | 1) & m128
+    pcg = ((inc + (s0 << 64 | s1)) * mult + inc) & m128
+    draws = []
+    for _ in range(n):
+        pcg = (pcg * mult + inc) & m128
+        x, rot = (pcg >> 64 ^ pcg) & m64, pcg >> 122
+        draws.append(((x >> rot | x << 64 - rot) & m64) >> 11)
+    return np.array(draws, dtype=float) * 2.0**-53
+
+
 def _phi_circle_radius(inv: FamilyInvariants, gamma: float) -> float:
     """Radius gamma sqrt(aligned - imbalance^2) of the phi circle."""
     # math.sqrt rounds as np.sqrt does, and keeps the radius a plain float.
@@ -436,11 +474,13 @@ def classify(initial: PureState2Q, gamma: float = 1.0, seed: int = 0) -> Manifol
     correctly recognized as one-dimensional, a fully polarized state is a
     point, and the kind does not depend on the length scale gamma.
     ``flatness_residual`` is the worst spread of any finite-difference
-    metric component across a handful of random torus points -- direct
-    evidence that the metric really is constant; it never overrides the
-    decision.  The samples are one stacked :func:`_direction_forms` call, so
-    the residual's bits rest on numpy's sin and cos and on BLAS zdotc,
-    which ``verify`` compares with the scalar routes.  Only
+    metric component across five torus points -- direct evidence that the
+    metric really is constant; it never overrides the decision.  The points
+    are the bits of ``np.random.default_rng(seed).random(10)``, made without
+    ``numpy.random``, so ``seed`` is a non-negative integer, numpy's integer
+    types included.  They are one stacked :func:`_direction_forms` call, so
+    the residual's bits rest on numpy's sin and cos and on BLAS zdotc, which
+    ``verify`` compares with the scalar routes.  Only
     :func:`metric_analytic` can raise :class:`DegenerateShear` here.
     """
     metric = metric_analytic(initial, gamma)
@@ -454,7 +494,7 @@ def classify(initial: PureState2Q, gamma: float = 1.0, seed: int = 0) -> Manifol
 
     # uniform(0.0, high) is 0.0 + high * random(), and the sum is exact, so
     # this is the stream and the bits of n scalar (theta, phi) draw pairs.
-    drawn = np.random.default_rng(seed).random(2 * _FLATNESS_SAMPLES) * _FLATNESS_SPAN
+    drawn = _uniform_draws(seed, 2 * _FLATNESS_SAMPLES) * _FLATNESS_SPAN
     thetas, phis = drawn.reshape(-1, 2).T
     components = _direction_forms(initial.vector, thetas, phis, gamma, DEFAULT_STEP, _AXES)
     spread = components - components.sum(axis=0) / _FLATNESS_SAMPLES  # the mean's bits

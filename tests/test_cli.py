@@ -566,17 +566,20 @@ def test_usage_error_exits_two():
     assert excinfo.value.code == 2
 
 
+REPO = Path(__file__).resolve().parent.parent
+
+
+def run_python(code, cwd):
+    """Run ``code`` in a fresh interpreter that imports the package from src."""
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    return subprocess.run(
+        [sys.executable, "-c", code], cwd=cwd, env=env, capture_output=True, text=True
+    )
+
+
 class TestRuntimeWithoutJsonschema:
     """jsonschema is a test-only dependency: the CLI must import and run
     where it is not installed."""
-
-    REPO = Path(__file__).resolve().parent.parent
-
-    def run_python(self, code, cwd):
-        env = {**os.environ, "PYTHONPATH": str(self.REPO / "src")}
-        return subprocess.run(
-            [sys.executable, "-c", code], cwd=cwd, env=env, capture_output=True, text=True
-        )
 
     def test_import_leaves_jsonschema_unloaded(self, tmp_path):
         code = (
@@ -584,11 +587,11 @@ class TestRuntimeWithoutJsonschema:
             "loaded = {'jsonschema', 'referencing', 'attrs', 'rpds'} & set(sys.modules)\n"
             "sys.exit(sorted(loaded) or 0)\n"
         )
-        result = self.run_python(code, tmp_path)
+        result = run_python(code, tmp_path)
         assert result.returncode == 0, result.stderr
 
     def test_readme_demo_runs_exports_and_verifies(self, tmp_path):
-        readme = (self.REPO / "README.md").read_text(encoding="utf-8")
+        readme = (REPO / "README.md").read_text(encoding="utf-8")
         demo = re.search(r"```json\n(.*?)```", readme, re.DOTALL).group(1)
         (tmp_path / "demo.json").write_text(demo)
         code = (
@@ -602,7 +605,7 @@ class TestRuntimeWithoutJsonschema:
             "    if code:\n"
             "        sys.exit(f'{argv[0]} exited {code}')\n"
         )
-        result = self.run_python(code, tmp_path)
+        result = run_python(code, tmp_path)
         assert result.returncode == 0, result.stderr
         assert (tmp_path / "demo.csv").read_text().startswith("theta,phi,")
         assert "all 27 checks passed" in result.stdout
@@ -640,12 +643,38 @@ def test_import_leaves_multiprocessing_unloaded(config_file, tmp_path):
         "    sys.exit(f'maps over {maps}, {len(ranges) - 1} ranges in-process')\n"
         "sys.exit('multiprocessing' in sys.modules)\n"
     )
-    src = Path(__file__).resolve().parent.parent / "src"
-    result = subprocess.run(
-        [sys.executable, "-c", code], cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(src)},
-        capture_output=True, text=True,
-    )
+    result = run_python(code, tmp_path)
     assert (result.returncode, result.stderr) == (0, "")
+
+
+def test_run_and_export_leave_numpy_random_unloaded(config_file, tmp_path):
+    """classify draws its torus points without numpy.random, so a run with
+    every output and its export never import it; verify's own draws do."""
+    torus = json.loads(config_file.read_text())
+    torus["outputs"] = ["metric", "classify", "concurrence_profile", "evolved_states"]
+    timed = {**torus, "grid": {"time": {"t0": 0.0, "t1": 3.0, "steps": 40}, "field_override": 0.7}}
+    (tmp_path / "torus.json").write_text(json.dumps(torus))
+    (tmp_path / "timed.json").write_text(json.dumps(timed))
+    code = (
+        "import sys\n"
+        "from spin_torus.cli import main\n"
+        "for name in ('torus', 'timed'):\n"
+        "    for argv in (['run', f'{name}.json', '--seed', '3'],\n"
+        "                 ['export', f'{name}.record.json', '--format', 'csv',\n"
+        "                  '--out', f'{name}.csv']):\n"
+        "        if main(argv):\n"
+        "            sys.exit(f'{argv} failed')\n"
+        "if 'numpy.random' in sys.modules:\n"
+        "    sys.exit('run or export imported numpy.random')\n"
+        "if main(['verify', '--seed', '0']) or 'numpy.random' not in sys.modules:\n"
+        "    sys.exit('verify ran without numpy.random')\n"
+    )
+    result = run_python(code, tmp_path)
+    assert (result.returncode, result.stderr) == (0, "")
+    for name in ("torus", "timed"):
+        record = json.loads((tmp_path / f"{name}.record.json").read_text())
+        assert record["results"]["classify"]["flatness_residual"] >= 0.0
+        assert (tmp_path / f"{name}.csv").read_text().startswith("theta,phi,")
 
 
 NON_FINITE_PLACES = {

@@ -627,3 +627,73 @@ class TestClassify:
         first = classify(state, seed=7)
         second = classify(state, seed=7)
         assert first.flatness_residual == second.flatness_residual
+
+
+class TestUniformDraws:
+    """``manifold._uniform_draws`` is numpy's ``default_rng(seed).random(n)``
+    rebuilt in integer arithmetic, so ``classify`` needs no ``numpy.random``."""
+
+    SEEDS = [0, 1, 2**31 - 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**128 + 1, 10**40,
+             True, np.int64(7), np.uint64(2**64 - 1)]
+
+    def test_bits_equal_numpy_for_every_seed_width(self):
+        import random
+
+        draw = random.Random(1)
+        seeds = (self.SEEDS + [draw.randrange(2**31) for _ in range(2000)]
+                 + [draw.randrange(2**300) for _ in range(500)])
+        for seed in seeds:
+            expected = np.random.default_rng(seed).random(10)
+            assert bits(manifold._uniform_draws(seed, 10)).tolist() == bits(expected).tolist(), seed
+
+    @pytest.mark.parametrize("n", [0, 1, 25])
+    def test_any_count_is_a_prefix_of_numpy_stream(self, n):
+        got = manifold._uniform_draws(2**32 + 5, n)
+        assert got.dtype == np.float64 and got.shape == (n,)
+        assert bits(got).tolist() == bits(np.random.default_rng(2**32 + 5).random(n)).tolist()
+
+    # Literal draws, so the bits stay pinned whatever numpy is installed.
+    GOLDEN = {
+        0: [0.6369616873214543, 0.2697867137638703, 0.04097352393619469,
+            0.016527635528529094, 0.8132702392002724, 0.9127555772777217,
+            0.6066357757671799, 0.7294965609839984, 0.5436249914654229,
+            0.9350724237877682],
+        2**32: [0.8897387912781343, 0.5571380502062263, 0.8009080868919721,
+                0.9565138174753386, 0.05861516014935442, 0.23640069529958085,
+                0.7878121978721646, 0.00030824035715149023, 0.7257230733611507,
+                0.6187666612577356],
+        10**40: [0.4126400778407405, 0.1981928046298873, 0.32749268875685567,
+                 0.03463541903439449, 0.468827366455256, 0.5321711304211378,
+                 0.7688717896124364, 0.8978773553788955, 0.16729547187266502,
+                 0.222949676830136],
+    }
+
+    @pytest.mark.parametrize("seed", sorted(GOLDEN), ids=["0", "2^32", "10^40"])
+    def test_golden_draws(self, seed):
+        assert bits(manifold._uniform_draws(seed, 10)).tolist() == bits(self.GOLDEN[seed]).tolist()
+
+    @pytest.mark.parametrize("seed", [-1, -(2**64), np.int64(-1)])
+    def test_negative_seed_raises_numpy_error(self, seed):
+        with pytest.raises(ValueError, match="^expected non-negative integer$"):
+            np.random.default_rng(seed)
+        with pytest.raises(ValueError, match="^expected non-negative integer$"):
+            manifold._uniform_draws(seed, 10)
+
+    @pytest.mark.parametrize("seed", [1.5, "3", np.float64(2.0)])
+    def test_non_integer_seed_raises_numpy_type_error(self, seed):
+        with pytest.raises(TypeError):
+            np.random.default_rng(seed)
+        with pytest.raises(TypeError):
+            manifold._uniform_draws(seed, 10)
+
+    @pytest.mark.parametrize("seed", [None, [1, 2], 1.5, "3"])
+    def test_classify_refuses_a_seed_that_is_no_integer(self, seed):
+        # numpy takes None (fresh entropy) and sequences; classify does not.
+        with pytest.raises(TypeError):
+            classify(up_down(), seed=seed)
+
+    def test_classify_samples_at_the_ported_draws(self):
+        state = PureState2Q.normalized(0.3, 0.8, 0.1, -0.4j)
+        for seed in (0, 2**64, 10**40, np.uint64(2**64 - 1)):
+            report = classify(state, gamma=1.3, seed=seed)
+            assert bits(report.flatness_residual) == bits(reference_flatness(state, 1.3, seed))
