@@ -478,9 +478,9 @@ def classify(initial: PureState2Q, gamma: float = 1.0, seed: int = 0) -> Manifol
     metric really is constant; it never overrides the decision.  The points
     are the bits of ``np.random.default_rng(seed).random(10)``, made without
     ``numpy.random``, so ``seed`` is a non-negative integer, numpy's integer
-    types included.  They are one stacked :func:`_direction_forms` call, so
-    the residual's bits rest on numpy's sin and cos and on BLAS zdotc, which
-    ``verify`` compares with the scalar routes.  Only
+    types included.  The samples are one stacked :func:`_direction_forms`
+    call, so the residual's bits rest on numpy's sin and cos and on BLAS
+    zdotc, which ``verify`` compares with the scalar routes.  Only
     :func:`metric_analytic` can raise :class:`DegenerateShear` here.
     """
     metric = metric_analytic(initial, gamma)

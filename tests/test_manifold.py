@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -637,8 +639,6 @@ class TestUniformDraws:
              True, np.int64(7), np.uint64(2**64 - 1)]
 
     def test_bits_equal_numpy_for_every_seed_width(self):
-        import random
-
         draw = random.Random(1)
         seeds = (self.SEEDS + [draw.randrange(2**31) for _ in range(2000)]
                  + [draw.randrange(2**300) for _ in range(500)])
