@@ -16,6 +16,7 @@ vouch for itself.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -54,7 +55,9 @@ class SystemParams:
     """Physical parameters: exchange strength J, field h_z, length scale gamma.
 
     gamma only scales distances on the state manifold; it never enters the
-    dynamics.  J and h_z may take any finite real value, including zero.
+    dynamics.  J and h_z may take any finite real value, including zero,
+    whose spectrum bound 2(|J| + |h_z|) is finite too.  Each ``ValueError``
+    begins with the name of the field it refuses.
     """
 
     coupling: float
@@ -67,6 +70,12 @@ class SystemParams:
             if not all_finite(value):
                 got = "an integer beyond the float range" if isinstance(value, int) else repr(value)
                 raise ValueError(f"{name} must be finite, got {got}")
+        if not math.isfinite(2.0 * (abs(self.coupling) + abs(self.field))):
+            name = "coupling" if abs(self.coupling) >= abs(self.field) else "field"
+            raise ValueError(
+                f"{name} is too large: the spectrum bound 2(|J| + |h_z|) of "
+                f"J = {self.coupling!r}, h_z = {self.field!r} overflows"
+            )
         check_gamma(self.gamma)
 
 

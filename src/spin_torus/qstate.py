@@ -298,8 +298,9 @@ def minus_minus_state(chi: float, gamma_az: float = 0.0) -> PureState2Q:
 
 
 def random_states(rng: np.random.Generator, n: int) -> np.ndarray:
-    """``n`` Haar-random pure states drawn from the given generator, as the
-    rows of an (n, 4) array under the state guard.
+    """``n`` Haar-random pure states drawn from the given generator, any
+    object with numpy's ``standard_normal(size)``, as the rows of an (n, 4)
+    array under the state guard.
 
     Each state takes 8 normals in turn, the real parts of its amplitudes
     and then the imaginary ones.  The norm is np.linalg.norm's, two dot

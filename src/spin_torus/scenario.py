@@ -455,8 +455,8 @@ def config_from_dict(data: Mapping[str, Any]) -> ScenarioConfig:
     gamma = _finite_float(params_body.get("gamma", 1.0), "params.gamma")
     try:
         params = SystemParams(coupling=coupling, field=field, gamma=gamma)
-    except ValueError as error:  # coupling and field are finite: gamma broke its rule
-        raise ConfigInvalid(f"params.gamma: {error}") from None
+    except ValueError as error:  # its message begins with the field it refuses
+        raise ConfigInvalid(f"params.{str(error).split(' ', 1)[0]}: {error}") from None
 
     grid_body = data["grid"]
     grid: TorusGrid | TimeGrid

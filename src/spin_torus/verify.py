@@ -10,6 +10,8 @@ to prove its own arithmetic with one command.
 
 from __future__ import annotations
 
+import math
+import random
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,7 +89,41 @@ class VerifyReport:
         return body
 
 
-def _draw_states(rng: np.random.Generator, n: int) -> tuple[np.ndarray, list[PureState2Q]]:
+#: The byte order of a 64-bit word from ``random.Random.getrandbits``.
+_WORD = np.dtype("<u8")
+
+
+class _Stream:
+    """The draws of one battery, from the stdlib generator seeded with
+    ``text``, which every Python version hashes to the same state.  It has
+    the three ``numpy.random.Generator`` methods the battery calls, so
+    ``verify`` never imports ``numpy.random``."""
+
+    def __init__(self, text: str) -> None:
+        self._bits = random.Random(text)
+
+    def random(self, size) -> np.ndarray:
+        """Floats in [0, 1): the top 53 bits of each 64-bit word, times 2^-53."""
+        n = size if isinstance(size, int) else math.prod(size)
+        words = np.frombuffer(self._bits.getrandbits(64 * n).to_bytes(8 * n, "little"), _WORD)
+        return ((words >> 11) * 2.0**-53).reshape(size)
+
+    def uniform(self, low, high, size) -> np.ndarray:
+        """``low + (high - low) * random(size)``, as numpy computes it."""
+        low, high = np.asarray(low, dtype=np.float64), np.asarray(high, dtype=np.float64)
+        return low + (high - low) * self.random(size)
+
+    def standard_normal(self, size) -> np.ndarray:
+        """Box–Muller normals: each pair of uniforms (u, v) gives the radius
+        sqrt(-2 log(1 - u)) at the angle 2 pi v, its cosine then its sine,
+        the parts of one complex number."""
+        n = size if isinstance(size, int) else math.prod(size)
+        u, v = self.random((2, (n + 1) // 2))
+        pairs = np.sqrt(-2.0 * np.log1p(-u)) * np.exp(2j * np.pi * v)
+        return pairs.view(np.float64)[:n].reshape(size)
+
+
+def _draw_states(rng: _Stream, n: int) -> tuple[np.ndarray, list[PureState2Q]]:
     """``n`` Haar states as an (n, 4) array and as states, for the scalar
     functions a check audits."""
     vectors = random_states(rng, n)
@@ -99,34 +135,35 @@ def verify_all(seed: int = 0, corrupt_propagator: bool = False) -> VerifyReport:
     hook: it flips the sign of one propagator entry before the unitarity
     check, which must then fail -- proving the checks can fail at all.
 
-    Each battery draws its inputs as arrays from its own child stream of
-    ``seed``, and reduces its residuals with np.max, so a NaN residual
-    fails its check rather than being dropped, as max() would drop it."""
-    root = np.random.default_rng(seed)
+    Each battery draws its inputs as arrays from its own stream, seeded with
+    ``f"{seed}/{label}"`` where the label is the name of the battery's first
+    check, so adding a battery moves no other battery's draws.  It reduces
+    its residuals with np.max, so a NaN residual fails its check rather than
+    being dropped, as max() would drop it."""
     report = VerifyReport(seed=seed)
 
-    def stream() -> np.random.Generator:
-        return root.spawn(1)[0]
+    def stream(label: str) -> _Stream:
+        return _Stream(f"{seed}/{label}")
 
     def record(name: str, residual: float, bound: float, detail: str = "") -> None:
         passed = bool(residual <= bound)  # False for NaN
         report.checks.append(CheckResult(name, passed, float(residual), bound, detail))
 
     # --- Hamiltonian algebra -------------------------------------------------
-    def random_params(n: int) -> list[SystemParams]:
-        return [SystemParams(j, h) for j, h in stream().uniform(-3.0, 3.0, (n, 2)).tolist()]
+    def random_params(label: str) -> list[SystemParams]:
+        return [SystemParams(j, h) for j, h in stream(label).uniform(-3.0, 3.0, (5, 2)).tolist()]
 
-    params = random_params(5)
+    params = random_params("interaction_commutes_with_field")
     h_int = np.array([build_h_int(p).matrix for p in params])
     h_mf = np.array([build_h_mf(p).matrix for p in params])
     record("interaction_commutes_with_field", np.abs(h_int @ h_mf - h_mf @ h_int).max(), 1e-12)
 
-    params = random_params(5)
+    params = random_params("interaction_square_is_scalar")
     h_int = np.array([build_h_int(p).matrix for p in params])
     target = np.array([(2.0 * p.coupling) ** 2 * np.eye(4) for p in params])
     record("interaction_square_is_scalar", np.abs(h_int @ h_int - target).max(), 1e-12)
 
-    params = random_params(5)
+    params = random_params("eigensystem_residuals")
     h_full = np.array([build_hamiltonian(p).matrix for p in params])
     values, vectors = map(np.array, zip(*map(eigensystem, params)))
     residuals = h_full @ vectors - vectors * values[:, None]  # column by column
@@ -137,7 +174,7 @@ def verify_all(seed: int = 0, corrupt_propagator: bool = False) -> VerifyReport:
     record("eigenvalues_reference_point", worst, 1e-12, "(J, h_z) = (1, 1/2)")
 
     # --- propagator routes ---------------------------------------------------
-    rng = stream()
+    rng = stream("propagator_unitarity")
     j, h = rng.uniform(-3.0, 3.0, (2, 100))
     t = rng.uniform(0.0, 10.0, 100)
     j[:2], h[:2], t[:2] = (0.0, 1e-9), rng.uniform(-2.0, 2.0, 2), (1.3, 0.7)
@@ -153,7 +190,7 @@ def verify_all(seed: int = 0, corrupt_propagator: bool = False) -> VerifyReport:
     record("propagator_analytic_vs_spectral", np.abs(analytic - spectral).max(), 1e-10)
     record("propagator_analytic_vs_factored", np.abs(analytic - factored).max(), 1e-10)
 
-    rng = stream()
+    rng = stream("propagator_group_property")
     j, h = rng.uniform(-3.0, 3.0, (2, 20))
     t1, t2 = rng.uniform(0.0, 5.0, (2, 20))
     times = np.array((t1 + t2, t1, t2))
@@ -161,7 +198,7 @@ def verify_all(seed: int = 0, corrupt_propagator: bool = False) -> VerifyReport:
     record("propagator_group_property", np.abs(whole - first @ second).max(), 1e-12)
 
     # --- evolved family ------------------------------------------------------
-    rng = stream()
+    rng = stream("family_matches_propagator")
     vectors = random_states(rng, 50)
     j, h = rng.uniform(-3.0, 3.0, (2, 50))
     t = rng.uniform(0.0, 5.0, 50)
@@ -170,7 +207,7 @@ def verify_all(seed: int = 0, corrupt_propagator: bool = False) -> VerifyReport:
     via_family = evolve_grid(vectors, 2.0 * j * t, 2.0 * h * t)
     record("family_matches_propagator", np.abs(via_u - via_family).max(), 1e-12)
 
-    rng = stream()
+    rng = stream("family_theta_antiperiod")
     vectors = random_states(rng, 50)
     th, ph = rng.uniform(0.0, [[np.pi], [2.0 * np.pi]], (2, 50))
     thetas, phis = (th, th + np.pi, th), (ph, ph, ph + 2.0 * np.pi)
@@ -181,7 +218,7 @@ def verify_all(seed: int = 0, corrupt_propagator: bool = False) -> VerifyReport:
     # The finite-difference metric evolves its probes through evolve_grid and
     # takes their overlaps with np.vecdot; its bits rest on both matching the
     # scalar routes.
-    vectors = random_states(grid_rng := stream(), 2).tolist()
+    vectors = random_states(grid_rng := stream("evolve_grid_matches_scalar_family"), 2).tolist()
     # |down up> with a signed zero in every part
     vectors.append([complex(-0.0, 0.0), complex(0.0, -0.0), complex(-1.0, -0.0), -0.0j])
     angles = np.concatenate(
@@ -203,7 +240,7 @@ def verify_all(seed: int = 0, corrupt_propagator: bool = False) -> VerifyReport:
     detail = "differing bits: evolve_grid vs scalar family map, np.vecdot vs np.vdot"
     record("evolve_grid_matches_scalar_family", flipped, 0.0, detail)
 
-    rng = stream()
+    rng = stream("family_sheared_antiperiod")
     vectors, states = _draw_states(rng, 50)
     th, ph = rng.uniform(0.0, [[np.pi], [2.0 * np.pi]], (2, 50))
     shears = [metric_analytic(state).shear for state in states]
@@ -215,7 +252,7 @@ def verify_all(seed: int = 0, corrupt_propagator: bool = False) -> VerifyReport:
     record("family_sheared_antiperiod", np.abs(shifted + base).max(initial=0.0), 1e-10)
 
     # --- metric --------------------------------------------------------------
-    rng = stream()
+    rng = stream("metric_closed_form_vs_finite_difference")
     vectors, states = _draw_states(rng, 50)
     thetas, phis = rng.uniform(0.0, [[np.pi], [2.0 * np.pi]], (2, 150))
     numeric = _direction_forms(
@@ -229,7 +266,7 @@ def verify_all(seed: int = 0, corrupt_propagator: bool = False) -> VerifyReport:
     record("metric_closed_form_vs_finite_difference", worst_fd, 1e-6)
     record("metric_constant_over_torus", worst_flat, 1e-6)
 
-    vectors, states = _draw_states(stream(), 100)
+    vectors, states = _draw_states(stream("metric_positivity_identity_theta"), 100)
     al, mis, imb = np.array([
         (inv.aligned, inv.mismatch, inv.imbalance) for inv in map(family_invariants, states)
     ]).T
@@ -244,13 +281,13 @@ def verify_all(seed: int = 0, corrupt_propagator: bool = False) -> VerifyReport:
     record("metric_positivity_identity_theta", worst1, 1e-10)
     record("metric_positivity_identity_phi", worst2, 1e-10)
 
-    vectors, states = _draw_states(stream(), 50)
+    vectors, states = _draw_states(stream("metric_shear_kills_cross_term"), 50)
     shears = [metric_analytic(state).shear for state in states]
     sheared = _sheared_forms(vectors, shears, 1.0)
     record("metric_shear_kills_cross_term", np.abs(sheared[:, 1]).max(), 1e-8)
 
     # --- concurrence ---------------------------------------------------------
-    rng = stream()
+    rng = stream("concurrence_closed_form_vs_direct")
     vectors = random_states(rng, 100)
     thetas = rng.uniform(0.0, np.pi, 100)
     phis = rng.uniform(0.0, 2.0 * np.pi, (100, 5))
@@ -262,14 +299,14 @@ def verify_all(seed: int = 0, corrupt_propagator: bool = False) -> VerifyReport:
     record("concurrence_field_independence", np.ptp(direct, axis=1).max(), 1e-12)
     record("concurrence_wootters_oracle", worst_oracle, 1e-10)
 
-    rng = stream()
+    rng = stream("concurrence_theta_period")
     vectors = random_states(rng, 50)
     thetas = rng.uniform(0.0, np.pi, 50)
     shifted = concurrence_evolved_stack(vectors, thetas + np.pi)
     worst = np.abs(concurrence_evolved_stack(vectors, thetas) - shifted).max()
     record("concurrence_theta_period", worst, 1e-12)
 
-    rng = stream()
+    rng = stream("product_state_peak_at_quarter_turn")
     chis, azimuths = rng.uniform((0.2, 0.0), (np.pi - 0.2, 2.0 * np.pi), (10, 2)).T.tolist()
     peaks = [
         max_entanglement_time(plus_minus_state(chi, gaz), SystemParams(1.0, 0.0))
@@ -278,7 +315,7 @@ def verify_all(seed: int = 0, corrupt_propagator: bool = False) -> VerifyReport:
     worst = np.max([(abs(p.theta - np.pi / 4.0), abs(p.concurrence - 1.0)) for p in peaks])
     record("product_state_peak_at_quarter_turn", worst, 1e-10)
 
-    rng = stream()
+    rng = stream("concurrence_max_closed_form_vs_sampled")
     vectors, states = _draw_states(rng, 10)
     theta_max, c_max = np.array([_closed_form_maximum(state)[:2] for state in states]).T
     direct = entanglement_along_orbit(vectors, theta_max, rng.uniform(0.0, 2.0 * np.pi, (10, 1)))
@@ -289,7 +326,7 @@ def verify_all(seed: int = 0, corrupt_propagator: bool = False) -> VerifyReport:
     record("concurrence_max_closed_form_vs_sampled", worst, 1e-12, detail)
 
     # --- distance function ---------------------------------------------------
-    rng = stream()
+    rng = stream("distance_bounds_and_symmetry")
     vectors, states = _draw_states(rng, 100)
     xs, ys = states[::2], states[1::2]
     phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (50, 1)))

@@ -647,9 +647,10 @@ def test_import_leaves_multiprocessing_unloaded(config_file, tmp_path):
     assert (result.returncode, result.stderr) == (0, "")
 
 
-def test_run_and_export_leave_numpy_random_unloaded(config_file, tmp_path):
-    """classify draws its torus points without numpy.random, so a run with
-    every output and its export never import it; verify's own draws do."""
+def test_no_command_loads_numpy_random(config_file, tmp_path):
+    """classify draws its torus points and verify its batteries without
+    numpy.random, so no command imports it: a run with every output, its
+    export, verify and its negative control."""
     torus = json.loads(config_file.read_text())
     torus["outputs"] = ["metric", "classify", "concurrence_profile", "evolved_states"]
     timed = {**torus, "grid": {"time": {"t0": 0.0, "t1": 3.0, "steps": 40}, "field_override": 0.7}}
@@ -664,10 +665,10 @@ def test_run_and_export_leave_numpy_random_unloaded(config_file, tmp_path):
         "                  '--out', f'{name}.csv']):\n"
         "        if main(argv):\n"
         "            sys.exit(f'{argv} failed')\n"
+        "if main(['verify', '--seed', '0']) or main(['verify', '--negative-control']) != 1:\n"
+        "    sys.exit('verify gave the wrong verdict')\n"
         "if 'numpy.random' in sys.modules:\n"
-        "    sys.exit('run or export imported numpy.random')\n"
-        "if main(['verify', '--seed', '0']) or 'numpy.random' not in sys.modules:\n"
-        "    sys.exit('verify ran without numpy.random')\n"
+        "    sys.exit('a command imported numpy.random')\n"
     )
     result = run_python(code, tmp_path)
     assert (result.returncode, result.stderr) == (0, "")

@@ -1,5 +1,6 @@
 """Each input limit is one fact, decided where input enters: the gamma rule
-of ``qstate.check_gamma`` at every entry point that takes a gamma, and
+of ``qstate.check_gamma`` at every entry point that takes a gamma, the
+spectrum bound of ``SystemParams`` at every function that takes one, and
 ``MAX_NESTING`` for every config and record document."""
 
 import ast
@@ -18,23 +19,35 @@ import spin_torus
 from spin_torus import (
     SystemParams,
     TorusPoint,
+    build_h_int,
+    build_h_mf,
+    build_hamiltonian,
     classify,
     config_from_dict,
     constant_entanglement_circle,
     diagonalize_check,
+    eigensystem,
     evolve_family,
     fs_distance_sq,
+    max_entanglement_time,
     metric_analytic,
     metric_numeric,
+    plus_minus_state,
     plus_plus_state,
+    propagator_analytic,
+    propagator_factored,
+    propagator_spectral,
     random_state,
     up_down,
 )
 from spin_torus.cli import EXIT_CONFIG_ERROR, EXIT_OK, main
+from spin_torus.entanglement import ConcurrenceRangeError
 from spin_torus.qstate import MAX_GAMMA, basis_state
 from spin_torus.scenario import (
     MAX_NESTING,
     ConfigInvalid,
+    ScenarioConfig,
+    TimeGrid,
     record_from_dict,
     run_scenario,
 )
@@ -206,6 +219,98 @@ def test_config_gamma_at_the_ends_runs(tmp_path, capsys, gamma):
         warnings.simplefilter("error")
         assert main(["run", str(config), "--out", str(out)]) == EXIT_OK
     assert "NaN" not in out.read_text() and "Infinity" not in out.read_text()
+
+
+# --- the spectrum bound of SystemParams --------------------------------------
+
+#: How to call each public function that takes a SystemParams; each returns
+#: the arrays it computed.
+PARAMS_CALLERS = {
+    "build_h_int": lambda params: (build_h_int(params).matrix,),
+    "build_h_mf": lambda params: (build_h_mf(params).matrix,),
+    "build_hamiltonian": lambda params: (build_hamiltonian(params).matrix,),
+    "eigensystem": lambda params: tuple(eigensystem(params)),
+    "propagator_analytic": lambda params: (propagator_analytic(params, 0.7).matrix,),
+    "propagator_factored": lambda params: (propagator_factored(params, 0.7).matrix,),
+    "propagator_spectral": lambda params: (propagator_spectral(params, 0.7).matrix,),
+    "max_entanglement_time": lambda params: tuple(
+        max_entanglement_time(plus_minus_state(0.7, 0.2), params)
+    ),
+    "run_scenario": lambda params: tuple(
+        run_scenario(
+            ScenarioConfig(
+                initial=config_from_dict(base_config()).initial,
+                params=params,
+                grid=TimeGrid(t0=0.0, t1=1e-300, steps=3),
+                outputs=("metric", "concurrence_profile", "evolved_states"),
+            )
+        ).results["evolved_states"]
+    ),
+}
+
+#: Magnitudes at and past the spectrum bound's overflow, and down to the
+#: smallest subnormal.
+EXTREMES = [1e308, -1e308, 8.99e307, 1e200, 1e16, 5e-324, -0.0, 1e-300]
+
+#: The errors a package function raises for inputs outside its domain.
+PACKAGE_ERRORS = (ValueError, ConcurrenceRangeError)
+
+
+def test_every_function_that_takes_system_params_is_called():
+    """A new public callable with a SystemParams parameter must join
+    PARAMS_CALLERS, so none can skip the spectrum bound."""
+    takes_params = set()
+    for name in spin_torus.__all__:
+        value = getattr(spin_torus, name)
+        if inspect.isfunction(value):
+            annotations = [p.annotation for p in inspect.signature(value).parameters.values()]
+            if "SystemParams" in annotations:
+                takes_params.add(name)
+    assert takes_params | {"run_scenario"} == set(PARAMS_CALLERS)
+
+
+@pytest.mark.parametrize("entry", sorted(PARAMS_CALLERS))
+@pytest.mark.parametrize("value", EXTREMES)
+def test_extreme_params_give_finite_values_or_a_package_error(entry, value):
+    """J and h_z at the edges of the float range, alone, together and with
+    an ordinary partner: each call gives finite values or raises a package
+    error, and no numpy warning escapes."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for coupling, field in ((value, 0.5), (0.5, value), (value, value), (value, -value)):
+            try:
+                params = SystemParams(coupling, field)
+                arrays = PARAMS_CALLERS[entry](params)
+            except PACKAGE_ERRORS:
+                continue
+            assert all(np.isfinite(np.asarray(array)).all() for array in arrays)
+
+
+@pytest.mark.parametrize(
+    "coupling, field, name",
+    [(8.99e307, 0.5, "coupling"), (0.5, -1e308, "field"), (4.5e307, -4.5e307, "coupling")],
+)
+def test_an_overflowing_spectrum_bound_is_refused(coupling, field, name):
+    with pytest.raises(ValueError, match=rf"^{name} is too large: the spectrum bound "):
+        SystemParams(coupling, field)
+    SystemParams(coupling / 2.0, field / 2.0)
+
+
+@pytest.mark.parametrize(
+    "params, where",
+    [
+        ({"coupling": 1e308, "field": 1e308}, "coupling"),
+        ({"coupling": 8.99e307}, "coupling"),
+        ({"field": -1e308}, "field"),
+    ],
+)
+def test_config_with_an_overflowing_spectrum_exits_two(tmp_path, capsys, params, where):
+    with pytest.raises(ConfigInvalid, match=rf"^params\.{where}: {where} is too large: "):
+        config_from_dict({**base_config(), "params": {**base_config()["params"], **params}})
+    config = write_config(tmp_path, **params)
+    assert main(["run", str(config)]) == EXIT_CONFIG_ERROR
+    err = assert_one_error_line(capsys, tmp_path, config)
+    assert err.startswith(f"error: invalid config: params.{where}: {where} is too large: ")
 
 
 # --- nesting -----------------------------------------------------------------
