@@ -70,7 +70,7 @@ class SystemParams:
             if not all_finite(value):
                 got = "an integer beyond the float range" if isinstance(value, int) else repr(value)
                 raise ValueError(f"{name} must be finite, got {got}")
-        if not math.isfinite(2.0 * (abs(self.coupling) + abs(self.field))):
+        if not math.isfinite(2.0 * (abs(float(self.coupling)) + abs(float(self.field)))):
             name = "coupling" if abs(self.coupling) >= abs(self.field) else "field"
             raise ValueError(
                 f"{name} is too large: the spectrum bound 2(|J| + |h_z|) of "

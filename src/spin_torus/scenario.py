@@ -455,7 +455,7 @@ def config_from_dict(data: Mapping[str, Any]) -> ScenarioConfig:
     gamma = _finite_float(params_body.get("gamma", 1.0), "params.gamma")
     try:
         params = SystemParams(coupling=coupling, field=field, gamma=gamma)
-    except ValueError as error:  # its message begins with the field it refuses
+    except ValueError as error:  # each message of SystemParams begins with its field
         raise ConfigInvalid(f"params.{str(error).split(' ', 1)[0]}: {error}") from None
 
     grid_body = data["grid"]

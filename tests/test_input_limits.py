@@ -14,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spin_torus
 from spin_torus import (
@@ -269,31 +271,50 @@ def test_every_function_that_takes_system_params_is_called():
     assert takes_params | {"run_scenario"} == set(PARAMS_CALLERS)
 
 
+def assert_finite_or_refused(coupling, field, entry):
+    """The call gives finite arrays, or SystemParams or the call raises a
+    package error; a numpy warning is an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            arrays = PARAMS_CALLERS[entry](SystemParams(coupling, field))
+        except PACKAGE_ERRORS:
+            return
+        assert all(np.isfinite(np.asarray(array)).all() for array in arrays)
+
+
 @pytest.mark.parametrize("entry", sorted(PARAMS_CALLERS))
 @pytest.mark.parametrize("value", EXTREMES)
 def test_extreme_params_give_finite_values_or_a_package_error(entry, value):
     """J and h_z at the edges of the float range, alone, together and with
-    an ordinary partner: each call gives finite values or raises a package
-    error, and no numpy warning escapes."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for coupling, field in ((value, 0.5), (0.5, value), (value, value), (value, -value)):
-            try:
-                params = SystemParams(coupling, field)
-                arrays = PARAMS_CALLERS[entry](params)
-            except PACKAGE_ERRORS:
-                continue
-            assert all(np.isfinite(np.asarray(array)).all() for array in arrays)
+    an ordinary partner."""
+    for coupling, field in ((value, 0.5), (0.5, value), (value, value), (value, -value)):
+        assert_finite_or_refused(coupling, field, entry)
+
+
+FINITE_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(derandomize=True, max_examples=100)
+@given(FINITE_FLOATS, FINITE_FLOATS)
+def test_any_finite_params_give_finite_values_or_a_package_error(coupling, field):
+    for entry in sorted(PARAMS_CALLERS):
+        assert_finite_or_refused(coupling, field, entry)
 
 
 @pytest.mark.parametrize(
     "coupling, field, name",
-    [(8.99e307, 0.5, "coupling"), (0.5, -1e308, "field"), (4.5e307, -4.5e307, "coupling")],
+    [
+        (8.99e307, 0.5, "coupling"),
+        (0.5, -1e308, "field"),
+        (4.5e307, -4.5e307, "coupling"),
+        (10**308, -(10**308), "coupling"),
+    ],
 )
 def test_an_overflowing_spectrum_bound_is_refused(coupling, field, name):
     with pytest.raises(ValueError, match=rf"^{name} is too large: the spectrum bound "):
         SystemParams(coupling, field)
-    SystemParams(coupling / 2.0, field / 2.0)
+    SystemParams(coupling / 4.0, field / 4.0)
 
 
 @pytest.mark.parametrize(
