@@ -109,8 +109,8 @@ class TestStreams:
         assert [x.hex() for x in draws.ravel().tolist()] == expected
 
     def test_standard_normal_golden_values(self):
-        """Pinned to 4 ulps: numpy's log1p and exp may round the last bit
-        differently on another dispatch target (up to 2 ulps seen)."""
+        """Pinned to 4 ulps: numpy's log1p rounds the last bit differently
+        on some dispatch targets (up to 2 ulps seen)."""
         draws = verify._Stream("0/family_matches_propagator").standard_normal((1, 2, 3))
         expected = [
             -0.20403864686556464, -1.1895533260179032, 1.418207295942037,
