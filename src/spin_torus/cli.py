@@ -111,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="override the metric length scale from the config",
     )
-    run.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
+    run.add_argument("--seed", type=int, default=0, help="recorded; changes no result")
     run.add_argument(
         "--out",
         default=None,

@@ -18,15 +18,14 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import PureState2Q, all_finite, check_gamma, check_state_array
+from .qstate import PureState2Q, all_finite, check_gamma, check_state_array, ray_distances_sq
 
-#: Finite-difference step; about the sweet spot between truncation O(h^4)
-#: after Richardson and rounding noise O(eps / h^2).
+#: Finite-difference step: truncation O(h^4) after Richardson, and rounding
+#: noise O(eps / h) from the cancellation-free distances, ~1e-11 here.
 DEFAULT_STEP = 1e-4
 #: Unit steps along theta and phi, the directions of the plain metric.
 _AXES = ((1.0, 0.0), (0.0, 1.0))
@@ -302,17 +301,12 @@ def _direction_forms(
     displacement, so the truncation error O(h^2) becomes O(h^4).
 
     Every centre and its twelve probes are one stacked evaluation: one
-    :func:`evolve_grid` call, which guards every row, then one ``np.vecdot``,
-    which conjugates its first argument as ``np.vdot`` does and reaches the
-    same BLAS zdotc, so each overlap has the bits of a per-probe
-    ``np.vdot``.  The squared moduli are taken in Python, because numpy
-    squares with x * x where Python's ``** 2`` calls the C library's pow,
-    and the two round apart on some inputs; the rest of
-    ``qstate.fs_distance_sq``, whose one clamp is at 0, and the Richardson
-    and polarization arithmetic run elementwise in the scalar order.  So the
-    estimate keeps the bits of the per-probe scalar route wherever numpy's
-    sin and cos and BLAS zdotc agree with the scalar ones, which ``verify``
-    checks.
+    :func:`evolve_grid` call, which guards every row, then one
+    :func:`qstate.ray_distances_sq` call, whose distances carry no
+    cancellation.  It and the Richardson and polarization arithmetic run
+    elementwise in the scalar order, so the estimate has the bits of the
+    per-probe :func:`qstate.fs_distance_sq` route wherever numpy's sin and
+    cos agree with the scalar ones, which ``verify`` checks.
     """
     d = np.asarray(directions, dtype=np.float64).reshape(-1, 2, 2)
     d = np.concatenate((d, d[:, :1] + d[:, 1:]), axis=1)[:, :, None]  # u, v, u + v
@@ -322,9 +316,7 @@ def _direction_forms(
         probes = centres[:, None] + np.array((h, -h, h / 2.0, -h / 2.0))[:, None] * d
     points = np.concatenate((centres, probes.reshape(len(centres), 12, 2)), axis=1)
     rows = evolve_grid(np.asarray(amplitudes)[..., None, :], points[..., 0], points[..., 1])
-    overlaps = np.vecdot(rows[:, :1], rows[:, 1:]).ravel().tolist()
-    mod_sq = np.array([abs(z) ** 2 for z in overlaps]).reshape(-1, 3, 2, 2)
-    dist = gamma * gamma * np.maximum(1.0 - mod_sq, 0.0)
+    dist = gamma * gamma * ray_distances_sq(rows[:, :1], rows[:, 1:]).reshape(-1, 3, 2, 2)
     half = h / 2.0
     coarse_fine = (dist[..., 0] + dist[..., 1]) / np.array((2.0 * h * h, 2.0 * half * half))
     forms = (4.0 * coarse_fine[..., 1] - coarse_fine[..., 0]) / 3.0  # along u, v, u + v
@@ -345,19 +337,17 @@ def metric_numeric(
     Shares no algebra with :func:`metric_analytic` beyond the family map
     itself, which is what makes the agreement between the two a meaningful
     check.  This is the one-centre form of :func:`_direction_forms`: the
-    centre and its twelve probes are one stacked evaluation, whose overlaps
-    ``np.vecdot`` takes with the bits of BLAS zdotc, as per-probe
-    ``np.vdot`` did.  The result's last bits thus rest on numpy's sin and
-    cos and on BLAS, which ``verify`` compares with the scalar routes.
-    The shear is None when g_phi_phi is at most 1e-8 gamma^2, the
-    finite-difference noise floor; the cross term is then reported as
-    measured.  A tiny gamma underflows the metric to 0, which is degenerate.
+    centre and its twelve probes are one stacked evaluation.  The shear is
+    None when g_phi_phi is at most ``_DEGENERATE_TOL`` gamma^2, the
+    tolerance :func:`metric_analytic` uses; the cross term is then reported
+    as measured.  A tiny gamma underflows the metric to 0, which is
+    degenerate.
     """
     check_gamma(gamma)
     g_tt, g_tp, g_pp = _direction_forms(
         initial.vector, [point.theta], [point.phi], gamma, DEFAULT_STEP, _AXES
     )[0].tolist()
-    degenerate = g_pp <= 1e-8 * (gamma * gamma)
+    degenerate = g_pp <= _DEGENERATE_TOL * (gamma * gamma)
     # An exact power-of-two scale keeps g_tp^2 / g_pp finite at large gamma.
     s = 2.0 ** -512 if abs(g_tp) > 2.0 ** 511 else 1.0
     return MetricTensor2(
@@ -370,10 +360,6 @@ def metric_numeric(
     )
 
 
-#: Step of the sheared estimate; see :func:`diagonalize_check`.
-_SHEAR_STEP = 2e-3
-
-
 def _sheared_forms(
     amplitudes: np.ndarray, shears: list[float | None], gamma: float
 ) -> np.ndarray:
@@ -384,7 +370,7 @@ def _sheared_forms(
     sheared = np.empty(k.shape + (2, 2))  # unit steps in theta', phi' = phi + k theta'
     sheared[:, 0, 0], sheared[:, 0, 1], sheared[:, 1] = 1.0, -k, (0.0, 1.0)
     thetas, phis = np.full(k.shape, 0.3), np.full(k.shape, 1.1)
-    return _direction_forms(amplitudes, thetas, phis, gamma, _SHEAR_STEP, sheared)
+    return _direction_forms(amplitudes, thetas, phis, gamma, DEFAULT_STEP, sheared)
 
 
 def diagonalize_check(
@@ -394,12 +380,9 @@ def diagonalize_check(
     term vanishes there.
 
     Uses the closed-form shear coefficient but measures every component by
-    finite differences, at a probe point away from any symmetry.  The step
-    :data:`_SHEAR_STEP` is coarser than :data:`DEFAULT_STEP` because the
-    interesting signal here is a cancellation near zero, where the 1/h^2
-    rounding noise of a fine step would drown the answer.  This is the
-    one-state form of the stacked estimate ``verify`` runs over many states
-    at once.
+    finite differences, with step :data:`DEFAULT_STEP`, at a probe point
+    away from any symmetry.  This is the one-state form of the stacked
+    estimate ``verify`` runs over many states at once.
     """
     analytic = metric_analytic(initial, gamma)
     g_tt, g_tp, g_pp = _sheared_forms(initial.vector, [analytic.shear], gamma)[0].tolist()
@@ -415,47 +398,12 @@ def diagonalize_check(
 
 # --- classification ----------------------------------------------------------
 
-#: Random torus points at which :func:`classify` measures flatness ...
-_FLATNESS_SAMPLES = 5
-#: ... drawn uniformly from [0, pi) x [0, 2 pi).
-_FLATNESS_SPAN = np.array([np.pi, 2.0 * np.pi] * _FLATNESS_SAMPLES)
-
-
-def _uniform_draws(seed: int, n: int) -> np.ndarray:
-    """``np.random.default_rng(seed).random(n)``'s bits, without ``numpy.random``:
-    numpy's SeedSequence hashes ``seed`` into a 4-word pool, 8 words from which
-    seed PCG64 (XSL-RR 128/64); a draw is an output's top 53 bits times 2**-53."""
-    seed = operator.index(seed)
-    if seed < 0:
-        raise ValueError("expected non-negative integer")
-    m32, m64, m128, mult = 2**32 - 1, 2**64 - 1, 2**128 - 1, 0x2360ED051FC65DA44385DF649FCCF645
-    words = [seed >> shift & m32 for shift in range(0, seed.bit_length() or 1, 32)]
-    const = 0x43B0D7E5
-    def hashmix(value: int, step: int = 0x931E8875) -> int:
-        nonlocal const
-        value ^= const
-        const = const * step & m32
-        value = value * const & m32
-        return value ^ value >> 16
-    def mix(x: int, y: int) -> int:
-        x = (0xCA01F9DD * x - 0x4973F715 * hashmix(y)) & m32
-        return x ^ x >> 16
-    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
-    for i in range(4):
-        pool = [pool[j] if i == j else mix(pool[j], pool[i]) for j in range(4)]
-    for word in words[4:]:
-        pool = [mix(value, word) for value in pool]
-    const = 0x8B51F9DD
-    state = [hashmix(pool[i % 4], 0x58F38DED) for i in range(8)]
-    s0, s1, i0, i1 = (state[k] | state[k + 1] << 32 for k in range(0, 8, 2))
-    inc = ((i0 << 64 | i1) << 1 | 1) & m128
-    pcg = ((inc + (s0 << 64 | s1)) * mult + inc) & m128
-    draws = []
-    for _ in range(n):
-        pcg = (pcg * mult + inc) & m128
-        x, rot = (pcg >> 64 ^ pcg) & m64, pcg >> 122
-        draws.append(((x >> rot | x << 64 - rot) & m64) >> 11)
-    return np.array(draws, dtype=float) * 2.0**-53
+#: The torus points at which :func:`classify` measures flatness: the rank-1
+#: lattice (k, 2k)/5 on [0, pi) x [0, 2 pi), shifted off the symmetry lines
+#: theta in {0, pi/2} and phi in {0, pi}.
+_FLATNESS_THETAS, _FLATNESS_PHIS = zip(
+    *[(math.pi * (k + 0.3) / 5.0, 2.0 * math.pi * ((2 * k + 0.7) / 5.0 % 1.0)) for k in range(5)]
+)
 
 
 def _phi_circle_radius(inv: FamilyInvariants, gamma: float) -> float:
@@ -464,7 +412,7 @@ def _phi_circle_radius(inv: FamilyInvariants, gamma: float) -> float:
     return gamma * math.sqrt(max(inv.aligned - inv.imbalance ** 2, 0.0))
 
 
-def classify(initial: PureState2Q, gamma: float = 1.0, seed: int = 0) -> ManifoldReport:
+def classify(initial: PureState2Q, gamma: float = 1.0) -> ManifoldReport:
     """Decide whether the evolution surface is a flat torus, a circle, or a
     point, and report both candidate circle radii.
 
@@ -474,14 +422,11 @@ def classify(initial: PureState2Q, gamma: float = 1.0, seed: int = 0) -> Manifol
     correctly recognized as one-dimensional, a fully polarized state is a
     point, and the kind does not depend on the length scale gamma.
     ``flatness_residual`` is the worst spread of any finite-difference
-    metric component across five torus points -- direct evidence that the
-    metric really is constant; it never overrides the decision.  The points
-    are the bits of ``np.random.default_rng(seed).random(10)``, made without
-    ``numpy.random``, so ``seed`` is a non-negative integer, numpy's integer
-    types included.  The samples are one stacked :func:`_direction_forms`
-    call, so the residual's bits rest on numpy's sin and cos and on BLAS
-    zdotc, which ``verify`` compares with the scalar routes.  Only
-    :func:`metric_analytic` can raise :class:`DegenerateShear` here.
+    metric component across five fixed generic torus points -- direct
+    evidence that the metric really is constant, at the level of rounding;
+    it never overrides the decision.  The samples are one stacked
+    :func:`_direction_forms` call.  Only :func:`metric_analytic` can raise
+    :class:`DegenerateShear` here.
     """
     metric = metric_analytic(initial, gamma)
     unscaled = metric_analytic(initial)
@@ -492,12 +437,10 @@ def classify(initial: PureState2Q, gamma: float = 1.0, seed: int = 0) -> Manifol
     radius_phi = _phi_circle_radius(inv, gamma)
     radius_theta = gamma * math.sqrt(max(inv.mismatch * (2.0 - inv.mismatch), 0.0))
 
-    # uniform(0.0, high) is 0.0 + high * random(), and the sum is exact, so
-    # this is the stream and the bits of n scalar (theta, phi) draw pairs.
-    drawn = _uniform_draws(seed, 2 * _FLATNESS_SAMPLES) * _FLATNESS_SPAN
-    thetas, phis = drawn.reshape(-1, 2).T
-    components = _direction_forms(initial.vector, thetas, phis, gamma, DEFAULT_STEP, _AXES)
-    spread = components - components.sum(axis=0) / _FLATNESS_SAMPLES  # the mean's bits
+    components = _direction_forms(
+        initial.vector, _FLATNESS_THETAS, _FLATNESS_PHIS, gamma, DEFAULT_STEP, _AXES
+    )
+    spread = components - components.sum(axis=0) / len(components)  # the mean's bits
 
     return ManifoldReport(
         kind=(ManifoldKind.POINT, ManifoldKind.CIRCLE, ManifoldKind.FLAT_TORUS)[dimension],

@@ -67,6 +67,11 @@ def _refuse_row(amplitudes: Sequence[complex], norm_sq: float) -> NoReturn:
     raise ValueError(f"state is not normalized: |amplitudes|^2 sums to {norm_sq!r}")
 
 
+def _sum4(m: np.ndarray) -> np.ndarray:
+    """The four entries of each row of an array (..., 4), added in order."""
+    return m[..., 0] + m[..., 1] + m[..., 2] + m[..., 3]
+
+
 def _norms_sq(rows: np.ndarray) -> np.ndarray:
     """The squared norm of each row of an array (..., 4), with the bits of
     :func:`check_state_row`: np.hypot is the C library's hypot, as abs()
@@ -75,7 +80,7 @@ def _norms_sq(rows: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         m = np.hypot(rows.real, rows.imag)
         m *= m
-        return m[..., 0] + m[..., 1] + m[..., 2] + m[..., 3]
+        return _sum4(m)
 
 
 def check_state_array(rows: np.ndarray) -> np.ndarray:
@@ -224,20 +229,40 @@ def apply(op: Operator4, state: PureState2Q) -> PureState2Q:
     return PureState2Q(op.matrix @ state.vector)
 
 
-def fs_distance_sq(x: PureState2Q, y: PureState2Q, gamma: float = 1.0) -> float:
-    """Squared Fubini-Study distance gamma^2 (1 - |<x|y>|^2).
+def ray_distances_sq(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """1 - |<x|y>|^2 / (|x|^2 |y|^2) for each pair of rows of two complex
+    arrays (..., 4), which broadcast: |y_perp|^2 / |y|^2, with y_perp =
+    y - (<x|y>/<x|x>) x, so no two numbers near 1 are subtracted.  Every
+    real part and four-term sum is one elementwise operation in a fixed
+    order, with no BLAS call, so a row has the bits of Python's float
+    arithmetic in that order on every CPU.
+    """
+    xr, xi, yr, yi = xs.real, xs.imag, ys.real, ys.imag
+    xx = _sum4(xr * xr + xi * xi)
+    # <x|y>/<x|x>, conjugating x
+    cr = (_sum4(xr * yr + xi * yi) / xx)[..., None]
+    ci = (_sum4(xr * yi - xi * yr) / xx)[..., None]
+    pr = yr - (cr * xr - ci * xi)
+    pi = yi - (cr * xi + ci * xr)
+    return _sum4(pr * pr + pi * pi) / _sum4(yr * yr + yi * yi)
 
-    Symmetric, invariant under independent global phases on either argument,
-    and bounded by [0, gamma^2]: 1 - |<x|y>|^2 is at most 1 for any modulus.
+
+def fs_distance_sq(x: PureState2Q, y: PureState2Q, gamma: float = 1.0) -> float:
+    """Squared Fubini-Study distance gamma^2 (1 - |<x|y>|^2): the one-pair
+    call of :func:`ray_distances_sq`.
+
+    Symmetric and invariant under independent global phases on either
+    argument, to rounding; it is never negative, and exceeds gamma^2 by
+    rounding at most.
     """
     check_gamma(gamma)
-    # Rounding can push |<x|y>|^2 a hair past 1 for identical rays.
-    return gamma * gamma * max(1.0 - abs(inner(x, y)) ** 2, 0.0)
+    return gamma * gamma * float(ray_distances_sq(x.vector, y.vector))
 
 
 def ray_equal(x: PureState2Q, y: PureState2Q, tol: float = 1e-12) -> bool:
-    """Whether the two states coincide as rays (equal modulo a global phase)."""
-    return abs(inner(x, y)) ** 2 >= 1.0 - tol
+    """Whether the two states coincide as rays (equal modulo a global phase):
+    whether their :func:`ray_distances_sq` is at most ``tol``."""
+    return bool(ray_distances_sq(x.vector, y.vector) <= tol)
 
 
 # --- basis and named states --------------------------------------------------

@@ -8,7 +8,7 @@ the most expensive kind of user error.  All angles are radians; there is no
 degree mode.
 
 Running a scenario yields a :class:`RunRecord` whose results block is a
-pure function of (config, seed); the only nondeterministic field is the
+pure function of the config; the only nondeterministic field is the
 creation timestamp, which is excluded from the canonical byte form used
 for reproducibility comparisons.
 """
@@ -563,7 +563,7 @@ def _frozen_rows(values: array, width: int) -> np.ndarray:
     return rows
 
 
-def _run_evolved(initial: PureState2Q, config: ScenarioConfig, seed: int) -> np.ndarray:
+def _run_evolved(initial: PureState2Q, config: ScenarioConfig) -> np.ndarray:
     """One row of ``CSV_COLUMNS`` values per grid point, theta varying
     slowest on a torus grid.  Each point's angles and amplitudes come from
     :func:`evolve_family`, then the concurrence column from
@@ -584,9 +584,9 @@ def _run_evolved(initial: PureState2Q, config: ScenarioConfig, seed: int) -> np.
 
 #: Each output's value; the lambdas look their functions up when called.
 _RUNNERS = {
-    "metric": lambda initial, config, seed: metric_analytic(initial, config.params.gamma),
-    "classify": lambda initial, config, seed: classify(initial, gamma=config.params.gamma, seed=seed),
-    "concurrence_profile": lambda initial, config, seed: concurrence_profile(
+    "metric": lambda initial, config: metric_analytic(initial, config.params.gamma),
+    "classify": lambda initial, config: classify(initial, gamma=config.params.gamma),
+    "concurrence_profile": lambda initial, config: concurrence_profile(
         initial, _grid_angles(config)[0]
     ),
     "evolved_states": _run_evolved,
@@ -605,7 +605,8 @@ def _plain(value: Any) -> Any:
 
 
 def run_scenario(config: ScenarioConfig, seed: int = 0) -> RunRecord:
-    """Execute the requested outputs in their declared order.
+    """Execute the requested outputs in their declared order.  ``seed`` is
+    recorded in the provenance; no result depends on it.
 
     A :class:`DegenerateShear` raised by the closed-form metric turns the
     ``metric`` or ``classify`` block into a warning annotation instead of
@@ -617,7 +618,7 @@ def run_scenario(config: ScenarioConfig, seed: int = 0) -> RunRecord:
     results: dict[str, Any] = {}
     for kind in config.outputs:
         try:
-            results[kind] = _plain(_RUNNERS[kind](initial, config, seed))
+            results[kind] = _plain(_RUNNERS[kind](initial, config))
         except DegenerateShear as error:
             results[kind] = {"warning": str(error)}
     created = datetime.now(timezone.utc).isoformat()

@@ -31,6 +31,24 @@ def concurrence_evolved(vector, theta):
     return _clamp_unit(2.0 * abs(w))
 
 
+def ray_distance_sq(x, y):
+    """1 - |<x|y>|^2 / (|x|^2 |y|^2) of two amplitude lists ``x`` and ``y``,
+    in Python float arithmetic: |y_perp|^2 / |y|^2 with y_perp = y - c x and
+    c = <x|y>/<x|x>, each four-term sum added in order."""
+    def sum4(terms):
+        t0, t1, t2, t3 = terms
+        return t0 + t1 + t2 + t3
+
+    xx = sum4(a.real * a.real + a.imag * a.imag for a in x)
+    cr = sum4(a.real * b.real + a.imag * b.imag for a, b in zip(x, y)) / xx
+    ci = sum4(a.real * b.imag - a.imag * b.real for a, b in zip(x, y)) / xx
+    perp = [
+        (b.real - (cr * a.real - ci * a.imag), b.imag - (cr * a.imag + ci * a.real))
+        for a, b in zip(x, y)
+    ]
+    return sum4(r * r + i * i for r, i in perp) / sum4(b.real * b.real + b.imag * b.imag for b in y)
+
+
 def row_object(row):
     """An evolved-states row as the record's JSON writes it."""
     theta, phi, a_re, a_im, b_re, b_im, c_re, c_im, d_re, d_im, value = row

@@ -130,7 +130,7 @@ def test_criterion_03_metric_oracle_and_flatness():
         3,
         "finite-difference metric oracle and flatness",
         max(worst_match, worst_spread),
-        1e-6,
+        1.5e-10,
         f"match {worst_match:.2e}, spread {worst_spread:.2e}",
     )
 
@@ -141,7 +141,7 @@ def test_criterion_04_shear_diagonalization():
     for _ in range(50):
         state = random_state(rng)
         worst = max(worst, abs(diagonalize_check(state).g_theta_phi))
-    finish(4, "sheared coordinates kill the cross term", worst, 1e-8)
+    finish(4, "sheared coordinates kill the cross term", worst, 5e-11)
 
 
 def test_criterion_05_positivity_identities():

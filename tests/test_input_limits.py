@@ -78,7 +78,7 @@ CALLERS = {
     "ScenarioConfig.with_gamma": lambda state, gamma: config_from_dict(base_config()).with_gamma(
         gamma
     ),
-    "classify": lambda state, gamma: classify(state, gamma, seed=1),
+    "classify": lambda state, gamma: classify(state, gamma),
     "constant_entanglement_circle": lambda state, gamma: constant_entanglement_circle(
         state, 0.4, gamma
     ),

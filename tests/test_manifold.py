@@ -1,8 +1,9 @@
-import random
+import math
 
 import numpy as np
 import pytest
 
+import reference
 from spin_torus import manifold
 from spin_torus.hamiltonian import SystemParams, propagator_analytic
 from spin_torus.manifold import (
@@ -24,7 +25,6 @@ from spin_torus.qstate import (
     PureState2Q,
     apply,
     basis_state,
-    fs_distance_sq,
     minus_minus_state,
     plus_minus_state,
     plus_plus_state,
@@ -43,19 +43,17 @@ def near_polarized_state(eps: float) -> PureState2Q:
 
 def reference_direction_form(initial, point, gamma, h, d_theta, d_phi):
     """The per-direction estimator the stacked probes replaced: one
-    evolve_family state per probe, one fs_distance_sq per overlap."""
-    center = evolve_family(initial, point)
+    evolve_family state per probe, one Python-float distance per pair."""
+    center = evolve_family(initial, point).vector.tolist()
+
+    def distance_sq(step):
+        probe = TorusPoint(point.theta + step * d_theta, point.phi + step * d_phi)
+        return gamma * gamma * reference.ray_distance_sq(
+            center, evolve_family(initial, probe).vector.tolist()
+        )
 
     def estimate(step):
-        plus = evolve_family(
-            initial, TorusPoint(point.theta + step * d_theta, point.phi + step * d_phi)
-        )
-        minus = evolve_family(
-            initial, TorusPoint(point.theta - step * d_theta, point.phi - step * d_phi)
-        )
-        return (
-            fs_distance_sq(center, plus, gamma) + fs_distance_sq(center, minus, gamma)
-        ) / (2.0 * step * step)
+        return (distance_sq(step) + distance_sq(-step)) / (2.0 * step * step)
 
     return (4.0 * estimate(h / 2.0) - estimate(h)) / 3.0
 
@@ -71,7 +69,7 @@ def reference_components(initial, point, gamma, h, k=0.0):
 
 def reference_metric_numeric(initial, point, gamma, h):
     g_tt, g_tp, g_pp = reference_components(initial, point, gamma, h)
-    if g_pp / (gamma * gamma) <= 1e-8:
+    if g_pp <= 1e-12 * (gamma * gamma):
         return MetricTensor2(g_tt, g_tp, g_pp, None, g_tt, g_pp)
     return MetricTensor2(g_tt, g_tp, g_pp, g_tp / g_pp, g_tt - g_tp * g_tp / g_pp, g_pp)
 
@@ -82,24 +80,28 @@ def bits(values):
     return np.asarray(values).view(np.uint64)
 
 
-def reference_flatness_per_direction(initial, gamma, seed):
+#: The five points classify measures flatness at: the rank-1 lattice (k, 2k)/5
+#: on [0, pi) x [0, 2 pi), shifted by (0.3, 0.7)/5.
+FLATNESS_POINTS = [
+    TorusPoint(math.pi * (k + 0.3) / 5.0, 2.0 * math.pi * ((2 * k + 0.7) / 5.0 % 1.0))
+    for k in range(5)
+]
+
+
+def reference_flatness_per_direction(initial, gamma):
     """``flatness_residual`` from the per-direction estimator, at the five
-    points classify draws for ``seed``."""
-    rng = np.random.default_rng(seed)
-    components = np.empty((5, 3))
-    for i in range(5):
-        pt = TorusPoint(rng.uniform(0.0, np.pi), rng.uniform(0.0, 2.0 * np.pi))
-        components[i] = reference_components(initial, pt, gamma, DEFAULT_STEP)
+    points classify measures."""
+    components = np.array(
+        [reference_components(initial, pt, gamma, DEFAULT_STEP) for pt in FLATNESS_POINTS]
+    )
     return float(np.max(np.abs(components - components.mean(axis=0))))
 
 
-def reference_flatness(initial, gamma, seed):
+def reference_flatness(initial, gamma):
     """``flatness_residual`` as classify measured it through
     metric_numeric."""
-    rng = np.random.default_rng(seed)
     components = np.empty((5, 3))
-    for i in range(5):
-        pt = TorusPoint(rng.uniform(0.0, np.pi), rng.uniform(0.0, 2.0 * np.pi))
+    for i, pt in enumerate(FLATNESS_POINTS):
         sampled = metric_numeric(initial, pt, gamma)
         components[i] = (sampled.g_theta_theta, sampled.g_theta_phi, sampled.g_phi_phi)
     return float(np.max(np.abs(components - components.mean(axis=0))))
@@ -230,18 +232,6 @@ class TestEvolveGrid:
         with pytest.raises(ValueError, match=message):
             manifold.evolve_grid(np.array([up_down().vector, initial]), [0.3, 0.4], [1.1, 1.2])
 
-    def test_vecdot_matches_per_row_vdot(self):
-        # The kernel's shape, one centre against its probes, and plain pairs.
-        rng = np.random.default_rng(95)
-        vectors = np.array([random_state(rng).vector for _ in range(300)])
-        rows = manifold.evolve_grid(vectors[:, None, :], *rng.uniform(-7.0, 7.0, (2, 300, 13)))
-        stacked = np.vecdot(rows[:, :1], rows[:, 1:])
-        looped = [[np.vdot(row[0], probe) for probe in row[1:]] for row in rows]
-        assert np.array_equal(bits(stacked), bits(looped))
-        others = np.array([random_state(rng).vector for _ in range(300)])
-        pairs = [np.vdot(x, y) for x, y in zip(vectors, others)]
-        assert np.array_equal(bits(np.vecdot(vectors, others)), bits(pairs))
-
 
 class TestInvariants:
     def test_reference_values(self):
@@ -326,13 +316,13 @@ class TestMetricNumeric:
             point = TorusPoint(rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi))
             measured = metric_numeric(state, point)
             assert measured.g_theta_theta == pytest.approx(
-                expected.g_theta_theta, abs=1e-6
+                expected.g_theta_theta, abs=1e-10
             )
             assert measured.g_theta_phi == pytest.approx(
-                expected.g_theta_phi, abs=1e-6
+                expected.g_theta_phi, abs=1e-10
             )
             assert measured.g_phi_phi == pytest.approx(
-                expected.g_phi_phi, abs=1e-6
+                expected.g_phi_phi, abs=1e-10
             )
 
     def test_gamma_scales_quadratically(self):
@@ -341,7 +331,7 @@ class TestMetricNumeric:
         unit = metric_numeric(state, point, gamma=1.0)
         scaled = metric_numeric(state, point, gamma=3.0)
         assert scaled.g_theta_theta == pytest.approx(
-            9.0 * unit.g_theta_theta, abs=1e-5
+            9.0 * unit.g_theta_theta, abs=1e-9
         )
 
     def test_the_step_is_not_a_parameter(self):
@@ -349,23 +339,22 @@ class TestMetricNumeric:
         with pytest.raises(TypeError):
             metric_numeric(state, TorusPoint(0.1, 0.1), 1.0, DEFAULT_STEP)
         with pytest.raises(TypeError):
-            diagonalize_check(state, 1.0, manifold._SHEAR_STEP)
+            diagonalize_check(state, 1.0, DEFAULT_STEP)
 
     def test_degenerate_phi_direction_measured(self):
         measured = metric_numeric(up_down(), TorusPoint(0.7, 1.3))
         assert measured.shear is None
         assert measured.g_phi_phi == pytest.approx(0.0, abs=1e-10)
-        assert measured.g_theta_theta == pytest.approx(1.0, abs=1e-6)
+        assert measured.g_theta_theta == pytest.approx(1.0, abs=1e-10)
 
     @pytest.mark.parametrize("point", [(0.7, 1.3), (0.3, 1.1), (2.0, 4.0)])
     def test_degenerate_phi_direction_reports_the_measured_cross_term(self, point):
         # At 4e-13 the closed form raises DegenerateShear; the estimate
-        # does not, and reports its cross term, noise, as measured.
+        # does not, and reports its cross term B D = 1.6e-12 as measured.
         state = near_polarized_state(4e-13)
         measured = metric_numeric(state, TorusPoint(*point))
         assert measured.shear is None
-        assert measured.g_theta_phi != 0.0
-        assert abs(measured.g_theta_phi) < 1e-7
+        assert measured.g_theta_phi == pytest.approx(1.6e-12, rel=1e-9)
         assert measured.g_theta_theta_diag == measured.g_theta_theta
         assert measured == reference_metric_numeric(
             state, TorusPoint(*point), 1.0, DEFAULT_STEP
@@ -380,7 +369,7 @@ class TestMetricNumeric:
             measured = metric_numeric(state, point, gamma)
             assert measured == reference_metric_numeric(state, point, gamma, DEFAULT_STEP)
 
-    @pytest.mark.parametrize("h", [1e-6, manifold._SHEAR_STEP])
+    @pytest.mark.parametrize("h", [1e-6, DEFAULT_STEP])
     def test_direction_forms_bit_identical_to_per_direction_estimator(self, h):
         rng = np.random.default_rng(71)
         for i in range(200):
@@ -403,7 +392,7 @@ class TestMetricNumeric:
         "estimate, row",
         [
             (lambda state: metric_numeric(state, TorusPoint(0.4, 0.9)), (0, 7)),
-            (lambda state: classify(state, gamma=1.3, seed=5), (4, 12)),
+            (lambda state: classify(state, gamma=1.3), (4, 12)),
         ],
         ids=["metric_numeric", "classify"],
     )
@@ -457,7 +446,7 @@ class TestDiagonalizeCheck:
             k = analytic.shear if analytic.shear is not None else 0.0
             sheared += k != 0.0
             g_tt, g_tp, g_pp = reference_components(
-                state, TorusPoint(0.3, 1.1), gamma, 2e-3, k
+                state, TorusPoint(0.3, 1.1), gamma, DEFAULT_STEP, k
             )
             expected = MetricTensor2(g_tt, g_tp, g_pp, analytic.shear, g_tt, g_pp)
             assert diagonalize_check(state, gamma) == expected
@@ -467,17 +456,17 @@ class TestDiagonalizeCheck:
         rng = np.random.default_rng(61)
         for _ in range(15):
             sheared = diagonalize_check(random_state(rng))
-            assert abs(sheared.g_theta_phi) < 1e-8
+            assert abs(sheared.g_theta_phi) < 1e-10
 
     def test_diagonal_entries_match_closed_form(self):
         state = PureState2Q.normalized(0.7, 0.1, 0.5j, -0.4)
         expected = metric_analytic(state)
         sheared = diagonalize_check(state)
         assert sheared.g_theta_theta == pytest.approx(
-            expected.g_theta_theta_diag, abs=1e-7
+            expected.g_theta_theta_diag, abs=1e-10
         )
         assert sheared.g_phi_phi == pytest.approx(
-            expected.g_phi_phi_diag, abs=1e-7
+            expected.g_phi_phi_diag, abs=1e-10
         )
 
 
@@ -487,7 +476,7 @@ class TestClassify:
         assert report.kind is ManifoldKind.FLAT_TORUS
         assert report.dimension == 2
         assert report.circle_radius is None
-        assert report.flatness_residual < 1e-6
+        assert report.flatness_residual < 1e-10
 
     def test_up_down_is_theta_circle_with_unit_radius(self):
         report = classify(up_down(), gamma=1.0)
@@ -533,15 +522,14 @@ class TestClassify:
         [basis_state(0), basis_state(3), plus_plus_state(0.0, 0.4), minus_minus_state(0.0, 1.7)],
         ids=["up_up", "down_down", "plus_plus_chi0", "minus_minus_chi0"],
     )
-    def test_polarized_state_is_a_point_at_every_seed(self, state, gamma):
+    def test_polarized_state_is_a_point(self, state, gamma):
         # The finite-difference cross term at these states is rounding
         # noise, which once vetoed the closed-form decision.
-        for seed in range(200):
-            report = classify(state, gamma=gamma, seed=seed)
-            assert report.kind is ManifoldKind.POINT
-            assert report.dimension == 0
-            assert report.circle_radius is None
-            assert report.radius_extrapolated is False
+        report = classify(state, gamma=gamma)
+        assert report.kind is ManifoldKind.POINT
+        assert report.dimension == 0
+        assert report.circle_radius is None
+        assert report.radius_extrapolated is False
 
     @pytest.mark.parametrize("chi", [1e-7, 1e-6, 2e-6, 3e-6, 1e-5, 3e-5])
     def test_phi_is_live_exactly_when_the_closed_form_has_a_shear(self, chi):
@@ -561,18 +549,18 @@ class TestClassify:
     @pytest.mark.parametrize("gamma", [1.0, 0.6, 2.3])
     def test_flatness_residual_keeps_the_bits_of_metric_numeric(self, gamma):
         rng = np.random.default_rng(23)
-        for seed in range(200):
+        for _ in range(200):
             state = random_state(rng)
-            report = classify(state, gamma=gamma, seed=seed)
-            assert report.flatness_residual == reference_flatness(state, gamma, seed)
+            report = classify(state, gamma=gamma)
+            assert report.flatness_residual == reference_flatness(state, gamma)
 
     @pytest.mark.parametrize("gamma", [1.0, 0.6, 2.3])
     def test_flatness_residual_keeps_the_bits_of_the_per_direction_estimator(self, gamma):
         rng = np.random.default_rng(29)
-        for seed in range(60):
+        for _ in range(60):
             state = random_state(rng)
-            report = classify(state, gamma=gamma, seed=seed)
-            expected = reference_flatness_per_direction(state, gamma, seed)
+            report = classify(state, gamma=gamma)
+            expected = reference_flatness_per_direction(state, gamma)
             assert bits(report.flatness_residual) == bits(expected)
 
     @pytest.mark.parametrize(
@@ -624,76 +612,24 @@ class TestClassify:
         )
         assert report.radius_theta_circle == pytest.approx(2.0, abs=1e-12)
 
-    def test_seeded_sampling_is_deterministic(self):
-        state = PureState2Q.normalized(0.3, 0.8, 0.1, -0.4j)
-        first = classify(state, seed=7)
-        second = classify(state, seed=7)
-        assert first.flatness_residual == second.flatness_residual
+    def test_flatness_points_are_fixed_and_off_the_symmetry_lines(self):
+        points = list(zip(manifold._FLATNESS_THETAS, manifold._FLATNESS_PHIS))
+        assert points == [(pt.theta, pt.phi) for pt in FLATNESS_POINTS]
+        thetas, phis = np.array(points).T
+        assert len(set(thetas)) == len(set(phis)) == 5
+        assert np.abs(thetas - np.pi / 2).min() > 0.1 and np.abs(phis - np.pi).min() > 0.1
+        assert min(thetas.min(), np.pi - thetas.max(), phis.min(), 2 * np.pi - phis.max()) > 0.1
 
+    def test_a_family_map_that_is_not_flat_shows_in_the_residual(self, monkeypatch):
+        # The inner pair rotated by theta + 0.1 sin(phi) instead of theta: a
+        # family whose metric varies over the torus, which the points see.
+        family = manifold.evolve_grid
 
-class TestUniformDraws:
-    """``manifold._uniform_draws`` is numpy's ``default_rng(seed).random(n)``
-    rebuilt in integer arithmetic, so ``classify`` needs no ``numpy.random``."""
+        def bent(amplitudes, thetas, phis):
+            rows = family(amplitudes, thetas, phis).copy()
+            inner = family(amplitudes, np.add(thetas, 0.1 * np.sin(phis)), phis)
+            rows[..., 1:3] = inner[..., 1:3]
+            return rows
 
-    SEEDS = [0, 1, 2**31 - 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**128 + 1, 10**40,
-             True, np.int64(7), np.uint64(2**64 - 1)]
-
-    def test_bits_equal_numpy_for_every_seed_width(self):
-        draw = random.Random(1)
-        seeds = (self.SEEDS + [draw.randrange(2**31) for _ in range(2000)]
-                 + [draw.randrange(2**300) for _ in range(500)])
-        for seed in seeds:
-            expected = np.random.default_rng(seed).random(10)
-            assert bits(manifold._uniform_draws(seed, 10)).tolist() == bits(expected).tolist(), seed
-
-    @pytest.mark.parametrize("n", [0, 1, 25])
-    def test_any_count_is_a_prefix_of_numpy_stream(self, n):
-        got = manifold._uniform_draws(2**32 + 5, n)
-        assert got.dtype == np.float64 and got.shape == (n,)
-        assert bits(got).tolist() == bits(np.random.default_rng(2**32 + 5).random(n)).tolist()
-
-    # Literal draws, so the bits stay pinned whatever numpy is installed.
-    GOLDEN = {
-        0: [0.6369616873214543, 0.2697867137638703, 0.04097352393619469,
-            0.016527635528529094, 0.8132702392002724, 0.9127555772777217,
-            0.6066357757671799, 0.7294965609839984, 0.5436249914654229,
-            0.9350724237877682],
-        2**32: [0.8897387912781343, 0.5571380502062263, 0.8009080868919721,
-                0.9565138174753386, 0.05861516014935442, 0.23640069529958085,
-                0.7878121978721646, 0.00030824035715149023, 0.7257230733611507,
-                0.6187666612577356],
-        10**40: [0.4126400778407405, 0.1981928046298873, 0.32749268875685567,
-                 0.03463541903439449, 0.468827366455256, 0.5321711304211378,
-                 0.7688717896124364, 0.8978773553788955, 0.16729547187266502,
-                 0.222949676830136],
-    }
-
-    @pytest.mark.parametrize("seed", sorted(GOLDEN), ids=["0", "2^32", "10^40"])
-    def test_golden_draws(self, seed):
-        assert bits(manifold._uniform_draws(seed, 10)).tolist() == bits(self.GOLDEN[seed]).tolist()
-
-    @pytest.mark.parametrize("seed", [-1, -(2**64), np.int64(-1)])
-    def test_negative_seed_raises_numpy_error(self, seed):
-        with pytest.raises(ValueError, match="^expected non-negative integer$"):
-            np.random.default_rng(seed)
-        with pytest.raises(ValueError, match="^expected non-negative integer$"):
-            manifold._uniform_draws(seed, 10)
-
-    @pytest.mark.parametrize("seed", [1.5, "3", np.float64(2.0)])
-    def test_non_integer_seed_raises_numpy_type_error(self, seed):
-        with pytest.raises(TypeError):
-            np.random.default_rng(seed)
-        with pytest.raises(TypeError):
-            manifold._uniform_draws(seed, 10)
-
-    @pytest.mark.parametrize("seed", [None, [1, 2], 1.5, "3"])
-    def test_classify_refuses_a_seed_that_is_no_integer(self, seed):
-        # numpy takes None (fresh entropy) and sequences; classify does not.
-        with pytest.raises(TypeError):
-            classify(up_down(), seed=seed)
-
-    def test_classify_samples_at_the_ported_draws(self):
-        state = PureState2Q.normalized(0.3, 0.8, 0.1, -0.4j)
-        for seed in (0, 2**64, 10**40, np.uint64(2**64 - 1)):
-            report = classify(state, gamma=1.3, seed=seed)
-            assert bits(report.flatness_residual) == bits(reference_flatness(state, 1.3, seed))
+        monkeypatch.setattr(manifold, "evolve_grid", bent)
+        assert classify(PureState2Q.normalized(0.5, 0.6, -0.3j, 0.2)).flatness_residual > 1e-6

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from spin_torus.qstate import (
     Operator4,
     PureState2Q,
@@ -23,6 +24,7 @@ from spin_torus.qstate import (
     product_state,
     random_state,
     random_states,
+    ray_distances_sq,
     ray_equal,
     up_down,
 )
@@ -350,6 +352,38 @@ class TestInnerAndDistance:
         assert d2 == pytest.approx(fs_distance_sq(y, x), abs=1e-14)
         rotated = PureState2Q(np.exp(1j * alpha) * y.vector)
         assert d2 == pytest.approx(fs_distance_sq(x, rotated), abs=1e-13)
+
+    def test_fs_distance_sq_has_the_bits_of_its_row_of_a_stack(self):
+        rng = np.random.default_rng(3)
+        xs, ys = random_states(rng, 200), random_states(rng, 200)
+        ys[::2] = xs[::2] + 1e-7 * ys[::2]  # near pairs too
+        ys[::2] /= np.linalg.norm(ys[::2], axis=1, keepdims=True)
+        stacked = ray_distances_sq(xs, ys)
+        for gamma in (1.0, 0.7):
+            one = [fs_distance_sq(PureState2Q(x), PureState2Q(y), gamma) for x, y in zip(xs, ys)]
+            scaled = gamma * gamma * stacked
+            assert np.array_equal(np.array(one).view(np.uint64), scaled.view(np.uint64))
+
+    def test_stack_has_the_bits_of_python_floats_and_broadcasts(self):
+        rng = np.random.default_rng(4)
+        xs, ys = random_states(rng, 50), random_states(rng, 7)
+        stacked = ray_distances_sq(xs[:, None], ys)
+        assert stacked.shape == (50, 7)
+        expected = [[reference.ray_distance_sq(x, y) for y in ys.tolist()] for x in xs.tolist()]
+        assert np.array_equal(stacked.view(np.uint64), np.array(expected).view(np.uint64))
+
+    @pytest.mark.parametrize("angle", [1e-3, 1e-5, 1e-7])
+    def test_small_distances_keep_their_relative_precision(self, angle):
+        # y = e^{i alpha}(cos a x + sin a e^{i beta} x_perp) lies at exactly
+        # sin^2 a from x; 1 - |<x|y>|^2 would keep ~1e-16 / a^2 of it.
+        rng = np.random.default_rng(5)
+        for x, other in zip(random_states(rng, 100), random_states(rng, 100)):
+            perp = other - np.vdot(x, other) * x
+            perp /= np.linalg.norm(perp)
+            alpha, beta = rng.uniform(0.0, 2.0 * np.pi, 2)
+            y = np.exp(1j * alpha) * (np.cos(angle) * x + np.sin(angle) * np.exp(1j * beta) * perp)
+            d2 = fs_distance_sq(PureState2Q(x), PureState2Q(y))
+            assert d2 == pytest.approx(np.sin(angle) ** 2, rel=1e-8)
 
     def test_ray_equal_ignores_global_phase(self):
         state = PureState2Q.normalized(1.0, 1.0j, 2.0, 0.0)

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 import spin_torus.scenario
 from spin_torus.entanglement import concurrence, concurrence_profile
 from spin_torus.manifold import TorusPoint, classify, evolve_family, metric_analytic
-from spin_torus.qstate import basis_state, plus_plus_state, random_state, up_down
+from spin_torus.qstate import basis_state, plus_plus_state, random_state, random_states, up_down
 from spin_torus.scenario import (
     AMPLITUDE_NORM_TOL,
     CSV_COLUMNS,
@@ -23,6 +24,7 @@ from spin_torus.scenario import (
     config_from_dict,
     config_from_json,
     export_record,
+    read_record,
     record_from_dict,
     record_to_json,
     run_scenario,
@@ -556,12 +558,12 @@ def test_metric_and_classify_blocks_match_the_literal_builders():
     states += [up_down(), plus_plus_state(1.1), basis_state(0), basis_state(3), plus_plus_state(0.0)]
     config = config_from_dict(base_config_dict(params={"coupling": 1.0, "field": 0.5, "gamma": 0.7}))
     plain, runners = spin_torus.scenario._plain, spin_torus.scenario._RUNNERS
-    for seed, state in enumerate(states):
-        metric_block = plain(runners["metric"](state, config, seed))
+    for state in states:
+        metric_block = plain(runners["metric"](state, config))
         expected = literal_metric_block(metric_analytic(state, 0.7))
         assert json.dumps(metric_block) == json.dumps(expected)
-        classify_block = plain(runners["classify"](state, config, seed))
-        expected = literal_classify_block(classify(state, gamma=0.7, seed=seed))
+        classify_block = plain(runners["classify"](state, config))
+        expected = literal_classify_block(classify(state, gamma=0.7))
         assert json.dumps(classify_block) == json.dumps(expected)
 
 
@@ -657,3 +659,46 @@ def test_record_bytes_do_not_rest_on_numpy_cpu_dispatch():
         digests.append(result.stdout.split())
     assert len(digests[0]) == 8
     assert digests[1] == digests[0]
+
+
+#: OpenBLAS kernels to force, each with the CPU flag (as /proc/cpuinfo names
+#: it) that the kernel needs.
+BLAS_KERNELS = {
+    "SkylakeX": "avx512f",
+    "Haswell": "avx2",
+    "Sandybridge": "avx",
+    "Nehalem": "sse4_2",
+    "Prescott": "pni",
+}
+
+
+def test_record_bytes_do_not_rest_on_the_blas_kernel(tmp_path):
+    """`spin-torus run` of a 20 x 20 config with classify writes records of
+    one canonical digest under every OpenBLAS kernel this CPU can run:
+    no record float comes from a BLAS call."""
+    try:
+        flags = set(Path("/proc/cpuinfo").read_text().split())
+    except OSError:
+        pytest.skip("no /proc/cpuinfo to tell which BLAS kernels the CPU runs")
+    kernels = [kernel for kernel, flag in BLAS_KERNELS.items() if flag in flags]
+    if len(kernels) < 2:
+        pytest.skip("fewer than two forceable BLAS kernels on this CPU")
+    (row,) = random_states(np.random.default_rng(17), 1).tolist()
+    config = tmp_path / "haar.json"
+    config.write_text(json.dumps(base_config_dict(
+        initial={"amplitudes": [[z.real, z.imag] for z in row]},
+        grid={"theta_steps": 20, "phi_steps": 20},
+        outputs=["metric", "classify", "evolved_states"],
+    )))
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    digests = set()
+    for kernel in kernels:
+        out = tmp_path / f"{kernel}.record.json"
+        result = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "spin_torus.cli", "run", str(config),
+             "--seed", "3", "--out", str(out)],
+            env={**env, "OPENBLAS_CORETYPE": kernel}, capture_output=True, text=True,
+        )
+        assert (result.returncode, result.stderr) == (0, "")
+        digests.add(hashlib.sha256(canonical_result_bytes(read_record(str(out)))).hexdigest())
+    assert len(digests) == 1

@@ -310,9 +310,14 @@ class TestNanResiduals:
                 ["product_state_peak_at_quarter_turn"],
             ),
             (
-                "fs_distance_sq",
-                lambda d2: math.nan,
-                ["distance_bounds_and_symmetry", "distance_phase_invariance"],
+                "ray_distances_sq",
+                lambda d2: np.where(np.arange(len(d2)) == 7, math.nan, d2),
+                ["distance_phase_invariance"],
+            ),
+            (
+                "inner",
+                lambda overlap: complex(math.nan, 0.0),
+                ["distance_bounds_and_symmetry"],
             ),
         ],
     )
