@@ -478,6 +478,17 @@ class TestClassify:
         assert report.circle_radius is None
         assert report.flatness_residual < 1e-10
 
+    @pytest.mark.parametrize("gamma", [1.0, 0.6, 2.3])
+    def test_flatness_residual_of_haar_states_is_rounding(self, gamma):
+        # ~1e-7 when 1 - |<x|y>|^2 was formed as a difference near 1.
+        rng = np.random.default_rng(31)
+        worst = max(classify(random_state(rng), gamma=gamma).flatness_residual for _ in range(40))
+        assert worst < 1e-10 * gamma * gamma
+
+    def test_classify_takes_no_seed(self):
+        with pytest.raises(TypeError):
+            classify(up_down(), seed=0)
+
     def test_up_down_is_theta_circle_with_unit_radius(self):
         report = classify(up_down(), gamma=1.0)
         assert report.kind is ManifoldKind.CIRCLE

@@ -385,6 +385,46 @@ class TestInnerAndDistance:
             d2 = fs_distance_sq(PureState2Q(x), PureState2Q(y))
             assert d2 == pytest.approx(np.sin(angle) ** 2, rel=1e-8)
 
+    def test_a_row_is_at_distance_exactly_zero_from_itself(self):
+        # <x|y>/<x|x> is exactly 1 for y = x, so y_perp is exactly 0.
+        xs = random_states(np.random.default_rng(6), 300)
+        assert not ray_distances_sq(xs, xs).any()
+
+    def test_orthogonal_rows_are_at_distance_exactly_one(self):
+        basis = np.eye(4, dtype=complex)
+        bell = np.array([[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]]) / np.sqrt(2.0)
+        for rows in (basis, bell.astype(complex)):
+            d2 = ray_distances_sq(rows[:, None], rows)
+            assert np.array_equal(d2, 1.0 - np.eye(4))
+
+    @pytest.mark.parametrize(
+        "sx, sy", [(2.0, 1.0), (1.0, 3.0), (1e-3, 1e3), (0.6 - 0.8j, 2.0j)]
+    )
+    def test_the_scale_of_either_row_changes_no_distance(self, sx, sy):
+        rng = np.random.default_rng(7)
+        xs, ys = random_states(rng, 200), random_states(rng, 200)
+        np.testing.assert_allclose(
+            ray_distances_sq(sx * xs, sy * ys), ray_distances_sq(xs, ys), rtol=1e-14, atol=0.0
+        )
+
+    def test_distances_are_never_negative_and_exceed_one_by_rounding_at_most(self):
+        rng = np.random.default_rng(8)
+        xs, ys = random_states(rng, 2000), random_states(rng, 2000)
+        near = xs + 1e-9 * ys
+        for others in (ys, near, np.exp(0.3j) * xs):
+            d2 = ray_distances_sq(xs, others)
+            assert (d2 >= 0.0).all() and (d2 <= 1.0 + 4 * np.finfo(float).eps).all()
+
+    def test_a_nan_stays_in_its_own_row(self):
+        rng = np.random.default_rng(9)
+        xs, ys = random_states(rng, 10), random_states(rng, 10)
+        clean = ray_distances_sq(xs, ys)
+        xs[3, 2] = complex(np.nan, 0.0)
+        ys[6, 0] = complex(0.0, np.nan)
+        d2 = ray_distances_sq(xs, ys)
+        assert np.isnan(d2).tolist() == [i in (3, 6) for i in range(10)]
+        assert np.array_equal(np.delete(d2, [3, 6]), np.delete(clean, [3, 6]))
+
     def test_ray_equal_ignores_global_phase(self):
         state = PureState2Q.normalized(1.0, 1.0j, 2.0, 0.0)
         rotated = PureState2Q(np.exp(0.7j) * state.vector)

@@ -368,6 +368,16 @@ class TestRunScenario:
         second = canonical_result_bytes(run_scenario(config, seed=3))
         assert first == second
 
+    @pytest.mark.parametrize(
+        "seed", [1, 7, 2**32, 2**64 + 1, 10**40, -1], ids=["1", "7", "2^32", "2^64+1", "10^40", "-1"]
+    )
+    def test_the_seed_is_recorded_and_changes_no_result(self, seed):
+        config = config_from_dict(base_config_dict())
+        record = run_scenario(config, seed=seed)
+        assert record.provenance["seed"] == seed
+        as_seed_0 = dataclasses.replace(record, provenance={**record.provenance, "seed": 0})
+        assert canonical_result_bytes(as_seed_0) == canonical_result_bytes(run_scenario(config))
+
     def test_config_echo_parses_back_equal(self):
         config = config_from_dict(base_config_dict())
         record = run_scenario(config)
