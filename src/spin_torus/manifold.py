@@ -205,12 +205,7 @@ def evolve_family(initial: PureState2Q, point: TorusPoint) -> PureState2Q:
 def evolve_family_sheared(initial: PureState2Q, point: TorusPoint, k: float) -> PureState2Q:
     """Evolved family in sheared coordinates (theta', phi') with
     phi = phi' - k theta'."""
-    return evolve_family(initial, TorusPoint(point.theta, _plain_phi(point.theta, point.phi, k)))
-
-
-def _plain_phi(theta, phi, k):
-    """The plain field angle phi' - k theta' of sheared coordinates (theta', phi')."""
-    return phi - k * theta
+    return evolve_family(initial, TorusPoint(point.theta, point.phi - k * point.theta))
 
 
 def params_to_point(coupling: float, field: float, t: float) -> TorusPoint:

@@ -1091,19 +1091,19 @@ def _cached_reprs(bits: np.ndarray, reprs: dict[int, str]) -> list[str]:
 
 def _forked_map(function: Callable[[Any], Any], items: Sequence[Any]) -> Generator[Any, None, None]:
     """``function`` of each item, bytes or None, in order, made past one item
-    by forked workers, one per CPU: worker k makes items k, k + W, ... from
-    what it inherited and writes each result to its own pipe, an 8-byte
-    signed length (-1 for None), then the bytes, which it drops before it
-    makes the next.  The parent yields None, or the bytes in pieces of at
-    most ``_READ_CHARS`` as they come, so the pipe's backpressure bounds
-    what it holds.  With one item, one CPU or no Linux ``sched_getaffinity``
-    the results are made in-process, whole, to the same bytes.  Closing the
-    generator ends the workers; ``OSError`` if one ends early."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(cpus, len(items))
-    if workers < 2:
+    by W forked workers, one per CPU, one too with one CPU, and no more than
+    the items: worker k makes items k, k + W, ... from what it inherited and
+    writes each result to its own pipe, an 8-byte signed length (-1 for
+    None), then the bytes, which it drops before it makes the next.  The
+    parent yields None, or the bytes in pieces of at most ``_READ_CHARS`` as
+    they come, so the pipe's backpressure bounds what it holds.  One item,
+    or any number without Linux's ``sched_getaffinity``, is made in-process,
+    whole, to the same bytes.  Closing the generator ends the workers;
+    ``OSError`` if one ends early."""
+    if len(items) < 2 or not hasattr(os, "sched_getaffinity"):
         yield from map(function, items)
         return
+    workers = min(len(os.sched_getaffinity(0)), len(items))
     import signal  # here, so that importing the package does not build signal's enums
 
     def read(pipe: BinaryIO, size: int) -> bytes:

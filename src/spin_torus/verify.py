@@ -39,7 +39,6 @@ from .manifold import (
     DEFAULT_STEP,
     _direction_forms,
     _family_amplitudes,
-    _plain_phi,
     _sheared_forms,
     evolve_grid,
     family_invariants,
@@ -232,17 +231,6 @@ def verify_all(seed: int = 0, corrupt_propagator: bool = False) -> VerifyReport:
     flipped = int(np.bitwise_count(stacked.view(np.uint64) ^ scalar.view(np.uint64)).sum())
     detail = "differing bits: evolve_grid vs scalar family map"
     record("evolve_grid_matches_scalar_family", flipped, 0.0, detail)
-
-    rng = stream("family_sheared_antiperiod")
-    vectors, states = _draw_states(rng, 50)
-    th, ph = rng.uniform(0.0, [[np.pi], [2.0 * np.pi]], (2, 50))
-    shears = [metric_analytic(state).shear for state in states]
-    live = np.array([shear is not None for shear in shears])
-    k = np.array([shear for shear in shears if shear is not None])
-    th, ph = th[live], ph[live]
-    phis = (_plain_phi(th, ph, k), _plain_phi(th + np.pi, ph + k * np.pi, k))
-    base, shifted = evolve_grid(vectors[live], (th, th + np.pi), phis)
-    record("family_sheared_antiperiod", np.abs(shifted + base).max(initial=0.0), 1e-10)
 
     # --- metric --------------------------------------------------------------
     rng = stream("metric_closed_form_vs_finite_difference")

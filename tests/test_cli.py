@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -115,6 +116,30 @@ class TestRunCommand:
         )
         assert captured.err.count("\n") == 1
         assert sorted(tmp_path.iterdir()) == [config]
+
+    def test_degenerate_outputs_warn_and_exit_zero(self, tmp_path, capsys):
+        """A near-polarized state, |b|^2 = |c|^2 = 4e-13 with b = -c, whose
+        metric and classify blocks are warnings: one line for each, then
+        the record's path."""
+        eps, config, out = 4e-13, tmp_path / "polar.json", tmp_path / "polar.record.json"
+        root = math.sqrt(eps)
+        config.write_text(
+            json.dumps(
+                {
+                    "initial": {"amplitudes": [[math.sqrt(1 - 2 * eps), 0.0], [root, 0.0],
+                                               [-root, 0.0], [0.0, 0.0]]},
+                    "params": {"coupling": 1.0, "field": 0.5},
+                    "grid": {"theta_steps": 3, "phi_steps": 3},
+                    "outputs": ["metric", "classify"],
+                }
+            )
+        )
+        assert main(["run", str(config), "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().out == (
+            "warning: output 'metric' degenerate -- see record annotation\n"
+            "warning: output 'classify' degenerate -- see record annotation\n"
+            f"wrote {out}\n"
+        )
 
     def test_missing_config_is_io_error(self, tmp_path):
         assert main(["run", str(tmp_path / "absent.json")]) == EXIT_IO_ERROR
@@ -608,7 +633,7 @@ class TestRuntimeWithoutJsonschema:
         result = run_python(code, tmp_path)
         assert result.returncode == 0, result.stderr
         assert (tmp_path / "demo.csv").read_text().startswith("theta,phi,")
-        assert "all 27 checks passed" in result.stdout
+        assert "all 26 checks passed" in result.stdout
 
 
 def test_import_leaves_multiprocessing_unloaded(config_file, tmp_path):

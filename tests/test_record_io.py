@@ -320,17 +320,22 @@ def assert_no_child_process():
 
 
 def with_cpus(monkeypatch, cpus):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    """Give the process ``cpus`` CPUs, or with 0 no ``os.sched_getaffinity``,
+    as off Linux, where every map runs in-process."""
+    if cpus:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    else:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
 
 
 class TestForkedBlocks:
     """A float block past ``BLOCK`` rows is formatted in forked workers, one
     per CPU, each block's text sent in pieces: the text is the reference
-    routes' on either side of every block boundary, with one CPU
-    (in-process) and with two or three, and no worker outlives a write,
-    whether it ends well or not."""
+    routes' on either side of every block boundary, in-process (no
+    ``sched_getaffinity``) and with one, two or three CPUs, and no worker
+    outlives a write, whether it ends well or not."""
 
-    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("cpus", [0, 1, 2, 3])
     @pytest.mark.parametrize("count", ROW_COUNTS)
     def test_json_record_export_and_csv(self, long_record, count, cpus, tmp_path, monkeypatch):
         profile = long_record.results["concurrence_profile"]
@@ -348,7 +353,7 @@ class TestForkedBlocks:
         assert written_csv(record, tmp_path) == reference_csv(record).encode()
         assert_no_child_process()
 
-    @pytest.mark.parametrize("cpus", [1, 3])
+    @pytest.mark.parametrize("cpus", [0, 1, 3])
     def test_profile_only_csv(self, cpus, tmp_path, monkeypatch):
         grid = {"time": {"t0": 0.0, "t1": 50.0, "steps": 10**4 + 1}}
         record = make_record(grid=grid, outputs=["concurrence_profile"])
@@ -519,9 +524,9 @@ def torus_record(count):
 class TestSharedReprs:
     """Around ``SHARED`` rows a block formats each distinct bit pattern of a
     column once: the JSON and CSV are still the reference routes' per-cell
-    repr, with one CPU (in-process) and with two."""
+    repr, in-process and with one CPU or two."""
 
-    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("cpus", [0, 1, 2])
     @pytest.mark.parametrize("count", SHARED_COUNTS)
     @pytest.mark.parametrize("make", [mixed_record, torus_record], ids=["mixed", "torus"])
     def test_json_record_export_and_csv(self, make, count, cpus, tmp_path, monkeypatch):
@@ -535,7 +540,7 @@ class TestSharedReprs:
         assert written_csv(record, tmp_path) == reference_csv(record).encode()
         assert_no_child_process()
 
-    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("cpus", [0, 1, 2])
     def test_profile_only_csv(self, cpus, tmp_path, monkeypatch):
         record = make_record(outputs=["concurrence_profile"])
         samples = mixed_columns(BLOCK + SHARED, 2)  # angles 0.0 and -0.0
@@ -563,11 +568,11 @@ class TestReprCache:
     each distinct value of the columns that repeat has its repr made once in
     a whole write, not once per block, and the bytes stay per-cell repr."""
 
-    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("cpus", [0, 1, 2, 3])
     def test_signed_zeros_and_values_across_blocks(self, cpus, tmp_path, monkeypatch):
         """0.0 in one block and -0.0 in the next, in one column, and values
-        repeated across block edges, with one CPU and with workers that each
-        make several blocks."""
+        repeated across block edges, in-process and with workers that each
+        make several blocks, one of them all with one CPU."""
         count = 4 * BLOCK + SHARED
         rows = mixed_columns(count, len(CSV_COLUMNS))
         index = np.arange(count)
@@ -600,7 +605,7 @@ class TestReprCache:
             made.append(value)
             return repr(value)
 
-        with_cpus(monkeypatch, 1)
+        with_cpus(monkeypatch, 0)
         monkeypatch.setattr(scenario, "repr", counting, raising=False)
         export_record(record, fmt, str(tmp_path / f"out.{fmt}"))
         monkeypatch.undo()
@@ -626,7 +631,7 @@ class TestReprCache:
             sizes.append(len(reprs))
             return cells
 
-        with_cpus(monkeypatch, 1)
+        with_cpus(monkeypatch, 0)
         monkeypatch.setattr(scenario, "_CACHED_REPRS", bound)
         monkeypatch.setattr(scenario, "_cached_reprs", measuring)
         for fmt, reference in (("json", reference_json), ("csv", reference_csv)):
@@ -686,7 +691,7 @@ class TestForkedRanges:
             assert record.results["evolved_states"].tobytes() == forked.tobytes()
 
 
-    @pytest.mark.parametrize("cpus", [1, 3])
+    @pytest.mark.parametrize("cpus", [0, 1, 3])
     @pytest.mark.parametrize("bad", ["NaN", "1e999"])
     def test_first_bad_row_past_the_first_block(self, bad, cpus, tmp_path, capsys, monkeypatch):
         """A value that is no finite float at row 5000, in the second block
@@ -827,6 +832,11 @@ class TestCsvWriter:
         grid = {"time": {"t0": 0.0, "t1": 5.0, "steps": 11}, "field_override": 1.5}
         record = make_record(grid=grid, outputs=["evolved_states"])
         assert written_csv(record, tmp_path) == reference_csv(record).encode()
+
+    def test_unknown_format_is_refused_before_any_file(self, tmp_path):
+        with pytest.raises(ValueError, match="^unknown export format 'xml'$"):
+            export_record(make_record(), "xml", str(tmp_path / "out.xml"))
+        assert list(tmp_path.iterdir()) == []
 
 
 def record_body(**results):
@@ -1165,15 +1175,15 @@ class TestPackingParse:
     def test_export_reads_as_plain_json(self, name, fmt, tmp_path, capsys, monkeypatch):
         assert_export_reads_as_plain_json(name, fmt, tmp_path, capsys, monkeypatch)
 
-    @pytest.mark.parametrize("cpus", [1, 3])
+    @pytest.mark.parametrize("cpus", [0, 1, 3])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("name", sorted(PACKING_CASES))
     def test_export_in_small_ranges_reads_as_plain_json(
         self, name, fmt, cpus, tmp_path, capsys, monkeypatch
     ):
         """The same, with the rows cut into ranges of fewer bytes than a row
-        holds, parsed in-process and in forked workers; a read that fails or
-        falls back to the whole text leaves no worker."""
+        holds, parsed in-process and in forked workers, one with one CPU; a
+        read that fails or falls back to the whole text leaves no worker."""
         with_cpus(monkeypatch, cpus)
         assert_export_reads_as_plain_json(name, fmt, tmp_path, capsys, monkeypatch, SMALL_RANGE)
         assert_no_child_process()
@@ -1192,14 +1202,14 @@ class TestPackingParse:
             parsed.append(real(*args))
             return parsed[-1]
 
-        with_cpus(monkeypatch, 1)
+        with_cpus(monkeypatch, 0)
         monkeypatch.setattr(scenario, "_range_rows", recording)
         monkeypatch.setattr(scenario, "_READ_CHARS", 4 * SMALL_BLOCK)
         assert record_to_json(read_record(str(path))) == text
         assert len(parsed) > 20 and None not in parsed
         assert sum(map(len, parsed)) == 45 * len(CSV_COLUMNS) * 8
 
-    @pytest.mark.parametrize("cpus", [1, 3])
+    @pytest.mark.parametrize("cpus", [0, 1, 3])
     @pytest.mark.parametrize("edge", range(len(b",\r\n      {") + 1))
     @pytest.mark.parametrize("name", ["plain", "crlf", "bom", "bom_crlf"])
     def test_range_edges_anywhere_in_a_separator(self, name, edge, cpus, tmp_path, monkeypatch):
@@ -1241,7 +1251,7 @@ class TestPackingParse:
             texts.append(text)
             return real(text, **kwargs)
 
-        with_cpus(monkeypatch, 1)
+        with_cpus(monkeypatch, 0)
         monkeypatch.setattr(scenario, "_READ_CHARS", 4 * SMALL_BLOCK)
         monkeypatch.setattr(scenario.json, "loads", recording)
         assert record_to_json(read_record(str(path))) == record_to_json(record)
@@ -1558,7 +1568,7 @@ class TestHeldMemory:
             read.append(len(data))
             return data
 
-        with_cpus(monkeypatch, 1)
+        with_cpus(monkeypatch, 0)
         monkeypatch.setattr(os, "pread", counting)
         record = read_record(str(path))
         assert len(record.results["evolved_states"]) == self.POINTS
@@ -1582,7 +1592,7 @@ class TestHeldMemory:
             ranges.append(real_rows(*args))
             return ranges[-1]
 
-        with_cpus(monkeypatch, 1)
+        with_cpus(monkeypatch, 0)
         monkeypatch.setattr(os, "pread", counting)
         monkeypatch.setattr(scenario, "_range_rows", recording)
         record = read_record(str(path))
@@ -1637,19 +1647,33 @@ class TestHeldMemory:
         assert peak <= self.BLOCK_BYTES
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
-    def test_in_process_export_peaks_near_the_rows(self, fmt, tmp_path, monkeypatch):
-        """With one CPU, an export makes each block's text in-process, beside
-        the cache of reprs that lives for the whole write: at its peak it
-        holds at most twice the bytes the rows need, so the cache stays far
-        below its bound of ``_CACHED_REPRS`` reprs."""
+    def test_one_cpu_export_peaks_below_one_block(self, fmt, tmp_path, monkeypatch):
+        """With one CPU, one forked worker formats every block, so the
+        writing process holds, beside what it held before, less than one
+        block of rows, as it does with more CPUs; made in-process, the JSON
+        text of one block alone is ~6 times that."""
         record = run_scenario(config_from_dict(self.large_grid_config()), seed=4)
         path = tmp_path / f"grid.{fmt}"
         with_cpus(monkeypatch, 1)
+        export_record(record, fmt, str(path))  # imports what forking needs, untraced
+        _, _, peak = traced_peak(lambda: export_record(record, fmt, str(path)))
+        assert path.stat().st_size > self.POINTS * 2 * self.ROW_BYTES
+        assert peak <= self.BLOCK_BYTES
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_in_process_export_peaks_near_the_rows(self, fmt, tmp_path, monkeypatch):
+        """Without ``sched_getaffinity``, an export makes each block's text
+        in-process, beside the cache of reprs that lives for the whole
+        write: at its peak it holds at most twice the bytes the rows need,
+        so the cache stays far below its bound of ``_CACHED_REPRS`` reprs."""
+        record = run_scenario(config_from_dict(self.large_grid_config()), seed=4)
+        path = tmp_path / f"grid.{fmt}"
+        with_cpus(monkeypatch, 0)
         _, _, peak = traced_peak(lambda: export_record(record, fmt, str(path)))
         assert path.stat().st_size > self.POINTS * 2 * self.ROW_BYTES
         assert peak / self.POINTS <= 2 * self.ROW_BYTES
 
-    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("cpus", [0, 1, 2])
     def test_forked_read_peaks_at_the_rows_and_one_block(self, cpus, tmp_path, monkeypatch):
         """At its peak, ``read_record``, in-process or with forked workers,
         holds beside the record it returns less than one block of rows: one

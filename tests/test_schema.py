@@ -203,6 +203,26 @@ class TestParityWithJsonschema:
         assert scenario._schema_error(schema, data) == oracle_message(data, schema)
 
     @pytest.mark.parametrize(
+        "outputs",
+        [[1, 1.0], [1, True], [[1], [1]], [{}, {}], [[True], [1], [True]],
+         [{"a": 1}, {"a": 1.0}], [None, None], [[], []]],
+    )
+    def test_repeated_outputs_match_oracle(self, outputs):
+        """Outputs whose items repeat, or only seem to, under the shipped
+        schema, where each item also fails the enum: equal numbers of two
+        types, equal lists and objects, and ``[[True], [1], [True]]``, which
+        sorts so that its equal items are not neighbours."""
+        data = {
+            "initial": {"product_state": {"kind": "updown"}},
+            "params": {"coupling": 1.0, "field": 0.5},
+            "grid": {"theta_steps": 2, "phi_steps": 2},
+            "outputs": outputs,
+        }
+        with pytest.raises(ConfigInvalid) as excinfo:
+            config_from_dict(data)
+        assert str(excinfo.value) == oracle_message(data)
+
+    @pytest.mark.parametrize(
         "schema, data",
         [
             # Valid under both branches, or under one.
