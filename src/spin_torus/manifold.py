@@ -281,13 +281,12 @@ def _direction_forms(
     thetas: np.ndarray,
     phis: np.ndarray,
     gamma: float,
-    h: float,
     directions: np.ndarray,
 ) -> np.ndarray:
     """Metric components g(u, u), g(u, v), g(v, v) at each centre
     (thetas[m], phis[m]), one row per centre, for the directions ``(u, v)``,
     each (d_theta, d_phi), by polarization of the quadratic forms along u,
-    v and u + v.
+    v and u + v, with step :data:`DEFAULT_STEP`.
 
     ``amplitudes`` is one initial state, shape (4,), or one per centre,
     shape (m, 4); ``directions`` is one pair (u, v), or one per centre,
@@ -303,6 +302,7 @@ def _direction_forms(
     per-probe :func:`qstate.fs_distance_sq` route wherever numpy's sin and
     cos agree with the scalar ones, which ``verify`` checks.
     """
+    h = DEFAULT_STEP
     d = np.asarray(directions, dtype=np.float64).reshape(-1, 2, 2)
     d = np.concatenate((d, d[:, :1] + d[:, 1:]), axis=1)[:, :, None]  # u, v, u + v
     centres = np.array((thetas, phis), dtype=np.float64).T[:, None]
@@ -340,7 +340,7 @@ def metric_numeric(
     """
     check_gamma(gamma)
     g_tt, g_tp, g_pp = _direction_forms(
-        initial.vector, [point.theta], [point.phi], gamma, DEFAULT_STEP, _AXES
+        initial.vector, [point.theta], [point.phi], gamma, _AXES
     )[0].tolist()
     degenerate = g_pp <= _DEGENERATE_TOL * (gamma * gamma)
     # An exact power-of-two scale keeps g_tp^2 / g_pp finite at large gamma.
@@ -365,7 +365,7 @@ def _sheared_forms(
     sheared = np.empty(k.shape + (2, 2))  # unit steps in theta', phi' = phi + k theta'
     sheared[:, 0, 0], sheared[:, 0, 1], sheared[:, 1] = 1.0, -k, (0.0, 1.0)
     thetas, phis = np.full(k.shape, 0.3), np.full(k.shape, 1.1)
-    return _direction_forms(amplitudes, thetas, phis, gamma, DEFAULT_STEP, sheared)
+    return _direction_forms(amplitudes, thetas, phis, gamma, sheared)
 
 
 def diagonalize_check(
@@ -432,9 +432,7 @@ def classify(initial: PureState2Q, gamma: float = 1.0) -> ManifoldReport:
     radius_phi = _phi_circle_radius(inv, gamma)
     radius_theta = gamma * math.sqrt(max(inv.mismatch * (2.0 - inv.mismatch), 0.0))
 
-    components = _direction_forms(
-        initial.vector, _FLATNESS_THETAS, _FLATNESS_PHIS, gamma, DEFAULT_STEP, _AXES
-    )
+    components = _direction_forms(initial.vector, _FLATNESS_THETAS, _FLATNESS_PHIS, gamma, _AXES)
     spread = components - components.sum(axis=0) / len(components)  # the mean's bits
 
     return ManifoldReport(

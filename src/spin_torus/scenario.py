@@ -814,24 +814,21 @@ def _row_layout(keys: tuple[str, ...], width: int) -> tuple[str, list[int], str]
     in a record (an evolved row's object, a sample's list), the columns of
     a row's values in the order they appear there, and the text between the
     last row and the list's closing bracket.  The row starts with the comma
-    that separates it from the row before, then has a %s slot for each value."""
+    that separates it from the row before, then has a %s slot for each value:
+    json's dump of one row, each line indented to the row's depth in the
+    record, below the root, ``results``, each key and the list."""
     slots = [f"@{i}@" for i in range(width)]
     row: Any = slots
     if width == len(CSV_COLUMNS):
         theta, phi, *parts, value = slots
         pairs = [parts[i : i + 2] for i in range(0, len(parts), 2)]
         row = {"theta": theta, "phi": phi, "amplitudes": pairs, "concurrence": value}
-    body: Any = [row]
-    for key in reversed(("results", *keys)):
-        body = {key: body}
-    text = json.dumps(body, sort_keys=True, indent=2)
-    start, end = _block_at(text.encode(), keys), text.rindex("]")
-    row_text = text[start:end].rstrip()
-    close = text[start + len(row_text) : end]
+    newline = "\n" + "  " * (len(keys) + 2)
+    row_text = newline + json.dumps(row, sort_keys=True, indent=2).replace("\n", newline)
     order = sorted(range(width), key=lambda i: row_text.index(f'"{slots[i]}"'))
     for slot in slots:
         row_text = row_text.replace(f'"{slot}"', "%s")
-    return "," + row_text, order, close
+    return "," + row_text, order, newline[:-2]
 
 
 #: Each float block's :func:`_row_layout`, by its keys.

@@ -14,6 +14,7 @@ import pytest
 
 from spin_torus import hamiltonian, manifold, verify
 from spin_torus.cli import EXIT_CHECK_FAILURE, main
+from spin_torus.entanglement import ConcurrenceRangeError
 from spin_torus.qstate import Operator4, check_state_row
 from spin_torus.verify import verify_all
 
@@ -32,9 +33,10 @@ CHECK_NAMES = [
     "evolve_grid_matches_scalar_family",
     "metric_closed_form_vs_finite_difference",
     "metric_constant_over_torus",
+    "metric_diag_closed_form_vs_finite_difference",
+    "metric_shear_kills_cross_term",
     "metric_positivity_identity_theta",
     "metric_positivity_identity_phi",
-    "metric_shear_kills_cross_term",
     "concurrence_closed_form_vs_direct",
     "concurrence_field_independence",
     "concurrence_wootters_oracle",
@@ -72,7 +74,7 @@ class TestVerifyAll:
     def test_every_line_carries_a_verdict(self):
         lines = verify_all(seed=0).lines()
         assert all(line.startswith(("PASS ", "FAIL ")) for line in lines[:-1])
-        assert lines[-1].endswith("all 26 checks passed")
+        assert lines[-1].endswith("all 27 checks passed")
 
 
 class TestStreams:
@@ -86,9 +88,9 @@ class TestStreams:
         assert [x.hex() for x in draws.tolist()] == expected
 
     def test_random_is_the_top_53_bits_of_each_64_bit_word(self):
-        bits = random.Random("3/metric_shear_kills_cross_term")
+        bits = random.Random("3/metric_positivity_identity_theta")
         expected = [(bits.getrandbits(64) >> 11) / 2.0**53 for _ in range(1000)]
-        draws = verify._Stream("3/metric_shear_kills_cross_term").random((10, 100))
+        draws = verify._Stream("3/metric_positivity_identity_theta").random((10, 100))
         assert draws.shape == (10, 100)
         assert draws.ravel().tolist() == expected
 
@@ -197,7 +199,7 @@ class TestStreams:
             alone = real(stream.text)
             assert all(np.array_equal(alone.random(d.shape), d) for d in stream.draws)
         labels = [text.split("/", 1) for text in first]
-        assert len(labels) == 16 and {seed for seed, _ in labels} == {"4"}
+        assert len(labels) == 12 and {seed for seed, _ in labels} == {"4"}
         assert {label for _, label in labels} <= set(CHECK_NAMES)
 
 
@@ -268,16 +270,22 @@ MUTANTS = {
         "_direction_forms",
         lambda real: lambda v, th, ph, *rest: real(v, th, ph, *rest) + 1e-8 * np.cos(th)[:, None],
     ),
+    "metric_diag_closed_form_vs_finite_difference": (
+        "metric_analytic",
+        returned(
+            lambda m: dataclasses.replace(m, g_theta_theta_diag=m.g_theta_theta_diag * (1 + 1e-8))
+        ),
+    ),
+    "metric_shear_kills_cross_term": (
+        "metric_analytic",
+        returned(lambda m: dataclasses.replace(m, shear=m.shear and m.shear * (1 + 1e-6))),
+    ),
     "metric_positivity_identity_theta": (
         "family_invariants",
         returned(lambda inv: dataclasses.replace(inv, mismatch=inv.mismatch * (1 + 1e-9))),
     ),
     "metric_positivity_identity_phi":
         ("family_invariants", returned(lambda inv: dataclasses.replace(inv, aligned=inv.aligned + 1e-9))),
-    "metric_shear_kills_cross_term": (
-        "metric_analytic",
-        returned(lambda m: dataclasses.replace(m, shear=m.shear and m.shear * (1 + 1e-6))),
-    ),
     "concurrence_closed_form_vs_direct":
         ("concurrence_evolved_stack", returned(lambda c: c * (1 + 1e-9))),
     "concurrence_field_independence": (
@@ -321,6 +329,33 @@ class TestEveryCheckCanFail:
             failed = [result.name for result in report.checks if not result.passed]
             assert check in failed, f"seed {seed}"
             assert report.lines()[-1].endswith(f"of {len(CHECK_NAMES)} checks FAILED")
+            assert not any(result.detail.startswith("raised ") for result in report.checks)
+
+
+class TestRaisingBattery:
+    """A battery that raises ends ``verify`` with one FAIL line under its
+    label, not a traceback."""
+
+    def test_cli_prints_a_fail_line_and_exits_one(self, monkeypatch, capsys):
+        assert main(["verify", "--seed", "0"]) == 0
+        clean = capsys.readouterr().out.splitlines()
+
+        def raising(state):
+            raise ConcurrenceRangeError("concurrence 1.5 is outside [0, 1]")
+
+        monkeypatch.setattr(verify, "_closed_form_maximum", raising)
+        assert main(["verify", "--seed", "0"]) == EXIT_CHECK_FAILURE
+        out, err = capsys.readouterr()
+        lines = out.splitlines()
+        at = CHECK_NAMES.index("concurrence_max_closed_form_vs_sampled")
+        assert lines[:at] == clean[:at]
+        assert lines[at:] == [
+            "FAIL  concurrence_max_closed_form_vs_sampled: residual nan (bound nan) -- "
+            "raised ConcurrenceRangeError: concurrence 1.5 is outside [0, 1]",
+            f"1 of {at + 1} checks FAILED",
+        ]
+        assert err == ""
+
 
 DISPATCH_VERDICTS = """\
 from spin_torus.verify import verify_all
@@ -366,7 +401,7 @@ class TestNegativeControl:
             line.startswith("FAIL") and "propagator_unitarity" in line
             for line in report.lines()
         )
-        assert report.lines()[-1].endswith("1 of 26 checks FAILED")
+        assert report.lines()[-1].endswith("1 of 27 checks FAILED")
 
     @pytest.mark.parametrize("seed", range(50))
     def test_cli_negative_control_fails_only_unitarity(self, seed, capsys):
@@ -394,8 +429,9 @@ class TestStackGuards:
         monkeypatch.setattr(hamiltonian, "check_operator_stack", poisoned)
         with pytest.raises(ValueError, match="^operator entries must be finite$"):
             Operator4(np.full((4, 4), np.nan))
-        with pytest.raises(ValueError, match="^operator entries must be finite$"):
-            verify_all(seed=0)
+        last = verify_all(seed=0).checks[-1]
+        assert (last.name, last.passed) == ("propagator_unitarity", False)
+        assert last.detail == "raised ValueError: operator entries must be finite"
 
     def test_nan_in_an_evolved_orbit_row(self, monkeypatch):
         guard = manifold.check_state_array
@@ -408,8 +444,9 @@ class TestStackGuards:
         monkeypatch.setattr(manifold, "check_state_array", poisoned)
         with pytest.raises(ValueError, match="^state amplitudes must be finite$"):
             check_state_row([complex(np.nan, 0.0), 0.0, 0.0, 0.0])
-        with pytest.raises(ValueError, match="^state amplitudes must be finite$"):
-            verify_all(seed=0)
+        last = verify_all(seed=0).checks[-1]
+        assert (last.name, last.passed) == ("concurrence_closed_form_vs_direct", False)
+        assert last.detail == "raised ValueError: state amplitudes must be finite"
 
 
 class TestNanResiduals:
