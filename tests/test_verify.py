@@ -5,6 +5,7 @@ import itertools
 import math
 import os
 import random
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -198,9 +199,13 @@ class TestStreams:
             assert all(map(np.array_equal, stream.draws, first[stream.text]))
             alone = real(stream.text)
             assert all(np.array_equal(alone.random(d.shape), d) for d in stream.draws)
-        labels = [text.split("/", 1) for text in first]
-        assert len(labels) == 12 and {seed for seed, _ in labels} == {"4"}
-        assert {label for _, label in labels} <= set(CHECK_NAMES)
+        # One stream per battery, named after its first check; every battery
+        # but the determinism probe draws from it.
+        assert len(first) == 10
+        assert list(first) == [f"4/{names[0]}" for _, names in verify._BATTERIES]
+        assert [text for text, draws in first.items() if not draws] == [
+            "4/scenario_rerun_byte_identical"
+        ]
 
 
 def returned(change):
@@ -332,9 +337,15 @@ class TestEveryCheckCanFail:
             assert not any(result.detail.startswith("raised ") for result in report.checks)
 
 
+def changed_lines(lines, clean):
+    """The indices at which two runs' check lines differ."""
+    assert len(lines) == len(clean) == len(CHECK_NAMES) + 1
+    return [i for i, (line, was) in enumerate(zip(lines[:-1], clean)) if line != was]
+
+
 class TestRaisingBattery:
-    """A battery that raises ends ``verify`` with one FAIL line under its
-    label, not a traceback."""
+    """A battery that raises gives a FAIL line to each check it has not
+    reported, not a traceback, and the batteries after it still run."""
 
     def test_cli_prints_a_fail_line_and_exits_one(self, monkeypatch, capsys):
         assert main(["verify", "--seed", "0"]) == 0
@@ -348,13 +359,71 @@ class TestRaisingBattery:
         out, err = capsys.readouterr()
         lines = out.splitlines()
         at = CHECK_NAMES.index("concurrence_max_closed_form_vs_sampled")
-        assert lines[:at] == clean[:at]
-        assert lines[at:] == [
+        assert changed_lines(lines, clean) == [at]
+        assert lines[at] == (
             "FAIL  concurrence_max_closed_form_vs_sampled: residual nan (bound nan) -- "
-            "raised ConcurrenceRangeError: concurrence 1.5 is outside [0, 1]",
-            f"1 of {at + 1} checks FAILED",
-        ]
+            "raised ConcurrenceRangeError: concurrence 1.5 is outside [0, 1]"
+        )
+        assert lines[-1] == f"1 of {len(CHECK_NAMES)} checks FAILED"
         assert err == ""
+
+    @pytest.mark.parametrize(
+        "index", range(len(verify._BATTERIES)), ids=[names[0] for _, names in verify._BATTERIES]
+    )
+    def test_a_battery_that_stops_early_fails_only_its_other_checks(self, monkeypatch, index):
+        clean = verify_all(seed=2).lines()
+        real, names = verify._BATTERIES[index]
+
+        def stopping(rng, corrupt):
+            yield next(real(rng, corrupt))
+            raise RuntimeError("stopped after one check")
+
+        batteries = list(verify._BATTERIES)
+        batteries[index] = (stopping, names)
+        monkeypatch.setattr(verify, "_BATTERIES", tuple(batteries))
+        report = verify_all(seed=2)
+        at = CHECK_NAMES.index(names[0])
+        rest = range(at + 1, at + len(names))
+        assert changed_lines(report.lines(), clean) == list(rest)
+        assert [report.checks[i].name for i in rest] == list(names[1:])
+        for i in rest:
+            assert report.lines()[i] == (
+                f"FAIL  {CHECK_NAMES[i]}: residual nan (bound nan) -- "
+                "raised RuntimeError: stopped after one check"
+            )
+        assert report.passed == (len(names) == 1)
+
+
+#: The one line of the c_max mutant: c_max read 1e-9 high.
+C_MAX_LINE = "    c_max = _clamp_unit(2.0 * (abs(alpha) + abs(beta)))\n"
+
+
+def test_source_copy_c_max_mutant_fails_its_check_and_every_check_reports(tmp_path):
+    """A mutant of a closed form that ``verify`` reaches through another
+    module, applied to a copy of the package: ``spin-torus verify`` prints
+    every check's line, fails the check that audits c_max by its residual,
+    and exits 1 without a traceback."""
+    package = Path(verify.__file__).parent
+    copy = tmp_path / "spin_torus"
+    shutil.copytree(package, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    source = copy / "entanglement.py"
+    lines = source.read_text(encoding="utf-8").splitlines(keepends=True)
+    assert lines.count(C_MAX_LINE) == 1
+    lines[lines.index(C_MAX_LINE)] = C_MAX_LINE.replace(")))", ")) * (1 + 1e-9))")
+    source.write_text("".join(lines), encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(tmp_path)}
+    for seed in range(5):
+        result = subprocess.run(
+            [sys.executable, "-m", "spin_torus.cli", "verify", "--seed", str(seed)],
+            env=env, capture_output=True, text=True, cwd=tmp_path,
+        )
+        assert (result.returncode, result.stderr) == (EXIT_CHECK_FAILURE, ""), f"seed {seed}"
+        *checks, summary = result.stdout.splitlines()
+        assert [line[6:].split(":", 1)[0] for line in checks] == CHECK_NAMES
+        assert all(line.startswith(("PASS  ", "FAIL  ")) for line in checks)
+        assert summary.endswith(f"of {len(CHECK_NAMES)} checks FAILED")
+        c_max = checks[CHECK_NAMES.index("concurrence_max_closed_form_vs_sampled")]
+        assert c_max.startswith("FAIL  ") and " -- raised " not in c_max, f"seed {seed}"
 
 
 DISPATCH_VERDICTS = """\
@@ -412,16 +481,28 @@ class TestNegativeControl:
         assert failed == ["propagator_unitarity"]
 
 
+def assert_battery_raised(report, clean, name, detail):
+    """``name`` and each later check of its battery FAIL with residual nan
+    and ``detail``, and every other check's line is the clean run's."""
+    names = next(names for _, names in verify._BATTERIES if name in names)
+    failed = range(CHECK_NAMES.index(name), CHECK_NAMES.index(names[-1]) + 1)
+    assert changed_lines(report.lines(), clean) == list(failed)
+    for check in report.checks[failed.start : failed.stop]:
+        assert (check.passed, check.detail) == (False, detail)
+        assert math.isnan(check.residual) and math.isnan(check.bound)
+
+
 class TestStackGuards:
     """A NaN inside a stack meets the guard its scalar route met, with the
     same message."""
 
     @pytest.mark.parametrize("route", ["analytic", "factored", "spectral"])
     def test_nan_in_a_stacked_propagator(self, monkeypatch, route):
-        guard = hamiltonian.check_operator_stack
+        clean, guard = verify_all(seed=0).lines(), hamiltonian.check_operator_stack
 
         def poisoned(matrices):
-            if sys._getframe(1).f_code.co_name == f"propagator_{route}_stack" and len(matrices) > 1:
+            caller = sys._getframe(1).f_code.co_name
+            if caller == f"propagator_{route}_stack" and len(matrices) == 100:  # the battery's draws
                 matrices = matrices.copy()
                 matrices[37, 2, 1] = complex(0.0, np.nan)
             return guard(matrices)
@@ -429,24 +510,28 @@ class TestStackGuards:
         monkeypatch.setattr(hamiltonian, "check_operator_stack", poisoned)
         with pytest.raises(ValueError, match="^operator entries must be finite$"):
             Operator4(np.full((4, 4), np.nan))
-        last = verify_all(seed=0).checks[-1]
-        assert (last.name, last.passed) == ("propagator_unitarity", False)
-        assert last.detail == "raised ValueError: operator entries must be finite"
+        assert_battery_raised(
+            verify_all(seed=0), clean, "propagator_unitarity",
+            "raised ValueError: operator entries must be finite",
+        )
 
     def test_nan_in_an_evolved_orbit_row(self, monkeypatch):
-        guard = manifold.check_state_array
+        clean, guard = verify_all(seed=0).lines(), manifold.check_state_array
 
         def poisoned(rows):
-            if sys._getframe(2).f_code.co_name == "entanglement_along_orbit":
+            # the concurrence battery's 100 states at five field angles each
+            caller = sys._getframe(2).f_code.co_name
+            if caller == "entanglement_along_orbit" and rows.shape[:2] == (100, 5):
                 rows[41, 3, 2] = complex(np.nan, 0.0)
             return guard(rows)
 
         monkeypatch.setattr(manifold, "check_state_array", poisoned)
         with pytest.raises(ValueError, match="^state amplitudes must be finite$"):
             check_state_row([complex(np.nan, 0.0), 0.0, 0.0, 0.0])
-        last = verify_all(seed=0).checks[-1]
-        assert (last.name, last.passed) == ("concurrence_closed_form_vs_direct", False)
-        assert last.detail == "raised ValueError: state amplitudes must be finite"
+        assert_battery_raised(
+            verify_all(seed=0), clean, "concurrence_closed_form_vs_direct",
+            "raised ValueError: state amplitudes must be finite",
+        )
 
 
 class TestNanResiduals:
